@@ -27,7 +27,7 @@ from .modfp import (
     s_param,
 )
 from .oracle import GenSearchConfig, min_generators
-from .permcore import ParseError, PermGroup, bsgs_build
+from .permcore import ParseError, PermGroup, bsgs_build, prime_factorization
 from .wreath import (
     TrivialLevelError,
     example_generators,
@@ -61,6 +61,10 @@ def _fail(message: str, out: str | None) -> int:
     return EXIT_USAGE
 
 
+def _is_prime(p: int) -> bool:
+    return prime_factorization(p) == {p: 1}
+
+
 def _cmd_formula(args) -> int:
     try:
         t = parse_tower(args.tower)
@@ -85,6 +89,10 @@ def _cmd_formula(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.attempts < 0:
+        return _fail("attempts must be nonnegative", args.out)
+    if args.order_limit < 1:
+        return _fail("order limit must be at least 1", args.out)
     try:
         t = parse_tower(args.tower)
     except (ParseError, TrivialLevelError) as e:
@@ -114,7 +122,7 @@ def _cmd_verify(args) -> int:
 def _cmd_module(args) -> int:
     if args.n < 4:
         return _fail("n must be at least 4", args.out)
-    if args.p < 2 or any(args.p % q == 0 for q in range(2, args.p)):
+    if not _is_prime(args.p):
         return _fail("p must be prime", args.out)
     report = check_Ip_structure(args.n, args.p)
     _emit(report.to_json(), args.out)
@@ -124,9 +132,9 @@ def _cmd_module(args) -> int:
 def _cmd_cohom(args) -> int:
     try:
         spec = parse_group(args.group).normalized()
-    except ParseError as e:
+    except (ParseError, TrivialLevelError) as e:
         return _fail(str(e), args.out)
-    if args.p < 2 or any(args.p % q == 0 for q in range(2, args.p)):
+    if not _is_prime(args.p):
         return _fail("p must be prime", args.out)
     g = PermGroup(spec.n, standard_generators(spec))
     mod = FpModule.natural(g, args.p)

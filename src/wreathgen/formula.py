@@ -11,25 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .permcore import prime_factorization
 from .wreath import GroupSpec, TowerSpec
 
 
 class CyclicTopError(ValueError):
     """The counting form requires a non-cyclic top level."""
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @dataclass(frozen=True)
@@ -61,23 +48,13 @@ def abelianization(t: TowerSpec, from_level: int = 1) -> AbelianProfile:
     """p-ranks of the abelianization of the sub-tower from the given level.
 
     Each level contributes independently: Alt n (n >= 5) nothing, Alt 4
-    one Z_3, Sym n (n >= 3) one Z_2, Cyc n one Z_p per prime p | n.
+    one Z_3, Sym n (n >= 3) one Z_2, Cyc n one Z_p per prime p | n; so
+    d_p = c_p, plus s for p = 2 and a_4 for p = 3, over those levels.
     from_level = k+1 names the trivial group.
     """
-    if not 1 <= from_level <= t.k + 1:
-        raise ValueError("from_level out of range")
-    ranks: dict[int, int] = {}
-    for g in t.levels[from_level - 1:]:
-        if g.kind == "A" and g.n >= 5:
-            continue
-        if g.kind == "A":  # Alt 4 (A3 was normalized away)
-            ranks[3] = ranks.get(3, 0) + 1
-        elif g.kind == "S":
-            ranks[2] = ranks.get(2, 0) + 1
-        else:
-            for p in _prime_factors(g.n):
-                ranks[p] = ranks.get(p, 0) + 1
-    return AbelianProfile(ranks)
+    prof = counting_profile(t, from_level)
+    return AbelianProfile(
+        {**prof.c, 2: prof.c_p(2) + prof.s, 3: prof.c_p(3) + prof.a4})
 
 
 def d_abelian_wreath(a: AbelianProfile, g1: GroupSpec) -> int:
@@ -90,6 +67,9 @@ def d_abelian_wreath(a: AbelianProfile, g1: GroupSpec) -> int:
     if g1.kind == "S":
         return max(2, a.d, a.rank(2) + 1)
     return a.d + 1
+
+
+_CASES = {"A": "An", "S": "Sn", "C": "Cyclic"}
 
 
 @dataclass(frozen=True)
@@ -106,31 +86,21 @@ class FormulaResult:
 def d_tower(t: TowerSpec) -> FormulaResult:
     """Minimal generator count of the tower group, by closed form.
 
-    For k >= 2 the answer is determined by the top level and the
-    abelianization A of levels 2..k; internally it is cross-checked
-    against max(2, d(A wr G_1)).
+    For k >= 2 the answer is max(2, d(A wr G_1)), where A is the
+    abelianization of levels 2..k; the case names the top level's type.
     """
     g1 = t.levels[0]
     if t.k == 1:
         d = 1 if g1.is_cyclic() else 2
         return FormulaResult(d, "SingleLevel", AbelianProfile({}))
     a = abelianization(t, 2)
-    if g1.kind == "A" and g1.n == 4:
-        d, case = max(2, a.d, a.rank(3) + 1), "A4"
-    elif g1.kind == "A":
-        d, case = max(2, a.d), "An"
-    elif g1.kind == "S":
-        d, case = max(2, a.d, a.rank(2) + 1), "Sn"
-    else:
-        d, case = max(2, a.d + 1), "Cyclic"
-    if d != max(2, d_abelian_wreath(a, g1)):
-        raise AssertionError("case split disagrees with the reduction identity")
-    return FormulaResult(d, case, a)
+    case = "A4" if (g1.kind, g1.n) == ("A", 4) else _CASES[g1.kind]
+    return FormulaResult(max(2, d_abelian_wreath(a, g1)), case, a)
 
 
 @dataclass(frozen=True)
 class CountingProfile:
-    """Level counts entering the counting form (all levels included)."""
+    """Level counts entering the counting form and the abelianization."""
 
     a4: int  # Alt 4 levels
     s: int  # non-abelian symmetric levels
@@ -140,16 +110,20 @@ class CountingProfile:
         return self.c.get(p, 0)
 
 
-def counting_profile(t: TowerSpec) -> CountingProfile:
+def counting_profile(t: TowerSpec, from_level: int = 1) -> CountingProfile:
+    """Level counts of the sub-tower from the given level; from_level =
+    k+1 names the empty sub-tower."""
+    if not 1 <= from_level <= t.k + 1:
+        raise ValueError("from_level out of range")
     a4 = s = 0
     c: dict[int, int] = {}
-    for g in t.levels:
+    for g in t.levels[from_level - 1:]:
         if g.kind == "A" and g.n == 4:
             a4 += 1
         elif g.kind == "S":
             s += 1
         elif g.kind == "C":
-            for p in _prime_factors(g.n):
+            for p in prime_factorization(g.n):
                 c[p] = c.get(p, 0) + 1
     return CountingProfile(a4, s, c)
 

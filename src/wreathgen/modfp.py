@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .permcore import PermGroup, Permutation
+from .permcore import ConsistencyError, PermGroup, Permutation, cayley_walk
 from .wreath import GroupSpec, standard_generators
 
 
@@ -25,6 +25,16 @@ class BudgetExceeded(RuntimeError):
 
 class NonScalarEndomorphism(RuntimeError):
     """The module's endomorphism algebra is larger than the scalars."""
+
+
+def _reduce(v, p: int, pivots, rows) -> np.ndarray:
+    """v reduced mod p against RREF rows with the given pivot columns."""
+    v = np.asarray(v, dtype=np.int64) % p
+    for piv, row in zip(pivots, rows):
+        c = int(v[piv])
+        if c:
+            v = (v - c * row) % p
+    return v
 
 
 class RowSpace:
@@ -45,12 +55,7 @@ class RowSpace:
         return len(self.rows)
 
     def reduce(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=np.int64) % self.p
-        for piv, row in zip(self.pivots, self.rows):
-            c = int(v[piv])
-            if c:
-                v = (v - c * row) % self.p
-        return v
+        return _reduce(v, self.p, self.pivots, self.rows)
 
     def contains(self, v) -> bool:
         return not self.reduce(v).any()
@@ -122,10 +127,7 @@ class SubmoduleBasis:
         return len(self.pivots)
 
     def contains(self, v) -> bool:
-        space = RowSpace(self.parent.p, self.parent.dim)
-        for row in self.matrix:
-            space.insert(row)
-        return space.contains(v)
+        return not _reduce(v, self.parent.p, self.pivots, self.matrix).any()
 
 
 def _to_submodule(m: FpModule, space: RowSpace) -> SubmoduleBasis:
@@ -240,15 +242,16 @@ def check_Ip_structure(n: int, p: int, vector_budget: int = 2 ** 20) -> IpReport
     """
     if n < 4:
         raise ValueError("n must be at least 4")
-    group = alt_group(n)
-    mod = FpModule.natural(group, p)
-    ip = aug_submodule(mod)
     divides = n % p == 0
+    # the budget depends on (n, p) alone, so it is checked before any
+    # group or matrix of degree n is built; I_p has dimension n - 1
+    total = p ** n - p ** (n - 1) if divides else p ** (n - 1) - 1
+    if total > vector_budget:
+        return IpReport(n, p, n - 1, divides, "unverified", 0)
+    mod = FpModule.natural(alt_group(n), p)
+    ip = aug_submodule(mod)
 
     if divides:
-        total = p ** n - p ** (n - 1)
-        if total > vector_budget:
-            return IpReport(n, p, ip.dim, True, "unverified", 0)
         checked = 0
         ok = True
         for vec in _all_vectors(p, n):
@@ -260,14 +263,7 @@ def check_Ip_structure(n: int, p: int, vector_budget: int = 2 ** 20) -> IpReport
                 break
         return IpReport(n, p, ip.dim, True, "verified", checked, unique_maximal=ok)
 
-    total = p ** (n - 1) - 1
-    if total > vector_budget:
-        return IpReport(n, p, ip.dim, False, "unverified", 0)
-    ones = np.ones(n, dtype=np.int64)
-    joint = RowSpace(p, n)
-    for row in ip.matrix:
-        joint.insert(row)
-    direct = (not joint.contains(ones)) and joint.dim + 1 == n
+    direct = not ip.contains(np.ones(n, dtype=np.int64)) and ip.dim + 1 == n
     checked = 0
     irr = True
     basis = ip.matrix
@@ -362,39 +358,34 @@ class _CocycleSystem:
 def _cocycle_system(g: PermGroup, mod: FpModule, element_budget: int) -> _CocycleSystem:
     if len(mod.mats) != len(g.generators):
         raise ValueError("module action does not match the group's generators")
+    try:
+        _, edges = cayley_walk(g.degree, g.generators, element_budget)
+    except ConsistencyError:
+        raise BudgetExceeded(
+            f"group enumeration exceeds budget {element_budget}") from None
     k = mod.dim
     ngens = len(g.generators)
     p = mod.p
     eye = np.eye(k, dtype=np.int64)
-    ident = Permutation.identity(g.degree)
-    index = {ident.images: 0}
-    elements = [ident]
-    coeffs = [np.zeros((ngens, k, k), dtype=np.int64)]
+    coeffs: list[np.ndarray | None] = [None] * len(edges)
+    coeffs[0] = np.zeros((ngens, k, k), dtype=np.int64)
     constraints = RowSpace(p, ngens * k)
-    qi = 0
-    while qi < len(elements):
-        e = elements[qi]
-        ce = coeffs[qi]
-        qi += 1
-        for j, (s, a) in enumerate(zip(g.generators, mod.mats)):
-            f = e * s
+    # in walk order an element's coefficients are set, by the edge that
+    # discovered it, before its own row of edges is read
+    for i, row in enumerate(edges):
+        ce = coeffs[i]
+        for j, (f, a) in enumerate(zip(row, mod.mats)):
             cf = (ce @ a) % p
             cf[j] = (cf[j] + eye) % p
-            pos = index.get(f.images)
-            if pos is None:
-                if len(elements) >= element_budget:
-                    raise BudgetExceeded(
-                        f"group enumeration exceeds budget {element_budget}")
-                index[f.images] = len(elements)
-                elements.append(f)
-                coeffs.append(cf)
-            else:
-                diff = (cf - coeffs[pos]) % p
-                if diff.any():
-                    # one scalar equation per module coordinate
-                    for row in diff.transpose(2, 0, 1).reshape(k, ngens * k):
-                        constraints.insert(row)
-    return _CocycleSystem(constraints, len(elements))
+            if coeffs[f] is None:
+                coeffs[f] = cf
+                continue
+            diff = (cf - coeffs[f]) % p
+            if diff.any():
+                # one scalar equation per module coordinate
+                for eq in diff.transpose(2, 0, 1).reshape(k, ngens * k):
+                    constraints.insert(eq)
+    return _CocycleSystem(constraints, len(edges))
 
 
 def s_param(dp_abar: int, h1: int) -> int:

@@ -19,6 +19,7 @@ from .permcore import (
     Permutation,
     abelian_p_ranks,
     bsgs_build,
+    cayley_walk,
     format_cycles,
 )
 
@@ -55,8 +56,8 @@ class GenResult:
 class CayleyTable:
     """Full multiplication table over a canonical element list.
 
-    Elements are enumerated breadth-first from the identity (index 0).
-    Generator columns are filled by explicit composition; every other
+    Elements come from the breadth-first Cayley-graph walk, identity at
+    index 0, whose edge table holds the generator columns; every other
     column j with e_j = e_parent * s follows by one vectorized gather,
     since x * e_j = (x * e_parent) * s.
     """
@@ -77,39 +78,22 @@ class CayleyTable:
         order = g.order()
         if order > limit:
             raise OrderLimitExceeded(f"|G| = {order} exceeds the limit {limit}")
-        gens = []
-        for p in g.generators:  # dedup, drop identity
-            if not p.is_identity() and p not in gens:
-                gens.append(p)
-        ident = Permutation.identity(g.degree)
-        elements = [ident]
-        index = {ident.images: 0}
-        parent: list[tuple[int, int]] = [(0, -1)]  # (parent element, generator slot)
-        qi = 0
-        while qi < len(elements):
-            e = elements[qi]
-            for slot, s in enumerate(gens):
-                f = e * s
-                if f.images not in index:
-                    index[f.images] = len(elements)
-                    elements.append(f)
-                    parent.append((qi, slot))
-            qi += 1
+        gens = list(dict.fromkeys(p for p in g.generators if not p.is_identity()))
+        elements, edges = cayley_walk(g.degree, gens)
         n = len(elements)
         dtype = np.int16 if n < 2 ** 15 else np.int32
+        edges = np.array(edges, dtype=dtype)  # column s: x -> x * s
         table = np.empty((n, n), dtype=dtype)
         table[:, 0] = np.arange(n, dtype=dtype)
-        gen_cols = []
-        for s in gens:
-            col = np.fromiter((index[(e * s).images] for e in elements),
-                              dtype=dtype, count=n)
-            gen_cols.append(col)
-        # discovery order guarantees the parent's column exists first
-        for j in range(1, n):
-            par, slot = parent[j]
-            table[:, j] = gen_cols[slot][table[:, par]]
-        gen_indices = [index[s.images] for s in gens]
-        return cls(elements, index, table, gen_indices)
+        # an element's first edge comes from its parent, whose column is
+        # filled first because the parent was discovered earlier
+        targets, first = np.unique(edges, return_index=True)
+        for j, f in zip(targets.tolist(), first.tolist()):
+            if j:
+                par, slot = divmod(f, len(gens))
+                table[:, j] = edges[:, slot][table[:, par]]
+        index = {e.images: i for i, e in enumerate(elements)}
+        return cls(elements, index, table, edges[0].tolist())
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -175,9 +159,8 @@ def d_lower_bound(g: PermGroup) -> tuple[int, str]:
     order = g.order()
     if order == 1:
         return 0, "trivial"
-    primes = g.prime_divisors()
-    d_ab = max(abelian_p_ranks(g, primes).values())
-    if not is_cyclic(g) and d_ab < 2:
+    d_ab = max(abelian_p_ranks(g, g.prime_divisors()).values())
+    if d_ab < 2 and not g.is_abelian():  # d_ab < 2: cyclic exactly when abelian
         return 2, "noncyclic"
     return max(d_ab, 1), "abelianization"
 

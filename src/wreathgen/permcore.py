@@ -24,6 +24,24 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""
 
 
+def prime_factorization(n: int) -> dict[int, int]:
+    """{prime: exponent} for n >= 1 by trial division, primes ascending;
+    empty for n < 2."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            factors[d] = e
+        d += 1
+    if n > 1:
+        factors[n] = 1
+    return factors
+
+
 # ---------------------------------------------------------------------------
 # permutations
 
@@ -107,7 +125,7 @@ class Permutation:
         return out
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return math.lcm(*(len(c) for c in self.cycles()))
 
     def moved_points(self) -> list[int]:
         return [x for x, y in enumerate(self.images) if x != y]
@@ -278,15 +296,8 @@ class Bsgs:
         """Prime factorization of the order (orbit sizes are <= degree)."""
         factors: dict[int, int] = {}
         for lv in self._levels:
-            m = len(lv.orbit)
-            d = 2
-            while d * d <= m:
-                while m % d == 0:
-                    factors[d] = factors.get(d, 0) + 1
-                    m //= d
-                d += 1
-            if m > 1:
-                factors[m] = factors.get(m, 0) + 1
+            for p, e in prime_factorization(len(lv.orbit)).items():
+                factors[p] = factors.get(p, 0) + e
         return factors
 
     def contains(self, p: Permutation) -> bool:
@@ -456,29 +467,43 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 
 
+def cayley_walk(degree: int, gens, limit: int | None = None):
+    """Breadth-first walk of the Cayley graph of <gens> by right multiplication.
+
+    Returns (elements, edges): the elements in discovery order, identity
+    first, and edges[i][j] = index of elements[i] * gens[j].  Rows are
+    walked in order, so the first edge into an element, in row-major
+    order, is the one that discovered it, from an earlier row.
+
+    Raises ConsistencyError if more than `limit` elements appear.
+    """
+    k = _make_kernel(degree)
+    raw_gens = [k.from_images(s.images) for s in gens]
+    index = {k.ident: 0}
+    order = [k.ident]
+    edges: list[list[int]] = []
+    for e in order:  # grows while it is walked
+        row = []
+        for s in raw_gens:
+            f = k.compose(e, s)
+            j = index.get(f)
+            if j is None:
+                j = len(order)
+                if limit is not None and j >= limit:
+                    raise ConsistencyError(f"group exceeds element limit {limit}")
+                index[f] = j
+                order.append(f)
+            row.append(j)
+        edges.append(row)
+    return [Permutation._raw(k.to_images(e)) for e in order], edges
+
+
 def enumerate_elements(g: PermGroup, limit: int | None = None) -> list[Permutation]:
     """All elements by breadth-first closure, identity first.
 
     Raises ConsistencyError if more than `limit` elements appear.
     """
-    ident = Permutation.identity(g.degree)
-    seen = {ident.images}
-    out = [ident]
-    frontier = [ident]
-    gens = [p for p in g.generators if not p.is_identity()]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for s in gens:
-                f = e * s
-                if f.images not in seen:
-                    seen.add(f.images)
-                    out.append(f)
-                    nxt.append(f)
-                    if limit is not None and len(out) > limit:
-                        raise ConsistencyError(f"group exceeds element limit {limit}")
-        frontier = nxt
-    return out
+    return cayley_walk(g.degree, g.generators, limit)[0]
 
 
 def derived_subgroup(g: PermGroup) -> PermGroup:

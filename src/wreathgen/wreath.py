@@ -285,15 +285,14 @@ def tower_generators(t: TowerSpec) -> list[TreeAutomorphism]:
     return gens
 
 
-def tower_group(t: TowerSpec, check: bool = True) -> PermGroup:
+def tower_group(t: TowerSpec) -> PermGroup:
     """The wreath product as a leaf permutation group.
 
-    With check=True (the default) the chain order is compared against the
-    closed-form product, so the construction is certified rather than
-    assumed.
+    The chain order is compared against the closed-form product, so the
+    construction is certified rather than assumed.
     """
     g = PermGroup(t.leaf_count(), [a.perm for a in tower_generators(t)])
-    if check and g.order() != t.order():
+    if g.order() != t.order():
         raise ConsistencyError(
             f"tower group order {g.order()} != expected {t.order()}")
     return g

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from wreathgen import cli
+from wreathgen import cli, modfp
 from wreathgen.formula import AbelianProfile, FormulaResult
 
 
@@ -78,6 +78,12 @@ def test_verify_mismatch_exits_4(capsys, monkeypatch):
     assert doc["agree"] is False
 
 
+@pytest.mark.parametrize("flags", [["--attempts", "-1"], ["--order-limit", "0"]])
+def test_verify_rejects_bad_budget_flags(capsys, flags):
+    code, doc = run(capsys, "verify", "--tower", "S3;C2", *flags)
+    assert code == 2 and "error" in doc
+
+
 def test_verify_seed_passthrough(capsys):
     code, doc = run(capsys, "verify", "--tower", "C2;S3", "--seed", "9")
     assert code == 0 and doc["oracle"]["seed"] == 9
@@ -95,6 +101,16 @@ def test_module_over_budget_exits_3(capsys):
     code, doc = run(capsys, "module", "--n", "25", "--p", "2")
     assert code == 3
     assert doc["status"] == "unverified"
+
+
+def test_module_over_budget_builds_nothing(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError("Alt(n) built for an over-budget check")
+
+    monkeypatch.setattr(modfp, "alt_group", refuse)
+    code, doc = run(capsys, "module", "--n", "400", "--p", "2")
+    assert code == 3
+    assert doc["status"] == "unverified" and doc["dim_Ip"] == 399
 
 
 def test_module_rejects_nonprime(capsys):
@@ -117,8 +133,9 @@ def test_cohom_nonscalar_end_has_no_h(capsys):
 
 
 def test_cohom_rejects_bad_token(capsys):
-    code, doc = run(capsys, "cohom", "--group", "B5", "--p", "2")
-    assert code == 2 and "error" in doc
+    for group in ("B5", "C1"):
+        code, doc = run(capsys, "cohom", "--group", group, "--p", "2")
+        assert code == 2 and "error" in doc
 
 
 def test_example_document(capsys):
