@@ -17,13 +17,11 @@ from .formula import CyclicTopError, counting_profile, d_corollary, d_tower
 from .modfp import (
     BudgetExceeded,
     FpModule,
-    NonScalarEndomorphism,
     alt_group,
     aug_submodule,
     check_Ip_structure,
     cocycle_dims,
     h_param,
-    require_scalar_end,
     s_param,
 )
 from .oracle import GenSearchConfig, min_generators
@@ -148,12 +146,11 @@ def _cmd_cohom(args) -> int:
     doc["group"] = spec.token()
     doc["dim_Ip"] = ip.dim
     doc["s"] = s_param(0, rep.dim_H1)
-    try:
-        r = require_scalar_end(ip)
-        doc["h"] = h_param(doc["s"], r)
-    except NonScalarEndomorphism:
+    if rep.r is None:  # r is set only when End is scalar
         doc["h"] = None
         doc["warning"] = "endomorphism algebra is not scalar; no h value"
+    else:
+        doc["h"] = h_param(doc["s"], rep.r)
     _emit(doc, args.out)
     return EXIT_OK
 

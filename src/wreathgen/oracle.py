@@ -174,11 +174,6 @@ def _scan_for_generating_tuple(ct: CayleyTable, k: int, conjugacy_reduction: boo
     """
     n = len(ct)
     firsts = ct.conjugacy_class_reps() if conjugacy_reduction else range(n)
-    if k == 1:
-        for i in firsts:
-            if ct.closure_size((i,)) == n:
-                return (i,)
-        return None
 
     def rec(prefix, depth):
         if depth == k:
@@ -261,12 +256,14 @@ def min_generators(g: PermGroup, cfg: GenSearchConfig | None = None) -> GenResul
     witness = tuple(p for p in dict.fromkeys(g.generators) if not p.is_identity())
     upper = len(witness)
     can_exhaust = order <= cfg.exhaustive_order_limit
-    ct = CayleyTable.build(g, cfg.exhaustive_order_limit) if can_exhaust else None
+    ct = None  # built at the first scan; a witness often settles d first
 
     k = max(lower, 1)
     while k < upper:
         found = find_generating_tuple(g, k, cfg)
         if found is None and can_exhaust:
+            if ct is None:
+                ct = CayleyTable.build(g, cfg.exhaustive_order_limit)
             idxs = _scan_for_generating_tuple(ct, k, cfg.conjugacy_reduction)
             if idxs is None:
                 # certified: no k-tuple generates

@@ -44,48 +44,79 @@ def prime_factorization(n: int) -> dict[int, int]:
 
 # ---------------------------------------------------------------------------
 # permutations
+#
+# A permutation is stored in the one form its compositions run on, chosen
+# from the degree: up to degree 255, the 256-byte string of images padded
+# with fixed points, so that composing is bytes.translate and inverting is
+# bytes.maketrans (both C speed); above 255, the tuple of images.  _pack,
+# _compose and _invert are the only code that knows this format.
+
+_IDENT256 = bytes(range(256))
+
+
+def _pack(images):
+    """Stored form of a sequence of images of 0..m-1."""
+    if len(images) <= 255:
+        return bytes(images) + _IDENT256[len(images):]
+    return tuple(images)
+
+
+def _compose(a, b):
+    """Stored form of x -> b[a[x]], the product a * b."""
+    if type(a) is bytes:
+        return a.translate(b)
+    return tuple(b[x] for x in a)
+
+
+def _invert(a):
+    if type(a) is bytes:
+        return bytes.maketrans(a, _IDENT256)
+    inv = [0] * len(a)
+    for x, y in enumerate(a):
+        inv[y] = x
+    return tuple(inv)
 
 
 class Permutation:
-    """A bijection of {0..m-1} stored as its tuple of images."""
+    """A bijection of {0..degree-1}; `raw` is its stored form (see _pack)."""
 
-    __slots__ = ("images",)
+    __slots__ = ("degree", "raw")
 
     def __init__(self, images):
         images = tuple(images)
         if sorted(images) != list(range(len(images))):
             raise ValueError("images do not describe a bijection of 0..m-1")
-        self.images = images
+        self.degree = len(images)
+        self.raw = _pack(images)
 
     @classmethod
-    def _raw(cls, images: tuple) -> "Permutation":
-        # internal constructor, skips the bijection check
+    def _wrap(cls, degree: int, raw) -> "Permutation":
+        # internal constructor from a stored form, skips the bijection check
         p = object.__new__(cls)
-        p.images = images
+        p.degree = degree
+        p.raw = raw
         return p
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls._raw(tuple(range(degree)))
+        return cls._wrap(degree, _pack(range(degree)))
 
     @property
-    def degree(self) -> int:
-        return len(self.images)
+    def images(self) -> tuple[int, ...]:
+        return tuple(self.raw[: self.degree])
 
     def __call__(self, point: int) -> int:
-        return self.images[point]
+        if not 0 <= point < self.degree:
+            raise IndexError(f"point {point} outside 0..{self.degree - 1}")
+        return self.raw[point]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        if len(other.images) != len(self.images):
+        if other.degree != self.degree:
             raise DegreeMismatch("cannot compose permutations of different degree")
-        q = other.images
-        return Permutation._raw(tuple(q[x] for x in self.images))
+        return Permutation._wrap(self.degree, _compose(self.raw, other.raw))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return Permutation._raw(tuple(inv))
+        return Permutation._wrap(self.degree, _invert(self.raw))
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -104,23 +135,24 @@ class Permutation:
         return h.inverse() * self * h
 
     def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
+        return self.raw == _pack(range(self.degree))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, 0-based, each starting at its least point."""
-        seen = [False] * len(self.images)
+        raw = self.raw
+        seen = [False] * self.degree
         out = []
-        for start in range(len(self.images)):
-            if seen[start] or self.images[start] == start:
+        for start in range(self.degree):
+            if seen[start] or raw[start] == start:
                 seen[start] = True
                 continue
             cyc = [start]
             seen[start] = True
-            x = self.images[start]
+            x = raw[start]
             while x != start:
                 cyc.append(x)
                 seen[x] = True
-                x = self.images[x]
+                x = raw[x]
             out.append(tuple(cyc))
         return out
 
@@ -128,13 +160,15 @@ class Permutation:
         return math.lcm(*(len(c) for c in self.cycles()))
 
     def moved_points(self) -> list[int]:
-        return [x for x, y in enumerate(self.images) if x != y]
+        return [x for x in range(self.degree) if self.raw[x] != x]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
+        # padded identities of different degrees share their stored form
+        return (isinstance(other, Permutation) and self.degree == other.degree
+                and self.raw == other.raw)
 
     def __hash__(self) -> int:
-        return hash(self.images)
+        return hash(self.raw)
 
     def __repr__(self) -> str:
         return f"Permutation({format_cycles(self)!r}, degree={self.degree})"
@@ -153,7 +187,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     images = list(range(degree))
     seen: set[int] = set()
     if text.strip() == "id":
-        return Permutation._raw(tuple(images))
+        return Permutation.identity(degree)
     for m in _CYCLE_RE.finditer(text):
         body = m.group(1).split()
         if not body:
@@ -169,7 +203,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             pts.append(val - 1)
         for a, b in zip(pts, pts[1:] + pts[:1]):
             images[a] = b
-    return Permutation._raw(tuple(images))
+    return Permutation._wrap(degree, _pack(images))
 
 
 def format_cycles(p: Permutation) -> str:
@@ -178,71 +212,6 @@ def format_cycles(p: Permutation) -> str:
     if not cycs:
         return "id"
     return "".join("(" + " ".join(str(x + 1) for x in c) + ")" for c in cycs)
-
-
-# ---------------------------------------------------------------------------
-# raw-element kernels
-#
-# Stabilizer chains handle many thousands of compositions, so elements are
-# kept in a flat representation chosen per degree: for degree <= 255, padded
-# 256-byte strings, where composition is bytes.translate (C speed); above
-# that, plain tuples.
-
-_TAIL256 = bytes(range(256))
-
-
-class _BytesKernel:
-    __slots__ = ("degree", "ident")
-
-    def __init__(self, degree):
-        self.degree = degree
-        self.ident = _TAIL256
-
-    def from_images(self, images):
-        return bytes(images) + _TAIL256[len(images):]
-
-    def to_images(self, raw):
-        return tuple(raw[: self.degree])
-
-    @staticmethod
-    def compose(a, b):
-        return a.translate(b)
-
-    @staticmethod
-    def inverse(raw):
-        inv = bytearray(256)
-        for x, y in enumerate(raw):
-            inv[y] = x
-        return bytes(inv)
-
-
-class _TupleKernel:
-    __slots__ = ("degree", "ident")
-
-    def __init__(self, degree):
-        self.degree = degree
-        self.ident = tuple(range(degree))
-
-    def from_images(self, images):
-        return tuple(images)
-
-    def to_images(self, raw):
-        return raw
-
-    @staticmethod
-    def compose(a, b):
-        return tuple(b[x] for x in a)
-
-    @staticmethod
-    def inverse(raw):
-        inv = [0] * len(raw)
-        for x, y in enumerate(raw):
-            inv[y] = x
-        return tuple(inv)
-
-
-def _make_kernel(degree):
-    return _BytesKernel(degree) if degree <= 255 else _TupleKernel(degree)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +241,7 @@ class Bsgs:
 
     def __init__(self, degree: int):
         self.degree = degree
-        self._k = _make_kernel(degree)
+        self._ident = Permutation.identity(degree).raw
         self._levels: list[_Level] = []
         self._strong: list = []  # raw, insertion order
 
@@ -284,7 +253,7 @@ class Bsgs:
 
     @property
     def strong_generators(self) -> list[Permutation]:
-        return [Permutation._raw(self._k.to_images(g)) for g in self._strong]
+        return [Permutation._wrap(self.degree, g) for g in self._strong]
 
     def order(self) -> int:
         n = 1
@@ -303,28 +272,33 @@ class Bsgs:
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise DegreeMismatch("membership test across degrees")
-        r, _ = self._sift(self._k.from_images(p.images), 0)
+        r, _ = self._sift(p.raw, 0)
         return r is None
 
     def extend(self, p: Permutation) -> bool:
         """Add a generator; returns True if the group grew."""
         if p.degree != self.degree:
             raise DegreeMismatch("generator degree differs from chain degree")
-        return self._extend_raw(self._k.from_images(p.images))
+        r, lvl = self._sift(p.raw, 0)
+        if r is None:
+            return False
+        self._insert(r, 0, lvl)
+        self._run()
+        return True
 
     def transversal(self, i: int) -> dict[int, Permutation]:
         lv = self._levels[i]
-        return {pt: Permutation._raw(self._k.to_images(u)) for pt, u in lv.orbit.items()}
+        return {pt: Permutation._wrap(self.degree, u) for pt, u in lv.orbit.items()}
 
     def fork(self) -> "Bsgs":
         """Independent copy sharing immutable element data."""
         other = Bsgs.__new__(Bsgs)
         other.degree = self.degree
-        other._k = self._k
+        other._ident = self._ident
         other._strong = list(self._strong)
         other._levels = []
         for lv in self._levels:
-            c = _Level(lv.point, self._k.ident)
+            c = _Level(lv.point, self._ident)
             c.gens = list(lv.gens)
             c.orbit = dict(lv.orbit)
             c.inv = dict(lv.inv)
@@ -341,7 +315,7 @@ class Bsgs:
         level < len(levels), moves the base point there.  None means g is
         a member of the subchain.
         """
-        compose = self._k.compose
+        compose = _compose
         for i in range(start, len(self._levels)):
             lv = self._levels[i]
             pt = g[lv.point]
@@ -351,19 +325,9 @@ class Bsgs:
             if ui is None:
                 return g, i
             g = compose(g, ui)
-        if g == self._k.ident:
+        if g == self._ident:
             return None, len(self._levels)
         return g, len(self._levels)
-
-    def _extend_raw(self, g) -> bool:
-        if g == self._k.ident:
-            return False
-        r, lvl = self._sift(g, 0)
-        if r is None:
-            return False
-        self._insert(r, 0, lvl)
-        self._run()
-        return True
 
     def _insert(self, g, lo, hi):
         # g fixes the base points of levels < hi; register it as a strong
@@ -371,7 +335,7 @@ class Bsgs:
         # the whole current base.
         if hi == len(self._levels):
             moved = min(x for x in range(self.degree) if g[x] != x)
-            self._levels.append(_Level(moved, self._k.ident))
+            self._levels.append(_Level(moved, self._ident))
         self._strong.append(g)
         for m in range(lo, hi + 1):
             lv = self._levels[m]
@@ -391,8 +355,8 @@ class Bsgs:
     def _process(self, i):
         """Drain level i's work queue; returns the level of any insertion."""
         lv = self._levels[i]
-        compose = self._k.compose
-        inverse = self._k.inverse
+        compose = _compose
+        inverse = _invert
         while lv.pending:
             pt, gi = lv.pending.popleft()
             s = lv.gens[gi]
@@ -477,15 +441,15 @@ def cayley_walk(degree: int, gens, limit: int | None = None):
 
     Raises ConsistencyError if more than `limit` elements appear.
     """
-    k = _make_kernel(degree)
-    raw_gens = [k.from_images(s.images) for s in gens]
-    index = {k.ident: 0}
-    order = [k.ident]
+    ident = Permutation.identity(degree).raw
+    raw_gens = [s.raw for s in gens]
+    index = {ident: 0}
+    order = [ident]
     edges: list[list[int]] = []
     for e in order:  # grows while it is walked
         row = []
         for s in raw_gens:
-            f = k.compose(e, s)
+            f = _compose(e, s)
             j = index.get(f)
             if j is None:
                 j = len(order)
@@ -495,7 +459,7 @@ def cayley_walk(degree: int, gens, limit: int | None = None):
                 order.append(f)
             row.append(j)
         edges.append(row)
-    return [Permutation._raw(k.to_images(e)) for e in order], edges
+    return [Permutation._wrap(degree, e) for e in order], edges
 
 
 def enumerate_elements(g: PermGroup, limit: int | None = None) -> list[Permutation]:

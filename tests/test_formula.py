@@ -126,9 +126,12 @@ def test_reduction_identity_on_random_towers():
     for _ in range(500):
         k = rng.randint(2, 8)
         t = parse_tower(";".join(rng.choice(_POOL) for _ in range(k)))
-        res = d_tower(t)
-        assert res.d == max(2, d_abelian_wreath(abelianization(t, 2), t.levels[0]))
-        assert res.d >= 2
+        # whole-tower form: d = max(2, d_ab(W)) under a non-cyclic top
+        if t.levels[0].is_cyclic():
+            want = max(2, abelianization(t, 2).d + 1)
+        else:
+            want = max(2, abelianization(t, 1).d)
+        assert d_tower(t).d == want
 
 
 def test_monotonicity_in_tail():

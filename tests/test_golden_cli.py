@@ -1,10 +1,13 @@
 """CLI golden outputs: stdout and exit code, byte for byte.
 
-The documents in golden_cli.json were recorded before the element walk
-and the closed-form rules were consolidated; any refactor must leave them
-unchanged.  The `verify --attempts 0` cases skip the witness search, so
-the pair scan over the Cayley table finds the witness and the printed
-cycles pin the walk's element order.
+The documents in golden_cli.json were recorded before the element walk,
+the closed-form rules and the permutation representation were
+consolidated; any refactor must leave them unchanged.  The `verify
+--attempts 0` cases skip the witness search, so the pair scan over the
+Cayley table finds the witness and the printed cycles pin the walk's
+element order.  C17;C3;C5 (255 leaves) and C16;C16 (256 leaves) pin the
+witness search on either side of the switch between the two stored
+forms of a permutation.
 """
 
 import json

@@ -165,6 +165,17 @@ def test_min_generators_plain_groups():
     assert (c.lower, c.upper) == (1, 1)
 
 
+def test_table_is_built_only_when_a_scan_needs_it(monkeypatch):
+    # a witness settles C3;A4 at seed 1, so no pair scan runs
+    def no_table(*args):
+        raise AssertionError("Cayley table built without a scan")
+
+    monkeypatch.setattr(CayleyTable, "build", no_table)
+    g = tower_group(parse_tower("C3;A4"))
+    r = min_generators(g, GenSearchConfig(seed=1))
+    assert (r.lower, r.upper, r.status) == (2, 2, "exact")
+
+
 def test_witness_regenerates_group():
     for text in ("C3;C2;C2", "A4;C3", "S3;C2"):
         g = tower_group(parse_tower(text))

@@ -81,6 +81,23 @@ def test_group_laws(pair):
     assert p * e == p and e * p == p
 
 
+@given(
+    st.integers(250, 260).flatmap(
+        lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+    )
+)
+def test_compose_and_invert_across_the_255_switch(pair):
+    p, q = Permutation(pair[0]), Permutation(pair[1])
+    n = p.degree
+    assert (p * q).images == tuple(q.images[x] for x in p.images)
+    assert p.inverse().images == tuple(sorted(range(n), key=p.images.__getitem__))
+    assert (p * p.inverse()).is_identity() and p.inverse() * p == Permutation.identity(n)
+    assert Permutation.identity(n) != Permutation.identity(n + 1)
+    assert Permutation.identity(3) != Permutation.identity(4)
+    with pytest.raises(IndexError):
+        p(n)
+
+
 def test_pow_and_order():
     c = parse_cycles("(1 2 3 4 5 6)", 6)
     assert c.order() == 6
