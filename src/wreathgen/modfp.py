@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,59 +28,89 @@ class NonScalarEndomorphism(RuntimeError):
     """The module's endomorphism algebra is larger than the scalars."""
 
 
-def _reduce(v, p: int, pivots, rows) -> np.ndarray:
+def _reduce(v, p: int, pivots, rows) -> list[int]:
     """v reduced mod p against RREF rows with the given pivot columns."""
-    v = np.asarray(v, dtype=np.int64) % p
+    v = [int(x) % p for x in v]
     for piv, row in zip(pivots, rows):
-        c = int(v[piv])
+        c = v[piv]
         if c:
-            v = (v - c * row) % p
+            v = [(x - c * y) % p for x, y in zip(v, row)]
     return v
 
 
 class RowSpace:
     """A subspace of F_p^width kept in reduced row echelon form.
 
+    Rows are lists of Python ints: at the widths spinning works in, a list
+    comprehension per row costs less than numpy's overhead per call.
     insert() reduces the new vector, renormalizes, and eliminates the new
-    pivot column from the old rows, so `rows` stays a canonical basis.
+    pivot column from the old rows, so `rows` stays a canonical basis;
+    span() reaches the same basis from a whole matrix at once.
     """
 
     def __init__(self, p: int, width: int):
         self.p = p
         self.width = width
-        self.rows: list[np.ndarray] = []
+        self.rows: list[list[int]] = []
         self.pivots: list[int] = []
+
+    @classmethod
+    def span(cls, matrix, p: int) -> "RowSpace":
+        """The row space of a 2-d matrix, by column-wise elimination that
+        works on every row of the stack at once."""
+        m = np.asarray(matrix, dtype=np.int64) % p
+        space = cls(p, m.shape[1])
+        r = 0
+        for c in range(space.width):
+            if r == len(m):
+                break
+            nz = np.flatnonzero(m[r:, c])
+            if not nz.size:
+                continue
+            i = r + int(nz[0])
+            m[[r, i]] = m[[i, r]]
+            m[r] = m[r] * pow(int(m[r, c]), -1, p) % p
+            col = m[:, c].copy()
+            col[r] = 0
+            hit = np.flatnonzero(col)
+            m[hit] = (m[hit] - np.outer(col[hit], m[r])) % p
+            space.pivots.append(c)
+            r += 1
+        space.rows = m[:r].tolist()
+        return space
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v) -> np.ndarray:
+    def reduce(self, v) -> list[int]:
         return _reduce(v, self.p, self.pivots, self.rows)
 
     def contains(self, v) -> bool:
-        return not self.reduce(v).any()
+        return not any(self.reduce(v))
 
     def insert(self, v) -> bool:
         v = self.reduce(v)
-        nz = np.nonzero(v)[0]
-        if not nz.size:
+        for piv, lead in enumerate(v):
+            if lead:
+                break
+        else:
             return False
-        piv = int(nz[0])
-        v = (v * pow(int(v[piv]), -1, self.p)) % self.p
+        p = self.p
+        if lead != 1:
+            inv = pow(lead, -1, p)
+            v = [x * inv % p for x in v]
         for i, row in enumerate(self.rows):
-            c = int(row[piv])
+            c = row[piv]
             if c:
-                self.rows[i] = (row - c * v) % self.p
+                self.rows[i] = [(x - c * y) % p for x, y in zip(row, v)]
         pos = bisect(self.pivots, piv)
         self.rows.insert(pos, v)
         self.pivots.insert(pos, piv)
         return True
 
     def matrix(self) -> np.ndarray:
-        if not self.rows:
-            return np.zeros((0, self.width), dtype=np.int64)
-        return np.array(self.rows, dtype=np.int64)
+        return np.array(self.rows, dtype=np.int64).reshape(self.dim, self.width)
 
 
 def perm_matrix(g: Permutation, p: int) -> np.ndarray:
@@ -107,6 +138,13 @@ class FpModule:
         one = np.ones((1, 1), dtype=np.int64)
         return cls(p, 1, [one.copy() for _ in group.generators], group)
 
+    @cached_property
+    def _row_terms(self) -> list[list[list[tuple[int, int]]]]:
+        """Per generator and row i, the nonzero entries (j, a[i, j]) of its
+        matrix, so v a is a sum over the support of v."""
+        return [[[(j, c) for j, c in enumerate(row) if c] for row in (a % self.p).tolist()]
+                for a in self.mats]
+
     def restricted(self, sub: "SubmoduleBasis") -> "FpModule":
         b = sub.matrix
         piv = list(sub.pivots)
@@ -127,7 +165,7 @@ class SubmoduleBasis:
         return len(self.pivots)
 
     def contains(self, v) -> bool:
-        return not _reduce(v, self.parent.p, self.pivots, self.matrix).any()
+        return not any(_reduce(v, self.parent.p, self.pivots, self.matrix.tolist()))
 
 
 def _to_submodule(m: FpModule, space: RowSpace) -> SubmoduleBasis:
@@ -136,31 +174,35 @@ def _to_submodule(m: FpModule, space: RowSpace) -> SubmoduleBasis:
 
 def aug_submodule(m: FpModule) -> SubmoduleBasis:
     """The coordinate-sum kernel, spanned by e_i - e_{i+1}; dimension n-1."""
-    space = RowSpace(m.p, m.dim)
-    for i in range(m.dim - 1):
-        v = np.zeros(m.dim, dtype=np.int64)
-        v[i], v[i + 1] = 1, -1
-        space.insert(v)
-    return _to_submodule(m, space)
+    n = m.dim
+    diffs = np.eye(n - 1, n, dtype=np.int64) - np.eye(n - 1, n, k=1, dtype=np.int64)
+    return _to_submodule(m, RowSpace.span(diffs, m.p))
 
 
 def spin(m: FpModule, seeds) -> SubmoduleBasis:
-    """Smallest submodule containing the seed vectors."""
+    """Smallest submodule containing the seed vectors.
+
+    Worklist spinning, as in the MeatAxe: every vector that enters the
+    space is queued, and each generator is applied to it once.  The queued
+    vectors span the space, so once the queue is empty the space is closed
+    under the action; a space that is already everything is closed at once.
+    """
     space = RowSpace(m.p, m.dim)
+    queue = []
     for s in seeds:
-        space.insert(np.asarray(s, dtype=np.int64))
-    return _spin_closure(m, space)
-
-
-def _spin_closure(m: FpModule, space: RowSpace) -> SubmoduleBasis:
-    changed = True
-    while changed:
-        changed = False
-        for a in m.mats:
-            img = (space.matrix() @ a) % m.p
-            for row in img:
-                if space.insert(row):
-                    changed = True
+        v = [int(x) % m.p for x in s]
+        if space.insert(v):
+            queue.append(v)
+    while queue and space.dim < m.dim:
+        v = queue.pop()
+        for terms in m._row_terms:
+            img = [0] * m.dim
+            for i, x in enumerate(v):
+                if x:
+                    for j, c in terms[i]:
+                        img[j] += x * c
+            if space.insert(img):
+                queue.append(img)
     return _to_submodule(m, space)
 
 
@@ -168,27 +210,19 @@ def fixed_points(m: FpModule, sub: SubmoduleBasis | None = None) -> int:
     """Dimension of the joint fixed space (restricted to `sub` if given)."""
     mod = m.restricted(sub) if sub is not None else m
     eye = np.eye(mod.dim, dtype=np.int64)
-    space = RowSpace(mod.p, len(mod.mats) * mod.dim)
-    stacked = np.hstack([(a - eye) % mod.p for a in mod.mats])
-    for row in stacked:
-        space.insert(row)
-    return mod.dim - space.dim
+    stacked = np.hstack([a - eye for a in mod.mats])
+    return mod.dim - RowSpace.span(stacked, mod.p).dim
 
 
 def endomorphism_dim(m: FpModule | SubmoduleBasis) -> int:
     """F_p-dimension of the algebra of matrices commuting with the action."""
     mod = m.parent.restricted(m) if isinstance(m, SubmoduleBasis) else m
     k = mod.dim
-    space = RowSpace(mod.p, k * k)
-    for a in mod.mats:
-        for i in range(k):
-            for j in range(k):
-                # (A F - F A)[i, j] = 0 over unknowns F[a, b] at slot a*k+b
-                row = np.zeros(k * k, dtype=np.int64)
-                row[j::k] += a[i, :]
-                row[i * k: (i + 1) * k] -= a[:, j]
-                space.insert(row)
-    return k * k - space.dim
+    eye = np.eye(k, dtype=np.int64)
+    # (A F - F A)[i, j] = 0 over unknowns F[a, b] at slot a*k+b: row i*k+j
+    # of kron(A, I) - kron(I, A^T)
+    eqs = np.vstack([np.kron(a, eye) - np.kron(eye, a.T) for a in mod.mats])
+    return k * k - RowSpace.span(eqs, mod.p).dim
 
 
 def require_scalar_end(m: FpModule | SubmoduleBasis) -> int:
@@ -355,6 +389,11 @@ class _CocycleSystem:
     count: int  # group order found by the walk
 
 
+# the constraint equations of this many edges are folded into the basis at
+# once, which bounds the equations held at one time
+_EDGE_BLOCK = 256
+
+
 def _cocycle_system(g: PermGroup, mod: FpModule, element_budget: int) -> _CocycleSystem:
     if len(mod.mats) != len(g.generators):
         raise ValueError("module action does not match the group's generators")
@@ -366,26 +405,42 @@ def _cocycle_system(g: PermGroup, mod: FpModule, element_budget: int) -> _Cocycl
     k = mod.dim
     ngens = len(g.generators)
     p = mod.p
+    count = len(edges)
+    mats = np.array(mod.mats, dtype=np.int64).reshape(ngens, k, k)
     eye = np.eye(k, dtype=np.int64)
-    coeffs: list[np.ndarray | None] = [None] * len(edges)
-    coeffs[0] = np.zeros((ngens, k, k), dtype=np.int64)
+    # edge e = i * ngens + j leads from element i to target[e] = i * gens[j]
+    target = np.array(edges, dtype=np.intp).reshape(-1)
+    # in walk order the first edge into an element defines its coefficients
+    # (the identity's are zero); it leaves an element found earlier, and
+    # those sources do not decrease along the walk
+    _, first = np.unique(target, return_index=True)
+    source, slot = np.divmod(first, ngens)
+    coeffs = np.zeros((count, ngens, k, k), dtype=np.int64)
+
+    def pushed(src, j):
+        """Coefficients of delta(x * gens[j]) = delta(x) a_j + u_j, x at src."""
+        cf = coeffs[src] @ mats[j][:, None]
+        cf[np.arange(len(src)), j] += eye
+        return cf
+
+    done = 1
+    while done < count:
+        # the next elements whose sources already have their coefficients
+        stop = done + int(np.searchsorted(source[done:], done))
+        coeffs[done:stop] = pushed(source[done:stop], slot[done:stop]) % p
+        done = stop
+    # every other edge constrains the unknown generator images
+    rest = np.ones(count * ngens, dtype=bool)
+    rest[first[1:]] = False
+    rest = np.flatnonzero(rest)
     constraints = RowSpace(p, ngens * k)
-    # in walk order an element's coefficients are set, by the edge that
-    # discovered it, before its own row of edges is read
-    for i, row in enumerate(edges):
-        ce = coeffs[i]
-        for j, (f, a) in enumerate(zip(row, mod.mats)):
-            cf = (ce @ a) % p
-            cf[j] = (cf[j] + eye) % p
-            if coeffs[f] is None:
-                coeffs[f] = cf
-                continue
-            diff = (cf - coeffs[f]) % p
-            if diff.any():
-                # one scalar equation per module coordinate
-                for eq in diff.transpose(2, 0, 1).reshape(k, ngens * k):
-                    constraints.insert(eq)
-    return _CocycleSystem(constraints, len(edges))
+    for lo in range(0, len(rest), _EDGE_BLOCK):
+        block = rest[lo:lo + _EDGE_BLOCK]
+        diff = (pushed(*np.divmod(block, ngens)) - coeffs[target[block]]) % p
+        # one scalar equation per edge and module coordinate
+        eqs = diff.transpose(0, 3, 1, 2).reshape(len(block) * k, ngens * k)
+        constraints = RowSpace.span(np.vstack([constraints.matrix(), eqs]), p)
+    return _CocycleSystem(constraints, count)
 
 
 def s_param(dp_abar: int, h1: int) -> int:

@@ -67,11 +67,8 @@ class CayleyTable:
         self.index: dict = index
         self.table: np.ndarray = table
         self.gen_indices: list[int] = gen_indices
-        n = len(elements)
-        rows, cols = np.nonzero(table == 0)
-        inv = np.empty(n, dtype=table.dtype)
-        inv[rows] = cols
-        self.inverse = inv
+        self.inverse = np.array([index[e.inverse().images] for e in elements],
+                                dtype=table.dtype)
 
     @classmethod
     def build(cls, g: PermGroup, limit: int) -> "CayleyTable":
@@ -83,7 +80,8 @@ class CayleyTable:
         n = len(elements)
         dtype = np.int16 if n < 2 ** 15 else np.int32
         edges = np.array(edges, dtype=dtype)  # column s: x -> x * s
-        table = np.empty((n, n), dtype=dtype)
+        # column-major: every write below fills one contiguous column
+        table = np.empty((n, n), dtype=dtype, order="F")
         table[:, 0] = np.arange(n, dtype=dtype)
         # an element's first edge comes from its parent, whose column is
         # filled first because the parent was discovered earlier
@@ -126,21 +124,22 @@ class CayleyTable:
         half = n // 2
         member = np.zeros(n, dtype=bool)
         member[0] = True
-        frontier = np.array([0], dtype=self.table.dtype)
+        frontier = np.zeros(1, dtype=np.intp)
         size = 1
-        cols = list(dict.fromkeys(int(i) for i in idxs))
-        while frontier.size:
-            nxt = self.table[np.ix_(frontier, cols)].ravel()
-            nxt = nxt[~member[nxt]]
-            if nxt.size == 0:
-                break
-            nxt = np.unique(nxt)
-            member[nxt] = True
-            size += nxt.size
+        cols = [self.table[:, c] for c in dict.fromkeys(int(i) for i in idxs)]
+        while True:
+            # a mask, not a sort, keeps each newly reached element once
+            reached = np.zeros(n, dtype=bool)
+            for col in cols:
+                reached[col[frontier]] = True
+            reached &= ~member
+            frontier = np.flatnonzero(reached)
+            if not frontier.size:
+                return size
+            member |= reached
+            size += frontier.size
             if size > half:
                 return n
-            frontier = nxt
-        return size
 
 
 def is_cyclic(g: PermGroup) -> bool:

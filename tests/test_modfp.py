@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wreathgen import modfp
 from wreathgen.modfp import (
     BudgetExceeded,
     CohomReport,
@@ -46,6 +48,79 @@ def test_rowspace_rank_and_reduction():
     assert m.shape == (2, 3) and list(s.pivots) == [0, 1]
     # rows stay fully reduced
     assert m[0][1] == 0
+
+
+def _rref_reference(rows, p):
+    """Textbook Gauss-Jordan elimination over F_p, one row operation at a
+    time: the canonical rows and pivot columns of the row space."""
+    m = [[int(x) % p for x in r] for r in rows]
+    width = len(m[0]) if m else 0
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        found = [i for i in range(r, len(m)) if m[i][c]]
+        if not found:
+            continue
+        m[r], m[found[0]] = m[found[0]], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+_matrices = st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(1, 9)).flatmap(
+    lambda pw: st.tuples(st.just(pw[0]), st.just(pw[1]), st.lists(
+        st.lists(st.integers(-2 * pw[0], 2 * pw[0]), min_size=pw[1], max_size=pw[1]),
+        max_size=14)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices)
+def test_span_and_inserts_give_the_reference_rref(case):
+    p, width, rows = case
+    want_rows, want_pivots = _rref_reference(rows, p)
+    batched = RowSpace.span(np.array(rows, dtype=np.int64).reshape(-1, width), p)
+    assert (batched.rows, batched.pivots) == (want_rows, want_pivots)
+    one_by_one = RowSpace(p, width)
+    for i, row in enumerate(rows):
+        rank, before = len(_rref_reference(rows[:i + 1], p)[1]), one_by_one.dim
+        assert one_by_one.insert(row) == (rank > before)
+        assert one_by_one.dim == rank
+    assert (one_by_one.rows, one_by_one.pivots) == (want_rows, want_pivots)
+    assert one_by_one.matrix().tolist() == want_rows
+    assert one_by_one.matrix().shape == (len(want_rows), width)
+
+
+def _spin_reference(mod, seeds):
+    """Round-robin spinning on the reference RREF: multiply the whole basis
+    by every generator until a round adds nothing."""
+    rows, pivots = _rref_reference(seeds, mod.p)
+    while True:
+        images = [(np.array(r) @ a).tolist() for a in mod.mats for r in rows]
+        grown, grown_pivots = _rref_reference(rows + images, mod.p)
+        if len(grown) == len(rows):
+            return rows, pivots
+        rows, pivots = grown, grown_pivots
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(4, 2), (4, 3), (5, 2), (5, 5), (6, 3), (7, 7)]),
+       st.booleans(), st.data())
+def test_worklist_spin_matches_round_robin_spin(case, restrict, data):
+    n, p = case
+    mod = FpModule.natural(alt_group(n), p)
+    if restrict:  # generic action matrices, not 0/1 permutation matrices
+        mod = mod.restricted(aug_submodule(mod))
+    seeds = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=mod.dim,
+                                        max_size=mod.dim), min_size=1, max_size=2))
+    sub = spin(mod, [np.array(s) for s in seeds])
+    rows, pivots = _spin_reference(mod, seeds)
+    assert sub.matrix.tolist() == rows and list(sub.pivots) == pivots
+    assert sub.parent is mod
 
 
 def test_perm_matrix_right_action():
@@ -182,6 +257,21 @@ def test_inner_derivations_satisfy_the_constraints():
         a = rng.integers(0, p, restricted.dim)
         u = np.concatenate([(a @ (eye - m)) % p for m in restricted.mats])
         assert (system.constraints.matrix() @ u % p == 0).all()
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cocycle_system_does_not_depend_on_the_edge_block(monkeypatch, n, p):
+    g = alt_group(n)
+    mod = FpModule.natural(g, p)
+    restricted = mod.restricted(aug_submodule(mod))
+    whole = _cocycle_system(g, restricted, 20160)
+    dims = cocycle_dims(g, aug_submodule(mod)).to_json()
+    monkeypatch.setattr(modfp, "_EDGE_BLOCK", 1)
+    single = _cocycle_system(g, restricted, 20160)
+    assert single.constraints.pivots == whole.constraints.pivots
+    assert (single.constraints.matrix() == whole.constraints.matrix()).all()
+    assert cocycle_dims(g, aug_submodule(mod)).to_json() == dims
 
 
 def test_cocycle_budget():
