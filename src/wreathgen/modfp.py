@@ -300,13 +300,14 @@ def check_Ip_structure(n: int, p: int, vector_budget: int = 2 ** 20) -> IpReport
     direct = not ip.contains(np.ones(n, dtype=np.int64)) and ip.dim + 1 == n
     checked = 0
     irr = True
-    basis = ip.matrix
+    # spin inside I_p, in coordinates of its basis: a vector that spans
+    # all of I_p stops its spin at once
+    sub = mod.restricted(ip)
     for coeff in _all_vectors(p, n - 1):
         if not coeff.any():
             continue
         checked += 1
-        vec = (coeff @ basis) % p
-        if spin(mod, [vec]).dim != n - 1:
+        if spin(sub, [coeff]).dim != n - 1:
             irr = False
             break
     end = endomorphism_dim(ip)
@@ -415,7 +416,8 @@ def _cocycle_system(g: PermGroup, mod: FpModule, element_budget: int) -> _Cocycl
     # those sources do not decrease along the walk
     _, first = np.unique(target, return_index=True)
     source, slot = np.divmod(first, ngens)
-    coeffs = np.zeros((count, ngens, k, k), dtype=np.int64)
+    # entries are below p; the products with `mats` are taken in int64
+    coeffs = np.zeros((count, ngens, k, k), dtype=np.int32)
 
     def pushed(src, j):
         """Coefficients of delta(x * gens[j]) = delta(x) a_j + u_j, x at src."""

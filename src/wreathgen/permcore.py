@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import re
 from collections import deque
+from itertools import repeat
+from operator import itemgetter
 
 
 class ParseError(ValueError):
@@ -48,8 +50,10 @@ def prime_factorization(n: int) -> dict[int, int]:
 # A permutation is stored in the one form its compositions run on, chosen
 # from the degree: up to degree 255, the 256-byte string of images padded
 # with fixed points, so that composing is bytes.translate and inverting is
-# bytes.maketrans (both C speed); above 255, the tuple of images.  _pack,
-# _compose and _invert are the only code that knows this format.
+# bytes.maketrans; above 255, the tuple of images, composed by one
+# itemgetter over the left factor's images.  Both compositions run at C
+# speed.  _pack, _compose, _composer and _invert are the only code that
+# knows this format.
 
 _IDENT256 = bytes(range(256))
 
@@ -61,11 +65,20 @@ def _pack(images):
     return tuple(images)
 
 
+def _compose_tuples(a, b):
+    return itemgetter(*a)(b)  # a has more than one image, so this is a tuple
+
+
 def _compose(a, b):
     """Stored form of x -> b[a[x]], the product a * b."""
     if type(a) is bytes:
         return a.translate(b)
-    return tuple(b[x] for x in a)
+    return _compose_tuples(a, b)
+
+
+def _composer(degree: int):
+    """_compose without the type test, for loops that stay at one degree."""
+    return bytes.translate if degree <= 255 else _compose_tuples
 
 
 def _invert(a):
@@ -242,6 +255,7 @@ class Bsgs:
     def __init__(self, degree: int):
         self.degree = degree
         self._ident = Permutation.identity(degree).raw
+        self._compose = _composer(degree)
         self._levels: list[_Level] = []
         self._strong: list = []  # raw, insertion order
 
@@ -272,14 +286,14 @@ class Bsgs:
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise DegreeMismatch("membership test across degrees")
-        r, _ = self._sift(p.raw, 0)
+        r, _ = self._sift(p.raw)
         return r is None
 
     def extend(self, p: Permutation) -> bool:
         """Add a generator; returns True if the group grew."""
         if p.degree != self.degree:
             raise DegreeMismatch("generator degree differs from chain degree")
-        r, lvl = self._sift(p.raw, 0)
+        r, lvl = self._sift(p.raw)
         if r is None:
             return False
         self._insert(r, 0, lvl)
@@ -295,6 +309,7 @@ class Bsgs:
         other = Bsgs.__new__(Bsgs)
         other.degree = self.degree
         other._ident = self._ident
+        other._compose = self._compose
         other._strong = list(self._strong)
         other._levels = []
         for lv in self._levels:
@@ -308,16 +323,16 @@ class Bsgs:
 
     # -- internals ----------------------------------------------------------
 
-    def _sift(self, g, start):
-        """Reduce g through levels start..; returns (residue or None, level).
+    def _sift(self, g):
+        """Reduce g through the chain; returns (residue or None, level).
 
         The residue fixes the base points of all levels < level and, if
         level < len(levels), moves the base point there.  None means g is
-        a member of the subchain.
+        a member of the group.  _process sifts its Schreier generators
+        through the levels below its own in a loop of its own.
         """
-        compose = _compose
-        for i in range(start, len(self._levels)):
-            lv = self._levels[i]
+        compose = self._compose
+        for i, lv in enumerate(self._levels):
             pt = g[lv.point]
             if pt == lv.point:
                 continue
@@ -341,7 +356,7 @@ class Bsgs:
             lv = self._levels[m]
             gi = len(lv.gens)
             lv.gens.append(g)
-            lv.pending.extend((pt, gi) for pt in lv.orbit)
+            lv.pending.extend(zip(lv.orbit, repeat(gi)))
 
     def _run(self):
         i = len(self._levels) - 1
@@ -353,28 +368,48 @@ class Bsgs:
                 i = dropped
 
     def _process(self, i):
-        """Drain level i's work queue; returns the level of any insertion."""
+        """Drain level i's work queue; returns the level of any insertion.
+
+        Each Schreier generator is sifted through the levels below i in
+        place, as _sift does it through the whole chain.
+        """
         lv = self._levels[i]
-        compose = _compose
-        inverse = _invert
-        while lv.pending:
-            pt, gi = lv.pending.popleft()
-            s = lv.gens[gi]
+        gens, orbit, inv, pending = lv.gens, lv.orbit, lv.inv, lv.pending
+        if not pending:
+            return None
+        # the levels below only change through an insertion, which returns
+        below = [(m, low.point, low.inv)
+                 for m, low in enumerate(self._levels[i + 1:], i + 1)]
+        top = len(self._levels)
+        compose = self._compose
+        ident = self._ident
+        while pending:
+            pt, gi = pending.popleft()
+            s = gens[gi]
             q = s[pt]
-            w = compose(lv.orbit[pt], s)
-            uq = lv.orbit.get(q)
+            w = compose(orbit[pt], s)
+            uq = orbit.get(q)
             if uq is None:
-                lv.orbit[q] = w
-                lv.inv[q] = inverse(w)
-                lv.pending.extend((q, gj) for gj in range(len(lv.gens)))
+                orbit[q] = w
+                inv[q] = _invert(w)
+                pending.extend(zip(repeat(q), range(len(gens))))
                 continue
             if w == uq:
                 continue  # tree edge, trivial Schreier generator
-            g = compose(w, lv.inv[q])
-            r, lvl = self._sift(g, i + 1)
-            if r is not None:
-                self._insert(r, i + 1, lvl)
-                return lvl
+            g = compose(w, inv[q])
+            for m, point, low_inv in below:
+                image = g[point]
+                if image != point:
+                    u = low_inv.get(image)
+                    if u is None:
+                        break
+                    g = compose(g, u)
+            else:
+                if g == ident:
+                    continue
+                m = top
+            self._insert(g, i + 1, m)
+            return m
         return None
 
 
@@ -443,13 +478,14 @@ def cayley_walk(degree: int, gens, limit: int | None = None):
     """
     ident = Permutation.identity(degree).raw
     raw_gens = [s.raw for s in gens]
+    compose = _composer(degree)
     index = {ident: 0}
     order = [ident]
     edges: list[list[int]] = []
     for e in order:  # grows while it is walked
         row = []
         for s in raw_gens:
-            f = _compose(e, s)
+            f = compose(e, s)
             j = index.get(f)
             if j is None:
                 j = len(order)
@@ -503,13 +539,21 @@ def abelian_p_rank(g: PermGroup, p: int) -> int:
 
 
 def abelian_p_ranks(g: PermGroup, primes) -> dict[int, int]:
-    """d_p(G/G') for several primes, sharing one derived-subgroup chain."""
+    """d_p(G/G') for several primes, sharing one derived-subgroup chain.
+
+    When p^2 does not divide |G:G'|, the Sylow p-subgroup of G/G' has
+    order 1 or p, so d_p is v_p(|G:G'|) and no chain is built for p.
+    """
     order = g.order()
     dchain = derived_subgroup(g).bsgs()
+    abel = order // dchain.order()
     out: dict[int, int] = {}
     for p in primes:
         if p < 2:
             raise ValueError("p must be a prime >= 2")
+        if abel % (p * p):
+            out[p] = int(abel % p == 0)
+            continue
         chain = dchain.fork()
         for gen in g.generators:
             chain.extend(gen ** p)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wreathgen.permcore import (
     Bsgs,
@@ -26,7 +26,9 @@ from wreathgen.permcore import (
     enumerate_elements,
     format_cycles,
     parse_cycles,
+    prime_factorization,
 )
+from wreathgen.wreath import parse_tower, tower_group
 
 
 def _apply_words(p: Permutation, q: Permutation, x: int) -> int:
@@ -191,6 +193,68 @@ def test_extend_and_fork():
     assert fork.order() == 60
     assert chain.order() == 5  # original untouched
     assert not fork.extend(parse_cycles("(1 2 3)", 5))
+
+
+@st.composite
+def _padded_groups(draw):
+    """(degree, m, generators, probes): one to three permutations of the
+    points 0..m-1, m = min(degree, 8), padded with fixed points to a degree
+    on either side of the switch between the two stored forms, and up to
+    six more permutations of 0..m-1 to test for membership."""
+    n = draw(st.one_of(st.integers(6, 9), st.integers(250, 260)))
+    m = min(n, 8)
+    gens = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=3))
+    probes = draw(st.lists(st.permutations(range(m)), max_size=6))
+    return n, m, [tuple(g) for g in gens], [tuple(q) for q in probes]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_padded_groups(), st.randoms(use_true_random=False))
+def test_chain_agrees_with_enumeration(case, rng):
+    n, m, gens, probes = case
+    pad = tuple(range(m, n))
+    # the oracle enumerates the group at degree m, on its moved points only
+    members = {e.images for e in enumerate_elements(PermGroup(m, map(Permutation, gens)))}
+    chain = PermGroup(n, [Permutation(g + pad) for g in gens]).bsgs()
+    assert chain.order() == len(members)
+    for images in rng.sample(sorted(members), min(len(members), 20)):
+        assert chain.contains(Permutation(images + pad))
+    for images in probes:
+        assert chain.contains(Permutation(images + pad)) == (images in members)
+    if pad:  # a point no generator moves stays fixed
+        swap = list(range(n))
+        swap[0], swap[n - 1] = n - 1, 0
+        assert not chain.contains(Permutation(swap))
+
+
+_LEVELS = ["C2", "C3", "C4", "C5", "C6", "S3", "A4", "S4", "A5"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(_LEVELS), min_size=1, max_size=3)
+       .filter(lambda ls: parse_tower(";".join(ls)).leaf_count() <= 72))
+def test_abelian_p_ranks_match_the_index_of_g_prime_and_powers(levels):
+    g = tower_group(parse_tower(";".join(levels)))
+    order = g.order()
+    primes = sorted(set(prime_factorization(order)) | {2, 3, 5, 7})
+    ranks = abelian_p_ranks(g, primes)
+    derived = derived_subgroup(g).generators
+    for p in primes:
+        # d_p(G/G') is log_p |G : <G' u {g^p}>|, each chain built here
+        h = PermGroup(g.degree, list(derived) + [s ** p for s in g.generators])
+        index, rem = divmod(order, h.order())
+        assert rem == 0
+        assert p ** ranks[p] == index
+
+
+def test_abelian_p_ranks_of_cyclic_groups_with_square_index():
+    # |G:G'| = 4 and 9: the p-part of the index alone does not give the rank
+    assert abelian_p_ranks(PermGroup.from_cycles(4, "(1 2 3 4)"), [2]) == {2: 1}
+    assert abelian_p_ranks(V4, [2]) == {2: 2}
+    c9 = PermGroup.from_cycles(9, "(1 2 3 4 5 6 7 8 9)")
+    c3c3 = PermGroup.from_cycles(6, "(1 2 3)", "(4 5 6)")
+    assert abelian_p_ranks(c9, [3]) == {3: 1}
+    assert abelian_p_ranks(c3c3, [3]) == {3: 2}
 
 
 def test_large_degree_tuple_kernel():
