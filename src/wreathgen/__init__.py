@@ -12,7 +12,6 @@ from .permcore import (
     ParseError,
     PermGroup,
     Permutation,
-    abelian_p_rank,
     abelian_p_ranks,
     bsgs_build,
     derived_subgroup,
@@ -49,7 +48,6 @@ from .modfp import (
     CohomReport,
     FpModule,
     IpReport,
-    NonScalarEndomorphism,
     check_Ip_structure,
     cocycle_dims,
     h_param,
@@ -61,9 +59,7 @@ from .oracle import (
     GenSearchConfig,
     OrderLimitExceeded,
     d_lower_bound,
-    exhaustive_nongeneration,
     find_generating_tuple,
-    is_cyclic,
     min_generators,
 )
 
@@ -73,14 +69,13 @@ __all__ = [
     "AbelianProfile", "CayleyTable", "CohomReport", "ConsistencyError",
     "CountingProfile", "CyclicTopError", "DegreeMismatch", "FormulaResult",
     "FpModule", "GenResult", "GenSearchConfig", "GroupSpec", "IpReport",
-    "NonScalarEndomorphism", "OrderLimitExceeded", "ParseError", "PermGroup",
-    "Permutation", "TowerSpec", "TreeAutomorphism", "TrivialLevelError",
-    "abelian_p_rank", "abelian_p_ranks", "abelianization", "apply_at_vertex",
-    "bsgs_build", "check_Ip_structure", "cocycle_dims", "counting_profile",
-    "d_abelian_wreath", "d_corollary", "d_lower_bound", "d_tower",
-    "derived_subgroup", "enumerate_elements", "example_generators",
-    "example_tower", "exhaustive_nongeneration", "find_generating_tuple",
-    "format_cycles", "h_param", "is_cyclic", "min_generators", "parse_cycles",
+    "OrderLimitExceeded", "ParseError", "PermGroup", "Permutation",
+    "TowerSpec", "TreeAutomorphism", "TrivialLevelError", "abelian_p_ranks",
+    "abelianization", "apply_at_vertex", "bsgs_build", "check_Ip_structure",
+    "cocycle_dims", "counting_profile", "d_abelian_wreath", "d_corollary",
+    "d_lower_bound", "d_tower", "derived_subgroup", "enumerate_elements",
+    "example_generators", "example_tower", "find_generating_tuple",
+    "format_cycles", "h_param", "min_generators", "parse_cycles",
     "parse_group", "parse_tower", "s_param", "standard_generators",
     "tower_generators", "tower_group",
 ]

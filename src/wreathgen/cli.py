@@ -13,11 +13,10 @@ import argparse
 import json
 import sys
 
-from .formula import CyclicTopError, counting_profile, d_corollary, d_tower
+from .formula import counting_profile, d_corollary, d_tower
 from .modfp import (
     BudgetExceeded,
     FpModule,
-    alt_group,
     aug_submodule,
     check_Ip_structure,
     cocycle_dims,
@@ -80,7 +79,7 @@ def _cmd_formula(args) -> int:
             "d": d_corollary(t), "a4": prof.a4, "s": prof.s,
             "c": {str(p): m for p, m in sorted(prof.c.items())},
         }
-    except (CyclicTopError, ValueError):
+    except ValueError:  # includes CyclicTopError
         doc["counting"] = None
     _emit(doc, args.out)
     return EXIT_OK
@@ -138,7 +137,7 @@ def _cmd_cohom(args) -> int:
     mod = FpModule.natural(g, args.p)
     ip = aug_submodule(mod)
     try:
-        rep = cocycle_dims(g, ip)
+        rep = cocycle_dims(g, mod.restricted(ip))
     except BudgetExceeded as e:
         _emit({"error": str(e)}, args.out)
         return EXIT_BUDGET

@@ -10,6 +10,7 @@ derivation law over a breadth-first enumeration of the group.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,20 +23,6 @@ from .wreath import GroupSpec, standard_generators
 
 class BudgetExceeded(RuntimeError):
     """An exhaustive check would overrun its enumeration budget."""
-
-
-class NonScalarEndomorphism(RuntimeError):
-    """The module's endomorphism algebra is larger than the scalars."""
-
-
-def _reduce(v, p: int, pivots, rows) -> list[int]:
-    """v reduced mod p against RREF rows with the given pivot columns."""
-    v = [int(x) % p for x in v]
-    for piv, row in zip(pivots, rows):
-        c = v[piv]
-        if c:
-            v = [(x - c * y) % p for x, y in zip(v, row)]
-    return v
 
 
 class RowSpace:
@@ -84,7 +71,13 @@ class RowSpace:
         return len(self.rows)
 
     def reduce(self, v) -> list[int]:
-        return _reduce(v, self.p, self.pivots, self.rows)
+        p = self.p
+        v = [int(x) % p for x in v]
+        for piv, row in zip(self.pivots, self.rows):
+            c = v[piv]
+            if c:
+                v = [(x - c * y) % p for x, y in zip(v, row)]
+        return v
 
     def contains(self, v) -> bool:
         return not any(self.reduce(v))
@@ -145,41 +138,22 @@ class FpModule:
         return [[[(j, c) for j, c in enumerate(row) if c] for row in (a % self.p).tolist()]
                 for a in self.mats]
 
-    def restricted(self, sub: "SubmoduleBasis") -> "FpModule":
-        b = sub.matrix
-        piv = list(sub.pivots)
-        mats = [((b @ a) % self.p)[:, piv] for a in self.mats]
+    def restricted(self, sub: RowSpace) -> "FpModule":
+        """The action on an invariant subspace, in coordinates of its RREF
+        basis (a vector's coordinates are its entries at the pivots)."""
+        b = sub.matrix()
+        mats = [((b @ a) % self.p)[:, sub.pivots] for a in self.mats]
         return FpModule(self.p, sub.dim, mats, self.group)
 
 
-@dataclass
-class SubmoduleBasis:
-    """A G-invariant subspace, held as an RREF basis of the parent module."""
-
-    parent: FpModule
-    matrix: np.ndarray
-    pivots: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-    def contains(self, v) -> bool:
-        return not any(_reduce(v, self.parent.p, self.pivots, self.matrix.tolist()))
-
-
-def _to_submodule(m: FpModule, space: RowSpace) -> SubmoduleBasis:
-    return SubmoduleBasis(m, space.matrix(), tuple(space.pivots))
-
-
-def aug_submodule(m: FpModule) -> SubmoduleBasis:
+def aug_submodule(m: FpModule) -> RowSpace:
     """The coordinate-sum kernel, spanned by e_i - e_{i+1}; dimension n-1."""
     n = m.dim
     diffs = np.eye(n - 1, n, dtype=np.int64) - np.eye(n - 1, n, k=1, dtype=np.int64)
-    return _to_submodule(m, RowSpace.span(diffs, m.p))
+    return RowSpace.span(diffs, m.p)
 
 
-def spin(m: FpModule, seeds) -> SubmoduleBasis:
+def spin(m: FpModule, seeds) -> RowSpace:
     """Smallest submodule containing the seed vectors.
 
     Worklist spinning, as in the MeatAxe: every vector that enters the
@@ -203,35 +177,24 @@ def spin(m: FpModule, seeds) -> SubmoduleBasis:
                         img[j] += x * c
             if space.insert(img):
                 queue.append(img)
-    return _to_submodule(m, space)
+    return space
 
 
-def fixed_points(m: FpModule, sub: SubmoduleBasis | None = None) -> int:
-    """Dimension of the joint fixed space (restricted to `sub` if given)."""
-    mod = m.restricted(sub) if sub is not None else m
-    eye = np.eye(mod.dim, dtype=np.int64)
-    stacked = np.hstack([a - eye for a in mod.mats])
-    return mod.dim - RowSpace.span(stacked, mod.p).dim
+def fixed_points(m: FpModule) -> int:
+    """Dimension of the joint fixed space."""
+    eye = np.eye(m.dim, dtype=np.int64)
+    stacked = np.hstack([a - eye for a in m.mats])
+    return m.dim - RowSpace.span(stacked, m.p).dim
 
 
-def endomorphism_dim(m: FpModule | SubmoduleBasis) -> int:
+def endomorphism_dim(m: FpModule) -> int:
     """F_p-dimension of the algebra of matrices commuting with the action."""
-    mod = m.parent.restricted(m) if isinstance(m, SubmoduleBasis) else m
-    k = mod.dim
+    k = m.dim
     eye = np.eye(k, dtype=np.int64)
     # (A F - F A)[i, j] = 0 over unknowns F[a, b] at slot a*k+b: row i*k+j
     # of kron(A, I) - kron(I, A^T)
-    eqs = np.vstack([np.kron(a, eye) - np.kron(eye, a.T) for a in mod.mats])
-    return k * k - RowSpace.span(eqs, mod.p).dim
-
-
-def require_scalar_end(m: FpModule | SubmoduleBasis) -> int:
-    """Verify End = scalars and return the module's F_p-dimension as r."""
-    mod = m.parent.restricted(m) if isinstance(m, SubmoduleBasis) else m
-    e = endomorphism_dim(mod)
-    if e != 1:
-        raise NonScalarEndomorphism(f"endomorphism algebra has dimension {e}")
-    return mod.dim
+    eqs = np.vstack([np.kron(a, eye) - np.kron(eye, a.T) for a in m.mats])
+    return k * k - RowSpace.span(eqs, m.p).dim
 
 
 @dataclass
@@ -288,8 +251,8 @@ def check_Ip_structure(n: int, p: int, vector_budget: int = 2 ** 20) -> IpReport
     if divides:
         checked = 0
         ok = True
-        for vec in _all_vectors(p, n):
-            if int(vec.sum()) % p == 0:
+        for vec in itertools.product(range(p), repeat=n):
+            if sum(vec) % p == 0:
                 continue
             checked += 1
             if spin(mod, [vec]).dim != n:
@@ -297,39 +260,23 @@ def check_Ip_structure(n: int, p: int, vector_budget: int = 2 ** 20) -> IpReport
                 break
         return IpReport(n, p, ip.dim, True, "verified", checked, unique_maximal=ok)
 
-    direct = not ip.contains(np.ones(n, dtype=np.int64)) and ip.dim + 1 == n
+    direct = not ip.contains([1] * n) and ip.dim + 1 == n
     checked = 0
     irr = True
     # spin inside I_p, in coordinates of its basis: a vector that spans
     # all of I_p stops its spin at once
     sub = mod.restricted(ip)
-    for coeff in _all_vectors(p, n - 1):
-        if not coeff.any():
+    for coeff in itertools.product(range(p), repeat=n - 1):
+        if not any(coeff):
             continue
         checked += 1
         if spin(sub, [coeff]).dim != n - 1:
             irr = False
             break
-    end = endomorphism_dim(ip)
+    end = endomorphism_dim(sub)
     return IpReport(n, p, ip.dim, False, "verified", checked,
                     direct_sum=direct, irreducible=irr, end_dim=end,
                     r=(n - 1) if end == 1 else None)
-
-
-def _all_vectors(p: int, length: int):
-    """All of F_p^length in lexicographic order (counting base p)."""
-    vec = np.zeros(length, dtype=np.int64)
-    yield vec.copy()
-    total = p ** length
-    for _ in range(total - 1):
-        i = length - 1
-        while True:
-            vec[i] += 1
-            if vec[i] < p:
-                break
-            vec[i] = 0
-            i -= 1
-        yield vec.copy()
 
 
 @dataclass
@@ -346,10 +293,6 @@ class CohomReport:
     end_dim: int
     r: int | None
 
-    @property
-    def s_component(self) -> int:
-        return self.dim_H1
-
     def to_json(self) -> dict:
         return {
             "p": self.p, "dim": self.dim, "group_order": self.group_order,
@@ -358,8 +301,7 @@ class CohomReport:
         }
 
 
-def cocycle_dims(g: PermGroup, m: FpModule | SubmoduleBasis,
-                 element_budget: int = 20160) -> CohomReport:
+def cocycle_dims(g: PermGroup, m: FpModule, element_budget: int = 20160) -> CohomReport:
     """Dimensions of Z^1, B^1 and H^1 = Z^1/B^1 for the module m.
 
     Each group element reached by the breadth-first walk carries the
@@ -369,18 +311,17 @@ def cocycle_dims(g: PermGroup, m: FpModule | SubmoduleBasis,
     derivation law delta(gh) = delta(g)h + delta(h) holds identically on
     the solution space.
     """
-    mod = m.parent.restricted(m) if isinstance(m, SubmoduleBasis) else m
-    system = _cocycle_system(g, mod, element_budget)
-    k = mod.dim
+    system = _cocycle_system(g, m, element_budget)
+    k = m.dim
     ngens = len(g.generators)
     dim_z1 = ngens * k - system.constraints.dim
-    fixed = fixed_points(mod)
+    fixed = fixed_points(m)
     dim_b1 = k - fixed
     dim_h1 = dim_z1 - dim_b1
     if dim_h1 < 0:
         raise RuntimeError("negative H^1 dimension; constraint system is wrong")
-    end = endomorphism_dim(mod)
-    return CohomReport(mod.p, k, system.count, dim_z1, dim_b1, dim_h1,
+    end = endomorphism_dim(m)
+    return CohomReport(m.p, k, system.count, dim_z1, dim_b1, dim_h1,
                        fixed, end, k if end == 1 else None)
 
 

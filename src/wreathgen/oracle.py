@@ -10,7 +10,7 @@ and oracle meeting in the middle is the point of the exercise.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class GenSearchConfig:
     seed: int = 1
     random_attempts: int = 200
     exhaustive_order_limit: int = 20000
-    conjugacy_reduction: bool = True
 
 
 @dataclass
@@ -142,16 +141,6 @@ class CayleyTable:
                 return n
 
 
-def is_cyclic(g: PermGroup) -> bool:
-    """Exact: abelian with every p-rank of G/G' at most 1."""
-    if not g.is_abelian():
-        return False
-    primes = g.prime_divisors()
-    if not primes:
-        return True
-    return all(r <= 1 for r in abelian_p_ranks(g, primes).values())
-
-
 def d_lower_bound(g: PermGroup) -> tuple[int, str]:
     """Certificate-backed lower bound: max of the abelianization rank and
     2 when the group is (exactly determined to be) non-cyclic."""
@@ -164,15 +153,14 @@ def d_lower_bound(g: PermGroup) -> tuple[int, str]:
     return max(d_ab, 1), "abelianization"
 
 
-def _scan_for_generating_tuple(ct: CayleyTable, k: int, conjugacy_reduction: bool):
+def _scan_for_generating_tuple(ct: CayleyTable, k: int):
     """First k-tuple of element indices whose closure is everything, or None.
 
-    The leading slot runs over conjugacy class representatives when
-    reduction is on (generation is invariant under simultaneous
-    conjugation); the remaining slots run over all elements.
+    The leading slot runs over conjugacy class representatives, since
+    generation is invariant under simultaneous conjugation; the remaining
+    slots run over all elements.
     """
     n = len(ct)
-    firsts = ct.conjugacy_class_reps() if conjugacy_reduction else range(n)
 
     def rec(prefix, depth):
         if depth == k:
@@ -183,20 +171,11 @@ def _scan_for_generating_tuple(ct: CayleyTable, k: int, conjugacy_reduction: boo
                 return hit
         return None
 
-    for i in firsts:
+    for i in ct.conjugacy_class_reps():
         hit = rec((i,), 1)
         if hit is not None:
             return hit
     return None
-
-
-def exhaustive_nongeneration(g: PermGroup, k: int, cfg: GenSearchConfig | None = None) -> bool:
-    """True when no k-tuple of elements generates g (checked exhaustively)."""
-    cfg = cfg or GenSearchConfig()
-    if k < 1:
-        return g.order() > 1
-    ct = CayleyTable.build(g, cfg.exhaustive_order_limit)
-    return _scan_for_generating_tuple(ct, k, cfg.conjugacy_reduction) is None
 
 
 def _rattle(gens: list[Permutation], rng: random.Random, degree: int):
@@ -263,7 +242,7 @@ def min_generators(g: PermGroup, cfg: GenSearchConfig | None = None) -> GenResul
         if found is None and can_exhaust:
             if ct is None:
                 ct = CayleyTable.build(g, cfg.exhaustive_order_limit)
-            idxs = _scan_for_generating_tuple(ct, k, cfg.conjugacy_reduction)
+            idxs = _scan_for_generating_tuple(ct, k)
             if idxs is None:
                 # certified: no k-tuple generates
                 lower, cert = k + 1, f"exhaustive({k})"

@@ -532,12 +532,6 @@ def derived_subgroup(g: PermGroup) -> PermGroup:
     return d
 
 
-def abelian_p_rank(g: PermGroup, p: int) -> int:
-    """Rank d_p of the abelianization G/G', via the index of <G' u {g^p}>."""
-    ranks = abelian_p_ranks(g, [p])
-    return ranks[p]
-
-
 def abelian_p_ranks(g: PermGroup, primes) -> dict[int, int]:
     """d_p(G/G') for several primes, sharing one derived-subgroup chain.
 

@@ -123,12 +123,6 @@ class TowerSpec:
             copies *= g.n
         return total
 
-    def sub_tower(self, from_level: int) -> "TowerSpec":
-        """Levels from_level..k (1-based); from_level = k+1 is invalid."""
-        if not 1 <= from_level <= self.k:
-            raise ValueError("from_level out of range")
-        return TowerSpec(self.levels[from_level - 1:])
-
     def text(self) -> str:
         return ";".join(g.token() for g in self.levels)
 
@@ -215,15 +209,6 @@ class TreeAutomorphism:
 
     def order(self) -> int:
         return self.perm.order()
-
-    def preserves_blocks(self) -> bool:
-        """True when every level-block maps onto a block of the same level."""
-        try:
-            for level in range(1, self.tower.k):
-                self.project(level)
-        except ValueError:
-            return False
-        return True
 
     def project(self, level: int) -> Permutation:
         """Induced permutation of the level's vertices (0-based indices)."""

@@ -12,7 +12,7 @@ from wreathgen.cli import main as cli_main
 from wreathgen.formula import abelianization, d_corollary, d_tower
 from wreathgen.modfp import alt_group, aug_submodule, check_Ip_structure, cocycle_dims
 from wreathgen.modfp import FpModule
-from wreathgen.oracle import GenSearchConfig, exhaustive_nongeneration, min_generators
+from wreathgen.oracle import GenSearchConfig, min_generators
 from wreathgen.permcore import (
     PermGroup,
     abelian_p_ranks,
@@ -75,11 +75,13 @@ def test_acceptance_02_cyclic_top_needs_three(capsys):
     g = tower_group(t)
     if g.order() != 1536:
         failures.append(f"order {g.order()}")
-    if not exhaustive_nongeneration(g, 2, GenSearchConfig(conjugacy_reduction=True)):
-        failures.append("a pair generated the order-1536 group")
+    # exhaustive(2) certifies that the pair scan found no generating pair
     oracle = min_generators(g, GenSearchConfig(seed=1))
-    if (oracle.status, oracle.lower, oracle.lower_certificate) != ("exact", 3, "exhaustive(2)"):
+    if ((oracle.status, oracle.lower, oracle.upper, oracle.lower_certificate)
+            != ("exact", 3, 3, "exhaustive(2)")):
         failures.append(f"oracle {oracle.to_json()}")
+    if PermGroup(g.degree, oracle.witness).order() != g.order():
+        failures.append("the witness does not regenerate the group")
     with capsys.disabled():
         _report(2, "d = 3 on C3;C2;C2 certified by exhaustive pair scan", failures, t0, 300)
 
@@ -187,7 +189,8 @@ def test_acceptance_08_cocycle_dimension_bounds(capsys):
     alt_orders = {4: 12, 5: 60, 6: 360, 7: 2520}
     for (n, p), (bound, frozen) in table.items():
         g = alt_group(n)
-        rep = cocycle_dims(g, aug_submodule(FpModule.natural(g, p)))
+        mod = FpModule.natural(g, p)
+        rep = cocycle_dims(g, mod.restricted(aug_submodule(mod)))
         if rep.dim_H1 > bound:
             failures.append(f"H1(A{n}, I_{p}) = {rep.dim_H1} > {bound}")
         if rep.dim_H1 != frozen:
@@ -236,11 +239,15 @@ def test_acceptance_10_property_suites(capsys):
     t = parse_tower("S3;C2;C2")
     gens = tower_generators(t)
     word = gens[0] * gens[1] * gens[2] * gens[1]
-    if not all(a.preserves_blocks() for a in gens) or not word.preserves_blocks():
-        failures.append("block preservation failed")
     x, y = example_generators(5)
-    if not (x.preserves_blocks() and y.preserves_blocks()):
-        failures.append("example pair broke blocks")
+    for label, autos in (("block preservation failed", gens + [word]),
+                         ("example pair broke blocks", [x, y])):
+        try:  # project() raises when a level's blocks are not kept
+            for a in autos:
+                for level in range(1, a.tower.k):
+                    a.project(level)
+        except ValueError:
+            failures.append(label)
 
     # actions hung at disjoint vertices commute
     t2 = parse_tower("C3;S3;C2")

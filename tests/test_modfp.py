@@ -16,11 +16,8 @@ from hypothesis import given, settings, strategies as st
 from wreathgen import modfp
 from wreathgen.modfp import (
     BudgetExceeded,
-    CohomReport,
     FpModule,
-    NonScalarEndomorphism,
     RowSpace,
-    SubmoduleBasis,
     _cocycle_system,
     alt_group,
     aug_submodule,
@@ -30,7 +27,6 @@ from wreathgen.modfp import (
     fixed_points,
     h_param,
     perm_matrix,
-    require_scalar_end,
     s_param,
     spin,
 )
@@ -119,8 +115,8 @@ def test_worklist_spin_matches_round_robin_spin(case, restrict, data):
                                         max_size=mod.dim), min_size=1, max_size=2))
     sub = spin(mod, [np.array(s) for s in seeds])
     rows, pivots = _spin_reference(mod, seeds)
-    assert sub.matrix.tolist() == rows and list(sub.pivots) == pivots
-    assert sub.parent is mod
+    assert (sub.rows, sub.pivots) == (rows, pivots)
+    assert (sub.p, sub.width) == (mod.p, mod.dim)
 
 
 def test_perm_matrix_right_action():
@@ -141,7 +137,7 @@ def test_aug_submodule():
     assert not ip.contains([1, 1, 1, 0, 0])
     # stable under the action
     for a in mod.mats:
-        for row in ip.matrix:
+        for row in ip.matrix():
             assert ip.contains((row @ a) % 2)
 
 
@@ -167,16 +163,18 @@ def test_fixed_points_are_the_constants():
         assert fixed_points(mod) == 1
         ip = aug_submodule(mod)
         # constants lie in I_p exactly when p | n
-        assert fixed_points(mod, ip) == (1 if n % p == 0 else 0)
+        assert fixed_points(mod.restricted(ip)) == (1 if n % p == 0 else 0)
 
 
 def test_endomorphism_dims():
-    mod = FpModule.natural(alt_group(4), 3)
+    g = alt_group(4)
+    mod = FpModule.natural(g, 3)
     assert endomorphism_dim(mod) == 2  # V = I_3 + constants, two projections
-    assert endomorphism_dim(aug_submodule(mod)) == 1
-    assert require_scalar_end(aug_submodule(mod)) == 3
-    with pytest.raises(NonScalarEndomorphism):
-        require_scalar_end(mod)
+    ip = mod.restricted(aug_submodule(mod))
+    assert endomorphism_dim(ip) == 1
+    # r is the module's dimension when End is scalar, and unset otherwise
+    assert cocycle_dims(g, ip).r == ip.dim == 3
+    assert cocycle_dims(g, mod).r is None
 
 
 @pytest.mark.parametrize("n,p,checked", [(4, 2, 8), (5, 5, 2500), (6, 2, 32)])
@@ -229,8 +227,8 @@ def test_cocycles_cyclic_trivial_module():
 ])
 def test_cocycle_dims_on_aug_submodules(n, p, h1):
     g = alt_group(n)
-    ip = aug_submodule(FpModule.natural(g, p))
-    rep = cocycle_dims(g, ip)
+    mod = FpModule.natural(g, p)
+    rep = cocycle_dims(g, mod.restricted(aug_submodule(mod)))
     assert rep.dim_H1 == h1
     assert rep.dim == n - 1 and rep.r == n - 1
     assert rep.group_order == g.order()
@@ -240,8 +238,8 @@ def test_cocycle_dims_on_aug_submodules(n, p, h1):
 def test_cocycle_vanishes_in_coprime_characteristic():
     for n, p in [(4, 5), (4, 7), (5, 7), (5, 11)]:
         g = alt_group(n)
-        rep = cocycle_dims(g, aug_submodule(FpModule.natural(g, p)))
-        assert rep.dim_H1 == 0
+        mod = FpModule.natural(g, p)
+        assert cocycle_dims(g, mod.restricted(aug_submodule(mod))).dim_H1 == 0
 
 
 def test_inner_derivations_satisfy_the_constraints():
@@ -266,18 +264,19 @@ def test_cocycle_system_does_not_depend_on_the_edge_block(monkeypatch, n, p):
     mod = FpModule.natural(g, p)
     restricted = mod.restricted(aug_submodule(mod))
     whole = _cocycle_system(g, restricted, 20160)
-    dims = cocycle_dims(g, aug_submodule(mod)).to_json()
+    dims = cocycle_dims(g, restricted).to_json()
     monkeypatch.setattr(modfp, "_EDGE_BLOCK", 1)
     single = _cocycle_system(g, restricted, 20160)
     assert single.constraints.pivots == whole.constraints.pivots
     assert (single.constraints.matrix() == whole.constraints.matrix()).all()
-    assert cocycle_dims(g, aug_submodule(mod)).to_json() == dims
+    assert cocycle_dims(g, restricted).to_json() == dims
 
 
 def test_cocycle_budget():
     g = alt_group(7)
+    mod = FpModule.natural(g, 2)
     with pytest.raises(BudgetExceeded):
-        cocycle_dims(g, aug_submodule(FpModule.natural(g, 2)), element_budget=100)
+        cocycle_dims(g, mod.restricted(aug_submodule(mod)), element_budget=100)
 
 
 def test_cocycle_requires_matching_generators():

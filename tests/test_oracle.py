@@ -1,17 +1,18 @@
 """Brute-force generation oracle: tables, bounds, certificates."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from wreathgen.oracle import (
     CayleyTable,
     GenSearchConfig,
     OrderLimitExceeded,
+    _scan_for_generating_tuple,
     d_lower_bound,
-    exhaustive_nongeneration,
     find_generating_tuple,
-    is_cyclic,
     min_generators,
 )
 from wreathgen.permcore import PermGroup, Permutation, parse_cycles
@@ -80,11 +81,14 @@ def test_order_limit_enforced():
 # ------------------------------------------------------------- lower bounds
 
 def test_is_cyclic_exact():
-    assert is_cyclic(PermGroup.from_cycles(6, "(1 2 3 4 5 6)"))
-    assert is_cyclic(PermGroup.from_cycles(6, "(1 2)", "(3 4 5)"))  # C2 x C3 = C6
-    assert not is_cyclic(PermGroup.from_cycles(4, "(1 2)", "(3 4)"))
-    assert not is_cyclic(_s3())
-    assert is_cyclic(PermGroup(3, [Permutation.identity(3)]))
+    # d_lower_bound decides cyclicity exactly: its bound is at most 1
+    # exactly on cyclic groups
+    assert d_lower_bound(PermGroup.from_cycles(6, "(1 2 3 4 5 6)"))[0] == 1
+    # C2 x C3 = C6
+    assert d_lower_bound(PermGroup.from_cycles(6, "(1 2)", "(3 4 5)"))[0] == 1
+    assert d_lower_bound(PermGroup.from_cycles(4, "(1 2)", "(3 4)")) == (2, "abelianization")
+    assert d_lower_bound(_s3()) == (2, "noncyclic")
+    assert d_lower_bound(PermGroup(3, [Permutation.identity(3)]))[0] == 0
 
 
 def test_lower_bound_ladder():
@@ -97,24 +101,49 @@ def test_lower_bound_ladder():
 
 # ------------------------------------------------------- exhaustive scanning
 
+def _reference_scan(ct: CayleyTable, k: int):
+    """First k-tuple of element indices, over all of them in every slot,
+    whose closure is everything, or None."""
+    n = len(ct)
+    return next((t for t in itertools.product(range(n), repeat=k)
+                 if ct.closure_size(t) == n), None)
+
+
 def test_s4_generation_by_tuple_size():
-    assert exhaustive_nongeneration(_s4(), 1)
-    assert not exhaustive_nongeneration(_s4(), 2)
+    ct = CayleyTable.build(_s4(), 100)
+    for scan in (_scan_for_generating_tuple, _reference_scan):
+        assert scan(ct, 1) is None
+        pair = scan(ct, 2)
+        assert PermGroup(4, [ct.elements[i] for i in pair]).order() == 24
 
 
-def test_nongeneration_respects_reduction_toggle():
-    g = PermGroup.from_cycles(4, "(1 2)", "(3 4)")  # C2 x C2, d = 2
-    for reduction in (True, False):
-        cfg = GenSearchConfig(conjugacy_reduction=reduction)
-        assert exhaustive_nongeneration(g, 1, cfg)
-        assert not exhaustive_nongeneration(g, 2, cfg)
+@st.composite
+def _small_groups(draw):
+    """Groups of order at most 60 given by 1-3 generators; every generator
+    permutes the same 1-3 blocks of 2-4 points separately, so direct
+    products occur."""
+    sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+
+    def gen():
+        return Permutation([s + x for s, n in zip(starts, sizes)
+                            for x in draw(st.permutations(range(n)))])
+
+    g = PermGroup(sum(sizes), [gen() for _ in range(draw(st.integers(1, 3)))])
+    assume(g.order() <= 60)
+    return g
 
 
-def test_cyclic_top_needs_three_generators():
-    # |W| = 1536 and the abelianization only gives rank 2: certifying the
-    # third generator requires the full scan over pairs.
-    g = tower_group(parse_tower("C3;C2;C2"))
-    assert exhaustive_nongeneration(g, 2)
+@settings(max_examples=150, deadline=None)
+@given(_small_groups(), st.sampled_from([1, 2]))
+@example(PermGroup.from_cycles(6, "(1 2)", "(3 4)", "(5 6)"), 2)  # C2^3: no pair
+@example(PermGroup.from_cycles(7, "(1 2 3)", "(1 2)", "(4 5)", "(6 7)"), 2)  # S3 x C2^2
+def test_reduced_scan_agrees_with_the_reference(g, k):
+    ct = CayleyTable.build(g, 60)
+    found = _scan_for_generating_tuple(ct, k)
+    assert (found is None) == (_reference_scan(ct, k) is None)
+    if found is not None:
+        assert PermGroup(g.degree, [ct.elements[i] for i in found]).order() == g.order()
 
 
 # ---------------------------------------------------------- witness search
@@ -130,12 +159,6 @@ def test_random_witness_none_when_impossible():
 
 
 # ----------------------------------------------------------- min_generators
-
-def test_min_generators_cyclic_top_tower():
-    r = min_generators(tower_group(parse_tower("C3;C2;C2")), GenSearchConfig(seed=1))
-    assert (r.lower, r.upper, r.status) == (3, 3, "exact")
-    assert r.lower_certificate == "exhaustive(2)"
-
 
 def test_min_generators_frozen_towers():
     expected = {
@@ -177,7 +200,7 @@ def test_table_is_built_only_when_a_scan_needs_it(monkeypatch):
 
 
 def test_witness_regenerates_group():
-    for text in ("C3;C2;C2", "A4;C3", "S3;C2"):
+    for text in ("A4;C3", "S3;C2"):
         g = tower_group(parse_tower(text))
         r = min_generators(g, GenSearchConfig(seed=1))
         assert len(r.witness) == r.upper
@@ -195,13 +218,6 @@ def test_seeds_agree_on_the_answer():
     g = tower_group(parse_tower("S3;C2"))
     values = {min_generators(g, GenSearchConfig(seed=s)).upper for s in (1, 2, 3)}
     assert values == {2}
-
-
-def test_reduction_toggle_agrees():
-    g = tower_group(parse_tower("C2;S3"))
-    r_on = min_generators(g, GenSearchConfig(seed=1, conjugacy_reduction=True))
-    r_off = min_generators(g, GenSearchConfig(seed=1, conjugacy_reduction=False))
-    assert (r_on.lower, r_on.upper) == (r_off.lower, r_off.upper) == (2, 2)
 
 
 def test_bounds_only_when_scan_is_off_limits():

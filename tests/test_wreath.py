@@ -17,6 +17,7 @@ from wreathgen.permcore import (
 from wreathgen.wreath import (
     GroupSpec,
     TowerSpec,
+    TreeAutomorphism,
     TrivialLevelError,
     apply_at_vertex,
     example_generators,
@@ -155,7 +156,12 @@ def test_products_preserve_blocks():
     elem = gens[0]
     for _ in range(40):
         elem = elem * rng.choice(gens)
-        assert elem.preserves_blocks()
+        for level in range(1, t.k):
+            elem.project(level)  # raises when the level's blocks are not kept
+    # swapping one leaf of the first level-1 block with one of the second
+    stray = TreeAutomorphism(t, parse_cycles("(1 7)", t.leaf_count()))
+    with pytest.raises(ValueError):
+        stray.project(1)
 
 
 def test_projection_is_homomorphism_onto_top():
