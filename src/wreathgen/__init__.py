@@ -7,6 +7,7 @@ generation oracles (`oracle`).
 """
 
 from .permcore import (
+    BudgetExceeded,
     ConsistencyError,
     DegreeMismatch,
     ParseError,
@@ -57,7 +58,6 @@ from .oracle import (
     CayleyTable,
     GenResult,
     GenSearchConfig,
-    OrderLimitExceeded,
     d_lower_bound,
     find_generating_tuple,
     min_generators,
@@ -66,10 +66,10 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianProfile", "CayleyTable", "CohomReport", "ConsistencyError",
-    "CountingProfile", "CyclicTopError", "DegreeMismatch", "FormulaResult",
-    "FpModule", "GenResult", "GenSearchConfig", "GroupSpec", "IpReport",
-    "OrderLimitExceeded", "ParseError", "PermGroup", "Permutation",
+    "AbelianProfile", "BudgetExceeded", "CayleyTable", "CohomReport",
+    "ConsistencyError", "CountingProfile", "CyclicTopError", "DegreeMismatch",
+    "FormulaResult", "FpModule", "GenResult", "GenSearchConfig", "GroupSpec",
+    "IpReport", "ParseError", "PermGroup", "Permutation",
     "TowerSpec", "TreeAutomorphism", "TrivialLevelError", "abelian_p_ranks",
     "abelianization", "apply_at_vertex", "bsgs_build", "check_Ip_structure",
     "cocycle_dims", "counting_profile", "d_abelian_wreath", "d_corollary",

@@ -15,7 +15,6 @@ import sys
 
 from .formula import counting_profile, d_corollary, d_tower
 from .modfp import (
-    BudgetExceeded,
     FpModule,
     aug_submodule,
     check_Ip_structure,
@@ -24,7 +23,7 @@ from .modfp import (
     s_param,
 )
 from .oracle import GenSearchConfig, min_generators
-from .permcore import ParseError, PermGroup, bsgs_build, prime_factorization
+from .permcore import BudgetExceeded, ParseError, PermGroup, bsgs_build, prime_factorization
 from .wreath import (
     TrivialLevelError,
     example_generators,
@@ -58,8 +57,12 @@ def _fail(message: str, out: str | None) -> int:
     return EXIT_USAGE
 
 
-def _is_prime(p: int) -> bool:
-    return prime_factorization(p) == {p: 1}
+def _bad_prime(p: int) -> str | None:
+    """Why p is refused, or None.  F_p arithmetic in numpy int64 needs
+    p < 2^31, which also keeps the trial division short."""
+    if p >= 2 ** 31:
+        return "p must be below 2^31"
+    return None if prime_factorization(p) == {p: 1} else "p must be prime"
 
 
 def _cmd_formula(args) -> int:
@@ -119,8 +122,8 @@ def _cmd_verify(args) -> int:
 def _cmd_module(args) -> int:
     if args.n < 4:
         return _fail("n must be at least 4", args.out)
-    if not _is_prime(args.p):
-        return _fail("p must be prime", args.out)
+    if err := _bad_prime(args.p):
+        return _fail(err, args.out)
     report = check_Ip_structure(args.n, args.p)
     _emit(report.to_json(), args.out)
     return EXIT_OK if report.status == "verified" else EXIT_BUDGET
@@ -131,8 +134,8 @@ def _cmd_cohom(args) -> int:
         spec = parse_group(args.group).normalized()
     except (ParseError, TrivialLevelError) as e:
         return _fail(str(e), args.out)
-    if not _is_prime(args.p):
-        return _fail("p must be prime", args.out)
+    if err := _bad_prime(args.p):
+        return _fail(err, args.out)
     g = PermGroup(spec.n, standard_generators(spec))
     mod = FpModule.natural(g, args.p)
     ip = aug_submodule(mod)
@@ -141,6 +144,8 @@ def _cmd_cohom(args) -> int:
     except BudgetExceeded as e:
         _emit({"error": str(e)}, args.out)
         return EXIT_BUDGET
+    except ValueError as e:  # p too large for the cocycle arithmetic
+        return _fail(str(e), args.out)
     doc = rep.to_json()
     doc["group"] = spec.token()
     doc["dim_Ip"] = ip.dim

@@ -37,9 +37,6 @@ class AbelianProfile:
     def rank(self, p: int) -> int:
         return self.ranks.get(p, 0)
 
-    def is_trivial(self) -> bool:
-        return not self.ranks
-
     def to_json(self) -> dict[str, int]:
         return {str(p): r for p, r in self.ranks.items()}
 

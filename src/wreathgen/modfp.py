@@ -12,17 +12,13 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .permcore import ConsistencyError, PermGroup, Permutation, cayley_walk
+from .permcore import PermGroup, Permutation, cayley_walk
 from .wreath import GroupSpec, standard_generators
-
-
-class BudgetExceeded(RuntimeError):
-    """An exhaustive check would overrun its enumeration budget."""
 
 
 class RowSpace:
@@ -120,16 +116,15 @@ class FpModule:
     p: int
     dim: int
     mats: list[np.ndarray]
-    group: PermGroup | None = None
 
     @classmethod
     def natural(cls, group: PermGroup, p: int) -> "FpModule":
-        return cls(p, group.degree, [perm_matrix(g, p) for g in group.generators], group)
+        return cls(p, group.degree, [perm_matrix(g, p) for g in group.generators])
 
     @classmethod
     def trivial(cls, group: PermGroup, p: int) -> "FpModule":
         one = np.ones((1, 1), dtype=np.int64)
-        return cls(p, 1, [one.copy() for _ in group.generators], group)
+        return cls(p, 1, [one.copy() for _ in group.generators])
 
     @cached_property
     def _row_terms(self) -> list[list[list[tuple[int, int]]]]:
@@ -143,7 +138,7 @@ class FpModule:
         basis (a vector's coordinates are its entries at the pivots)."""
         b = sub.matrix()
         mats = [((b @ a) % self.p)[:, sub.pivots] for a in self.mats]
-        return FpModule(self.p, sub.dim, mats, self.group)
+        return FpModule(self.p, sub.dim, mats)
 
 
 def aug_submodule(m: FpModule) -> RowSpace:
@@ -203,7 +198,7 @@ class IpReport:
 
     n: int
     p: int
-    dim_ip: int
+    dim_Ip: int
     p_divides_n: bool
     status: str  # "verified" | "unverified"
     checked_vectors: int
@@ -214,13 +209,7 @@ class IpReport:
     r: int | None = None
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n, "p": self.p, "dim_Ip": self.dim_ip,
-            "p_divides_n": self.p_divides_n, "status": self.status,
-            "checked_vectors": self.checked_vectors,
-            "unique_maximal": self.unique_maximal, "direct_sum": self.direct_sum,
-            "irreducible": self.irreducible, "end_dim": self.end_dim, "r": self.r,
-        }
+        return asdict(self)
 
 
 def alt_group(n: int) -> PermGroup:
@@ -294,11 +283,7 @@ class CohomReport:
     r: int | None
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p, "dim": self.dim, "group_order": self.group_order,
-            "dim_Z1": self.dim_Z1, "dim_B1": self.dim_B1, "dim_H1": self.dim_H1,
-            "dim_fixed": self.dim_fixed, "end_dim": self.end_dim, "r": self.r,
-        }
+        return asdict(self)
 
 
 def cocycle_dims(g: PermGroup, m: FpModule, element_budget: int = 20160) -> CohomReport:
@@ -339,24 +324,22 @@ _EDGE_BLOCK = 256
 def _cocycle_system(g: PermGroup, mod: FpModule, element_budget: int) -> _CocycleSystem:
     if len(mod.mats) != len(g.generators):
         raise ValueError("module action does not match the group's generators")
-    try:
-        _, edges = cayley_walk(g.degree, g.generators, element_budget)
-    except ConsistencyError:
-        raise BudgetExceeded(
-            f"group enumeration exceeds budget {element_budget}") from None
     k = mod.dim
-    ngens = len(g.generators)
     p = mod.p
+    # coefficients are stored in int32, and a pushed sum of k products
+    # below p, plus one, must fit in int64
+    if p > 2 ** 31 or k * (p - 1) ** 2 + 1 >= 2 ** 63:
+        raise ValueError(f"p = {p} is too large for a {k}-dimensional cocycle system")
+    _, edges, tree = cayley_walk(g.degree, g.generators, element_budget)
+    ngens = len(g.generators)
     count = len(edges)
     mats = np.array(mod.mats, dtype=np.int64).reshape(ngens, k, k)
     eye = np.eye(k, dtype=np.int64)
     # edge e = i * ngens + j leads from element i to target[e] = i * gens[j]
     target = np.array(edges, dtype=np.intp).reshape(-1)
-    # in walk order the first edge into an element defines its coefficients
-    # (the identity's are zero); it leaves an element found earlier, and
-    # those sources do not decrease along the walk
-    _, first = np.unique(target, return_index=True)
-    source, slot = np.divmod(first, ngens)
+    # the tree edge into element t defines its coefficients (the identity's
+    # are zero); it leaves source[t] < t, and the sources do not decrease
+    source, slot = np.divmod(np.array([0] + tree, dtype=np.intp), ngens)
     # entries are below p; the products with `mats` are taken in int64
     coeffs = np.zeros((count, ngens, k, k), dtype=np.int32)
 
@@ -374,7 +357,7 @@ def _cocycle_system(g: PermGroup, mod: FpModule, element_budget: int) -> _Cocycl
         done = stop
     # every other edge constrains the unknown generator images
     rest = np.ones(count * ngens, dtype=bool)
-    rest[first[1:]] = False
+    rest[tree] = False
     rest = np.flatnonzero(rest)
     constraints = RowSpace(p, ngens * k)
     for lo in range(0, len(rest), _EDGE_BLOCK):

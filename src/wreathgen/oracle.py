@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .permcore import (
+    BudgetExceeded,
     PermGroup,
     Permutation,
     abelian_p_ranks,
@@ -22,10 +23,6 @@ from .permcore import (
     cayley_walk,
     format_cycles,
 )
-
-
-class OrderLimitExceeded(RuntimeError):
-    """The group is too large for exhaustive tuple scanning."""
 
 
 @dataclass
@@ -57,48 +54,45 @@ class CayleyTable:
 
     Elements come from the breadth-first Cayley-graph walk, identity at
     index 0, whose edge table holds the generator columns; every other
-    column j with e_j = e_parent * s follows by one vectorized gather,
-    since x * e_j = (x * e_parent) * s.
+    column t, with e_t = e_i * s discovered by the walk's tree edge from
+    the earlier row i, follows by one vectorized gather, since
+    x * e_t = (x * e_i) * s.
     """
 
-    def __init__(self, elements, index, table, gen_indices):
+    def __init__(self, elements, table, gen_indices):
         self.elements: list[Permutation] = elements
-        self.index: dict = index
         self.table: np.ndarray = table
         self.gen_indices: list[int] = gen_indices
-        self.inverse = np.array([index[e.inverse().images] for e in elements],
-                                dtype=table.dtype)
 
     @classmethod
     def build(cls, g: PermGroup, limit: int) -> "CayleyTable":
         order = g.order()
         if order > limit:
-            raise OrderLimitExceeded(f"|G| = {order} exceeds the limit {limit}")
+            raise BudgetExceeded(f"|G| = {order} exceeds the limit {limit}")
         gens = list(dict.fromkeys(p for p in g.generators if not p.is_identity()))
-        elements, edges = cayley_walk(g.degree, gens)
+        elements, edges, tree = cayley_walk(g.degree, gens)
         n = len(elements)
         dtype = np.int16 if n < 2 ** 15 else np.int32
         edges = np.array(edges, dtype=dtype)  # column s: x -> x * s
         # column-major: every write below fills one contiguous column
         table = np.empty((n, n), dtype=dtype, order="F")
         table[:, 0] = np.arange(n, dtype=dtype)
-        # an element's first edge comes from its parent, whose column is
-        # filled first because the parent was discovered earlier
-        targets, first = np.unique(edges, return_index=True)
-        for j, f in zip(targets.tolist(), first.tolist()):
-            if j:
-                par, slot = divmod(f, len(gens))
-                table[:, j] = edges[:, slot][table[:, par]]
-        index = {e.images: i for i, e in enumerate(elements)}
-        return cls(elements, index, table, edges[0].tolist())
+        # a tree edge leaves an earlier row, whose column is already filled
+        for t, e in enumerate(tree, 1):
+            par, slot = divmod(e, len(gens))
+            table[:, t] = edges[:, slot][table[:, par]]
+        return cls(elements, table, edges[0].tolist())
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    def conjugate(self, x: int, g: int) -> int:
-        return int(self.table[self.table[self.inverse[g], x], g])
-
     def conjugacy_class_reps(self) -> list[int]:
+        """The least index of each conjugacy class, in increasing order."""
+        t = self.table
+        maps = []
+        for g in self.gen_indices:
+            g_inv = int(t[:, g].argmin())  # the row that column g maps to 0
+            maps.append(t[t[g_inv, :], g].tolist())  # x -> g^-1 * x * g
         n = len(self.elements)
         assigned = bytearray(n)
         reps = []
@@ -110,8 +104,8 @@ class CayleyTable:
             assigned[i] = 1
             while stack:
                 x = stack.pop()
-                for g in self.gen_indices:
-                    y = self.conjugate(x, g)
+                for conj in maps:
+                    y = conj[x]
                     if not assigned[y]:
                         assigned[y] = 1
                         stack.append(y)

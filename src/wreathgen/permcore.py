@@ -26,6 +26,10 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""
 
 
+class BudgetExceeded(RuntimeError):
+    """A computation would overrun its budget; not a bug and not bad input."""
+
+
 def prime_factorization(n: int) -> dict[int, int]:
     """{prime: exponent} for n >= 1 by trial division, primes ascending;
     empty for n < 2."""
@@ -469,12 +473,14 @@ class PermGroup:
 def cayley_walk(degree: int, gens, limit: int | None = None):
     """Breadth-first walk of the Cayley graph of <gens> by right multiplication.
 
-    Returns (elements, edges): the elements in discovery order, identity
-    first, and edges[i][j] = index of elements[i] * gens[j].  Rows are
-    walked in order, so the first edge into an element, in row-major
-    order, is the one that discovered it, from an earlier row.
+    Returns (elements, edges, tree): the elements in discovery order,
+    identity first; edges[i][j] = index of elements[i] * gens[j]; and
+    tree[t - 1] = i * len(gens) + j, the edge (i, j) that discovered
+    element t >= 1.  Rows are walked in order, so tree increases, each
+    tree edge leaves an earlier row, and it is the first edge into its
+    element in row-major order.
 
-    Raises ConsistencyError if more than `limit` elements appear.
+    Raises BudgetExceeded if more than `limit` elements appear.
     """
     ident = Permutation.identity(degree).raw
     raw_gens = [s.raw for s in gens]
@@ -482,6 +488,7 @@ def cayley_walk(degree: int, gens, limit: int | None = None):
     index = {ident: 0}
     order = [ident]
     edges: list[list[int]] = []
+    tree: list[int] = []
     for e in order:  # grows while it is walked
         row = []
         for s in raw_gens:
@@ -490,18 +497,19 @@ def cayley_walk(degree: int, gens, limit: int | None = None):
             if j is None:
                 j = len(order)
                 if limit is not None and j >= limit:
-                    raise ConsistencyError(f"group exceeds element limit {limit}")
+                    raise BudgetExceeded(f"group enumeration exceeds budget {limit}")
                 index[f] = j
                 order.append(f)
+                tree.append(len(edges) * len(raw_gens) + len(row))
             row.append(j)
         edges.append(row)
-    return [Permutation._wrap(degree, e) for e in order], edges
+    return [Permutation._wrap(degree, e) for e in order], edges, tree
 
 
 def enumerate_elements(g: PermGroup, limit: int | None = None) -> list[Permutation]:
     """All elements by breadth-first closure, identity first.
 
-    Raises ConsistencyError if more than `limit` elements appear.
+    Raises BudgetExceeded if more than `limit` elements appear.
     """
     return cayley_walk(g.degree, g.generators, limit)[0]
 

@@ -58,10 +58,6 @@ class GroupSpec:
             return GroupSpec("C", 2)
         return self
 
-    @property
-    def degree(self) -> int:
-        return self.n
-
     def order(self) -> int:
         if self.kind == "A":
             return math.factorial(self.n) // 2
@@ -156,12 +152,10 @@ def leaf_index(t: TowerSpec, address: tuple[int, ...]) -> int:
 def _standard_generators(kind: str, n: int) -> tuple[Permutation, ...]:
     if kind == "C":
         gens = (Permutation(tuple(range(1, n)) + (0,)),)
-        expected = n
     elif kind == "S":
         swap = [1, 0] + list(range(2, n))
         cycle = list(range(1, n)) + [0]
         gens = (Permutation(swap), Permutation(cycle))
-        expected = math.factorial(n)
     else:
         three = [1, 2, 0] + list(range(3, n))
         if n % 2:
@@ -169,16 +163,15 @@ def _standard_generators(kind: str, n: int) -> tuple[Permutation, ...]:
         else:
             big = [0] + list(range(2, n)) + [1]  # (2 3 .. n)
         gens = (Permutation(three), Permutation(big))
-        expected = math.factorial(n) // 2
     chain = bsgs_build(PermGroup(n, gens))
-    if chain.order() != expected:
+    if chain.order() != GroupSpec(kind, n).order():
         raise ConsistencyError(f"standard generators of {kind}{n} have wrong order")
     return gens
 
 
 def standard_generators(spec: GroupSpec) -> list[Permutation]:
     """Canonical generators in the natural action; the generated order is
-    checked against n, n! or n!/2 once per spec.
+    checked against the spec's order once per spec.
 
     Requires a normalized spec (A3 and S2 must arrive as C3 and C2).
     """
@@ -242,13 +235,8 @@ def apply_at_vertex(t: TowerSpec, vertex: tuple[int, ...], sigma: Permutation) -
     n_i = t.degrees[i - 1]
     if sigma.degree != n_i:
         raise ValueError(f"sigma degree {sigma.degree} != level degree {n_i}")
-    strides = t.strides()
-    block = strides[i - 1]
-    start = 0
-    for a, n, stride in zip(vertex, t.degrees, strides):
-        if not 1 <= a <= n:
-            raise ValueError(f"address entry {a} out of range 1..{n}")
-        start += (a - 1) * stride
+    block = t.strides()[i - 1]
+    start = leaf_index(t, vertex + (1,) * (t.k - len(vertex)))  # first leaf below
     images = list(range(t.leaf_count()))
     for child in range(n_i):
         src = start + child * block

@@ -138,6 +138,32 @@ def test_cohom_rejects_bad_token(capsys):
         assert code == 2 and "error" in doc
 
 
+def test_cohom_over_budget_exits_3(capsys):
+    code, doc = run(capsys, "cohom", "--group", "A9", "--p", "2")
+    assert code == 3
+    assert doc == {"error": "group enumeration exceeds budget 20160"}
+
+
+@pytest.mark.parametrize("group,p", [
+    ("A5", "2147483659"),  # a prime above 2^31: no int32 coefficient store
+    ("A7", "2147483647"),  # 6 (p - 1)^2 + 1 overflows the int64 sums
+    ("A5", "2147483647"),  # so does 4 (p - 1)^2 + 1
+])
+def test_cohom_rejects_a_p_too_large_for_its_arithmetic(capsys, group, p):
+    code, doc = run(capsys, "cohom", "--group", group, "--p", p)
+    assert code == 2 and set(doc) == {"error"}
+
+
+def test_module_rejects_a_p_too_large_before_factoring_it(capsys, monkeypatch):
+    def refuse(p):
+        raise AssertionError("trial division of a p that is refused anyway")
+
+    monkeypatch.setattr(cli, "prime_factorization", refuse)
+    for p in ("2147483659", "9223372036854775783"):
+        code, doc = run(capsys, "module", "--n", "4", "--p", p)
+        assert code == 2 and doc == {"error": "p must be below 2^31"}
+
+
 def test_example_document(capsys):
     code, doc = run(capsys, "example", "--n", "5")
     assert code == 0

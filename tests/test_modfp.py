@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from wreathgen import modfp
 from wreathgen.modfp import (
-    BudgetExceeded,
     FpModule,
     RowSpace,
     _cocycle_system,
@@ -30,7 +29,7 @@ from wreathgen.modfp import (
     s_param,
     spin,
 )
-from wreathgen.permcore import PermGroup, parse_cycles
+from wreathgen.permcore import BudgetExceeded, PermGroup, parse_cycles
 
 
 def test_rowspace_rank_and_reduction():
@@ -277,6 +276,20 @@ def test_cocycle_budget():
     mod = FpModule.natural(g, 2)
     with pytest.raises(BudgetExceeded):
         cocycle_dims(g, mod.restricted(aug_submodule(mod)), element_budget=100)
+
+
+def test_cocycle_refuses_a_p_too_large_for_int64():
+    # I_p of A5 has dimension k = 4, and a pushed sum reaches 4 (p - 1)^2 + 1;
+    # 1518500213 and 1518500279 are the primes on either side of the bound
+    g = alt_group(5)
+    for p in (1518500279, 2 ** 31 - 1, 2 ** 31 + 11):
+        mod = FpModule.natural(g, p)
+        with pytest.raises(ValueError, match="too large"):
+            cocycle_dims(g, mod.restricted(aug_submodule(mod)))
+    mod = FpModule.natural(g, 1518500213)
+    rep = cocycle_dims(g, mod.restricted(aug_submodule(mod)))
+    # p does not divide |A5|, so H^1 vanishes and Z^1 = B^1 = I_p
+    assert (rep.dim_Z1, rep.dim_B1, rep.dim_H1, rep.group_order) == (4, 4, 0, 60)
 
 
 def test_cocycle_requires_matching_generators():

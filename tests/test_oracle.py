@@ -9,13 +9,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from wreathgen.oracle import (
     CayleyTable,
     GenSearchConfig,
-    OrderLimitExceeded,
     _scan_for_generating_tuple,
     d_lower_bound,
     find_generating_tuple,
     min_generators,
 )
-from wreathgen.permcore import PermGroup, Permutation, parse_cycles
+from wreathgen.permcore import BudgetExceeded, PermGroup, Permutation, parse_cycles
 from wreathgen.wreath import parse_tower, tower_group
 
 
@@ -33,20 +32,31 @@ def _a5():
 
 # ---------------------------------------------------------------- CayleyTable
 
+def _index(ct: CayleyTable) -> dict:
+    return {e: i for i, e in enumerate(ct.elements)}
+
+
 def test_table_matches_direct_products():
     ct = CayleyTable.build(_s3(), 100)
-    assert len(ct) == 6
+    index = _index(ct)
+    assert len(ct) == 6 and len(index) == 6
     assert ct.elements[0].is_identity()
     for i in range(6):
         for j in range(6):
             prod = ct.elements[i] * ct.elements[j]
-            assert ct.table[i, j] == ct.index[prod.images]
+            assert ct.table[i, j] == index[prod]
+    assert ct.gen_indices == [index[g] for g in _s3().generators]
 
 
 def test_table_inverse_array():
+    # the identity, index 0, sits in row i exactly at the column of i's
+    # inverse, which is where conjugacy_class_reps finds an inverse
     ct = CayleyTable.build(_s4(), 100)
+    index = _index(ct)
     for i in range(len(ct)):
-        assert (ct.elements[i] * ct.elements[ct.inverse[i]]).is_identity()
+        inv = index[ct.elements[i].inverse()]
+        assert ct.table[i, inv] == 0 and ct.table[inv, i] == 0
+        assert list(ct.table[:, i]).count(0) == 1
 
 
 def test_conjugacy_class_counts():
@@ -55,17 +65,23 @@ def test_conjugacy_class_counts():
     assert len(CayleyTable.build(_s3(), 100).conjugacy_class_reps()) == 3
 
 
-def test_conjugate_operation():
-    ct = CayleyTable.build(_s4(), 100)
-    for x in range(0, len(ct), 5):
-        for g in ct.gen_indices:
-            expect = ct.elements[x].conj(ct.elements[g])
-            assert ct.conjugate(x, g) == ct.index[expect.images]
+@pytest.mark.parametrize("g", [
+    _s3(), _s4(), _a5(),
+    PermGroup.from_cycles(4, "(1 2 3)", "(2 3 4)"),  # A4
+    tower_group(parse_tower("C2;S3")), tower_group(parse_tower("S3;C2")),
+    PermGroup.from_cycles(6, "(1 2)", "(3 4)", "(5 6)"),  # abelian: singletons
+], ids=["S3", "S4", "A5", "A4", "C2;S3", "S3;C2", "C2^3"])
+def test_class_reps_are_the_least_index_of_each_class(g):
+    ct = CayleyTable.build(g, 100)
+    index = _index(ct)
+    # brute force: the class of x is {y^-1 x y} over every element y
+    least = {min(index[x.conj(y)] for y in ct.elements) for x in ct.elements}
+    assert ct.conjugacy_class_reps() == sorted(least)
 
 
 def test_closure_sizes_in_s4():
     ct = CayleyTable.build(_s4(), 100)
-    i = lambda text: ct.index[parse_cycles(text, 4).images]
+    i = lambda text: _index(ct)[parse_cycles(text, 4)]
     assert ct.closure_size((i("(1 2 3 4)"),)) == 4
     assert ct.closure_size((i("(1 2)"), i("(3 4)"))) == 4
     assert ct.closure_size((i("(1 2)"), i("(1 2 3)"))) == 6
@@ -74,7 +90,7 @@ def test_closure_sizes_in_s4():
 
 
 def test_order_limit_enforced():
-    with pytest.raises(OrderLimitExceeded):
+    with pytest.raises(BudgetExceeded):
         CayleyTable.build(tower_group(parse_tower("A5;C3;C2;C2")), 20000)
 
 

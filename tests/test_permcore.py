@@ -13,13 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wreathgen.permcore import (
-    ConsistencyError,
+    BudgetExceeded,
     DegreeMismatch,
     ParseError,
     PermGroup,
     Permutation,
     abelian_p_ranks,
     bsgs_build,
+    cayley_walk,
     derived_subgroup,
     enumerate_elements,
     format_cycles,
@@ -225,6 +226,27 @@ def test_chain_agrees_with_enumeration(case, rng):
         assert not chain.contains(Permutation(swap))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda m: st.tuples(
+    st.just(m), st.sampled_from([m, 256]),  # both stored forms
+    st.lists(st.permutations(range(m)), max_size=3))))
+def test_walk_tree_is_the_first_edge_into_each_element(case):
+    m, n, images = case
+    gens = [Permutation(tuple(g) + tuple(range(m, n))) for g in images]
+    elements, edges, tree = cayley_walk(n, gens)
+    assert len(set(elements)) == len(elements) == PermGroup(n, gens).order()
+    assert len(tree) == len(elements) - 1
+    assert all(a < b for a, b in zip(tree, tree[1:]))
+    first = {}  # element -> first edge into it, in row-major order
+    for e, t in enumerate(x for row in edges for x in row):
+        first.setdefault(t, e)
+    for t, e in enumerate(tree, 1):
+        i, j = divmod(e, len(gens))
+        assert i < t and edges[i][j] == t
+        assert elements[i] * gens[j] == elements[t]
+        assert first[t] == e
+
+
 _LEVELS = ["C2", "C3", "C4", "C5", "C6", "S3", "A4", "S4", "A5"]
 
 
@@ -309,5 +331,5 @@ def test_abelian_p_ranks_batch():
 
 
 def test_enumerate_respects_limit():
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(BudgetExceeded, match="exceeds budget 59"):
         enumerate_elements(A5, limit=59)
