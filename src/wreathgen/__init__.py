@@ -16,14 +16,12 @@ from .permcore import (
     abelian_p_ranks,
     bsgs_build,
     derived_subgroup,
-    enumerate_elements,
     format_cycles,
     parse_cycles,
 )
 from .wreath import (
     GroupSpec,
     TowerSpec,
-    TreeAutomorphism,
     TrivialLevelError,
     apply_at_vertex,
     example_generators,
@@ -70,10 +68,10 @@ __all__ = [
     "ConsistencyError", "CountingProfile", "CyclicTopError", "DegreeMismatch",
     "FormulaResult", "FpModule", "GenResult", "GenSearchConfig", "GroupSpec",
     "IpReport", "ParseError", "PermGroup", "Permutation",
-    "TowerSpec", "TreeAutomorphism", "TrivialLevelError", "abelian_p_ranks",
+    "TowerSpec", "TrivialLevelError", "abelian_p_ranks",
     "abelianization", "apply_at_vertex", "bsgs_build", "check_Ip_structure",
     "cocycle_dims", "counting_profile", "d_abelian_wreath", "d_corollary",
-    "d_lower_bound", "d_tower", "derived_subgroup", "enumerate_elements",
+    "d_lower_bound", "d_tower", "derived_subgroup",
     "example_generators", "example_tower", "find_generating_tuple",
     "format_cycles", "h_param", "min_generators", "parse_cycles",
     "parse_group", "parse_tower", "s_param", "standard_generators",

@@ -15,6 +15,7 @@ import sys
 
 from .formula import counting_profile, d_corollary, d_tower
 from .modfp import (
+    ELEMENT_BUDGET,
     FpModule,
     aug_submodule,
     check_Ip_structure,
@@ -23,7 +24,7 @@ from .modfp import (
     s_param,
 )
 from .oracle import GenSearchConfig, min_generators
-from .permcore import BudgetExceeded, ParseError, PermGroup, bsgs_build, prime_factorization
+from .permcore import ParseError, PermGroup, bsgs_build, format_cycles, prime_factorization
 from .wreath import (
     TrivialLevelError,
     example_generators,
@@ -136,14 +137,14 @@ def _cmd_cohom(args) -> int:
         return _fail(str(e), args.out)
     if err := _bad_prime(args.p):
         return _fail(err, args.out)
+    if spec.order() > ELEMENT_BUDGET:  # refused before its generators are built
+        _emit({"error": f"group enumeration exceeds budget {ELEMENT_BUDGET}"}, args.out)
+        return EXIT_BUDGET
     g = PermGroup(spec.n, standard_generators(spec))
     mod = FpModule.natural(g, args.p)
     ip = aug_submodule(mod)
     try:
         rep = cocycle_dims(g, mod.restricted(ip))
-    except BudgetExceeded as e:
-        _emit({"error": str(e)}, args.out)
-        return EXIT_BUDGET
     except ValueError as e:  # p too large for the cocycle arithmetic
         return _fail(str(e), args.out)
     doc = rep.to_json()
@@ -167,12 +168,13 @@ def _cmd_example(args) -> int:
     doc = {
         "tower": t.text(), "n": args.n, "leaf_count": t.leaf_count(),
         "order": str(t.order()),
-        "x": x.to_json(), "y": y.to_json(),
+        "x": {"degree": x.degree, "cycles": format_cycles(x)},
+        "y": {"degree": y.degree, "cycles": format_cycles(y)},
         "order_x": x.order(), "order_y": y.order(),
         "generates": None,
     }
     if args.verify:
-        chain = bsgs_build(PermGroup(t.leaf_count(), (x.perm, y.perm)))
+        chain = bsgs_build(PermGroup(t.leaf_count(), (x, y)))
         doc["generates"] = chain.order() == t.order()
     _emit(doc, args.out)
     return EXIT_OK if doc["generates"] in (None, True) else EXIT_MISMATCH

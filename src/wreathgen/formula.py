@@ -75,10 +75,6 @@ class FormulaResult:
     case: str  # "A4" | "An" | "Sn" | "Cyclic" | "SingleLevel"
     abelianization: AbelianProfile
 
-    def to_json(self) -> dict:
-        return {"d": self.d, "case": self.case,
-                "abelianization": self.abelianization.to_json()}
-
 
 def d_tower(t: TowerSpec) -> FormulaResult:
     """Minimal generator count of the tower group, by closed form.

@@ -121,11 +121,6 @@ class FpModule:
     def natural(cls, group: PermGroup, p: int) -> "FpModule":
         return cls(p, group.degree, [perm_matrix(g, p) for g in group.generators])
 
-    @classmethod
-    def trivial(cls, group: PermGroup, p: int) -> "FpModule":
-        one = np.ones((1, 1), dtype=np.int64)
-        return cls(p, 1, [one.copy() for _ in group.generators])
-
     @cached_property
     def _row_terms(self) -> list[list[list[tuple[int, int]]]]:
         """Per generator and row i, the nonzero entries (j, a[i, j]) of its
@@ -212,11 +207,17 @@ class IpReport:
         return asdict(self)
 
 
+# check_Ip_structure spins at most this many vectors, and the cocycle
+# walk enumerates at most this many group elements (|A8| = 20160)
+VECTOR_BUDGET = 2 ** 20
+ELEMENT_BUDGET = 20160
+
+
 def alt_group(n: int) -> PermGroup:
     return PermGroup(n, standard_generators(GroupSpec("A", n)))
 
 
-def check_Ip_structure(n: int, p: int, vector_budget: int = 2 ** 20) -> IpReport:
+def check_Ip_structure(n: int, p: int) -> IpReport:
     """Exhaustively verify the submodule structure of I_p under Alt(n).
 
     p | n: every vector outside I_p must spin to all of V (so I_p is the
@@ -232,7 +233,7 @@ def check_Ip_structure(n: int, p: int, vector_budget: int = 2 ** 20) -> IpReport
     # the budget depends on (n, p) alone, so it is checked before any
     # group or matrix of degree n is built; I_p has dimension n - 1
     total = p ** n - p ** (n - 1) if divides else p ** (n - 1) - 1
-    if total > vector_budget:
+    if total > VECTOR_BUDGET:
         return IpReport(n, p, n - 1, divides, "unverified", 0)
     mod = FpModule.natural(alt_group(n), p)
     ip = aug_submodule(mod)
@@ -286,7 +287,7 @@ class CohomReport:
         return asdict(self)
 
 
-def cocycle_dims(g: PermGroup, m: FpModule, element_budget: int = 20160) -> CohomReport:
+def cocycle_dims(g: PermGroup, m: FpModule) -> CohomReport:
     """Dimensions of Z^1, B^1 and H^1 = Z^1/B^1 for the module m.
 
     Each group element reached by the breadth-first walk carries the
@@ -296,7 +297,7 @@ def cocycle_dims(g: PermGroup, m: FpModule, element_budget: int = 20160) -> Coho
     derivation law delta(gh) = delta(g)h + delta(h) holds identically on
     the solution space.
     """
-    system = _cocycle_system(g, m, element_budget)
+    system = _cocycle_system(g, m)
     k = m.dim
     ngens = len(g.generators)
     dim_z1 = ngens * k - system.constraints.dim
@@ -321,7 +322,7 @@ class _CocycleSystem:
 _EDGE_BLOCK = 256
 
 
-def _cocycle_system(g: PermGroup, mod: FpModule, element_budget: int) -> _CocycleSystem:
+def _cocycle_system(g: PermGroup, mod: FpModule) -> _CocycleSystem:
     if len(mod.mats) != len(g.generators):
         raise ValueError("module action does not match the group's generators")
     k = mod.dim
@@ -330,7 +331,7 @@ def _cocycle_system(g: PermGroup, mod: FpModule, element_budget: int) -> _Cocycl
     # below p, plus one, must fit in int64
     if p > 2 ** 31 or k * (p - 1) ** 2 + 1 >= 2 ** 63:
         raise ValueError(f"p = {p} is too large for a {k}-dimensional cocycle system")
-    _, edges, tree = cayley_walk(g.degree, g.generators, element_budget)
+    _, edges, tree = cayley_walk(g.degree, g.generators, ELEMENT_BUDGET)
     ngens = len(g.generators)
     count = len(edges)
     mats = np.array(mod.mats, dtype=np.int64).reshape(ngens, k, k)

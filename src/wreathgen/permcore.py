@@ -176,9 +176,6 @@ class Permutation:
     def order(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles()))
 
-    def moved_points(self) -> list[int]:
-        return [x for x in range(self.degree) if self.raw[x] != x]
-
     def __eq__(self, other) -> bool:
         # padded identities of different degrees share their stored form
         return (isinstance(other, Permutation) and self.degree == other.degree
@@ -269,10 +266,6 @@ class Bsgs:
     def base(self) -> tuple[int, ...]:
         return tuple(lv.point for lv in self._levels)
 
-    @property
-    def strong_generators(self) -> list[Permutation]:
-        return [Permutation._wrap(self.degree, g) for g in self._strong]
-
     def order(self) -> int:
         n = 1
         for lv in self._levels:
@@ -303,10 +296,6 @@ class Bsgs:
         self._insert(r, 0, lvl)
         self._run()
         return True
-
-    def transversal(self, i: int) -> dict[int, Permutation]:
-        lv = self._levels[i]
-        return {pt: Permutation._wrap(self.degree, u) for pt, u in lv.orbit.items()}
 
     def fork(self) -> "Bsgs":
         """Independent copy sharing immutable element data."""
@@ -441,7 +430,6 @@ class PermGroup:
         self.degree = degree
         self.generators = generators
         self._bsgs: Bsgs | None = None
-        self._derived: PermGroup | None = None
 
     @classmethod
     def from_cycles(cls, degree: int, *cycle_texts: str) -> "PermGroup":
@@ -462,9 +450,6 @@ class PermGroup:
         gens = self.generators
         return all(gens[i] * gens[j] == gens[j] * gens[i]
                    for i in range(len(gens)) for j in range(i + 1, len(gens)))
-
-    def prime_divisors(self) -> list[int]:
-        return sorted(self.bsgs().order_factored())
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
@@ -506,18 +491,8 @@ def cayley_walk(degree: int, gens, limit: int | None = None):
     return [Permutation._wrap(degree, e) for e in order], edges, tree
 
 
-def enumerate_elements(g: PermGroup, limit: int | None = None) -> list[Permutation]:
-    """All elements by breadth-first closure, identity first.
-
-    Raises BudgetExceeded if more than `limit` elements appear.
-    """
-    return cayley_walk(g.degree, g.generators, limit)[0]
-
-
 def derived_subgroup(g: PermGroup) -> PermGroup:
     """Normal closure of the generator commutators, as a PermGroup."""
-    if g._derived is not None:
-        return g._derived
     chain = Bsgs(g.degree)
     closure_gens: list[Permutation] = []
     queue = deque()
@@ -529,14 +504,11 @@ def derived_subgroup(g: PermGroup) -> PermGroup:
                 queue.append(c)
     while queue:
         c = queue.popleft()
-        if chain.contains(c):
-            continue
-        chain.extend(c)
-        closure_gens.append(c)
-        queue.extend(c.conj(s) for s in gens)
+        if chain.extend(c):
+            closure_gens.append(c)
+            queue.extend(c.conj(s) for s in gens)
     d = PermGroup(g.degree, closure_gens)
     d._bsgs = chain
-    g._derived = d
     return d
 
 

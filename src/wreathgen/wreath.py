@@ -23,7 +23,6 @@ from .permcore import (
     PermGroup,
     Permutation,
     bsgs_build,
-    format_cycles,
 )
 
 
@@ -185,45 +184,9 @@ def standard_generators(spec: GroupSpec) -> list[Permutation]:
 # tree automorphisms
 
 
-@dataclass(frozen=True)
-class TreeAutomorphism:
-    """A leaf permutation that belongs to a tower's wreath product."""
-
-    tower: TowerSpec
-    perm: Permutation
-
-    def __mul__(self, other: "TreeAutomorphism") -> "TreeAutomorphism":
-        if other.tower != self.tower:
-            raise ValueError("cannot compose automorphisms of different towers")
-        return TreeAutomorphism(self.tower, self.perm * other.perm)
-
-    def __pow__(self, k: int) -> "TreeAutomorphism":
-        return TreeAutomorphism(self.tower, self.perm ** k)
-
-    def order(self) -> int:
-        return self.perm.order()
-
-    def project(self, level: int) -> Permutation:
-        """Induced permutation of the level's vertices (0-based indices)."""
-        if not 1 <= level <= self.tower.k:
-            raise ValueError("level out of range")
-        stride = self.tower.strides()[level - 1]
-        count = self.tower.leaf_count() // stride
-        images = []
-        for v in range(count):
-            start = v * stride
-            target = self.perm(start) // stride
-            if any(self.perm(start + off) // stride != target for off in range(1, stride)):
-                raise ValueError("permutation does not preserve level blocks")
-            images.append(target)
-        return Permutation(images)
-
-    def to_json(self) -> dict:
-        return {"degree": self.perm.degree, "cycles": format_cycles(self.perm)}
-
-
-def apply_at_vertex(t: TowerSpec, vertex: tuple[int, ...], sigma: Permutation) -> TreeAutomorphism:
-    """Permute the child subtrees of `vertex` rigidly by sigma.
+def apply_at_vertex(t: TowerSpec, vertex: tuple[int, ...], sigma: Permutation) -> Permutation:
+    """The leaf permutation that moves the child subtrees of `vertex`
+    rigidly by sigma.
 
     `vertex` is a 1-based address of length i-1 (the empty tuple is the
     root); sigma must have degree n_i.  Leaves outside the vertex's
@@ -243,10 +206,10 @@ def apply_at_vertex(t: TowerSpec, vertex: tuple[int, ...], sigma: Permutation) -
         dst = start + sigma(child) * block
         for off in range(block):
             images[src + off] = dst + off
-    return TreeAutomorphism(t, Permutation(images))
+    return Permutation(images)
 
 
-def tower_generators(t: TowerSpec) -> list[TreeAutomorphism]:
+def tower_generators(t: TowerSpec) -> list[Permutation]:
     """One copy of each level's standard generators, applied at the
     leftmost vertex (1, .., 1) of the level above; conjugation under the
     transitive upper levels reaches every other copy."""
@@ -264,7 +227,7 @@ def tower_group(t: TowerSpec) -> PermGroup:
     The chain order is compared against the closed-form product, so the
     construction is certified rather than assumed.
     """
-    g = PermGroup(t.leaf_count(), [a.perm for a in tower_generators(t)])
+    g = PermGroup(t.leaf_count(), tower_generators(t))
     if g.order() != t.order():
         raise ConsistencyError(
             f"tower group order {g.order()} != expected {t.order()}")
@@ -280,7 +243,7 @@ def example_tower(n: int) -> TowerSpec:
                       GroupSpec("C", 2), GroupSpec("C", 2)))
 
 
-def example_generators(n: int) -> tuple[TreeAutomorphism, TreeAutomorphism]:
+def example_generators(n: int) -> tuple[Permutation, Permutation]:
     """The explicit pair (x, y) generating the A_n;C3;C2;C2 tower, n odd >= 5.
 
     x applies (1 2) at vertex (1,1), then (1 2 3) at vertex (5,), then

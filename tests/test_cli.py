@@ -144,6 +144,16 @@ def test_cohom_over_budget_exits_3(capsys):
     assert doc == {"error": "group enumeration exceeds budget 20160"}
 
 
+def test_cohom_over_budget_builds_nothing(capsys, monkeypatch):
+    def refuse(spec):
+        raise AssertionError("generators built for a group over the budget")
+
+    monkeypatch.setattr(cli, "standard_generators", refuse)
+    code, doc = run(capsys, "cohom", "--group", "A260", "--p", "2")
+    assert code == 3
+    assert doc == {"error": "group enumeration exceeds budget 20160"}
+
+
 @pytest.mark.parametrize("group,p", [
     ("A5", "2147483659"),  # a prime above 2^31: no int32 coefficient store
     ("A7", "2147483647"),  # 6 (p - 1)^2 + 1 overflows the int64 sums

@@ -1,8 +1,9 @@
 """The package's public names: `__all__` and what the package binds agree,
-and no module imports a name it does not use."""
+no module imports a name it does not use, and every definition is read."""
 
 import ast
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -51,3 +52,72 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_import_is_used_or_exported(path):
     assert unused_imports(path.read_text()) == set()
+
+
+PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+
+# read only by tests, which build most of their groups from cycle text;
+# moving it into the tests would repeat it, not remove it
+TEST_CONSTRUCTORS = {"from_cycles"}
+
+
+def _reads(node) -> list[str]:
+    """Names an AST reads: variables, attributes, and strings that are
+    identifiers (the benchmark's tracer looks functions up by name)."""
+    out = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.append(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.append(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            out.append(n.value)
+    return out
+
+
+def unread_definitions(sources: list[str], readers: list[str] = ()) -> set[str]:
+    """Functions, classes and methods defined in `sources` that no code in
+    `sources` or `readers` reads outside their own definition, and that no
+    `__all__` lists.  Dunder methods are called by Python itself."""
+    trees = [ast.parse(text) for text in sources]
+    reads = Counter()
+    exported: set[str] = set()
+    for tree in trees + [ast.parse(text) for text in readers]:
+        reads.update(_reads(tree))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in n.targets):
+                exported.update(ast.literal_eval(n.value))
+    unread = set()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if not isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = n.name
+            if name.startswith("__") and name.endswith("__") or name in exported:
+                continue
+            own = sum(r == name for r in _reads(n))
+            if reads[name] == own:
+                unread.add(name)
+    return unread
+
+
+def test_unread_definitions_are_found():
+    src = ("def used(): pass\n"
+           "def recursive(n): return recursive(n - 1)\n"
+           "class K:\n"
+           "    def method(self): return self.helper()\n"
+           "    def helper(self): pass\n"
+           "    def __len__(self): return 0\n"
+           "def exported(): pass\n"
+           "def by_name(): pass\n"
+           "__all__ = ['exported']\n"
+           "used()\n")
+    assert unread_definitions([src], ["getattr(m, 'by_name')\nm.K\n"]) == {
+        "recursive", "method"}
+
+
+def test_every_definition_is_read_or_exported():
+    sources = [p.read_text() for p in SOURCES]
+    readers = [p.read_text() for p in PERFBENCH]
+    assert unread_definitions(sources, readers) == TEST_CONSTRUCTORS

@@ -195,7 +195,7 @@ def test_Ip_irreducible_when_p_prime_to_n(n, p, checked):
 
 
 def test_Ip_budget_reports_unverified():
-    r = check_Ip_structure(25, 2, vector_budget=1000)
+    r = check_Ip_structure(25, 2)  # 2^24 - 1 vectors to spin
     assert r.status == "unverified"
     assert r.unique_maximal is None and r.irreducible is None
 
@@ -212,9 +212,10 @@ def _c3():
 
 
 def test_cocycles_cyclic_trivial_module():
-    rep = cocycle_dims(_c3(), FpModule.trivial(_c3(), 3))
+    ones = np.ones((1, 1), dtype=np.int64)
+    rep = cocycle_dims(_c3(), FpModule(3, 1, [ones]))
     assert (rep.dim_Z1, rep.dim_B1, rep.dim_H1) == (1, 0, 1)
-    rep = cocycle_dims(_c3(), FpModule.trivial(_c3(), 2))
+    rep = cocycle_dims(_c3(), FpModule(2, 1, [ones]))
     assert (rep.dim_Z1, rep.dim_B1, rep.dim_H1) == (0, 0, 0)
 
 
@@ -247,7 +248,7 @@ def test_inner_derivations_satisfy_the_constraints():
     mod = FpModule.natural(g, p)
     ip = aug_submodule(mod)
     restricted = mod.restricted(ip)
-    system = _cocycle_system(g, restricted, 20160)
+    system = _cocycle_system(g, restricted)
     rng = np.random.default_rng(17)
     eye = np.eye(restricted.dim, dtype=np.int64)
     for _ in range(10):
@@ -262,20 +263,21 @@ def test_cocycle_system_does_not_depend_on_the_edge_block(monkeypatch, n, p):
     g = alt_group(n)
     mod = FpModule.natural(g, p)
     restricted = mod.restricted(aug_submodule(mod))
-    whole = _cocycle_system(g, restricted, 20160)
+    whole = _cocycle_system(g, restricted)
     dims = cocycle_dims(g, restricted).to_json()
     monkeypatch.setattr(modfp, "_EDGE_BLOCK", 1)
-    single = _cocycle_system(g, restricted, 20160)
+    single = _cocycle_system(g, restricted)
     assert single.constraints.pivots == whole.constraints.pivots
     assert (single.constraints.matrix() == whole.constraints.matrix()).all()
     assert cocycle_dims(g, restricted).to_json() == dims
 
 
-def test_cocycle_budget():
+def test_cocycle_budget(monkeypatch):
     g = alt_group(7)
     mod = FpModule.natural(g, 2)
-    with pytest.raises(BudgetExceeded):
-        cocycle_dims(g, mod.restricted(aug_submodule(mod)), element_budget=100)
+    monkeypatch.setattr(modfp, "ELEMENT_BUDGET", 100)
+    with pytest.raises(BudgetExceeded, match="exceeds budget 100"):
+        cocycle_dims(g, mod.restricted(aug_submodule(mod)))
 
 
 def test_cocycle_refuses_a_p_too_large_for_int64():
@@ -296,7 +298,7 @@ def test_cocycle_requires_matching_generators():
     g = alt_group(5)
     other = FpModule.natural(alt_group(4), 2)
     with pytest.raises(ValueError):
-        _cocycle_system(g, FpModule(2, 4, other.mats[:1]), 20160)
+        _cocycle_system(g, FpModule(2, 4, other.mats[:1]))
 
 
 # --- the s and h parameters --------------------------------------------------

@@ -22,7 +22,6 @@ from wreathgen.permcore import (
     bsgs_build,
     cayley_walk,
     derived_subgroup,
-    enumerate_elements,
     format_cycles,
     parse_cycles,
     prime_factorization,
@@ -134,27 +133,27 @@ V4 = PermGroup.from_cycles(4, "(1 2)(3 4)", "(1 3)(2 4)")
 )
 def test_bsgs_order_matches_enumeration(group, order):
     assert group.order() == order
-    assert len(enumerate_elements(group, limit=order)) == order
+    assert len(cayley_walk(group.degree, group.generators, order)[0]) == order
 
 
 def test_bsgs_order_s7():
     s7 = PermGroup.from_cycles(7, "(1 2)", "(1 2 3 4 5 6 7)")
     assert s7.order() == 5040
-    assert len(enumerate_elements(s7, limit=5040)) == 5040
+    assert len(cayley_walk(7, s7.generators, 5040)[0]) == 5040
 
 
 def test_bsgs_deterministic_base():
     b1 = bsgs_build(A5)
     b2 = bsgs_build(A5)
     assert b1.base == b2.base
-    assert [g.images for g in b1.strong_generators] == [g.images for g in b2.strong_generators]
-    assert b1.base[0] == min(A5.generators[0].moved_points() + A5.generators[1].moved_points())
+    assert b1._strong == b2._strong
+    assert b1.base[0] == min(x for g in A5.generators for x in range(5) if g(x) != x)
 
 
 def test_membership_closed_under_products():
     rng = random.Random(7)
     chain = S6.bsgs()
-    elems = enumerate_elements(S6)
+    elems = cayley_walk(6, S6.generators)[0]
     for _ in range(200):
         x, y = rng.choice(elems), rng.choice(elems)
         assert chain.contains(x) and chain.contains(y)
@@ -173,15 +172,16 @@ def test_membership_rejects_non_elements():
 def test_strong_generators_are_members():
     for group in (A5, S6, C12):
         chain = group.bsgs()
-        for s in chain.strong_generators:
-            assert chain.contains(s)
+        for s in chain._strong:
+            assert chain.contains(Permutation(s[:chain.degree]))
 
 
 def test_transversal_maps_base_to_point():
     chain = A5.bsgs()
-    b = chain.base[0]
-    for pt, u in chain.transversal(0).items():
-        assert u(b) == pt
+    for i, level in enumerate(chain._levels):
+        for pt, u in level.orbit.items():
+            assert u[level.point] == pt
+            assert all(u[b] == b for b in chain.base[:i])
 
 
 def test_extend_and_fork():
@@ -213,7 +213,7 @@ def test_chain_agrees_with_enumeration(case, rng):
     n, m, gens, probes = case
     pad = tuple(range(m, n))
     # the oracle enumerates the group at degree m, on its moved points only
-    members = {e.images for e in enumerate_elements(PermGroup(m, map(Permutation, gens)))}
+    members = {e.images for e in cayley_walk(m, map(Permutation, gens))[0]}
     chain = PermGroup(n, [Permutation(g + pad) for g in gens]).bsgs()
     assert chain.order() == len(members)
     for images in rng.sample(sorted(members), min(len(members), 20)):
@@ -297,7 +297,7 @@ def test_derived_subgroup_orders(group, dorder):
 def test_derived_subgroup_is_normal():
     d = derived_subgroup(S4)
     chain = d.bsgs()
-    for elem in enumerate_elements(S4):
+    for elem in cayley_walk(4, S4.generators)[0]:
         for gen in d.generators:
             assert chain.contains(gen.conj(elem))
 
@@ -332,4 +332,4 @@ def test_abelian_p_ranks_batch():
 
 def test_enumerate_respects_limit():
     with pytest.raises(BudgetExceeded, match="exceeds budget 59"):
-        enumerate_elements(A5, limit=59)
+        cayley_walk(5, A5.generators, 59)
