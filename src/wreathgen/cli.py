@@ -12,13 +12,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .formula import counting_profile, d_corollary, d_tower
 from .modfp import (
     ELEMENT_BUDGET,
+    EQUATION_BUDGET,
     FpModule,
     aug_submodule,
     check_Ip_structure,
+    cocycle_bytes,
     cocycle_dims,
     h_param,
     s_param,
@@ -140,7 +143,14 @@ def _cmd_cohom(args) -> int:
     if spec.order() > ELEMENT_BUDGET:  # refused before its generators are built
         _emit({"error": f"group enumeration exceeds budget {ELEMENT_BUDGET}"}, args.out)
         return EXIT_BUDGET
-    g = PermGroup(spec.n, standard_generators(spec))
+    gens = standard_generators(spec)
+    # and before any module of degree n is built; I_p has dimension n - 1
+    need = cocycle_bytes(spec.order(), len(gens), spec.n - 1)
+    if need > EQUATION_BUDGET:
+        _emit({"error": f"cocycle equations need {need} bytes, over the budget "
+                        f"of {EQUATION_BUDGET}"}, args.out)
+        return EXIT_BUDGET
+    g = PermGroup(spec.n, gens)
     mod = FpModule.natural(g, args.p)
     ip = aug_submodule(mod)
     try:
@@ -180,7 +190,10 @@ def _cmd_example(args) -> int:
     return EXIT_OK if doc["generates"] in (None, True) else EXIT_MISMATCH
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    a run of many in-process calls pays for it once."""
     ap = argparse.ArgumentParser(
         prog="wreathgen",
         description="Minimal generator counts of iterated wreath products.")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .permcore import prime_factorization
 from .wreath import GroupSpec, TowerSpec
 
 
@@ -41,17 +40,26 @@ class AbelianProfile:
         return {str(p): r for p, r in self.ranks.items()}
 
 
+def _levels_from(t: TowerSpec, from_level: int) -> tuple[GroupSpec, ...]:
+    """Levels from_level..k; from_level = k+1 names the empty sub-tower."""
+    if not 1 <= from_level <= t.k + 1:
+        raise ValueError("from_level out of range")
+    return t.levels[from_level - 1:]
+
+
 def abelianization(t: TowerSpec, from_level: int = 1) -> AbelianProfile:
     """p-ranks of the abelianization of the sub-tower from the given level.
 
-    Each level contributes independently: Alt n (n >= 5) nothing, Alt 4
-    one Z_3, Sym n (n >= 3) one Z_2, Cyc n one Z_p per prime p | n; so
-    d_p = c_p, plus s for p = 2 and a_4 for p = 3, over those levels.
+    (B wr G)^ab = B^ab x G^ab, so each level contributes its own
+    abelianization, one Z_p for each p in `GroupSpec.abelian_primes`; in
+    the counts, d_p = c_p, plus s for p = 2 and a_4 for p = 3.
     from_level = k+1 names the trivial group.
     """
-    prof = counting_profile(t, from_level)
-    return AbelianProfile(
-        {**prof.c, 2: prof.c_p(2) + prof.s, 3: prof.c_p(3) + prof.a4})
+    ranks: dict[int, int] = {}
+    for g in _levels_from(t, from_level):
+        for p in g.abelian_primes:
+            ranks[p] = ranks.get(p, 0) + 1
+    return AbelianProfile(ranks)
 
 
 def d_abelian_wreath(a: AbelianProfile, g1: GroupSpec) -> int:
@@ -106,17 +114,15 @@ class CountingProfile:
 def counting_profile(t: TowerSpec, from_level: int = 1) -> CountingProfile:
     """Level counts of the sub-tower from the given level; from_level =
     k+1 names the empty sub-tower."""
-    if not 1 <= from_level <= t.k + 1:
-        raise ValueError("from_level out of range")
     a4 = s = 0
     c: dict[int, int] = {}
-    for g in t.levels[from_level - 1:]:
+    for g in _levels_from(t, from_level):
         if g.kind == "A" and g.n == 4:
             a4 += 1
         elif g.kind == "S":
             s += 1
         elif g.kind == "C":
-            for p in prime_factorization(g.n):
+            for p in g.abelian_primes:
                 c[p] = c.get(p, 0) + 1
     return CountingProfile(a4, s, c)
 

@@ -211,6 +211,12 @@ class IpReport:
 # walk enumerates at most this many group elements (|A8| = 20160)
 VECTOR_BUDGET = 2 ** 20
 ELEMENT_BUDGET = 20160
+# bytes of the arrays cocycle_dims may build (see cocycle_bytes).  A8 needs
+# 8.1 MB.  The largest cyclic group admitted is C37, whose 36-dimensional
+# I_p needs 16.3 MB: `cohom --group C37 --p 2` took 7.3 s and peaked at
+# 81 MB on a 2-core host, almost all of it eliminating the commutation
+# equations, whose cost grows as k^6
+EQUATION_BUDGET = 2 ** 24
 
 
 def alt_group(n: int) -> PermGroup:
@@ -309,6 +315,15 @@ def cocycle_dims(g: PermGroup, m: FpModule) -> CohomReport:
     end = endomorphism_dim(m)
     return CohomReport(m.p, k, system.count, dim_z1, dim_b1, dim_h1,
                        fixed, end, k if end == 1 else None)
+
+
+def cocycle_bytes(order: int, ngens: int, k: int) -> int:
+    """Bytes of the arrays cocycle_dims builds for a k-dimensional module of
+    a group of this order with ngens generators: the walk's int32
+    coefficient store, one block of int64 constraint rows, and the int64
+    commutation equations of endomorphism_dim, k^4 entries per generator.
+    Temporaries take a small multiple of this."""
+    return 4 * order * ngens * k * k + 8 * _EDGE_BLOCK * k * ngens * k + 8 * ngens * k ** 4
 
 
 @dataclass

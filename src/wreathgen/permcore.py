@@ -11,7 +11,7 @@ import math
 import re
 from collections import deque
 from itertools import repeat
-from operator import itemgetter
+from operator import itemgetter, ne
 
 
 class ParseError(ValueError):
@@ -56,10 +56,11 @@ def prime_factorization(n: int) -> dict[int, int]:
 # with fixed points, so that composing is bytes.translate and inverting is
 # bytes.maketrans; above 255, the tuple of images, composed by one
 # itemgetter over the left factor's images.  Both compositions run at C
-# speed.  _pack, _compose, _composer and _invert are the only code that
-# knows this format.
+# speed.  _pack, _compose, _composer, _invert and _first_moved are the
+# only code that knows this format.
 
 _IDENT256 = bytes(range(256))
+_IDENT256_INT = int.from_bytes(_IDENT256, "big")
 
 
 def _pack(images):
@@ -83,6 +84,16 @@ def _compose(a, b):
 def _composer(degree: int):
     """_compose without the type test, for loops that stay at one degree."""
     return bytes.translate if degree <= 255 else _compose_tuples
+
+
+def _first_moved(a) -> int:
+    """Least point a stored form moves; a is not the identity."""
+    if type(a) is bytes:
+        # read big-endian, a XOR identity has its highest set bit in the
+        # first byte where they differ
+        diff = int.from_bytes(a, "big") ^ _IDENT256_INT
+        return 255 - (diff.bit_length() - 1) // 8
+    return list(map(ne, a, range(len(a)))).index(True)
 
 
 def _invert(a):
@@ -258,6 +269,9 @@ class Bsgs:
         self._ident = Permutation.identity(degree).raw
         self._compose = _composer(degree)
         self._levels: list[_Level] = []
+        # (level, base point, inverse transversal) of each level, the part
+        # of the chain a sift reads; kept in step with _levels by _insert
+        self._sifts: list[tuple[int, int, dict]] = []
         self._strong: list = []  # raw, insertion order
 
     # -- public api ---------------------------------------------------------
@@ -312,6 +326,7 @@ class Bsgs:
             c.inv = dict(lv.inv)
             c.pending = deque(lv.pending)
             other._levels.append(c)
+        other._sifts = [(m, lv.point, lv.inv) for m, lv in enumerate(other._levels)]
         return other
 
     # -- internals ----------------------------------------------------------
@@ -325,11 +340,11 @@ class Bsgs:
         through the levels below its own in a loop of its own.
         """
         compose = self._compose
-        for i, lv in enumerate(self._levels):
-            pt = g[lv.point]
-            if pt == lv.point:
+        for i, point, inv in self._sifts:
+            pt = g[point]
+            if pt == point:
                 continue
-            ui = lv.inv.get(pt)
+            ui = inv.get(pt)
             if ui is None:
                 return g, i
             g = compose(g, ui)
@@ -342,8 +357,9 @@ class Bsgs:
         # generator for every level lo..hi, creating a level when g fixes
         # the whole current base.
         if hi == len(self._levels):
-            moved = min(x for x in range(self.degree) if g[x] != x)
-            self._levels.append(_Level(moved, self._ident))
+            lv = _Level(_first_moved(g), self._ident)
+            self._levels.append(lv)
+            self._sifts.append((hi, lv.point, lv.inv))
         self._strong.append(g)
         for m in range(lo, hi + 1):
             lv = self._levels[m]
@@ -371,8 +387,7 @@ class Bsgs:
         if not pending:
             return None
         # the levels below only change through an insertion, which returns
-        below = [(m, low.point, low.inv)
-                 for m, low in enumerate(self._levels[i + 1:], i + 1)]
+        below = self._sifts[i + 1:]
         top = len(self._levels)
         compose = self._compose
         ident = self._ident

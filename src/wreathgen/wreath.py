@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .permcore import (
     ConsistencyError,
@@ -23,6 +23,7 @@ from .permcore import (
     PermGroup,
     Permutation,
     bsgs_build,
+    prime_factorization,
 )
 
 
@@ -31,6 +32,7 @@ class TrivialLevelError(ValueError):
 
 
 _GROUP_RE = re.compile(r"^([ASC])([0-9]+)$")
+_TOWER_RE = re.compile(r"^[ASC0-9;]+$")
 
 _MIN_N = {"A": 3, "S": 2, "C": 2}
 
@@ -56,6 +58,19 @@ class GroupSpec:
         if self.kind == "S" and self.n == 2:
             return GroupSpec("C", 2)
         return self
+
+    @cached_property
+    def abelian_primes(self) -> tuple[int, ...]:
+        """The primes p, ascending, at which this level's abelianization has
+        its one Z_p factor: 3 for Alt 4, 2 for Sym n (n >= 3), each prime
+        dividing n for Cyc n, none for Alt n (n >= 5).  Worked out once per
+        spec, so a tower reads it from its shared level objects."""
+        g = self.normalized()
+        if g.kind == "C":
+            return tuple(prime_factorization(g.n))
+        if g.kind == "S":
+            return (2,)
+        return (3,) if g.n == 4 else ()
 
     def order(self) -> int:
         if self.kind == "A":
@@ -87,7 +102,7 @@ class TowerSpec:
     def __post_init__(self):
         if not self.levels:
             raise ValueError("a tower needs at least one level")
-        object.__setattr__(self, "levels", tuple(g.normalized() for g in self.levels))
+        object.__setattr__(self, "levels", tuple(map(GroupSpec.normalized, self.levels)))
 
     @property
     def k(self) -> int:
@@ -122,13 +137,22 @@ class TowerSpec:
         return ";".join(g.token() for g in self.levels)
 
 
+# towers share few distinct level tokens, so each token is parsed and
+# normalized once, and its level object carries its facts to every tower
+# that names it; the bound keeps a run over distinct tokens from growing
+# the cache without limit
+@lru_cache(maxsize=1024)
+def _level(token: str) -> GroupSpec:
+    return parse_group(token).normalized()
+
+
 def parse_tower(text: str) -> TowerSpec:
-    if not re.match(r"^[ASC0-9;]+$", text):
+    if not _TOWER_RE.match(text):
         raise ParseError(f"bad tower text {text!r}")
     parts = text.split(";")
-    if any(not p for p in parts):
+    if "" in parts:
         raise ParseError(f"empty level in tower text {text!r}")
-    return TowerSpec(tuple(parse_group(p) for p in parts))
+    return TowerSpec(tuple(map(_level, parts)))
 
 
 def leaf_index(t: TowerSpec, address: tuple[int, ...]) -> int:
@@ -162,8 +186,10 @@ def _standard_generators(kind: str, n: int) -> tuple[Permutation, ...]:
         else:
             big = [0] + list(range(2, n)) + [1]  # (2 3 .. n)
         gens = (Permutation(three), Permutation(big))
-    chain = bsgs_build(PermGroup(n, gens))
-    if chain.order() != GroupSpec(kind, n).order():
+    # one generator generates a cyclic group of its own order, which costs
+    # no chain: a chain of C_n holds 2n permutations of degree n
+    order = gens[0].order() if len(gens) == 1 else bsgs_build(PermGroup(n, gens)).order()
+    if order != GroupSpec(kind, n).order():
         raise ConsistencyError(f"standard generators of {kind}{n} have wrong order")
     return gens
 

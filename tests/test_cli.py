@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from wreathgen import cli, modfp
@@ -152,6 +153,45 @@ def test_cohom_over_budget_builds_nothing(capsys, monkeypatch):
     code, doc = run(capsys, "cohom", "--group", "A260", "--p", "2")
     assert code == 3
     assert doc == {"error": "group enumeration exceeds budget 20160"}
+
+
+def test_cohom_over_the_equation_budget_allocates_nothing(capsys, monkeypatch):
+    # C250 passes the element budget, but endomorphism_dim alone would
+    # allocate k^4 * 8 bytes for k = 249, about 28.6 GiB
+    def refuse(*args):
+        raise AssertionError("module arrays built for a group over the budget")
+
+    monkeypatch.setattr(modfp, "perm_matrix", refuse)
+    monkeypatch.setattr(modfp, "_cocycle_system", refuse)
+    monkeypatch.setattr(modfp, "endomorphism_dim", refuse)
+    code, doc = run(capsys, "cohom", "--group", "C250", "--p", "2")
+    assert code == 3
+    need = modfp.cocycle_bytes(250, 1, 249)
+    assert need > 28 * 2 ** 30
+    assert doc == {"error": f"cocycle equations need {need} bytes, over the budget "
+                            f"of {modfp.EQUATION_BUDGET}"}
+
+
+def test_equation_budget_admits_a8_and_c37_and_refuses_c38():
+    assert modfp.cocycle_bytes(20160, 2, 7) <= modfp.EQUATION_BUDGET
+    assert modfp.cocycle_bytes(37, 1, 36) <= modfp.EQUATION_BUDGET
+    assert modfp.cocycle_bytes(38, 1, 37) > modfp.EQUATION_BUDGET
+
+
+@pytest.mark.parametrize("group,p", [("A5", "3"), ("S4", "2"), ("C20", "3"), ("C21", "5")])
+def test_cocycle_bytes_bounds_every_equation_stack(capsys, monkeypatch, group, p):
+    spans = []
+    span = modfp.RowSpace.span.__func__
+
+    def recorded(cls, matrix, q):
+        spans.append(np.asarray(matrix).nbytes)
+        return span(cls, matrix, q)
+
+    monkeypatch.setattr(modfp.RowSpace, "span", classmethod(recorded))
+    code, doc = run(capsys, "cohom", "--group", group, "--p", p)
+    assert code == 0
+    ngens = 1 if group[0] == "C" else 2
+    assert max(spans) <= modfp.cocycle_bytes(int(doc["group_order"]), ngens, doc["dim"])
 
 
 @pytest.mark.parametrize("group,p", [

@@ -11,7 +11,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import formula_reference as ref
+from wreathgen import wreath
 from wreathgen.formula import (
     AbelianProfile,
     CyclicTopError,
@@ -21,7 +24,7 @@ from wreathgen.formula import (
     d_corollary,
     d_tower,
 )
-from wreathgen.wreath import GroupSpec, parse_tower
+from wreathgen.wreath import GroupSpec, TowerSpec, TrivialLevelError, parse_tower
 
 
 def test_abelian_profile_basics():
@@ -143,3 +146,89 @@ def test_monotonicity_in_tail():
         t = parse_tower(";".join(levels))
         t_ext = parse_tower(";".join(levels + [rng.choice(_POOL)]))
         assert d_tower(t_ext).d >= d_tower(t).d
+
+
+# --- the stored per-token facts against the plain reference ------------------
+
+# degrees with several primes, prime powers, and large primes, next to the
+# small ones the pool uses; n <= 2 makes trivial A and S levels
+_DEGREES = st.one_of(
+    st.integers(1, 12),
+    st.sampled_from([30, 210, 2310, 30030, 64, 81, 1024, 9973, 10007 * 10009,
+                     2 ** 31 - 1, 2 ** 5 * 3 ** 4 * 7]),
+    st.integers(13, 10 ** 6),
+)
+_TOKENS = st.one_of(
+    st.tuples(st.sampled_from("ASC"), _DEGREES).map(lambda kn: f"{kn[0]}{kn[1]}"),
+    st.sampled_from(["A3", "S2", "A03", "C007", "C", "3C", "CC2", "X2", "c2", "S-3",
+                     "C 2", ""]),
+)
+
+
+def _outcome(fn, *args):
+    """The value, or the type and message of the error."""
+    try:
+        return "value", fn(*args)
+    except Exception as e:  # every error must match, type and message
+        return type(e), str(e)
+
+
+def _profile_tuple(prof):
+    return prof.a4, prof.s, prof.c
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_TOKENS, min_size=1, max_size=6))
+def test_stored_facts_agree_with_the_plain_reference(tokens):
+    text = ";".join(tokens)
+    got = _outcome(parse_tower, text)
+    assert got == _outcome(ref.parse_tower, text)
+    if got[0] != "value":
+        return
+    t = got[1]
+    res = d_tower(t)
+    assert (res.d, res.case, res.abelianization.ranks) == ref.d_tower(t)
+    assert _outcome(d_corollary, t) == _outcome(ref.d_corollary, t)
+    for i in range(0, t.k + 3):
+        prof = _outcome(counting_profile, t, i)
+        if prof[0] == "value":
+            prof = "value", _profile_tuple(prof[1])
+        assert prof == _outcome(ref.counting_profile, t, i)
+        ab = _outcome(abelianization, t, i)
+        if ab[0] == "value":
+            ab = "value", ab[1].ranks
+        assert ab == _outcome(ref.abelianization, t, i)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("ASC"), _DEGREES), min_size=1, max_size=5))
+def test_towers_built_from_specs_read_the_same_facts(levels):
+    # specs built directly, not through the token cache, some unnormalized
+    specs = []
+    for kind, n in levels:
+        try:
+            specs.append(GroupSpec(kind, n))
+        except TrivialLevelError:
+            continue
+    if not specs:
+        return
+    t = TowerSpec(tuple(specs))
+    res = d_tower(t)
+    assert (res.d, res.case, res.abelianization.ranks) == ref.d_tower(t)
+    assert _outcome(d_corollary, t) == _outcome(ref.d_corollary, t)
+    assert _profile_tuple(counting_profile(t)) == ref.counting_profile(t)
+    assert abelianization(t).ranks == ref.abelianization(t)
+
+
+def test_the_token_cache_stays_within_its_bound():
+    bound = wreath._level.cache_info().maxsize
+    assert bound is not None
+    for n in range(2, 2 * bound + 2):  # twice as many distinct tokens
+        parse_tower(f"S3;C{n}")
+    info = wreath._level.cache_info()
+    assert info.currsize <= bound
+    # the towers of the formula sweep name ten tokens, which stay cached
+    parse_tower("A4;A5;S3;S4;S5;C2;C3;C4;C5;C6")
+    hits = wreath._level.cache_info().hits
+    parse_tower("C6;C5;C4;C3;C2;S5;S4;S3;A5;A4")
+    assert wreath._level.cache_info().hits == hits + 10

@@ -7,6 +7,7 @@ test.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -26,7 +27,7 @@ from wreathgen.permcore import (
     parse_cycles,
     prime_factorization,
 )
-from wreathgen.wreath import parse_tower, tower_group
+from wreathgen.wreath import GroupSpec, parse_tower, standard_generators, tower_group
 
 
 def _apply_words(p: Permutation, q: Permutation, x: int) -> int:
@@ -192,6 +193,41 @@ def test_extend_and_fork():
     assert fork.order() == 60
     assert chain.order() == 5  # original untouched
     assert not fork.extend(parse_cycles("(1 2 3)", 5))
+
+
+def _chain_digest(chain) -> str:
+    """Base, strong generators (as images, in insertion order) and each
+    level's transversal keys (in discovery order), hashed."""
+    data = (chain.base,
+            [tuple(g[:chain.degree]) for g in chain._strong],
+            [list(lv.orbit) for lv in chain._levels])
+    return hashlib.sha256(repr(data).encode()).hexdigest()[:16]
+
+
+# name -> (group, base, digest): a change to how the chain is built must
+# build the same chain.  C16;C16 (degree 256) stores its permutations as
+# tuples, the others as bytes
+CHAIN_PINS = {
+    "S4": (lambda: S4, (0, 1, 2), "05fea1b5649dbc9b"),
+    "A7": (lambda: PermGroup(7, standard_generators(GroupSpec("A", 7))),
+           (0, 2, 1, 3, 4), "3b01c367e9f569ac"),
+    "C3;C2;C2": (lambda: tower_group(parse_tower("C3;C2;C2")),
+                 (0, 8, 4, 10, 6, 2), "bdd5f79cc774908f"),
+    "S3;A4": (lambda: tower_group(parse_tower("S3;A4")),
+              (0, 4, 8, 1, 5, 9), "4273f236611e7053"),
+    "C16;C16": (lambda: tower_group(parse_tower("C16;C16")),
+                (0,) + tuple(range(240, 0, -16)), "9194a29377680e0c"),
+    "derived C3;C2;C2": (lambda: derived_subgroup(tower_group(parse_tower("C3;C2;C2"))),
+                         (0, 2, 4, 6, 8), "8d59f63e83876feb"),
+}
+
+
+@pytest.mark.parametrize("name", CHAIN_PINS)
+def test_chain_structure_is_pinned(name):
+    build, base, digest = CHAIN_PINS[name]
+    chain = bsgs_build(build())
+    assert chain.base == base
+    assert _chain_digest(chain) == digest
 
 
 @st.composite

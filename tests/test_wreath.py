@@ -7,6 +7,7 @@ import random
 import pytest
 
 from tree_blocks import project
+from wreathgen import wreath
 from wreathgen.permcore import (
     ConsistencyError,
     DegreeMismatch,
@@ -89,6 +90,16 @@ def test_standard_generators_table():
 def test_standard_generators_orders(spec):
     g = PermGroup(spec.n, standard_generators(spec))
     assert g.order() == spec.order()
+
+
+def test_cyclic_generators_are_certified_without_a_chain(monkeypatch):
+    # a chain of C_n holds 2n permutations of degree n: 6.4 GB at n = 20,000
+    def refuse(group):
+        raise AssertionError("chain built for a one-generator spec")
+
+    monkeypatch.setattr(wreath, "bsgs_build", refuse)
+    (gen,) = standard_generators(GroupSpec("C", 4099))
+    assert gen.order() == 4099 and gen(4098) == 0
 
 
 def test_standard_generators_require_normalized():
