@@ -112,27 +112,54 @@ class CayleyTable:
         return reps
 
     def closure_size(self, idxs) -> int:
-        """|<elements at idxs>|; early exit at > n/2 means the whole group."""
+        """|<elements at idxs>|, or n as soon as more than n/2 are reached.
+
+        Breadth-first search from the identity along the columns of idxs:
+        in a finite group every inverse is a positive power, so the
+        elements reached are exactly the generated subgroup.  The early
+        exit is sound by Lagrange: a proper subgroup has index at least
+        2, so a subset of the closure with more than n/2 elements means
+        the closure is the whole group.
+        """
         n = len(self.elements)
         half = n // 2
-        member = np.zeros(n, dtype=bool)
-        member[0] = True
-        frontier = np.zeros(1, dtype=np.intp)
-        size = 1
-        cols = [self.table[:, c] for c in dict.fromkeys(int(i) for i in idxs)]
-        while True:
-            # a mask, not a sort, keeps each newly reached element once
-            reached = np.zeros(n, dtype=bool)
-            for col in cols:
-                reached[col[frontier]] = True
-            reached &= ~member
-            frontier = np.flatnonzero(reached)
-            if not frontier.size:
-                return size
-            member |= reached
-            size += frontier.size
+        # the closures the scans meet are mostly small, where plain indexing
+        # beats numpy's fixed cost per array call; the table is column-major,
+        # so a column's memoryview is a view and copies nothing
+        cols = [memoryview(self.table[:, c]) for c in dict.fromkeys(map(int, idxs)) if c]
+        if not cols:
+            return 1
+        # the closure is a union of cosets y<a>, a the first element: each
+        # element reached outside the marked cosets brings its whole coset,
+        # walked along column a without a membership test
+        a, *rest = cols
+        member = bytearray(n)
+        member[0] = 1
+        frontier = [0]
+        y = a[0]
+        while y:
+            member[y] = 1
+            frontier.append(y)
+            y = a[y]
+        size = len(frontier)
+        while frontier:
+            reached = []
+            for col in rest:
+                for x in frontier:
+                    y = col[x]
+                    if not member[y]:
+                        start = y
+                        while True:
+                            member[y] = 1
+                            reached.append(y)
+                            y = a[y]
+                            if y == start:
+                                break
+            size += len(reached)
             if size > half:
                 return n
+            frontier = reached
+        return size
 
 
 def d_lower_bound(g: PermGroup) -> tuple[int, str]:

@@ -152,7 +152,10 @@ def parse_tower(text: str) -> TowerSpec:
     parts = text.split(";")
     if "" in parts:
         raise ParseError(f"empty level in tower text {text!r}")
-    return TowerSpec(tuple(map(_level, parts)))
+    # the cached levels are normalized already, so skip __post_init__'s pass
+    tower = object.__new__(TowerSpec)
+    object.__setattr__(tower, "levels", tuple(map(_level, parts)))
+    return tower
 
 
 def leaf_index(t: TowerSpec, address: tuple[int, ...]) -> int:

@@ -134,11 +134,11 @@ def test_s4_generation_by_tuple_size():
 
 
 @st.composite
-def _small_groups(draw):
-    """Groups of order at most 60 given by 1-3 generators; every generator
-    permutes the same 1-3 blocks of 2-4 points separately, so direct
-    products occur."""
-    sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+def _small_groups(draw, max_block=4, max_order=60):
+    """Groups of order at most max_order given by 1-3 generators; every
+    generator permutes the same 1-3 blocks of 2 to max_block points
+    separately, so direct products occur."""
+    sizes = draw(st.lists(st.integers(2, max_block), min_size=1, max_size=3))
     starts = [sum(sizes[:i]) for i in range(len(sizes))]
 
     def gen():
@@ -146,7 +146,7 @@ def _small_groups(draw):
                             for x in draw(st.permutations(range(n)))])
 
     g = PermGroup(sum(sizes), [gen() for _ in range(draw(st.integers(1, 3)))])
-    assume(g.order() <= 60)
+    assume(g.order() <= max_order)
     return g
 
 
@@ -160,6 +160,27 @@ def test_reduced_scan_agrees_with_the_reference(g, k):
     assert (found is None) == (_reference_scan(ct, k) is None)
     if found is not None:
         assert PermGroup(g.degree, [ct.elements[i] for i in found]).order() == g.order()
+
+
+# wreath products, which _small_groups cannot draw, of 48 to 1,152
+# elements; all but S3;C2 are pair-scan towers of `verify-scan`
+_SCAN_GROUPS = ["S3;C2", "C3;S3", "C2;C3;C2", "A4;C3", "C2;S4"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_closure_size_is_the_order_of_the_generated_subgroup(data):
+    g = data.draw(st.one_of(
+        _small_groups(max_block=5, max_order=2000),
+        st.sampled_from(_SCAN_GROUPS).map(lambda t: tower_group(parse_tower(t)))))
+    ct = CayleyTable.build(g, 2000)
+    n = len(ct)
+    assert ct.closure_size(ct.gen_indices) == n
+    # the identity and the generators are drawn often, so repeats, the
+    # identity and generating tuples all occur
+    index = st.one_of(st.integers(0, n - 1), st.sampled_from([0, *ct.gen_indices]))
+    idxs = data.draw(st.lists(index, min_size=1, max_size=3))
+    assert ct.closure_size(idxs) == PermGroup(g.degree, [ct.elements[i] for i in idxs]).order()
 
 
 # ---------------------------------------------------------- witness search

@@ -58,6 +58,29 @@ def test_normalization():
     assert parse_tower("A4;S3").levels == (GroupSpec("A", 4), GroupSpec("S", 3))
 
 
+def test_a_tower_built_from_specs_normalizes_its_levels():
+    t = TowerSpec((GroupSpec("A", 3), GroupSpec("S", 2), GroupSpec("S", 3)))
+    assert t.levels == (GroupSpec("C", 3), GroupSpec("C", 2), GroupSpec("S", 3))
+    assert t == parse_tower("A3;S2;S3") and hash(t) == hash(parse_tower("C3;C2;S3"))
+    with pytest.raises(ValueError):
+        TowerSpec(())
+
+
+def test_parse_tower_normalizes_each_token_once(monkeypatch):
+    first = parse_tower("A3;S2;A4;A3")
+    calls = []
+    normalized = GroupSpec.normalized
+    monkeypatch.setattr(GroupSpec, "normalized",
+                        lambda self: calls.append(self) or normalized(self))
+    again = parse_tower("A3;S2;A4;A3")  # every token is cached now
+    assert calls == []
+    assert again == first == TowerSpec(first.levels)
+    assert again.levels == (GroupSpec("C", 3), GroupSpec("C", 2), GroupSpec("A", 4),
+                            GroupSpec("C", 3))
+    # the levels are the cached objects, shared between towers
+    assert again.levels[0] is first.levels[0] is first.levels[3]
+
+
 def test_orders():
     assert parse_tower("C3;C2;C2").order() == 3 * 2**3 * 2**6 == 1536
     assert parse_tower("S3;C2").order() == 6 * 2**3 == 48

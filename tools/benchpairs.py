@@ -12,8 +12,9 @@ With --trace-seed N each workload also gets one `--trace 1` run per side.
 The output has the layout of BENCH_4.json: `what`, `machine`, `src_loc`,
 `workloads.<w>.pairs` (one entry per seed: both sides' end-to-end metrics
 and [failed, attempted]) and `workloads.<w>.summary` (per metric: each
-side's quartiles, the parent's IQR, the ratio of the medians and how many
-pairs each side won, in the direction BENCHMARK.json gives), plus
+side's quartiles, the parent's IQR, the ratio of the medians, how many
+pairs each side won, in the direction BENCHMARK.json gives, and `claim`,
+whether the pairs meet the rule for claiming a gain), plus
 `<w>_trace` for the traced runs.
 """
 
@@ -58,7 +59,13 @@ def values(result: dict) -> dict:
 
 def summarize(pairs: list[dict], better: dict) -> dict:
     """Per metric: quartiles of each side, the parent's IQR, the ratio of
-    the medians and the pairs each side won; empty below two pairs."""
+    the medians, the pairs each side won and whether a gain may be claimed;
+    empty below two pairs.
+
+    `claim` holds when the change won at least nine tenths of the pairs
+    (ties count for neither side) and its median is better than the
+    parent's by more than the parent's IQR.
+    """
     if len(pairs) < 2:
         return {}
     out = {}
@@ -67,15 +74,18 @@ def summarize(pairs: list[dict], better: dict) -> dict:
         chg = [p["change"][name] for p in pairs]
         sign = 1 if direction == "higher" else -1
         qp, qc = statistics.quantiles(par, n=4), statistics.quantiles(chg, n=4)
+        change_wins = sum(sign * (c - p) > 0 for p, c in zip(par, chg))
         out[name] = {
             "better": direction,
             "parent": dict(zip(("q1", "median", "q3"), qp)),
             "change": dict(zip(("q1", "median", "q3"), qc)),
             "parent_iqr": qp[2] - qp[0],
             "median_change_ratio": qc[1] / qp[1] if qp[1] else None,
-            "change_wins": sum(sign * (c - p) > 0 for p, c in zip(par, chg)),
+            "change_wins": change_wins,
             "parent_wins": sum(sign * (p - c) > 0 for p, c in zip(par, chg)),
             "pairs": len(pairs),
+            "claim": (10 * change_wins >= 9 * len(pairs)
+                      and sign * (qc[1] - qp[1]) > qp[2] - qp[0]),
         }
     return out
 
