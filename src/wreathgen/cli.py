@@ -56,9 +56,8 @@ def _emit(doc: dict, out: str | None) -> None:
             fh.write(text)
 
 
-def _fail(message: str, out: str | None) -> int:
-    _emit({"error": message}, out)
-    return EXIT_USAGE
+def _error(message: str, code: int = EXIT_USAGE) -> tuple[dict, int]:
+    return {"error": message}, code
 
 
 def _bad_prime(p: int) -> str | None:
@@ -69,11 +68,8 @@ def _bad_prime(p: int) -> str | None:
     return None if prime_factorization(p) == {p: 1} else "p must be prime"
 
 
-def _cmd_formula(args) -> int:
-    try:
-        t = parse_tower(args.tower)
-    except (ParseError, TrivialLevelError) as e:
-        return _fail(str(e), args.out)
+def _cmd_formula(args) -> tuple[dict, int]:
+    t = parse_tower(args.tower)
     res = d_tower(t)
     doc = {
         "tower": t.text(), "k": t.k, "leaf_count": t.leaf_count(),
@@ -88,19 +84,15 @@ def _cmd_formula(args) -> int:
         }
     except ValueError:  # includes CyclicTopError
         doc["counting"] = None
-    _emit(doc, args.out)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, int]:
     if args.attempts < 0:
-        return _fail("attempts must be nonnegative", args.out)
+        return _error("attempts must be nonnegative")
     if args.order_limit < 1:
-        return _fail("order limit must be at least 1", args.out)
-    try:
-        t = parse_tower(args.tower)
-    except (ParseError, TrivialLevelError) as e:
-        return _fail(str(e), args.out)
+        return _error("order limit must be at least 1")
+    t = parse_tower(args.tower)
     res = d_tower(t)
     doc = {
         "tower": t.text(), "order": str(t.order()), "d": res.d,
@@ -109,8 +101,7 @@ def _cmd_verify(args) -> int:
     if t.leaf_count() > VERIFY_LEAF_BUDGET:
         doc["warning"] = (f"{t.leaf_count()} leaves exceed the verification "
                           f"budget of {VERIFY_LEAF_BUDGET}; formula only")
-        _emit(doc, args.out)
-        return EXIT_OK
+        return doc, EXIT_OK
     cfg = GenSearchConfig(seed=args.seed, random_attempts=args.attempts,
                           exhaustive_order_limit=args.order_limit)
     oracle = min_generators(tower_group(t), cfg)
@@ -119,44 +110,37 @@ def _cmd_verify(args) -> int:
         doc["agree"] = oracle.lower == res.d
     else:
         doc["agree"] = oracle.lower <= res.d <= oracle.upper
-    _emit(doc, args.out)
-    return EXIT_OK if doc["agree"] else EXIT_MISMATCH
+    return doc, EXIT_OK if doc["agree"] else EXIT_MISMATCH
 
 
-def _cmd_module(args) -> int:
+def _cmd_module(args) -> tuple[dict, int]:
     if args.n < 4:
-        return _fail("n must be at least 4", args.out)
+        return _error("n must be at least 4")
     if err := _bad_prime(args.p):
-        return _fail(err, args.out)
+        return _error(err)
     report = check_Ip_structure(args.n, args.p)
-    _emit(report.to_json(), args.out)
-    return EXIT_OK if report.status == "verified" else EXIT_BUDGET
+    return report.to_json(), EXIT_OK if report.status == "verified" else EXIT_BUDGET
 
 
-def _cmd_cohom(args) -> int:
-    try:
-        spec = parse_group(args.group).normalized()
-    except (ParseError, TrivialLevelError) as e:
-        return _fail(str(e), args.out)
+def _cmd_cohom(args) -> tuple[dict, int]:
+    spec = parse_group(args.group)
     if err := _bad_prime(args.p):
-        return _fail(err, args.out)
+        return _error(err)
     if spec.order() > ELEMENT_BUDGET:  # refused before its generators are built
-        _emit({"error": f"group enumeration exceeds budget {ELEMENT_BUDGET}"}, args.out)
-        return EXIT_BUDGET
+        return _error(f"group enumeration exceeds budget {ELEMENT_BUDGET}", EXIT_BUDGET)
     gens = standard_generators(spec)
     # and before any module of degree n is built; I_p has dimension n - 1
     need = cocycle_bytes(spec.order(), len(gens), spec.n - 1)
     if need > EQUATION_BUDGET:
-        _emit({"error": f"cocycle equations need {need} bytes, over the budget "
-                        f"of {EQUATION_BUDGET}"}, args.out)
-        return EXIT_BUDGET
+        return _error(f"cocycle equations need {need} bytes, over the budget "
+                      f"of {EQUATION_BUDGET}", EXIT_BUDGET)
     g = PermGroup(spec.n, gens)
     mod = FpModule.natural(g, args.p)
     ip = aug_submodule(mod)
     try:
         rep = cocycle_dims(g, mod.restricted(ip))
     except ValueError as e:  # p too large for the cocycle arithmetic
-        return _fail(str(e), args.out)
+        return _error(str(e))
     doc = rep.to_json()
     doc["group"] = spec.token()
     doc["dim_Ip"] = ip.dim
@@ -166,13 +150,12 @@ def _cmd_cohom(args) -> int:
         doc["warning"] = "endomorphism algebra is not scalar; no h value"
     else:
         doc["h"] = h_param(doc["s"], rep.r)
-    _emit(doc, args.out)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
-def _cmd_example(args) -> int:
+def _cmd_example(args) -> tuple[dict, int]:
     if args.n < 5 or args.n % 2 == 0:
-        return _fail("the example pair needs odd n >= 5", args.out)
+        return _error("the example pair needs odd n >= 5")
     t = example_tower(args.n)
     x, y = example_generators(args.n)
     doc = {
@@ -186,8 +169,7 @@ def _cmd_example(args) -> int:
     if args.verify:
         chain = bsgs_build(PermGroup(t.leaf_count(), (x, y)))
         doc["generates"] = chain.order() == t.order()
-    _emit(doc, args.out)
-    return EXIT_OK if doc["generates"] in (None, True) else EXIT_MISMATCH
+    return doc, EXIT_OK if doc["generates"] in (None, True) else EXIT_MISMATCH
 
 
 @cache
@@ -237,7 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        doc, code = args.func(args)
+    except (ParseError, TrivialLevelError) as e:  # a bad tower or group token
+        doc, code = _error(str(e))
+    _emit(doc, args.out)
+    return code
 
 
 def entry() -> None:

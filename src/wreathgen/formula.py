@@ -40,38 +40,32 @@ class AbelianProfile:
         return {str(p): r for p, r in self.ranks.items()}
 
 
-def _levels_from(t: TowerSpec, from_level: int) -> tuple[GroupSpec, ...]:
-    """Levels from_level..k; from_level = k+1 names the empty sub-tower."""
-    if not 1 <= from_level <= t.k + 1:
-        raise ValueError("from_level out of range")
-    return t.levels[from_level - 1:]
-
-
 def abelianization(t: TowerSpec, from_level: int = 1) -> AbelianProfile:
     """p-ranks of the abelianization of the sub-tower from the given level.
 
     (B wr G)^ab = B^ab x G^ab, so each level contributes its own
-    abelianization, one Z_p for each p in `GroupSpec.abelian_primes`; in
-    the counts, d_p = c_p, plus s for p = 2 and a_4 for p = 3.
+    abelianization, one Z_p for each p in `GroupSpec.abelian_primes`.
     from_level = k+1 names the trivial group.
     """
+    if not 1 <= from_level <= t.k + 1:
+        raise ValueError("from_level out of range")
     ranks: dict[int, int] = {}
-    for g in _levels_from(t, from_level):
+    for g in t.levels[from_level - 1:]:
         for p in g.abelian_primes:
             ranks[p] = ranks.get(p, 0) + 1
     return AbelianProfile(ranks)
 
 
 def d_abelian_wreath(a: AbelianProfile, g1: GroupSpec) -> int:
-    """d of A wr G_1 for a finite abelian A, by the top level's type."""
-    g1 = g1.normalized()
-    if g1.kind == "A" and g1.n == 4:
-        return max(2, a.d, a.rank(3) + 1)
-    if g1.kind == "A":
-        return max(2, a.d)
-    if g1.kind == "S":
-        return max(2, a.d, a.rank(2) + 1)
-    return a.d + 1
+    """d of A wr G_1 for a finite abelian A: d(A) + 1 for a cyclic G_1,
+    otherwise max(2, d(A x G_1^ab)), where G_1^ab adds one to the p-rank
+    of A at each p in `g1.abelian_primes`."""
+    if g1.is_cyclic():
+        return a.d + 1
+    d = max(2, a.d)
+    for p in g1.abelian_primes:
+        d = max(d, a.rank(p) + 1)
+    return d
 
 
 _CASES = {"A": "An", "S": "Sn", "C": "Cyclic"}
@@ -107,16 +101,12 @@ class CountingProfile:
     s: int  # non-abelian symmetric levels
     c: dict[int, int]  # cyclic levels whose order p divides, per prime
 
-    def c_p(self, p: int) -> int:
-        return self.c.get(p, 0)
 
-
-def counting_profile(t: TowerSpec, from_level: int = 1) -> CountingProfile:
-    """Level counts of the sub-tower from the given level; from_level =
-    k+1 names the empty sub-tower."""
+def counting_profile(t: TowerSpec) -> CountingProfile:
+    """Level counts of the whole tower."""
     a4 = s = 0
     c: dict[int, int] = {}
-    for g in _levels_from(t, from_level):
+    for g in t.levels:
         if g.kind == "A" and g.n == 4:
             a4 += 1
         elif g.kind == "S":
@@ -131,11 +121,15 @@ def d_corollary(t: TowerSpec) -> int:
     """Counting form of d for towers with non-cyclic top, k >= 2:
 
         max over primes of (2, c_2 + s, c_3 + a_4, c_p).
+
+    The sums are the p-ranks of W^ab, the product of the levels'
+    abelianizations (see `abelianization`), so the form is
+    max(2, d(W^ab)).  It agrees with `d_tower` because, under a
+    non-cyclic top, d(A wr G_1) = max(2, d(A x G_1^ab)) for A the
+    abelianization of levels 2..k, and A x G_1^ab is W^ab.
     """
     if t.k < 2:
         raise ValueError("the counting form needs k >= 2")
     if t.levels[0].is_cyclic():
         raise CyclicTopError("the counting form requires a non-cyclic top level")
-    prof = counting_profile(t)
-    return max(2, prof.c_p(2) + prof.s, prof.c_p(3) + prof.a4,
-               max(prof.c.values(), default=0))
+    return max(2, abelianization(t).d)

@@ -22,6 +22,7 @@ from .permcore import (
     bsgs_build,
     cayley_walk,
     format_cycles,
+    prime_factorization,
 )
 
 
@@ -168,7 +169,7 @@ def d_lower_bound(g: PermGroup) -> tuple[int, str]:
     order = g.order()
     if order == 1:
         return 0, "trivial"
-    d_ab = max(abelian_p_ranks(g, sorted(g.bsgs().order_factored())).values())
+    d_ab = max(abelian_p_ranks(g, prime_factorization(order)).values())
     if d_ab < 2 and not g.is_abelian():  # d_ab < 2: cyclic exactly when abelian
         return 2, "noncyclic"
     return max(d_ab, 1), "abelianization"

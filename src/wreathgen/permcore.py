@@ -129,10 +129,6 @@ class Permutation:
     def identity(cls, degree: int) -> "Permutation":
         return cls._wrap(degree, _pack(range(degree)))
 
-    @property
-    def images(self) -> tuple[int, ...]:
-        return tuple(self.raw[: self.degree])
-
     def __call__(self, point: int) -> int:
         if not 0 <= point < self.degree:
             raise IndexError(f"point {point} outside 0..{self.degree - 1}")
@@ -285,14 +281,6 @@ class Bsgs:
         for lv in self._levels:
             n *= len(lv.orbit)
         return n
-
-    def order_factored(self) -> dict[int, int]:
-        """Prime factorization of the order (orbit sizes are <= degree)."""
-        factors: dict[int, int] = {}
-        for lv in self._levels:
-            for p, e in prime_factorization(len(lv.orbit)).items():
-                factors[p] = factors.get(p, 0) + e
-        return factors
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:

@@ -50,14 +50,10 @@ class GroupSpec:
         if self.n < _MIN_N[self.kind]:
             raise TrivialLevelError(
                 f"{self.kind}{self.n} is trivial; levels must be nontrivial groups")
-
-    def normalized(self) -> "GroupSpec":
-        """Rewrite A3 as C3 and S2 as C2; other specs are unchanged."""
-        if self.kind == "A" and self.n == 3:
-            return GroupSpec("C", 3)
-        if self.kind == "S" and self.n == 2:
-            return GroupSpec("C", 2)
-        return self
+        # A3 and S2 are cyclic, so every spec reads them as C3 and C2:
+        # equality, hashing and each kind test see the group, not its name
+        if (self.kind, self.n) in (("A", 3), ("S", 2)):
+            object.__setattr__(self, "kind", "C")
 
     @cached_property
     def abelian_primes(self) -> tuple[int, ...]:
@@ -65,12 +61,11 @@ class GroupSpec:
         its one Z_p factor: 3 for Alt 4, 2 for Sym n (n >= 3), each prime
         dividing n for Cyc n, none for Alt n (n >= 5).  Worked out once per
         spec, so a tower reads it from its shared level objects."""
-        g = self.normalized()
-        if g.kind == "C":
-            return tuple(prime_factorization(g.n))
-        if g.kind == "S":
+        if self.kind == "C":
+            return tuple(prime_factorization(self.n))
+        if self.kind == "S":
             return (2,)
-        return (3,) if g.n == 4 else ()
+        return (3,) if self.n == 4 else ()
 
     def order(self) -> int:
         if self.kind == "A":
@@ -80,7 +75,7 @@ class GroupSpec:
         return self.n
 
     def is_cyclic(self) -> bool:
-        return self.normalized().kind == "C"
+        return self.kind == "C"
 
     def token(self) -> str:
         return f"{self.kind}{self.n}"
@@ -95,14 +90,13 @@ def parse_group(token: str) -> GroupSpec:
 
 @dataclass(frozen=True)
 class TowerSpec:
-    """An ordered tuple of levels, top-first, normalized on construction."""
+    """An ordered tuple of levels, top-first."""
 
     levels: tuple[GroupSpec, ...]
 
     def __post_init__(self):
         if not self.levels:
             raise ValueError("a tower needs at least one level")
-        object.__setattr__(self, "levels", tuple(map(GroupSpec.normalized, self.levels)))
 
     @property
     def k(self) -> int:
@@ -137,13 +131,11 @@ class TowerSpec:
         return ";".join(g.token() for g in self.levels)
 
 
-# towers share few distinct level tokens, so each token is parsed and
-# normalized once, and its level object carries its facts to every tower
-# that names it; the bound keeps a run over distinct tokens from growing
-# the cache without limit
-@lru_cache(maxsize=1024)
-def _level(token: str) -> GroupSpec:
-    return parse_group(token).normalized()
+# towers share few distinct level tokens, so each token is parsed once,
+# and its level object carries its facts to every tower that names it;
+# the bound keeps a run over distinct tokens from growing the cache
+# without limit
+_level = lru_cache(maxsize=1024)(parse_group)
 
 
 def parse_tower(text: str) -> TowerSpec:
@@ -152,10 +144,7 @@ def parse_tower(text: str) -> TowerSpec:
     parts = text.split(";")
     if "" in parts:
         raise ParseError(f"empty level in tower text {text!r}")
-    # the cached levels are normalized already, so skip __post_init__'s pass
-    tower = object.__new__(TowerSpec)
-    object.__setattr__(tower, "levels", tuple(map(_level, parts)))
-    return tower
+    return TowerSpec(tuple(map(_level, parts)))
 
 
 def leaf_index(t: TowerSpec, address: tuple[int, ...]) -> int:
@@ -199,13 +188,7 @@ def _standard_generators(kind: str, n: int) -> tuple[Permutation, ...]:
 
 def standard_generators(spec: GroupSpec) -> list[Permutation]:
     """Canonical generators in the natural action; the generated order is
-    checked against the spec's order once per spec.
-
-    Requires a normalized spec (A3 and S2 must arrive as C3 and C2).
-    """
-    if spec != spec.normalized():
-        raise ValueError(f"{spec.token()} is unnormalized; normalize to "
-                         f"{spec.normalized().token()} first")
+    checked against the spec's order once per spec."""
     return list(_standard_generators(spec.kind, spec.n))
 
 

@@ -1,11 +1,12 @@
 """Plain reference for the closed-form path: every call parses each token
 with the regular expression and factors each cyclic degree again, with no
-per-token facts kept between calls.  The library must agree with it on
-values, and on the type and message of every error."""
+per-token facts kept between calls, and the top level's rule is written
+out by kind here rather than read from the library.  The library must
+agree with it on values, and on the type and message of every error."""
 
 import re
 
-from wreathgen.formula import AbelianProfile, CyclicTopError, d_abelian_wreath
+from wreathgen.formula import CyclicTopError
 from wreathgen.permcore import ParseError, prime_factorization
 from wreathgen.wreath import GroupSpec, TowerSpec
 
@@ -55,8 +56,16 @@ def d_tower(t: TowerSpec) -> tuple[int, str, dict[int, int]]:
     if t.k == 1:
         return (1 if g1.kind == "C" else 2), "SingleLevel", {}
     a = abelianization(t, 2)
-    case = "A4" if (g1.kind, g1.n) == ("A", 4) else {"A": "An", "S": "Sn", "C": "Cyclic"}[g1.kind]
-    return max(2, d_abelian_wreath(AbelianProfile(a), g1)), case, a
+    d_a = max(a.values(), default=0)
+    if (g1.kind, g1.n) == ("A", 4):
+        case, d = "A4", max(2, d_a, a.get(3, 0) + 1)
+    elif g1.kind == "A":
+        case, d = "An", max(2, d_a)
+    elif g1.kind == "S":
+        case, d = "Sn", max(2, d_a, a.get(2, 0) + 1)
+    else:
+        case, d = "Cyclic", d_a + 1
+    return max(2, d), case, a
 
 
 def d_corollary(t: TowerSpec) -> int:

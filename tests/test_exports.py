@@ -61,33 +61,40 @@ PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.p
 TEST_CONSTRUCTORS = {"from_cycles"}
 
 
-def _reads(node) -> list[str]:
-    """Names an AST reads: variables, attributes, and strings that are
-    identifiers (the benchmark's tracer looks functions up by name)."""
-    out = []
+def _reads(node) -> tuple[Counter, Counter]:
+    """Names an AST reads, as (variables, attributes and strings): a string
+    that is an identifier counts as a read, since the benchmark's tracer
+    looks functions up by name."""
+    names, attrs = Counter(), Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            out.append(n.id)
+            names[n.id] += 1
         elif isinstance(n, ast.Attribute):
-            out.append(n.attr)
+            attrs[n.attr] += 1
         elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
-            out.append(n.value)
-    return out
+            attrs[n.value] += 1
+    return names, attrs
 
 
 def unread_definitions(sources: list[str], readers: list[str] = ()) -> set[str]:
     """Functions, classes and methods defined in `sources` that no code in
     `sources` or `readers` reads outside their own definition, and that no
-    `__all__` lists.  Dunder methods are called by Python itself."""
+    `__all__` lists.  A method or property is read only through an
+    attribute or a string, so a local variable of the same name does not
+    count.  Dunder methods are called by Python itself."""
     trees = [ast.parse(text) for text in sources]
-    reads = Counter()
+    names, attrs = Counter(), Counter()
     exported: set[str] = set()
     for tree in trees + [ast.parse(text) for text in readers]:
-        reads.update(_reads(tree))
+        tree_names, tree_attrs = _reads(tree)
+        names.update(tree_names)
+        attrs.update(tree_attrs)
         for n in ast.walk(tree):
             if isinstance(n, ast.Assign) and any(
                     isinstance(t, ast.Name) and t.id == "__all__" for t in n.targets):
                 exported.update(ast.literal_eval(n.value))
+    members = {id(m) for tree in trees for c in ast.walk(tree)
+               if isinstance(c, ast.ClassDef) for m in c.body}
     unread = set()
     for tree in trees:
         for n in ast.walk(tree):
@@ -96,25 +103,29 @@ def unread_definitions(sources: list[str], readers: list[str] = ()) -> set[str]:
             name = n.name
             if name.startswith("__") and name.endswith("__") or name in exported:
                 continue
-            own = sum(r == name for r in _reads(n))
-            if reads[name] == own:
+            own_names, own_attrs = _reads(n)
+            read = attrs[name] - own_attrs[name]
+            if id(n) not in members:
+                read += names[name] - own_names[name]
+            if not read:
                 unread.add(name)
     return unread
 
 
 def test_unread_definitions_are_found():
-    src = ("def used(): pass\n"
+    src = ("def used(): shadowed = 0; return shadowed\n"
            "def recursive(n): return recursive(n - 1)\n"
            "class K:\n"
            "    def method(self): return self.helper()\n"
            "    def helper(self): pass\n"
+           "    def shadowed(self): pass\n"
            "    def __len__(self): return 0\n"
            "def exported(): pass\n"
            "def by_name(): pass\n"
            "__all__ = ['exported']\n"
            "used()\n")
     assert unread_definitions([src], ["getattr(m, 'by_name')\nm.K\n"]) == {
-        "recursive", "method"}
+        "recursive", "method", "shadowed"}
 
 
 def test_every_definition_is_read_or_exported():

@@ -11,7 +11,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import formula_reference as ref
 from wreathgen import wreath
@@ -179,6 +179,9 @@ def _profile_tuple(prof):
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(_TOKENS, min_size=1, max_size=6))
+# non-cyclic tops whose own Z_p sets d: random tokens seldom meet them
+@example(["A4", "C3", "A4"])
+@example(["S5", "C2", "S3"])
 def test_stored_facts_agree_with_the_plain_reference(tokens):
     text = ";".join(tokens)
     got = _outcome(parse_tower, text)
@@ -189,11 +192,8 @@ def test_stored_facts_agree_with_the_plain_reference(tokens):
     res = d_tower(t)
     assert (res.d, res.case, res.abelianization.ranks) == ref.d_tower(t)
     assert _outcome(d_corollary, t) == _outcome(ref.d_corollary, t)
+    assert _profile_tuple(counting_profile(t)) == ref.counting_profile(t)
     for i in range(0, t.k + 3):
-        prof = _outcome(counting_profile, t, i)
-        if prof[0] == "value":
-            prof = "value", _profile_tuple(prof[1])
-        assert prof == _outcome(ref.counting_profile, t, i)
         ab = _outcome(abelianization, t, i)
         if ab[0] == "value":
             ab = "value", ab[1].ranks

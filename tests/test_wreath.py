@@ -66,14 +66,12 @@ def test_a_tower_built_from_specs_normalizes_its_levels():
         TowerSpec(())
 
 
-def test_parse_tower_normalizes_each_token_once(monkeypatch):
+def test_parse_tower_parses_each_token_once():
     first = parse_tower("A3;S2;A4;A3")
-    calls = []
-    normalized = GroupSpec.normalized
-    monkeypatch.setattr(GroupSpec, "normalized",
-                        lambda self: calls.append(self) or normalized(self))
+    before = wreath._level.cache_info()
     again = parse_tower("A3;S2;A4;A3")  # every token is cached now
-    assert calls == []
+    after = wreath._level.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 4, before.misses)
     assert again == first == TowerSpec(first.levels)
     assert again.levels == (GroupSpec("C", 3), GroupSpec("C", 2), GroupSpec("A", 4),
                             GroupSpec("C", 3))
@@ -125,11 +123,26 @@ def test_cyclic_generators_are_certified_without_a_chain(monkeypatch):
     assert gen.order() == 4099 and gen(4098) == 0
 
 
-def test_standard_generators_require_normalized():
-    with pytest.raises(ValueError):
-        standard_generators(GroupSpec("A", 3))
-    with pytest.raises(ValueError):
-        standard_generators(GroupSpec("S", 2))
+def test_a3_and_s2_are_made_as_c3_and_c2():
+    for spec, cyclic in ((GroupSpec("A", 3), GroupSpec("C", 3)),
+                         (GroupSpec("S", 2), GroupSpec("C", 2))):
+        assert spec == cyclic and hash(spec) == hash(cyclic)
+        assert spec.token() == cyclic.token() and spec.is_cyclic()
+        assert standard_generators(spec) == standard_generators(cyclic)
+
+
+@pytest.mark.parametrize("kind", "ASC")
+def test_every_spec_is_made_normalized(kind):
+    for n in range(1, 10):
+        try:
+            spec = GroupSpec(kind, n)
+        except TrivialLevelError:
+            with pytest.raises(TrivialLevelError):
+                parse_group(f"{kind}{n}")
+            continue
+        assert spec == parse_group(f"{kind}{n}")
+        want = "C" if (kind, n) in (("A", 3), ("S", 2)) else kind
+        assert (spec.kind, spec.n) == (want, n)
 
 
 def test_apply_at_root():
