@@ -1,4 +1,5 @@
-"""The pair summary of tools/benchpairs.py: quartiles, IQR and wins."""
+"""The pair summary of tools/benchpairs.py: quartiles, IQR, wins, the
+claim rule and the regression bound."""
 
 from __future__ import annotations
 
@@ -13,6 +14,11 @@ benchpairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(benchpairs)
 
 
+def _metrics(bound=0.25, **better):
+    """BENCHMARK.json-style `end_to_end` entries, one per keyword."""
+    return [{"name": name, "better": way, "bound": bound} for name, way in better.items()]
+
+
 def test_parse_seeds():
     assert benchpairs.parse_seeds("1-4") == [1, 2, 3, 4]
     assert benchpairs.parse_seeds("7,2-3") == [7, 2, 3]
@@ -21,7 +27,7 @@ def test_parse_seeds():
 def test_summary_counts_wins_in_the_metric_direction():
     pairs = [{"parent": {"rate": p, "rss": p}, "change": {"rate": c, "rss": c}}
              for p, c in [(1, 2), (2, 3), (3, 3), (4, 1), (5, 6)]]
-    s = benchpairs.summarize(pairs, {"rate": "higher", "rss": "lower"})
+    s = benchpairs.summarize(pairs, _metrics(rate="higher", rss="lower"))
     assert (s["rate"]["change_wins"], s["rate"]["parent_wins"]) == (3, 1)
     assert (s["rss"]["change_wins"], s["rss"]["parent_wins"]) == (1, 3)
     # statistics.quantiles, exclusive method: 1.5, 3, 4.5 for 1..5
@@ -29,7 +35,7 @@ def test_summary_counts_wins_in_the_metric_direction():
     assert s["rate"]["parent_iqr"] == 3
     assert s["rate"]["median_change_ratio"] == pytest.approx(3 / 3)
     assert s["rate"]["pairs"] == 5
-    assert benchpairs.summarize(pairs[:1], {"rate": "higher"}) == {}
+    assert benchpairs.summarize(pairs[:1], _metrics(rate="higher")) == {}
     assert s["rate"]["claim"] is False and s["rss"]["claim"] is False
 
 
@@ -42,20 +48,43 @@ def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_over_the_iqr():
     parent = [10, 11, 12, 13, 14, 15, 16, 17, 18, 19]  # IQR 5.5
     # ten wins, medians 6 apart: the claim holds
     s = benchpairs.summarize(_pairs(parent, [p + 6 for p in parent]),
-                             {"rate": "higher", "rss": "lower"})
+                             _metrics(rate="higher", rss="lower"))
     assert s["rate"]["parent_iqr"] == 5.5 and s["rate"]["change_wins"] == 10
     assert s["rate"]["claim"] is True and s["rss"]["claim"] is False
     # the same pairs in the lower-is-better direction
-    s = benchpairs.summarize(_pairs(parent, [p - 6 for p in parent]), {"rss": "lower"})
+    s = benchpairs.summarize(_pairs(parent, [p - 6 for p in parent]), _metrics(rss="lower"))
     assert s["rss"]["claim"] is True
     # ten wins, but the medians are 5 apart, within the parent's IQR
-    s = benchpairs.summarize(_pairs(parent, [p + 5 for p in parent]), {"rate": "higher"})
+    s = benchpairs.summarize(_pairs(parent, [p + 5 for p in parent]), _metrics(rate="higher"))
     assert s["rate"]["change_wins"] == 10 and s["rate"]["claim"] is False
     # a large gap, but one loss and one tie leave 8 wins of 10
     change = [p + 20 for p in parent[:8]] + [parent[8] - 1, parent[9]]
-    s = benchpairs.summarize(_pairs(parent, change), {"rate": "higher"})
+    s = benchpairs.summarize(_pairs(parent, change), _metrics(rate="higher"))
     assert (s["rate"]["change_wins"], s["rate"]["parent_wins"]) == (8, 1)
     assert s["rate"]["claim"] is False
     # 9 wins of 10 is enough
     change = [p + 20 for p in parent[:9]] + [parent[9]]
-    assert benchpairs.summarize(_pairs(parent, change), {"rate": "higher"})["rate"]["claim"]
+    assert benchpairs.summarize(_pairs(parent, change), _metrics(rate="higher"))["rate"]["claim"]
+
+
+def test_within_bound_allows_the_metric_bound_in_its_direction():
+    parent = [96, 98, 100, 100, 100, 102, 104]  # median 100
+
+    def within(shift, bound, better):
+        pairs = _pairs(parent, [p + shift for p in parent])
+        s = benchpairs.summarize(pairs, _metrics(bound, rate=better))["rate"]
+        assert s["bound"] == bound
+        return s["within_bound"]
+
+    # 25 % worse is within a bound of 0.25 in either direction, 26 % is not
+    assert within(-25, 0.25, "higher") is True
+    assert within(-26, 0.25, "higher") is False
+    assert within(25, 0.25, "lower") is True
+    assert within(26, 0.25, "lower") is False
+    # a better median is within any bound
+    assert within(50, 0.0, "higher") is True
+    assert within(-50, 0.0, "lower") is True
+    # with a parent median of 0, "no worse by more than the bound" means no worse
+    for change, want in [((0, 0, 1), True), ((1, 1, 0), False)]:
+        pairs = [{"parent": {"fail": 0}, "change": {"fail": c}} for c in change]
+        assert benchpairs.summarize(pairs, _metrics(fail="lower"))["fail"]["within_bound"] is want

@@ -9,6 +9,8 @@ regular-plus-trivial, pinning H^1 to 0 and at most 1).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from wreathgen import modfp
 from wreathgen.modfp import (
     FpModule,
+    IpReport,
     RowSpace,
     _cocycle_system,
     alt_group,
@@ -102,6 +105,15 @@ def _spin_reference(mod, seeds):
         rows, pivots = grown, grown_pivots
 
 
+def _honest_rule(mod, candidates):
+    """A stop rule that holds exactly for the nonzero multiples of those
+    candidates whose plain spin was computed and is everything."""
+    p = mod.p
+    whole = {tuple(c * x % p for x in v) for v in candidates for c in range(1, p)
+             if spin(mod, [v]).dim == mod.dim}
+    return lambda w: tuple(w) in whole
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([(4, 2), (4, 3), (5, 2), (5, 5), (6, 3), (7, 7)]),
        st.booleans(), st.data())
@@ -110,12 +122,18 @@ def test_worklist_spin_matches_round_robin_spin(case, restrict, data):
     mod = FpModule.natural(alt_group(n), p)
     if restrict:  # generic action matrices, not 0/1 permutation matrices
         mod = mod.restricted(aug_submodule(mod))
-    seeds = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=mod.dim,
-                                        max_size=mod.dim), min_size=1, max_size=2))
+    vectors = st.lists(st.integers(0, p - 1), min_size=mod.dim, max_size=mod.dim)
+    seeds = data.draw(st.lists(vectors, min_size=1, max_size=2))
     sub = spin(mod, [np.array(s) for s in seeds])
     rows, pivots = _spin_reference(mod, seeds)
     assert (sub.rows, sub.pivots) == (rows, pivots)
     assert (sub.p, sub.width) == (mod.p, mod.dim)
+    # a stop rule built from spins that were computed changes nothing;
+    # the seeds' images are candidates, so the rule often fires
+    images = [(np.array(s) @ a % p).tolist() for s in seeds for a in mod.mats]
+    candidates = images + data.draw(st.lists(vectors, max_size=3))
+    stopped = spin(mod, seeds, _honest_rule(mod, candidates))
+    assert (stopped.rows, stopped.pivots) == (rows, pivots)
 
 
 def test_perm_matrix_right_action():
@@ -203,6 +221,60 @@ def test_Ip_budget_reports_unverified():
 def test_Ip_rejects_tiny_n():
     with pytest.raises(ValueError):
         check_Ip_structure(3, 2)
+
+
+def _check_Ip_reference(n, p):
+    """check_Ip_structure without the stop rule: the same scan order, one
+    plain spin per vector and the same break at the first failure."""
+    mod = FpModule.natural(modfp.alt_group(n), p)
+    ip = aug_submodule(mod)
+    checked, ok = 0, True
+    if n % p == 0:
+        for vec in itertools.product(range(p), repeat=n):
+            if sum(vec) % p:
+                checked += 1
+                if spin(mod, [vec]).dim != n:
+                    ok = False
+                    break
+        return IpReport(n, p, ip.dim, True, "verified", checked, unique_maximal=ok)
+    sub = mod.restricted(ip)
+    for coeff in itertools.product(range(p), repeat=n - 1):
+        if any(coeff):
+            checked += 1
+            if spin(sub, [coeff]).dim != n - 1:
+                ok = False
+                break
+    end = endomorphism_dim(sub)
+    return IpReport(n, p, ip.dim, False, "verified", checked,
+                    direct_sum=not ip.contains([1] * n) and ip.dim + 1 == n,
+                    irreducible=ok, end_dim=end, r=(n - 1) if end == 1 else None)
+
+
+@pytest.mark.parametrize("n,p", [(4, 2), (4, 3), (4, 5), (5, 2), (5, 3), (5, 5),
+                                 (6, 2), (6, 3), (7, 2)])
+def test_Ip_check_matches_the_plain_scan(n, p):
+    assert check_Ip_structure(n, p) == _check_Ip_reference(n, p)
+
+
+@pytest.mark.parametrize("n,p,cycles,checked", [
+    # x^7 - 1 = (x + 1)(x^3 + x + 1)(x^3 + x^2 + 1) over F_2, so I_2 under
+    # the 7-cycle is the sum of two 3-dimensional submodules; coordinates
+    # (0, 0, 1, 0, 1, 1), the 11th, give e_3 + e_5 + e_6 + e_7, which is
+    # x^2 (x + 1)(x^3 + x + 1)
+    (7, 2, ["(1 2 3 4 5 6 7)"], 11),
+    # a group that fixes the point 6: e_6 spins to itself
+    (6, 3, ["(1 2 3)", "(1 2 3 4 5)"], 1),
+    # x^6 - 1 = (x - 1)^3 (x + 1)^3 over F_3: the vectors of alternating
+    # sum 0 form a second maximal submodule, which (0, 0, 0, 0, 1, 1) is
+    # the first vector outside I_3 to lie in
+    (6, 3, ["(1 2 3 4 5 6)"], 4),
+])
+def test_a_reducible_module_is_still_caught(monkeypatch, n, p, cycles, checked):
+    monkeypatch.setattr(modfp, "alt_group", lambda n: PermGroup.from_cycles(n, *cycles))
+    r = check_Ip_structure(n, p)
+    assert (r.irreducible if n % p else r.unique_maximal) is False
+    assert r.checked_vectors == checked
+    assert r == _check_Ip_reference(n, p)
 
 
 # --- cocycles ---------------------------------------------------------------

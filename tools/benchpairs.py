@@ -13,9 +13,10 @@ The output has the layout of BENCH_4.json: `what`, `machine`, `src_loc`,
 `workloads.<w>.pairs` (one entry per seed: both sides' end-to-end metrics
 and [failed, attempted]) and `workloads.<w>.summary` (per metric: each
 side's quartiles, the parent's IQR, the ratio of the medians, how many
-pairs each side won, in the direction BENCHMARK.json gives, and `claim`,
-whether the pairs meet the rule for claiming a gain), plus
-`<w>_trace` for the traced runs.
+pairs each side won, in the direction BENCHMARK.json gives, `claim`,
+whether the pairs meet the rule for claiming a gain, and `within_bound`,
+whether the change's median is no worse than the parent's by more than
+the metric's bound in BENCHMARK.json), plus `<w>_trace` for the traced runs.
 """
 
 from __future__ import annotations
@@ -57,19 +58,24 @@ def values(result: dict) -> dict:
     return {k: m["value"] for k, m in result["metrics"].items()}
 
 
-def summarize(pairs: list[dict], better: dict) -> dict:
-    """Per metric: quartiles of each side, the parent's IQR, the ratio of
-    the medians, the pairs each side won and whether a gain may be claimed;
-    empty below two pairs.
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per metric of `metrics` (BENCHMARK.json's `end_to_end` entries:
+    name, better, bound): quartiles of each side, the parent's IQR, the
+    ratio of the medians, the pairs each side won, whether a gain may be
+    claimed and whether the change stayed within the bound; empty below
+    two pairs.
 
     `claim` holds when the change won at least nine tenths of the pairs
     (ties count for neither side) and its median is better than the
-    parent's by more than the parent's IQR.
+    parent's by more than the parent's IQR.  `within_bound` holds when the
+    change's median is worse than the parent's by at most `bound` times
+    the parent's median.
     """
     if len(pairs) < 2:
         return {}
     out = {}
-    for name, direction in better.items():
+    for metric in metrics:
+        name, direction = metric["name"], metric["better"]
         par = [p["parent"][name] for p in pairs]
         chg = [p["change"][name] for p in pairs]
         sign = 1 if direction == "higher" else -1
@@ -86,6 +92,8 @@ def summarize(pairs: list[dict], better: dict) -> dict:
             "pairs": len(pairs),
             "claim": (10 * change_wins >= 9 * len(pairs)
                       and sign * (qc[1] - qp[1]) > qp[2] - qp[0]),
+            "bound": metric["bound"],
+            "within_bound": sign * (qc[1] - qp[1]) >= -metric["bound"] * abs(qp[1]),
         }
     return out
 
@@ -108,7 +116,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = {"what": (f"parent vs change, python3 perfbench/run.py --workload W --seed N "
                     f"--seconds {args.seconds:g} --trace 0, one pair per seed, the side "
@@ -126,7 +133,8 @@ def main(argv=None) -> int:
                 doc["src_loc"][side] = src_loc(header)
                 doc["machine"] = {k: header[k] for k in ("nproc", "python", "numpy", "caches")}
             pairs.append({k: pair[k] for k in ("seed", "first", "parent", "change", "failed")})
-        doc["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
+        doc["workloads"][workload] = {"pairs": pairs,
+                                      "summary": summarize(pairs, bench["end_to_end"])}
         if args.trace_seed is not None:
             doc[f"{workload}_trace"] = {
                 side: values(run_side(sides[side], workload, args.trace_seed, args.seconds, 1)[1])
