@@ -33,13 +33,11 @@ from .wreath import (
     tower_group,
 )
 from .formula import (
-    AbelianProfile,
     CountingProfile,
     CyclicTopError,
     FormulaResult,
     abelianization,
     counting_profile,
-    d_abelian_wreath,
     d_corollary,
     d_tower,
 )
@@ -64,13 +62,13 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianProfile", "BudgetExceeded", "CayleyTable", "CohomReport",
+    "BudgetExceeded", "CayleyTable", "CohomReport",
     "ConsistencyError", "CountingProfile", "CyclicTopError", "DegreeMismatch",
     "FormulaResult", "FpModule", "GenResult", "GenSearchConfig", "GroupSpec",
     "IpReport", "ParseError", "PermGroup", "Permutation",
     "TowerSpec", "TrivialLevelError", "abelian_p_ranks",
     "abelianization", "apply_at_vertex", "bsgs_build", "check_Ip_structure",
-    "cocycle_dims", "counting_profile", "d_abelian_wreath", "d_corollary",
+    "cocycle_dims", "counting_profile", "d_corollary",
     "d_lower_bound", "d_tower", "derived_subgroup",
     "example_generators", "example_tower", "find_generating_tuple",
     "format_cycles", "h_param", "min_generators", "parse_cycles",

@@ -14,7 +14,7 @@ import json
 import sys
 from functools import cache
 
-from .formula import counting_profile, d_corollary, d_tower
+from .formula import counting_profile, d_tower
 from .modfp import (
     ELEMENT_BUDGET,
     EQUATION_BUDGET,
@@ -68,22 +68,31 @@ def _bad_prime(p: int) -> str | None:
     return None if prime_factorization(p) == {p: 1} else "p must be prime"
 
 
+def _order_fields(t) -> dict:
+    """{"order": the tower's order in decimal}, or, past Python's
+    int-to-string limit (absent before 3.10.7), no order and a warning."""
+    order, limit = t.order(), getattr(sys, "get_int_max_str_digits", int)()
+    if limit and order >= 10 ** limit:
+        return {"order": None, "warning": f"order omitted: over {limit} decimal "
+                                          f"digits, Python's int-to-string limit"}
+    return {"order": str(order)}
+
+
 def _cmd_formula(args) -> tuple[dict, int]:
     t = parse_tower(args.tower)
     res = d_tower(t)
     doc = {
         "tower": t.text(), "k": t.k, "leaf_count": t.leaf_count(),
-        "order": str(t.order()), "d": res.d, "case": res.case,
-        "abelianization": res.abelianization.to_json(),
+        **_order_fields(t), "d": res.d, "case": res.case,
+        "abelianization": {str(p): r for p, r in res.abelianization.items()},
+        "counting": None,
     }
-    try:
+    if res.case not in ("Cyclic", "SingleLevel"):  # the counting form's towers
         prof = counting_profile(t)
         doc["counting"] = {
-            "d": d_corollary(t), "a4": prof.a4, "s": prof.s,
+            "d": res.d, "a4": prof.a4, "s": prof.s,
             "c": {str(p): m for p, m in sorted(prof.c.items())},
         }
-    except ValueError:  # includes CyclicTopError
-        doc["counting"] = None
     return doc, EXIT_OK
 
 
@@ -95,9 +104,12 @@ def _cmd_verify(args) -> tuple[dict, int]:
     t = parse_tower(args.tower)
     res = d_tower(t)
     doc = {
-        "tower": t.text(), "order": str(t.order()), "d": res.d,
-        "case": res.case, "oracle": None, "agree": None, "warning": None,
+        "tower": t.text(), "d": res.d, "case": res.case, "oracle": None,
+        "agree": None, "warning": None, **_order_fields(t),
     }
+    if doc["order"] is None:  # a group this large is past any oracle
+        doc["warning"] += "; formula only"
+        return doc, EXIT_OK
     if t.leaf_count() > VERIFY_LEAF_BUDGET:
         doc["warning"] = (f"{t.leaf_count()} leaves exceed the verification "
                           f"budget of {VERIFY_LEAF_BUDGET}; formula only")
@@ -126,7 +138,9 @@ def _cmd_cohom(args) -> tuple[dict, int]:
     spec = parse_group(args.group)
     if err := _bad_prime(args.p):
         return _error(err)
-    if spec.order() > ELEMENT_BUDGET:  # refused before its generators are built
+    # refused before its generators are built, and a degree over the budget
+    # before n! is: every level has at least n elements
+    if spec.n > ELEMENT_BUDGET or spec.order() > ELEMENT_BUDGET:
         return _error(f"group enumeration exceeds budget {ELEMENT_BUDGET}", EXIT_BUDGET)
     gens = standard_generators(spec)
     # and before any module of degree n is built; I_p has dimension n - 1
@@ -160,7 +174,7 @@ def _cmd_example(args) -> tuple[dict, int]:
     x, y = example_generators(args.n)
     doc = {
         "tower": t.text(), "n": args.n, "leaf_count": t.leaf_count(),
-        "order": str(t.order()),
+        **_order_fields(t),
         "x": {"degree": x.degree, "cycles": format_cycles(x)},
         "y": {"degree": y.degree, "cycles": format_cycles(y)},
         "order_x": x.order(), "order_y": y.order(),

@@ -9,39 +9,18 @@ oracle module certify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .wreath import GroupSpec, TowerSpec
+from .wreath import TowerSpec
 
 
 class CyclicTopError(ValueError):
     """The counting form requires a non-cyclic top level."""
 
 
-@dataclass(frozen=True)
-class AbelianProfile:
-    """A finite abelian group summarized by its nonzero p-ranks."""
-
-    ranks: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "ranks", {p: r for p, r in sorted(self.ranks.items()) if r})
-
-    @property
-    def d(self) -> int:
-        """Minimal generator count: the largest p-rank."""
-        return max(self.ranks.values(), default=0)
-
-    def rank(self, p: int) -> int:
-        return self.ranks.get(p, 0)
-
-    def to_json(self) -> dict[str, int]:
-        return {str(p): r for p, r in self.ranks.items()}
-
-
-def abelianization(t: TowerSpec, from_level: int = 1) -> AbelianProfile:
-    """p-ranks of the abelianization of the sub-tower from the given level.
+def abelianization(t: TowerSpec, from_level: int = 1) -> dict[int, int]:
+    """Nonzero p-ranks {p: rank} of the abelianization of the sub-tower
+    from the given level; its d is the largest rank.
 
     (B wr G)^ab = B^ab x G^ab, so each level contributes its own
     abelianization, one Z_p for each p in `GroupSpec.abelian_primes`.
@@ -53,29 +32,17 @@ def abelianization(t: TowerSpec, from_level: int = 1) -> AbelianProfile:
     for g in t.levels[from_level - 1:]:
         for p in g.abelian_primes:
             ranks[p] = ranks.get(p, 0) + 1
-    return AbelianProfile(ranks)
+    return ranks
 
 
-def d_abelian_wreath(a: AbelianProfile, g1: GroupSpec) -> int:
-    """d of A wr G_1 for a finite abelian A: d(A) + 1 for a cyclic G_1,
-    otherwise max(2, d(A x G_1^ab)), where G_1^ab adds one to the p-rank
-    of A at each p in `g1.abelian_primes`."""
-    if g1.is_cyclic():
-        return a.d + 1
-    d = max(2, a.d)
-    for p in g1.abelian_primes:
-        d = max(d, a.rank(p) + 1)
-    return d
-
-
-_CASES = {"A": "An", "S": "Sn", "C": "Cyclic"}
+_CASES = {"A": "An", "S": "Sn"}  # non-cyclic tops
 
 
 @dataclass(frozen=True)
 class FormulaResult:
     d: int
     case: str  # "A4" | "An" | "Sn" | "Cyclic" | "SingleLevel"
-    abelianization: AbelianProfile
+    abelianization: dict[int, int]  # of levels 2..k, as `abelianization`
 
 
 def d_tower(t: TowerSpec) -> FormulaResult:
@@ -83,14 +50,21 @@ def d_tower(t: TowerSpec) -> FormulaResult:
 
     For k >= 2 the answer is max(2, d(A wr G_1)), where A is the
     abelianization of levels 2..k; the case names the top level's type.
+    d(A wr G_1) is d(A) + 1 for a cyclic G_1, and otherwise
+    max(2, d(A x G_1^ab)), where G_1^ab adds one to the p-rank of A at
+    each p in `g1.abelian_primes`; A x G_1^ab is W^ab.
     """
     g1 = t.levels[0]
     if t.k == 1:
-        d = 1 if g1.is_cyclic() else 2
-        return FormulaResult(d, "SingleLevel", AbelianProfile({}))
+        return FormulaResult(1 if g1.is_cyclic() else 2, "SingleLevel", {})
     a = abelianization(t, 2)
+    d = max(a.values(), default=0)
+    if g1.is_cyclic():
+        return FormulaResult(max(2, d + 1), "Cyclic", a)
+    for p in g1.abelian_primes:
+        d = max(d, a.get(p, 0) + 1)
     case = "A4" if (g1.kind, g1.n) == ("A", 4) else _CASES[g1.kind]
-    return FormulaResult(max(2, d_abelian_wreath(a, g1)), case, a)
+    return FormulaResult(max(2, d), case, a)
 
 
 @dataclass(frozen=True)
@@ -124,12 +98,12 @@ def d_corollary(t: TowerSpec) -> int:
 
     The sums are the p-ranks of W^ab, the product of the levels'
     abelianizations (see `abelianization`), so the form is
-    max(2, d(W^ab)).  It agrees with `d_tower` because, under a
-    non-cyclic top, d(A wr G_1) = max(2, d(A x G_1^ab)) for A the
-    abelianization of levels 2..k, and A x G_1^ab is W^ab.
+    max(2, d(W^ab)), which is the value `d_tower` gives a non-cyclic top;
+    this returns that value.  `tests/formula_reference.py` writes the
+    counting form out by kind, as the independent check of both.
     """
     if t.k < 2:
         raise ValueError("the counting form needs k >= 2")
     if t.levels[0].is_cyclic():
         raise CyclicTopError("the counting form requires a non-cyclic top level")
-    return max(2, abelianization(t).d)
+    return d_tower(t).d

@@ -292,9 +292,11 @@ def check_Ip_structure(n: int, p: int) -> IpReport:
         raise ValueError("n must be at least 4")
     divides = n % p == 0
     # the budget depends on (n, p) alone, so it is checked before any
-    # group or matrix of degree n is built; I_p has dimension n - 1
-    total = p ** n - p ** (n - 1) if divides else p ** (n - 1) - 1
-    if total > VECTOR_BUDGET:
+    # group or matrix of degree n is built; I_p has dimension n - 1.  Both
+    # counts are at least 2^(n-1) - 1, over the budget once n - 1 passes
+    # its bit length, which is decided before a slow p ** n is built
+    if (n - 1 > VECTOR_BUDGET.bit_length()
+            or (p ** n - p ** (n - 1) if divides else p ** (n - 1) - 1) > VECTOR_BUDGET):
         return IpReport(n, p, n - 1, divides, "unverified", 0)
     mod = FpModule.natural(alt_group(n), p)
     ip = aug_submodule(mod)

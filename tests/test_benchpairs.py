@@ -1,5 +1,5 @@
 """The pair summary of tools/benchpairs.py: quartiles, IQR, wins, the
-claim rule and the regression bound."""
+claim rule, the regression bound and the unresolved flag."""
 
 from __future__ import annotations
 
@@ -88,3 +88,25 @@ def test_within_bound_allows_the_metric_bound_in_its_direction():
     for change, want in [((0, 0, 1), True), ((1, 1, 0), False)]:
         pairs = [{"parent": {"fail": 0}, "change": {"fail": c}} for c in change]
         assert benchpairs.summarize(pairs, _metrics(fail="lower"))["fail"]["within_bound"] is want
+
+
+def test_unresolved_when_the_parent_spread_is_wider_than_the_bound():
+    parent = [60, 70, 80, 90, 100, 110, 120, 130, 140, 150]  # median 105, IQR 55
+
+    def summary(change, bound):
+        return benchpairs.summarize(_pairs(parent, change), _metrics(bound, rate="higher"))["rate"]
+
+    # IQR 55 > 0.25 * 105: a change 10 worse is within the bound, but the
+    # spread cannot tell it from no change
+    s = summary([p - 10 for p in parent], 0.25)
+    assert s["within_bound"] is True and s["unresolved"] is True
+    # a bound wider than the spread resolves it
+    assert summary([p - 10 for p in parent], 0.6)["unresolved"] is False
+    # every change run beating every parent run resolves it too
+    assert summary([p + 100 for p in parent], 0.25)["unresolved"] is False
+    # one change run at the best parent run's value does not
+    assert summary([150] + [p + 100 for p in parent[1:]], 0.25)["unresolved"] is True
+    # in the lower-is-better direction, every change run below every parent run
+    s = benchpairs.summarize(_pairs(parent, [p - 100 for p in parent]),
+                             _metrics(0.25, rss="lower"))["rss"]
+    assert s["unresolved"] is False

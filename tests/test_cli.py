@@ -1,18 +1,33 @@
 """CLI surface: JSON documents, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wreathgen import cli, modfp
-from wreathgen.formula import AbelianProfile, FormulaResult
+from wreathgen.formula import FormulaResult
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def run_process(*argv, timeout=30):
+    """The CLI in a fresh interpreter, for inputs whose failure mode is a
+    hang: a run past the timeout fails the test."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "wreathgen.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout, env=env)
+    return proc.returncode, json.loads(proc.stdout)
 
 
 def test_formula_document(capsys):
@@ -71,9 +86,34 @@ def test_verify_huge_tower_skips_oracle(capsys):
     assert doc["d"] == 13
 
 
+_C2_14 = ";".join(["C2"] * 14)  # order 2^16383, 4,932 decimal digits
+
+
+@pytest.mark.parametrize("argv", [
+    ["formula", "--tower", "S3;S1000"], ["formula", "--tower", _C2_14],
+    ["verify", "--tower", "S3;S1000"], ["verify", "--tower", _C2_14],
+    ["example", "--n", "2001"],
+])
+def test_an_order_past_the_int_to_string_limit_is_null_with_a_warning(
+        capsys, monkeypatch, argv):
+    def refuse(t):
+        raise AssertionError("oracle run on a group past the order limit")
+
+    monkeypatch.setattr(cli, "tower_group", refuse)  # S3;S1000 has 3,000 leaves
+    code, doc = run(capsys, *argv)
+    assert code == 0
+    assert doc["order"] is None
+    assert f"over {sys.get_int_max_str_digits()} decimal digits" in doc["warning"]
+    if argv[0] == "verify":
+        assert doc["oracle"] is None and doc["agree"] is None
+        assert doc["warning"].endswith("; formula only") and doc["d"] >= 2
+    if argv[0] == "formula":
+        assert doc["counting"] is None or doc["counting"]["d"] == doc["d"]
+
+
 def test_verify_mismatch_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "d_tower", lambda t: FormulaResult(5, "An", AbelianProfile({})))
+        cli, "d_tower", lambda t: FormulaResult(5, "An", {}))
     code, doc = run(capsys, "verify", "--tower", "S3;C2")
     assert code == 4
     assert doc["agree"] is False
@@ -102,6 +142,13 @@ def test_module_over_budget_exits_3(capsys):
     code, doc = run(capsys, "module", "--n", "25", "--p", "2")
     assert code == 3
     assert doc["status"] == "unverified"
+
+
+def test_module_over_budget_at_a_huge_n_returns_at_once():
+    # 3 ** n for this n would take hours; the budget is decided without it
+    code, doc = run_process("module", "--n", "1000000000", "--p", "3")
+    assert code == 3
+    assert doc["status"] == "unverified" and doc["dim_Ip"] == 999999999
 
 
 def test_module_over_budget_builds_nothing(capsys, monkeypatch):
@@ -151,6 +198,13 @@ def test_cohom_over_budget_builds_nothing(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "standard_generators", refuse)
     code, doc = run(capsys, "cohom", "--group", "A260", "--p", "2")
+    assert code == 3
+    assert doc == {"error": "group enumeration exceeds budget 20160"}
+
+
+def test_cohom_over_budget_at_a_huge_degree_returns_at_once():
+    # the order (10^7)!/2 would take minutes to build
+    code, doc = run_process("cohom", "--group", "A10000000", "--p", "2")
     assert code == 3
     assert doc == {"error": "group enumeration exceeds budget 20160"}
 

@@ -14,9 +14,10 @@ The output has the layout of BENCH_4.json: `what`, `machine`, `src_loc`,
 and [failed, attempted]) and `workloads.<w>.summary` (per metric: each
 side's quartiles, the parent's IQR, the ratio of the medians, how many
 pairs each side won, in the direction BENCHMARK.json gives, `claim`,
-whether the pairs meet the rule for claiming a gain, and `within_bound`,
+whether the pairs meet the rule for claiming a gain, `within_bound`,
 whether the change's median is no worse than the parent's by more than
-the metric's bound in BENCHMARK.json), plus `<w>_trace` for the traced runs.
+the metric's bound in BENCHMARK.json, and `unresolved`, whether the
+parent's spread is too wide to tell), plus `<w>_trace` for the traced runs.
 """
 
 from __future__ import annotations
@@ -62,14 +63,16 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per metric of `metrics` (BENCHMARK.json's `end_to_end` entries:
     name, better, bound): quartiles of each side, the parent's IQR, the
     ratio of the medians, the pairs each side won, whether a gain may be
-    claimed and whether the change stayed within the bound; empty below
-    two pairs.
+    claimed, whether the change stayed within the bound and whether the
+    parent's spread leaves that unresolved; empty below two pairs.
 
     `claim` holds when the change won at least nine tenths of the pairs
     (ties count for neither side) and its median is better than the
     parent's by more than the parent's IQR.  `within_bound` holds when the
     change's median is worse than the parent's by at most `bound` times
-    the parent's median.
+    the parent's median.  `unresolved` holds when the parent's IQR is
+    wider than `bound` times its median, so the bound cannot be told
+    apart from the spread, unless every change run beats every parent run.
     """
     if len(pairs) < 2:
         return {}
@@ -94,6 +97,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
                       and sign * (qc[1] - qp[1]) > qp[2] - qp[0]),
             "bound": metric["bound"],
             "within_bound": sign * (qc[1] - qp[1]) >= -metric["bound"] * abs(qp[1]),
+            "unresolved": (qp[2] - qp[0] > metric["bound"] * abs(qp[1])
+                           and min(sign * c for c in chg) <= max(sign * p for p in par)),
         }
     return out
 
