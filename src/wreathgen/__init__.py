@@ -41,15 +41,6 @@ from .formula import (
     d_corollary,
     d_tower,
 )
-from .modfp import (
-    CohomReport,
-    FpModule,
-    IpReport,
-    check_Ip_structure,
-    cocycle_dims,
-    h_param,
-    s_param,
-)
 from .oracle import (
     CayleyTable,
     GenResult,
@@ -60,6 +51,21 @@ from .oracle import (
 )
 
 __version__ = "0.1.0"
+
+# modfp imports numpy, which takes longer than anything `formula`, `verify`
+# or `example` computes, so its names are bound on first access (PEP 562)
+_MODFP_EXPORTS = ("CohomReport", "FpModule", "IpReport", "check_Ip_structure",
+                  "cocycle_dims", "h_param", "s_param")
+
+
+def __getattr__(name):
+    if name not in _MODFP_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import modfp
+
+    globals().update((n, getattr(modfp, n)) for n in _MODFP_EXPORTS)
+    return globals()[name]
+
 
 __all__ = [
     "BudgetExceeded", "CayleyTable", "CohomReport",

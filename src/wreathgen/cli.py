@@ -11,23 +11,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import cache
 
 from .formula import counting_profile, d_tower
-from .modfp import (
-    ELEMENT_BUDGET,
-    EQUATION_BUDGET,
-    FpModule,
-    aug_submodule,
-    check_Ip_structure,
-    cocycle_bytes,
-    cocycle_dims,
-    h_param,
-    s_param,
-)
 from .oracle import GenSearchConfig, min_generators
-from .permcore import ParseError, PermGroup, bsgs_build, format_cycles, prime_factorization
+from .permcore import (
+    BudgetExceeded,
+    ParseError,
+    PermGroup,
+    bsgs_build,
+    format_cycles,
+    prime_factorization,
+)
 from .wreath import (
     TrivialLevelError,
     example_generators,
@@ -68,22 +65,41 @@ def _bad_prime(p: int) -> str | None:
     return None if prime_factorization(p) == {p: 1} else "p must be prime"
 
 
-def _order_fields(t) -> dict:
-    """{"order": the tower's order in decimal}, or, past Python's
-    int-to-string limit (absent before 3.10.7), no order and a warning."""
-    order, limit = t.order(), getattr(sys, "get_int_max_str_digits", int)()
-    if limit and order >= 10 ** limit:
-        return {"order": None, "warning": f"order omitted: over {limit} decimal "
-                                          f"digits, Python's int-to-string limit"}
-    return {"order": str(order)}
+def _printable(limit: int, log10: float, exact):
+    """exact(), or None when it has more than `limit` decimal digits; a
+    log10 past the limit by more than the floats' error decides without
+    building it.  No limit (0) prints everything."""
+    if limit and log10 > (limit + 1) * (1 + 1e-9):
+        return None
+    value = exact()
+    return None if limit and value >= 10 ** limit else value
+
+
+def _order_fields(t, leaf_count: bool = False) -> dict:
+    """{"order": the tower's order in decimal}, and its "leaf_count" when
+    asked; past Python's int-to-string limit (absent before 3.10.7) a
+    field is null and a warning names the limit.  The leaf count is at
+    most the order, so it is null only when the order is."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    order = _printable(limit, t.log10_order(), t.order)
+    doc = {"order": None if order is None else str(order)}
+    omitted = "order"
+    if leaf_count:
+        doc["leaf_count"] = _printable(limit, sum(map(math.log10, t.degrees)), t.leaf_count)
+        if doc["leaf_count"] is None:
+            omitted = "leaf count and order"
+    if order is None:
+        doc["warning"] = (f"{omitted} omitted: over {limit} decimal digits, "
+                          f"Python's int-to-string limit")
+    return doc
 
 
 def _cmd_formula(args) -> tuple[dict, int]:
     t = parse_tower(args.tower)
     res = d_tower(t)
     doc = {
-        "tower": t.text(), "k": t.k, "leaf_count": t.leaf_count(),
-        **_order_fields(t), "d": res.d, "case": res.case,
+        "tower": t.text(), "k": t.k, **_order_fields(t, leaf_count=True),
+        "d": res.d, "case": res.case,
         "abelianization": {str(p): r for p, r in res.abelianization.items()},
         "counting": None,
     }
@@ -125,45 +141,52 @@ def _cmd_verify(args) -> tuple[dict, int]:
     return doc, EXIT_OK if doc["agree"] else EXIT_MISMATCH
 
 
+# `module` and `cohom` import modfp when they run: it loads numpy, which the
+# other commands never use
+
 def _cmd_module(args) -> tuple[dict, int]:
+    from . import modfp
+
     if args.n < 4:
         return _error("n must be at least 4")
     if err := _bad_prime(args.p):
         return _error(err)
-    report = check_Ip_structure(args.n, args.p)
+    report = modfp.check_Ip_structure(args.n, args.p)
     return report.to_json(), EXIT_OK if report.status == "verified" else EXIT_BUDGET
 
 
 def _cmd_cohom(args) -> tuple[dict, int]:
+    from . import modfp
+
     spec = parse_group(args.group)
     if err := _bad_prime(args.p):
         return _error(err)
     # refused before its generators are built, and a degree over the budget
     # before n! is: every level has at least n elements
-    if spec.n > ELEMENT_BUDGET or spec.order() > ELEMENT_BUDGET:
-        return _error(f"group enumeration exceeds budget {ELEMENT_BUDGET}", EXIT_BUDGET)
+    if spec.n > modfp.ELEMENT_BUDGET or spec.order() > modfp.ELEMENT_BUDGET:
+        return _error(f"group enumeration exceeds budget {modfp.ELEMENT_BUDGET}", EXIT_BUDGET)
     gens = standard_generators(spec)
     # and before any module of degree n is built; I_p has dimension n - 1
-    need = cocycle_bytes(spec.order(), len(gens), spec.n - 1)
-    if need > EQUATION_BUDGET:
+    need = modfp.cocycle_bytes(spec.order(), len(gens), spec.n - 1)
+    if need > modfp.EQUATION_BUDGET:
         return _error(f"cocycle equations need {need} bytes, over the budget "
-                      f"of {EQUATION_BUDGET}", EXIT_BUDGET)
+                      f"of {modfp.EQUATION_BUDGET}", EXIT_BUDGET)
     g = PermGroup(spec.n, gens)
-    mod = FpModule.natural(g, args.p)
-    ip = aug_submodule(mod)
+    mod = modfp.FpModule.natural(g, args.p)
+    ip = modfp.aug_submodule(mod)
     try:
-        rep = cocycle_dims(g, mod.restricted(ip))
+        rep = modfp.cocycle_dims(g, mod.restricted(ip))
     except ValueError as e:  # p too large for the cocycle arithmetic
         return _error(str(e))
     doc = rep.to_json()
     doc["group"] = spec.token()
     doc["dim_Ip"] = ip.dim
-    doc["s"] = s_param(0, rep.dim_H1)
+    doc["s"] = modfp.s_param(0, rep.dim_H1)
     if rep.r is None:  # r is set only when End is scalar
         doc["h"] = None
         doc["warning"] = "endomorphism algebra is not scalar; no h value"
     else:
-        doc["h"] = h_param(doc["s"], rep.r)
+        doc["h"] = modfp.h_param(doc["s"], rep.r)
     return doc, EXIT_OK
 
 
@@ -173,8 +196,7 @@ def _cmd_example(args) -> tuple[dict, int]:
     t = example_tower(args.n)
     x, y = example_generators(args.n)
     doc = {
-        "tower": t.text(), "n": args.n, "leaf_count": t.leaf_count(),
-        **_order_fields(t),
+        "tower": t.text(), "n": args.n, **_order_fields(t, leaf_count=True),
         "x": {"degree": x.degree, "cycles": format_cycles(x)},
         "y": {"degree": y.degree, "cycles": format_cycles(y)},
         "order_x": x.order(), "order_y": y.order(),
@@ -237,6 +259,8 @@ def main(argv=None) -> int:
         doc, code = args.func(args)
     except (ParseError, TrivialLevelError) as e:  # a bad tower or group token
         doc, code = _error(str(e))
+    except BudgetExceeded as e:  # e.g. a level degree too large to factor
+        doc, code = _error(str(e), EXIT_BUDGET)
     _emit(doc, args.out)
     return code
 

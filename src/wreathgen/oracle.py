@@ -12,8 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .permcore import (
     BudgetExceeded,
     PermGroup,
@@ -57,16 +55,20 @@ class CayleyTable:
     index 0, whose edge table holds the generator columns; every other
     column t, with e_t = e_i * s discovered by the walk's tree edge from
     the earlier row i, follows by one vectorized gather, since
-    x * e_t = (x * e_i) * s.
+    x * e_t = (x * e_i) * s.  The table is a numpy array, and `build` is
+    the one place that imports numpy: a run that never scans a table,
+    as most `verify` runs do not, never loads it.
     """
 
     def __init__(self, elements, table, gen_indices):
         self.elements: list[Permutation] = elements
-        self.table: np.ndarray = table
+        self.table = table  # numpy.ndarray, n x n, column-major
         self.gen_indices: list[int] = gen_indices
 
     @classmethod
     def build(cls, g: PermGroup, limit: int) -> "CayleyTable":
+        import numpy as np
+
         order = g.order()
         if order > limit:
             raise BudgetExceeded(f"|G| = {order} exceeds the limit {limit}")

@@ -30,20 +30,59 @@ class BudgetExceeded(RuntimeError):
     """A computation would overrun its budget; not a bug and not bad input."""
 
 
+# trial division stops at TRIAL_DIVISION_BOUND, past every prime factor of
+# the order of a permutation group of degree up to 2^16 and the square root
+# of every p below 2^32; a cofactor left over is certified prime by
+# Miller-Rabin with the first 13 prime bases, which is exact below
+# _MR_EXACT_BELOW (Sorenson and Webster, Math. Comp. 86, 2017)
+TRIAL_DIVISION_BOUND = 2 ** 16
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Whether odd n > 41 passes the strong test to every base in
+    _MR_BASES; below _MR_EXACT_BELOW, exactly when n is prime."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def prime_factorization(n: int) -> dict[int, int]:
-    """{prime: exponent} for n >= 1 by trial division, primes ascending;
-    empty for n < 2."""
+    """{prime: exponent} for n >= 1, primes ascending; empty for n < 2.
+
+    Trial division up to TRIAL_DIVISION_BOUND, then Miller-Rabin on the
+    cofactor; raises BudgetExceeded for a cofactor that is composite or
+    past the range where the test is exact, since neither is split.
+    """
     factors: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= TRIAL_DIVISION_BOUND:
         e = 0
         while n % d == 0:
             n //= d
             e += 1
         if e:
             factors[d] = e
-        d += 1
+        d += 1 if d == 2 else 2
     if n > 1:
+        if d * d <= n and not (n < _MR_EXACT_BELOW and _strong_probable_prime(n)):
+            kind = "composite" if n < _MR_EXACT_BELOW else "past the exact Miller-Rabin range"
+            raise BudgetExceeded(
+                f"factoring budget: trial division up to {TRIAL_DIVISION_BOUND} leaves "
+                f"a {n.bit_length()}-bit cofactor that is {kind}")
         factors[n] = 1
     return factors
 

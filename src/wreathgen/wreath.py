@@ -74,6 +74,14 @@ class GroupSpec:
             return math.factorial(self.n)
         return self.n
 
+    def log10_order(self) -> float:
+        """log10 of `order()`, from floats, so no factorial is built;
+        raises OverflowError for a degree past a float."""
+        if self.kind == "C":
+            return math.log10(self.n)
+        log = math.lgamma(self.n + 1) / math.log(10)
+        return log - math.log10(2) if self.kind == "A" else log
+
     def is_cyclic(self) -> bool:
         return self.kind == "C"
 
@@ -85,7 +93,13 @@ def parse_group(token: str) -> GroupSpec:
     m = _GROUP_RE.match(token)
     if not m:
         raise ParseError(f"bad group token {token!r}; expected A<n>, S<n> or C<n>")
-    return GroupSpec(m.group(1), int(m.group(2)))
+    kind, digits = m.groups()
+    try:
+        n = int(digits)
+    except ValueError:  # past Python's limit on int-from-string conversion
+        raise ParseError(f"degree of group token {kind}<{len(digits)} digits> is past "
+                         f"Python's limit on reading an integer") from None
+    return GroupSpec(kind, n)
 
 
 @dataclass(frozen=True)
@@ -125,6 +139,18 @@ class TowerSpec:
         for g in self.levels:
             total *= g.order() ** copies
             copies *= g.n
+        return total
+
+    def log10_order(self) -> float:
+        """log10 of `order()`, sum_i (n_1 .. n_{i-1}) log10 |G_i| in
+        floats, so no power is built; inf when a term overflows."""
+        total, copies = 0.0, 1
+        try:
+            for g in self.levels:
+                total += copies * g.log10_order()
+                copies *= g.n
+        except OverflowError:  # a count of copies or a degree past a float
+            return math.inf
         return total
 
     def text(self) -> str:

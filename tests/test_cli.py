@@ -19,13 +19,13 @@ def run(capsys, *argv):
     return code, json.loads(out)
 
 
-def run_process(*argv, timeout=30):
+def run_process(*argv, timeout=30, python_flags=()):
     """The CLI in a fresh interpreter, for inputs whose failure mode is a
     hang: a run past the timeout fails the test."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "wreathgen.cli", *argv],
+    proc = subprocess.run([sys.executable, *python_flags, "-m", "wreathgen.cli", *argv],
                           capture_output=True, text=True, timeout=timeout, env=env)
     return proc.returncode, json.loads(proc.stdout)
 
@@ -109,6 +109,61 @@ def test_an_order_past_the_int_to_string_limit_is_null_with_a_warning(
         assert doc["warning"].endswith("; formula only") and doc["d"] >= 2
     if argv[0] == "formula":
         assert doc["counting"] is None or doc["counting"]["d"] == doc["d"]
+
+
+needs_int_limit = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", int)(), reason="no int-to-string limit")
+_ZEROS_3000 = "1" + "0" * 3000
+
+
+@needs_int_limit
+@pytest.mark.parametrize("tower,leaves", [
+    ("S1000000", 1000000),  # 5.5 million digits, once built as 1000000!
+    ("C1000000000;C2", 2000000000),  # a 125 MB power of 2, once built
+    (f"C{_ZEROS_3000};C{_ZEROS_3000}", None),  # 10^3000 copies of C_10^3000
+])
+def test_an_order_far_past_the_limit_is_null_without_being_built(tower, leaves):
+    code, doc = run_process("formula", "--tower", tower, timeout=10)
+    assert code == 0 and doc["order"] is None and doc["leaf_count"] == leaves
+    omitted = "order" if leaves else "leaf count and order"
+    assert doc["warning"].startswith(
+        f"{omitted} omitted: over {sys.get_int_max_str_digits()} decimal digits")
+
+
+@needs_int_limit
+@pytest.mark.parametrize("tower,order,leaves", [
+    # |C637 wr C10| = 637 * 10^637 has 640 digits, 638 * 10^638 has 641
+    ("C637;C10", str(637 * 10 ** 637), 6370),
+    ("C638;C10", None, 6380),
+    ("C700;C10", None, 7000),
+    # leaf counts of 640 and 641 digits, each with an order past the limit
+    (f"C1{'0' * 320};C1{'0' * 319}", None, 10 ** 639),
+    (f"C1{'0' * 320};C1{'0' * 320}", None, None),
+])
+def test_fields_on_either_side_of_the_limit(tower, order, leaves):
+    code, doc = run_process("formula", "--tower", tower, timeout=10,
+                            python_flags=("-X", "int_max_str_digits=640"))
+    assert code == 0
+    assert (doc["order"], doc["leaf_count"]) == (order, leaves)
+    assert ("warning" in doc) == (order is None)
+
+
+@pytest.mark.parametrize("tower,exit_code,text", [
+    # 2^61 - 1 is prime: trial division stops at 2^16, Miller-Rabin certifies it
+    ("A5;C2305843009213693951", 0, None),
+    # 65537 * 65539: composite, and both factors lie past trial division
+    ("A5;C4295229443", 3, "factoring budget"),
+    # 2^89 - 1: prime, but past the range where the strong test is exact
+    ("C2;C618970019642690137449562111", 3, "factoring budget"),
+    pytest.param(f"C1{'0' * 4400}", 2, "C<4401 digits>", marks=needs_int_limit),
+])
+def test_a_large_level_degree_is_settled_or_refused_promptly(tower, exit_code, text):
+    code, doc = run_process("formula", "--tower", tower, timeout=10)
+    assert code == exit_code
+    if exit_code:
+        assert text in doc["error"]
+    else:
+        assert doc["abelianization"] == {"2305843009213693951": 1} and doc["d"] == 2
 
 
 def test_verify_mismatch_exits_4(capsys, monkeypatch):

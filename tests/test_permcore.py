@@ -8,12 +8,14 @@ test.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wreathgen.permcore import (
+    TRIAL_DIVISION_BOUND,
     BudgetExceeded,
     DegreeMismatch,
     ParseError,
@@ -26,6 +28,7 @@ from wreathgen.permcore import (
     format_cycles,
     parse_cycles,
     prime_factorization,
+    _strong_probable_prime,
 )
 from wreathgen.wreath import GroupSpec, parse_tower, standard_generators, tower_group
 
@@ -373,3 +376,57 @@ def test_abelian_p_ranks_batch():
 def test_enumerate_respects_limit():
     with pytest.raises(BudgetExceeded, match="exceeds budget 59"):
         cayley_walk(5, A5.generators, 59)
+
+
+# strong pseudoprimes to the first 4, 5, 6, 8, 11 and 12 prime bases: for
+# every count of bases from 4 to 12, the least one is in this list
+STRONG_PSEUDOPRIMES = [3215031751, 2152302898747, 3474749660383, 341550071728321,
+                       3825123056546413051, 318665857834031151167461]
+# the least strong pseudoprime to the first 13 prime bases, 2 through 41
+PSI_13 = 3317044064679887385961981
+M61 = 2 ** 61 - 1
+
+
+def test_strong_test_agrees_with_a_sieve_and_catches_strong_pseudoprimes():
+    top = 30000
+    composite = bytearray(top)
+    for d in range(2, int(top ** 0.5) + 1):
+        composite[d * d::d] = b"\1" * len(range(d * d, top, d))
+    for n in range(43, top, 2):
+        assert _strong_probable_prime(n) == (not composite[n]), n
+    for n in STRONG_PSEUDOPRIMES:
+        assert not _strong_probable_prime(n), n
+    # the 13 bases are fooled at their bound, so it is exclusive
+    assert _strong_probable_prime(PSI_13)
+
+
+def test_prime_factorization_certifies_a_prime_cofactor_past_trial_division():
+    assert prime_factorization(M61) == {M61: 1}
+    assert prime_factorization(360 * M61) == {2: 3, 3: 2, 5: 1, M61: 1}
+    # below the trial bound squared no strong test is needed: p < 2^31
+    assert prime_factorization(2 ** 31 - 1) == {2 ** 31 - 1: 1}
+    assert prime_factorization(65521 * 65519) == {65519: 1, 65521: 1}
+
+
+def test_prime_factorization_is_exact_on_group_orders():
+    # every prime factor of a subgroup order of Sym(m) is at most m
+    for m in (12, 100, 4096):
+        expected = {}
+        for p in range(2, m + 1):
+            if all(p % q for q in range(2, int(p ** 0.5) + 1)):
+                e, q = 0, p
+                while q <= m:  # Legendre: the exponent of p in m!
+                    e += m // q
+                    q *= p
+                expected[p] = e
+        assert prime_factorization(math.factorial(m)) == expected
+
+
+@pytest.mark.parametrize("n", [
+    65537 * 65539,  # composite, both factors past the trial bound
+    PSI_13,  # composite, at the bound where the strong test stops being exact
+    2 ** 89 - 1,  # prime, past that bound
+])
+def test_prime_factorization_refuses_what_it_cannot_settle(n):
+    with pytest.raises(BudgetExceeded, match=f"trial division up to {TRIAL_DIVISION_BOUND}"):
+        prime_factorization(n)

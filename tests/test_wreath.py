@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 
 import pytest
 
@@ -44,6 +46,28 @@ def test_parse_tower_roundtrip():
 def test_parse_tower_rejects(bad):
     with pytest.raises(ParseError):
         parse_tower(bad)
+
+
+@pytest.mark.parametrize("text", [
+    "A5", "S7", "C6", "A4", "A5;C3;C2;C2", "S3;S100", "A200;C2", "C7;S5;A6;C4", "C1000;A5",
+])
+def test_log10_order_matches_the_exact_order(text):
+    t = parse_tower(text)
+    exact = math.log10(t.order())
+    assert abs(t.log10_order() - exact) <= 1e-12 * max(exact, 1)
+
+
+def test_log10_order_is_inf_once_a_term_overflows():
+    assert parse_tower("C1" + "0" * 400 + ";C2").log10_order() == math.inf
+    assert parse_tower("S1" + "0" * 400).log10_order() == math.inf
+
+
+def test_a_degree_past_the_int_conversion_limit_is_a_parse_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python reads integers of any length")
+    with pytest.raises(ParseError, match=f"C<{limit + 1} digits>"):
+        parse_tower("A5;C1" + "0" * limit)
 
 
 @pytest.mark.parametrize("token", ["C1", "S1", "A1", "A2"])
