@@ -33,7 +33,6 @@ from .wreath import (
     tower_group,
 )
 from .formula import (
-    CountingProfile,
     CyclicTopError,
     FormulaResult,
     abelianization,
@@ -55,7 +54,7 @@ __version__ = "0.1.0"
 # modfp imports numpy, which takes longer than anything `formula`, `verify`
 # or `example` computes, so its names are bound on first access (PEP 562)
 _MODFP_EXPORTS = ("CohomReport", "FpModule", "IpReport", "check_Ip_structure",
-                  "cocycle_dims", "h_param", "s_param")
+                  "cocycle_dims", "cohomology_of_Ip", "h_param")
 
 
 def __getattr__(name):
@@ -69,15 +68,15 @@ def __getattr__(name):
 
 __all__ = [
     "BudgetExceeded", "CayleyTable", "CohomReport",
-    "ConsistencyError", "CountingProfile", "CyclicTopError", "DegreeMismatch",
+    "ConsistencyError", "CyclicTopError", "DegreeMismatch",
     "FormulaResult", "FpModule", "GenResult", "GenSearchConfig", "GroupSpec",
     "IpReport", "ParseError", "PermGroup", "Permutation",
     "TowerSpec", "TrivialLevelError", "abelian_p_ranks",
     "abelianization", "apply_at_vertex", "bsgs_build", "check_Ip_structure",
-    "cocycle_dims", "counting_profile", "d_corollary",
+    "cocycle_dims", "cohomology_of_Ip", "counting_profile", "d_corollary",
     "d_lower_bound", "d_tower", "derived_subgroup",
     "example_generators", "example_tower", "find_generating_tuple",
     "format_cycles", "h_param", "min_generators", "parse_cycles",
-    "parse_group", "parse_tower", "s_param", "standard_generators",
+    "parse_group", "parse_tower", "standard_generators",
     "tower_generators", "tower_group",
 ]

@@ -23,7 +23,6 @@ from .permcore import (
     PermGroup,
     bsgs_build,
     format_cycles,
-    prime_factorization,
 )
 from .wreath import (
     TrivialLevelError,
@@ -31,7 +30,6 @@ from .wreath import (
     example_tower,
     parse_group,
     parse_tower,
-    standard_generators,
     tower_group,
 )
 
@@ -55,14 +53,6 @@ def _emit(doc: dict, out: str | None) -> None:
 
 def _error(message: str, code: int = EXIT_USAGE) -> tuple[dict, int]:
     return {"error": message}, code
-
-
-def _bad_prime(p: int) -> str | None:
-    """Why p is refused, or None.  F_p arithmetic in numpy int64 needs
-    p < 2^31, which also keeps the trial division short."""
-    if p >= 2 ** 31:
-        return "p must be below 2^31"
-    return None if prime_factorization(p) == {p: 1} else "p must be prime"
 
 
 def _printable(limit: int, log10: float, exact):
@@ -105,10 +95,8 @@ def _cmd_formula(args) -> tuple[dict, int]:
     }
     if res.case not in ("Cyclic", "SingleLevel"):  # the counting form's towers
         prof = counting_profile(t)
-        doc["counting"] = {
-            "d": res.d, "a4": prof.a4, "s": prof.s,
-            "c": {str(p): m for p, m in sorted(prof.c.items())},
-        }
+        # string keys, which the sorted output orders as strings
+        doc["counting"] = {"d": res.d, **prof, "c": {str(p): m for p, m in prof["c"].items()}}
     return doc, EXIT_OK
 
 
@@ -142,16 +130,16 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 # `module` and `cohom` import modfp when they run: it loads numpy, which the
-# other commands never use
+# other commands never use.  modfp refuses n, p and its budgets itself:
+# ValueError is bad input, and BudgetExceeded reaches main
 
 def _cmd_module(args) -> tuple[dict, int]:
     from . import modfp
 
-    if args.n < 4:
-        return _error("n must be at least 4")
-    if err := _bad_prime(args.p):
-        return _error(err)
-    report = modfp.check_Ip_structure(args.n, args.p)
+    try:
+        report = modfp.check_Ip_structure(args.n, args.p)
+    except ValueError as e:
+        return _error(str(e))
     return report.to_json(), EXIT_OK if report.status == "verified" else EXIT_BUDGET
 
 
@@ -159,29 +147,14 @@ def _cmd_cohom(args) -> tuple[dict, int]:
     from . import modfp
 
     spec = parse_group(args.group)
-    if err := _bad_prime(args.p):
-        return _error(err)
-    # refused before its generators are built, and a degree over the budget
-    # before n! is: every level has at least n elements
-    if spec.n > modfp.ELEMENT_BUDGET or spec.order() > modfp.ELEMENT_BUDGET:
-        return _error(f"group enumeration exceeds budget {modfp.ELEMENT_BUDGET}", EXIT_BUDGET)
-    gens = standard_generators(spec)
-    # and before any module of degree n is built; I_p has dimension n - 1
-    need = modfp.cocycle_bytes(spec.order(), len(gens), spec.n - 1)
-    if need > modfp.EQUATION_BUDGET:
-        return _error(f"cocycle equations need {need} bytes, over the budget "
-                      f"of {modfp.EQUATION_BUDGET}", EXIT_BUDGET)
-    g = PermGroup(spec.n, gens)
-    mod = modfp.FpModule.natural(g, args.p)
-    ip = modfp.aug_submodule(mod)
     try:
-        rep = modfp.cocycle_dims(g, mod.restricted(ip))
-    except ValueError as e:  # p too large for the cocycle arithmetic
+        rep = modfp.cohomology_of_Ip(spec, args.p)
+    except ValueError as e:  # p not a prime, or too large for the arithmetic
         return _error(str(e))
     doc = rep.to_json()
     doc["group"] = spec.token()
-    doc["dim_Ip"] = ip.dim
-    doc["s"] = modfp.s_param(0, rep.dim_H1)
+    doc["dim_Ip"] = rep.dim
+    doc["s"] = rep.dim_H1  # I_p has no trivial factor
     if rep.r is None:  # r is set only when End is scalar
         doc["h"] = None
         doc["warning"] = "endomorphism algebra is not scalar; no h value"
@@ -259,7 +232,7 @@ def main(argv=None) -> int:
         doc, code = args.func(args)
     except (ParseError, TrivialLevelError) as e:  # a bad tower or group token
         doc, code = _error(str(e))
-    except BudgetExceeded as e:  # e.g. a level degree too large to factor
+    except BudgetExceeded as e:  # a degree too large to factor, or a modfp budget
         doc, code = _error(str(e), EXIT_BUDGET)
     _emit(doc, args.out)
     return code

@@ -67,17 +67,9 @@ def d_tower(t: TowerSpec) -> FormulaResult:
     return FormulaResult(max(2, d), case, a)
 
 
-@dataclass(frozen=True)
-class CountingProfile:
-    """Level counts entering the counting form and the abelianization."""
-
-    a4: int  # Alt 4 levels
-    s: int  # non-abelian symmetric levels
-    c: dict[int, int]  # cyclic levels whose order p divides, per prime
-
-
-def counting_profile(t: TowerSpec) -> CountingProfile:
-    """Level counts of the whole tower."""
+def counting_profile(t: TowerSpec) -> dict:
+    """Level counts of the whole tower: "a4" Alt 4 levels, "s" non-abelian
+    symmetric levels, and "c" {p: cyclic levels whose order p divides}."""
     a4 = s = 0
     c: dict[int, int] = {}
     for g in t.levels:
@@ -88,7 +80,7 @@ def counting_profile(t: TowerSpec) -> CountingProfile:
         elif g.kind == "C":
             for p in g.abelian_primes:
                 c[p] = c.get(p, 0) + 1
-    return CountingProfile(a4, s, c)
+    return {"a4": a4, "s": s, "c": c}
 
 
 def d_corollary(t: TowerSpec) -> int:

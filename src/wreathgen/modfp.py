@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .permcore import PermGroup, Permutation, cayley_walk
+from .permcore import BudgetExceeded, PermGroup, Permutation, cayley_walk, prime_factorization
 from .wreath import GroupSpec, standard_generators
 
 
@@ -254,6 +254,15 @@ def alt_group(n: int) -> PermGroup:
     return PermGroup(n, standard_generators(GroupSpec("A", n)))
 
 
+def _require_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime below 2^31: F_p arithmetic in
+    numpy int64 needs p < 2^31, which also keeps the trial division short."""
+    if p >= 2 ** 31:
+        raise ValueError("p must be below 2^31")
+    if prime_factorization(p) != {p: 1}:
+        raise ValueError("p must be prime")
+
+
 def _passed_before(v: tuple[int, ...], p: int, outside_ip: bool):
     """check_Ip_structure's stop rule for the spin of v: the vectors w
     whose multiple with leading entry 1 comes before v in itertools.product
@@ -286,10 +295,12 @@ def check_Ip_structure(n: int, p: int) -> IpReport:
     That is the stop rule each spin gets; a vector whose leading entry is
     not 1 settles on its seed.
 
-    Over budget the report comes back "unverified" instead of sampling.
+    Over budget the report comes back "unverified" instead of sampling;
+    n < 4 and a p that is not a prime below 2^31 raise ValueError.
     """
     if n < 4:
         raise ValueError("n must be at least 4")
+    _require_prime(p)
     divides = n % p == 0
     # the budget depends on (n, p) alone, so it is checked before any
     # group or matrix of degree n is built; I_p has dimension n - 1.  Both
@@ -360,18 +371,40 @@ def cocycle_dims(g: PermGroup, m: FpModule) -> CohomReport:
     derivation law delta(gh) = delta(g)h + delta(h) holds identically on
     the solution space.
     """
-    system = _cocycle_system(g, m)
+    constraints, count = _cocycle_system(g, m)
     k = m.dim
     ngens = len(g.generators)
-    dim_z1 = ngens * k - system.constraints.dim
+    dim_z1 = ngens * k - constraints.dim
     fixed = fixed_points(m)
     dim_b1 = k - fixed
     dim_h1 = dim_z1 - dim_b1
     if dim_h1 < 0:
         raise RuntimeError("negative H^1 dimension; constraint system is wrong")
     end = endomorphism_dim(m)
-    return CohomReport(m.p, k, system.count, dim_z1, dim_b1, dim_h1,
+    return CohomReport(m.p, k, count, dim_z1, dim_b1, dim_h1,
                        fixed, end, k if end == 1 else None)
+
+
+def cohomology_of_Ip(spec: GroupSpec, p: int) -> CohomReport:
+    """cocycle_dims for I_p under the group `spec` in its natural action.
+
+    Raises ValueError unless p is a prime below 2^31, and BudgetExceeded
+    before building what would pass ELEMENT_BUDGET or EQUATION_BUDGET.
+    """
+    _require_prime(p)
+    # refused before its generators are built, and a degree over the budget
+    # before n! is: every level has at least n elements
+    if spec.n > ELEMENT_BUDGET or spec.order() > ELEMENT_BUDGET:
+        raise BudgetExceeded(f"group enumeration exceeds budget {ELEMENT_BUDGET}")
+    gens = standard_generators(spec)
+    # and before any module of degree n is built; I_p has dimension n - 1
+    need = cocycle_bytes(spec.order(), len(gens), spec.n - 1)
+    if need > EQUATION_BUDGET:
+        raise BudgetExceeded(f"cocycle equations need {need} bytes, over the budget "
+                             f"of {EQUATION_BUDGET}")
+    g = PermGroup(spec.n, gens)
+    mod = FpModule.natural(g, p)
+    return cocycle_dims(g, mod.restricted(aug_submodule(mod)))
 
 
 def cocycle_bytes(order: int, ngens: int, k: int) -> int:
@@ -383,18 +416,14 @@ def cocycle_bytes(order: int, ngens: int, k: int) -> int:
     return 4 * order * ngens * k * k + 8 * _EDGE_BLOCK * k * ngens * k + 8 * ngens * k ** 4
 
 
-@dataclass
-class _CocycleSystem:
-    constraints: RowSpace
-    count: int  # group order found by the walk
-
-
 # the constraint equations of this many edges are folded into the basis at
 # once, which bounds the equations held at one time
 _EDGE_BLOCK = 256
 
 
-def _cocycle_system(g: PermGroup, mod: FpModule) -> _CocycleSystem:
+def _cocycle_system(g: PermGroup, mod: FpModule) -> tuple[RowSpace, int]:
+    """The constraints on the generator images, and the group order the
+    walk found."""
     if len(mod.mats) != len(g.generators):
         raise ValueError("module action does not match the group's generators")
     k = mod.dim
@@ -439,14 +468,7 @@ def _cocycle_system(g: PermGroup, mod: FpModule) -> _CocycleSystem:
         # one scalar equation per edge and module coordinate
         eqs = diff.transpose(0, 3, 1, 2).reshape(len(block) * k, ngens * k)
         constraints = RowSpace.span(np.vstack([constraints.matrix(), eqs]), p)
-    return _CocycleSystem(constraints, count)
-
-
-def s_param(dp_abar: int, h1: int) -> int:
-    """Generation parameter: trivial-factor rank plus the H^1 dimension."""
-    if dp_abar < 0 or h1 < 0:
-        raise ValueError("components must be nonnegative")
-    return dp_abar + h1
+    return constraints, count
 
 
 def h_param(s: int, r: int) -> int:

@@ -251,7 +251,7 @@ def test_cohom_over_budget_builds_nothing(capsys, monkeypatch):
     def refuse(spec):
         raise AssertionError("generators built for a group over the budget")
 
-    monkeypatch.setattr(cli, "standard_generators", refuse)
+    monkeypatch.setattr(modfp, "standard_generators", refuse)
     code, doc = run(capsys, "cohom", "--group", "A260", "--p", "2")
     assert code == 3
     assert doc == {"error": "group enumeration exceeds budget 20160"}
@@ -317,7 +317,7 @@ def test_module_rejects_a_p_too_large_before_factoring_it(capsys, monkeypatch):
     def refuse(p):
         raise AssertionError("trial division of a p that is refused anyway")
 
-    monkeypatch.setattr(cli, "prime_factorization", refuse)
+    monkeypatch.setattr(modfp, "prime_factorization", refuse)
     for p in ("2147483659", "9223372036854775783"):
         code, doc = run(capsys, "module", "--n", "4", "--p", p)
         assert code == 2 and doc == {"error": "p must be below 2^31"}

@@ -54,6 +54,33 @@ def test_every_import_is_used_or_exported(path):
     assert unused_imports(path.read_text()) == set()
 
 
+def foreign_constants(source: str) -> set[str]:
+    """ALL-CAPS names a module imports or reads off a name it imports, as
+    "name.ATTR": a budget or limit read there is owned by another module."""
+    tree = ast.parse(source)
+    imported, found = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        if isinstance(node, ast.ImportFrom):
+            found.update(f"{node.module}.{a.name}" for a in node.names if a.name.isupper())
+    return found | {f"{n.value.id}.{n.attr}" for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                    and n.value.id in imported and n.attr.isupper()}
+
+
+def test_foreign_constants_are_found():
+    src = ("from . import modfp\nimport os.path as osp\nfrom .oracle import LIMIT, run\n"
+           "OWN = 1\ndef f(obj):\n    from . import permcore\n"
+           "    return modfp.BUDGET, osp.SEP_2, permcore.run, obj.MAX, OWN, LIMIT\n")
+    assert foreign_constants(src) == {"modfp.BUDGET", "osp.SEP_2", "oracle.LIMIT"}
+
+
+def test_cli_reads_no_constant_of_another_module():
+    cli = next(p for p in SOURCES if p.name == "cli.py")
+    assert foreign_constants(cli.read_text()) == set()
+
+
 PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 
 # read only by tests, which build most of their groups from cycle text;

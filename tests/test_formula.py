@@ -83,8 +83,8 @@ def test_d_tower_floor_of_two():
 
 def test_counting_profile():
     prof = counting_profile(parse_tower("S5;C2;C6;A4;S3"))
-    assert (prof.a4, prof.s) == (1, 2)
-    assert prof.c == {2: 2, 3: 1}
+    assert (prof["a4"], prof["s"]) == (1, 2)
+    assert prof["c"] == {2: 2, 3: 1}
 
 
 def test_d_corollary_values():
@@ -165,7 +165,7 @@ def _outcome(fn, *args):
 
 
 def _profile_tuple(prof):
-    return prof.a4, prof.s, prof.c
+    return prof["a4"], prof["s"], prof["c"]
 
 
 @settings(max_examples=400, deadline=None)

@@ -24,15 +24,17 @@ from wreathgen.modfp import (
     alt_group,
     aug_submodule,
     check_Ip_structure,
+    cocycle_bytes,
     cocycle_dims,
+    cohomology_of_Ip,
     endomorphism_dim,
     fixed_points,
     h_param,
     perm_matrix,
-    s_param,
     spin,
 )
 from wreathgen.permcore import BudgetExceeded, PermGroup, parse_cycles
+from wreathgen.wreath import parse_group
 
 
 def test_rowspace_rank_and_reduction():
@@ -223,6 +225,17 @@ def test_Ip_rejects_tiny_n():
         check_Ip_structure(3, 2)
 
 
+BAD_PRIMES = [(1, "p must be prime"), (4, "p must be prime"),
+              (2 ** 31 + 11, "p must be below 2^31")]
+
+
+@pytest.mark.parametrize("p,message", BAD_PRIMES)
+def test_Ip_rejects_a_p_that_is_not_a_prime_below_2_31(p, message):
+    with pytest.raises(ValueError) as exc:
+        check_Ip_structure(4, p)
+    assert str(exc.value) == message
+
+
 def _check_Ip_reference(n, p):
     """check_Ip_structure without the stop rule: the same scan order, one
     plain spin per vector and the same break at the first failure."""
@@ -320,13 +333,13 @@ def test_inner_derivations_satisfy_the_constraints():
     mod = FpModule.natural(g, p)
     ip = aug_submodule(mod)
     restricted = mod.restricted(ip)
-    system = _cocycle_system(g, restricted)
+    constraints, _ = _cocycle_system(g, restricted)
     rng = np.random.default_rng(17)
     eye = np.eye(restricted.dim, dtype=np.int64)
     for _ in range(10):
         a = rng.integers(0, p, restricted.dim)
         u = np.concatenate([(a @ (eye - m)) % p for m in restricted.mats])
-        assert (system.constraints.matrix() @ u % p == 0).all()
+        assert (constraints.matrix() @ u % p == 0).all()
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -335,12 +348,12 @@ def test_cocycle_system_does_not_depend_on_the_edge_block(monkeypatch, n, p):
     g = alt_group(n)
     mod = FpModule.natural(g, p)
     restricted = mod.restricted(aug_submodule(mod))
-    whole = _cocycle_system(g, restricted)
+    whole, _ = _cocycle_system(g, restricted)
     dims = cocycle_dims(g, restricted).to_json()
     monkeypatch.setattr(modfp, "_EDGE_BLOCK", 1)
-    single = _cocycle_system(g, restricted)
-    assert single.constraints.pivots == whole.constraints.pivots
-    assert (single.constraints.matrix() == whole.constraints.matrix()).all()
+    single, _ = _cocycle_system(g, restricted)
+    assert single.pivots == whole.pivots
+    assert (single.matrix() == whole.matrix()).all()
     assert cocycle_dims(g, restricted).to_json() == dims
 
 
@@ -373,22 +386,52 @@ def test_cocycle_requires_matching_generators():
         _cocycle_system(g, FpModule(2, 4, other.mats[:1]))
 
 
+def _refuse(*args):
+    raise AssertionError("built for an input that is refused anyway")
+
+
+@pytest.mark.parametrize("token,skipped,message", [
+    ("A260", ("standard_generators", "perm_matrix", "_cocycle_system"),
+     "group enumeration exceeds budget 20160"),
+    # the order (10^7)!/2 would take minutes to build
+    ("A10000000", ("standard_generators", "perm_matrix", "_cocycle_system"),
+     "group enumeration exceeds budget 20160"),
+    # C250 passes the element budget; endomorphism_dim alone would allocate
+    # k^4 * 8 bytes for k = 249, about 28.6 GiB
+    ("C250", ("perm_matrix", "_cocycle_system", "endomorphism_dim"),
+     f"cocycle equations need {cocycle_bytes(250, 1, 249)} bytes, over the budget "
+     f"of {modfp.EQUATION_BUDGET}"),
+])
+def test_cohomology_of_Ip_refuses_its_budgets_before_building(
+        monkeypatch, token, skipped, message):
+    for name in skipped:
+        monkeypatch.setattr(modfp, name, _refuse)
+    with pytest.raises(BudgetExceeded) as exc:
+        cohomology_of_Ip(parse_group(token), 2)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("p,message", BAD_PRIMES)
+def test_cohomology_of_Ip_refuses_a_p_that_is_not_a_prime_below_2_31(monkeypatch, p, message):
+    monkeypatch.setattr(modfp, "standard_generators", _refuse)
+    with pytest.raises(ValueError) as exc:
+        cohomology_of_Ip(parse_group("A5"), p)
+    assert str(exc.value) == message
+
+
 # --- the s and h parameters --------------------------------------------------
 
 def test_s_and_h_params():
-    assert s_param(3, 1) == 4
     assert h_param(4, 3) == 3
     assert h_param(1, 3) == 2
     assert h_param(0, 3) == 1
     with pytest.raises(ValueError):
         h_param(3, 0)
-    with pytest.raises(ValueError):
-        s_param(-1, 0)
 
 
 def test_h_stays_below_rank_bound_for_small_h1():
     # with r = 3 and H^1 contributing at most 1, h never exceeds max(2, d_3)
     for dp in range(21):
         for h1 in (0, 1):
-            h = h_param(s_param(dp, h1), 3)
+            h = h_param(dp + h1, 3)
             assert h <= max(2, dp)
