@@ -7,6 +7,7 @@ generation oracles (`oracle`).
 """
 
 from .permcore import (
+    BadInput,
     BudgetExceeded,
     ConsistencyError,
     DegreeMismatch,
@@ -67,7 +68,7 @@ def __getattr__(name):
 
 
 __all__ = [
-    "BudgetExceeded", "CayleyTable", "CohomReport",
+    "BadInput", "BudgetExceeded", "CayleyTable", "CohomReport",
     "ConsistencyError", "CyclicTopError", "DegreeMismatch",
     "FormulaResult", "FpModule", "GenResult", "GenSearchConfig", "GroupSpec",
     "IpReport", "ParseError", "PermGroup", "Permutation",

@@ -18,14 +18,13 @@ from functools import cache
 from .formula import counting_profile, d_tower
 from .oracle import GenSearchConfig, min_generators
 from .permcore import (
+    BadInput,
     BudgetExceeded,
-    ParseError,
     PermGroup,
     bsgs_build,
     format_cycles,
 )
 from .wreath import (
-    TrivialLevelError,
     example_generators,
     example_tower,
     parse_group,
@@ -36,6 +35,12 @@ from .wreath import (
 # the oracle works on explicit leaf permutations; past this many leaves
 # `verify` reports the formula alone rather than grinding
 VERIFY_LEAF_BUDGET = 4096
+# `example --verify` builds the pair's stabilizer chain; past this many
+# leaves it answers "generates": null and exits 3.  On a 2-core host it
+# took 1.5 s at n = 19 (228 leaves), 3.0-3.4 s at n = 21 (252), 16-18 s
+# at n = 23 (276), 23 s at n = 25 (300) and 35 s at n = 27 (324); the
+# step after 252 leaves coincides with the switch to tuple permutations
+EXAMPLE_LEAF_BUDGET = 252
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -49,10 +54,6 @@ def _emit(doc: dict, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
-
-
-def _error(message: str, code: int = EXIT_USAGE) -> tuple[dict, int]:
-    return {"error": message}, code
 
 
 def _printable(limit: int, log10: float, exact):
@@ -102,9 +103,9 @@ def _cmd_formula(args) -> tuple[dict, int]:
 
 def _cmd_verify(args) -> tuple[dict, int]:
     if args.attempts < 0:
-        return _error("attempts must be nonnegative")
+        raise BadInput("attempts must be nonnegative")
     if args.order_limit < 1:
-        return _error("order limit must be at least 1")
+        raise BadInput("order limit must be at least 1")
     t = parse_tower(args.tower)
     res = d_tower(t)
     doc = {
@@ -130,16 +131,12 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 # `module` and `cohom` import modfp when they run: it loads numpy, which the
-# other commands never use.  modfp refuses n, p and its budgets itself:
-# ValueError is bad input, and BudgetExceeded reaches main
+# other commands never use.  modfp refuses n, p and its budgets itself
 
 def _cmd_module(args) -> tuple[dict, int]:
     from . import modfp
 
-    try:
-        report = modfp.check_Ip_structure(args.n, args.p)
-    except ValueError as e:
-        return _error(str(e))
+    report = modfp.check_Ip_structure(args.n, args.p)
     return report.to_json(), EXIT_OK if report.status == "verified" else EXIT_BUDGET
 
 
@@ -147,10 +144,7 @@ def _cmd_cohom(args) -> tuple[dict, int]:
     from . import modfp
 
     spec = parse_group(args.group)
-    try:
-        rep = modfp.cohomology_of_Ip(spec, args.p)
-    except ValueError as e:  # p not a prime, or too large for the arithmetic
-        return _error(str(e))
+    rep = modfp.cohomology_of_Ip(spec, args.p)
     doc = rep.to_json()
     doc["group"] = spec.token()
     doc["dim_Ip"] = rep.dim
@@ -164,8 +158,6 @@ def _cmd_cohom(args) -> tuple[dict, int]:
 
 
 def _cmd_example(args) -> tuple[dict, int]:
-    if args.n < 5 or args.n % 2 == 0:
-        return _error("the example pair needs odd n >= 5")
     t = example_tower(args.n)
     x, y = example_generators(args.n)
     doc = {
@@ -176,6 +168,11 @@ def _cmd_example(args) -> tuple[dict, int]:
         "generates": None,
     }
     if args.verify:
+        if t.leaf_count() > EXAMPLE_LEAF_BUDGET:
+            doc["warning"] = "; ".join(filter(None, (doc.get("warning"), (
+                f"{t.leaf_count()} leaves exceed the verification budget of "
+                f"{EXAMPLE_LEAF_BUDGET}; not verified"))))
+            return doc, EXIT_BUDGET
         chain = bsgs_build(PermGroup(t.leaf_count(), (x, y)))
         doc["generates"] = chain.order() == t.order()
     return doc, EXIT_OK if doc["generates"] in (None, True) else EXIT_MISMATCH
@@ -217,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("example", help="the explicit two-generator pair")
     e.add_argument("--n", type=int, required=True, help="odd top degree >= 5")
     e.add_argument("--verify", action="store_true",
-                   help="certify that the pair generates the tower group")
+                   help="certify that the pair generates the tower group, "
+                        f"up to {EXAMPLE_LEAF_BUDGET} leaves")
     e.set_defaults(func=_cmd_example)
 
     for p in (f, v, m, c, e):
@@ -230,10 +228,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc, code = args.func(args)
-    except (ParseError, TrivialLevelError) as e:  # a bad tower or group token
-        doc, code = _error(str(e))
+    except BadInput as e:  # refused by the module that owns the rule
+        doc, code = {"error": str(e)}, EXIT_USAGE
     except BudgetExceeded as e:  # a degree too large to factor, or a modfp budget
-        doc, code = _error(str(e), EXIT_BUDGET)
+        doc, code = {"error": str(e)}, EXIT_BUDGET
     _emit(doc, args.out)
     return code
 

@@ -22,7 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .permcore import BudgetExceeded, PermGroup, Permutation, cayley_walk, prime_factorization
+from .permcore import (BadInput, BudgetExceeded, PermGroup, Permutation, cayley_walk,
+                       prime_factorization)
 from .wreath import GroupSpec, standard_generators
 
 
@@ -125,11 +126,15 @@ def perm_matrix(g: Permutation, p: int) -> np.ndarray:
 
 @dataclass
 class FpModule:
-    """An F_p[G]-module: action matrices parallel to the group's generators."""
+    """An F_p[G]-module: action matrices parallel to the group's generators.
+    Raises BadInput unless p is a prime below 2^31."""
 
     p: int
     dim: int
     mats: list[np.ndarray]
+
+    def __post_init__(self):
+        _require_prime(self.p)
 
     @classmethod
     def natural(cls, group: PermGroup, p: int) -> "FpModule":
@@ -255,51 +260,56 @@ def alt_group(n: int) -> PermGroup:
 
 
 def _require_prime(p: int) -> None:
-    """Raise ValueError unless p is a prime below 2^31: F_p arithmetic in
+    """Raise BadInput unless p is a prime below 2^31: F_p arithmetic in
     numpy int64 needs p < 2^31, which also keeps the trial division short."""
     if p >= 2 ** 31:
-        raise ValueError("p must be below 2^31")
+        raise BadInput("p must be below 2^31")
     if prime_factorization(p) != {p: 1}:
-        raise ValueError("p must be prime")
+        raise BadInput("p must be prime")
 
 
-def _passed_before(v: tuple[int, ...], p: int, outside_ip: bool):
-    """check_Ip_structure's stop rule for the spin of v: the vectors w
-    whose multiple with leading entry 1 comes before v in itertools.product
-    order, which is lexicographic, and lies in the class the scan checks:
-    outside I_p when outside_ip, else any nonzero vector."""
+def _scan(m: FpModule, in_class) -> tuple[int, bool]:
+    """Spin each vector of F_p^dim that `in_class` accepts, in
+    itertools.product order, up to the first that spins to less than m:
+    (vectors spun, whether every one spun to m).
+
+    Since the scan stops at a failure, a vector w of the class whose
+    multiple with leading entry 1 came before v spins to everything, and so
+    does v once its spin reaches w: spin(v) contains spin(w) = spin(c w).
+    That is each spin's stop rule; a vector whose leading entry is not 1
+    settles on its seed.
+    """
+    p = m.p
+
     def known(w: list[int]) -> bool:
-        if outside_ip and sum(w) % p == 0:
+        if not in_class(w):
             return False
-        for lead in w:
-            if lead:
-                inv = pow(lead, -1, p)
-                return tuple([x * inv % p for x in w]) < v
-        return False
-    return known
+        inv = pow(next(filter(None, w)), -1, p)  # both classes exclude 0
+        return tuple([x * inv % p for x in w]) < v
+
+    checked = 0
+    for v in itertools.product(range(p), repeat=m.dim):
+        if in_class(v):
+            checked += 1
+            if spin(m, [v], known).dim != m.dim:
+                return checked, False
+    return checked, True
 
 
 def check_Ip_structure(n: int, p: int) -> IpReport:
     """Exhaustively verify the submodule structure of I_p under Alt(n).
 
-    p | n: every vector outside I_p must spin to all of V (so I_p is the
-    unique maximal submodule).  p does not divide n: V must split as
-    I_p + constants, every nonzero vector of I_p must spin back to I_p
-    (irreducibility), and the endomorphism algebra must be scalar.
-
-    Every vector of the class gets its own spin, in itertools.product
-    order, and the scan stops at the first one that fails.  So when the
-    spin of v reaches a vector w of the class whose multiple with leading
-    entry 1 came before v, spin(w) is known to be everything, and so is
-    spin(v), since it contains spin(w) and spin(c w) = spin(w) for c != 0.
-    That is the stop rule each spin gets; a vector whose leading entry is
-    not 1 settles on its seed.
+    p | n: every vector outside I_p (coordinate sum nonzero mod p) must
+    spin to all of V (so I_p is the unique maximal submodule).  p does not
+    divide n: V must split as I_p + constants, every nonzero vector of I_p
+    must spin back to I_p (irreducibility), and the endomorphism algebra
+    must be scalar.
 
     Over budget the report comes back "unverified" instead of sampling;
-    n < 4 and a p that is not a prime below 2^31 raise ValueError.
+    n < 4 and a p that is not a prime below 2^31 raise BadInput.
     """
     if n < 4:
-        raise ValueError("n must be at least 4")
+        raise BadInput("n must be at least 4")
     _require_prime(p)
     divides = n % p == 0
     # the budget depends on (n, p) alone, so it is checked before any
@@ -311,36 +321,17 @@ def check_Ip_structure(n: int, p: int) -> IpReport:
         return IpReport(n, p, n - 1, divides, "unverified", 0)
     mod = FpModule.natural(alt_group(n), p)
     ip = aug_submodule(mod)
-
     if divides:
-        checked = 0
-        ok = True
-        for vec in itertools.product(range(p), repeat=n):
-            if sum(vec) % p == 0:
-                continue
-            checked += 1
-            if spin(mod, [vec], _passed_before(vec, p, True)).dim != n:
-                ok = False
-                break
+        checked, ok = _scan(mod, lambda w: sum(w) % p)
         return IpReport(n, p, ip.dim, True, "verified", checked, unique_maximal=ok)
-
-    direct = not ip.contains([1] * n) and ip.dim + 1 == n
-    checked = 0
-    irr = True
     # spin inside I_p, in coordinates of its basis: a vector that spans
     # all of I_p stops its spin at once
     sub = mod.restricted(ip)
-    for coeff in itertools.product(range(p), repeat=n - 1):
-        if not any(coeff):
-            continue
-        checked += 1
-        if spin(sub, [coeff], _passed_before(coeff, p, False)).dim != n - 1:
-            irr = False
-            break
+    checked, irr = _scan(sub, any)
     end = endomorphism_dim(sub)
     return IpReport(n, p, ip.dim, False, "verified", checked,
-                    direct_sum=direct, irreducible=irr, end_dim=end,
-                    r=(n - 1) if end == 1 else None)
+                    direct_sum=not ip.contains([1] * n) and ip.dim + 1 == n,
+                    irreducible=irr, end_dim=end, r=(n - 1) if end == 1 else None)
 
 
 @dataclass
@@ -388,7 +379,7 @@ def cocycle_dims(g: PermGroup, m: FpModule) -> CohomReport:
 def cohomology_of_Ip(spec: GroupSpec, p: int) -> CohomReport:
     """cocycle_dims for I_p under the group `spec` in its natural action.
 
-    Raises ValueError unless p is a prime below 2^31, and BudgetExceeded
+    Raises BadInput unless p is a prime below 2^31, and BudgetExceeded
     before building what would pass ELEMENT_BUDGET or EQUATION_BUDGET.
     """
     _require_prime(p)
@@ -428,10 +419,10 @@ def _cocycle_system(g: PermGroup, mod: FpModule) -> tuple[RowSpace, int]:
         raise ValueError("module action does not match the group's generators")
     k = mod.dim
     p = mod.p
-    # coefficients are stored in int32, and a pushed sum of k products
-    # below p, plus one, must fit in int64
-    if p > 2 ** 31 or k * (p - 1) ** 2 + 1 >= 2 ** 63:
-        raise ValueError(f"p = {p} is too large for a {k}-dimensional cocycle system")
+    # FpModule holds p below 2^31, so coefficients fit in int32; a pushed
+    # sum of k products below p, plus one, must fit in int64
+    if k * (p - 1) ** 2 + 1 >= 2 ** 63:
+        raise BadInput(f"p = {p} is too large for a {k}-dimensional cocycle system")
     _, edges, tree = cayley_walk(g.degree, g.generators, ELEMENT_BUDGET)
     ngens = len(g.generators)
     count = len(edges)

@@ -252,8 +252,6 @@ def min_generators(g: PermGroup, cfg: GenSearchConfig | None = None) -> GenResul
     """
     cfg = cfg or GenSearchConfig()
     order = g.order()
-    if order == 1:
-        return GenResult(0, "trivial", 0, (), "exact", cfg.seed)
     lower, cert = d_lower_bound(g)
     witness = tuple(p for p in dict.fromkeys(g.generators) if not p.is_identity())
     upper = len(witness)

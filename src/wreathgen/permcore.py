@@ -14,7 +14,11 @@ from itertools import repeat
 from operator import itemgetter, ne
 
 
-class ParseError(ValueError):
+class BadInput(ValueError):
+    """Outside input refused by the module that owns the rule; the message is for the user."""
+
+
+class ParseError(BadInput):
     """Malformed cycle notation or tower text."""
 
 

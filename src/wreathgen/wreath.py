@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .permcore import (
+    BadInput,
     ConsistencyError,
     ParseError,
     PermGroup,
@@ -27,7 +28,7 @@ from .permcore import (
 )
 
 
-class TrivialLevelError(ValueError):
+class TrivialLevelError(BadInput):
     """A tower level is the trivial group (C1, S1, A1 or A2)."""
 
 
@@ -277,6 +278,9 @@ def tower_group(t: TowerSpec) -> PermGroup:
 
 
 def example_tower(n: int) -> TowerSpec:
+    """The A_n;C3;C2;C2 tower of the explicit pair; BadInput unless n is odd >= 5."""
+    if n < 5 or n % 2 == 0:
+        raise BadInput("the example pair needs odd n >= 5")
     return TowerSpec((GroupSpec("A", n), GroupSpec("C", 3),
                       GroupSpec("C", 2), GroupSpec("C", 2)))
 
@@ -288,8 +292,6 @@ def example_generators(n: int) -> tuple[Permutation, Permutation]:
     (1 2)(3 4) at the root; y applies (1 2) at vertex (1,1,1) and the
     (n-2)-cycle (2 4 5 .. n) at the root.  Deeper components act first.
     """
-    if n < 5 or n % 2 == 0:
-        raise ValueError("the pair is defined for odd n >= 5")
     t = example_tower(n)
     swap2 = Permutation((1, 0))
     x = (apply_at_vertex(t, (1, 1), swap2)

@@ -11,6 +11,7 @@ import pytest
 
 from wreathgen import cli, modfp
 from wreathgen.formula import FormulaResult
+from wreathgen.permcore import BadInput
 
 
 def run(capsys, *argv):
@@ -174,10 +175,37 @@ def test_verify_mismatch_exits_4(capsys, monkeypatch):
     assert doc["agree"] is False
 
 
-@pytest.mark.parametrize("flags", [["--attempts", "-1"], ["--order-limit", "0"]])
-def test_verify_rejects_bad_budget_flags(capsys, flags):
-    code, doc = run(capsys, "verify", "--tower", "S3;C2", *flags)
-    assert code == 2 and "error" in doc
+# each refusal the CLI can reach: its argv, the function that owns the rule
+# and raises it, and the message
+REFUSALS = [
+    (["module", "--n", "5", "--p", "4"], "_require_prime", "p must be prime"),
+    (["cohom", "--group", "A5", "--p", "4"], "_require_prime", "p must be prime"),
+    (["module", "--n", "5", "--p", "2147483659"], "_require_prime", "p must be below 2^31"),
+    (["cohom", "--group", "A7", "--p", "2147483647"], "_cocycle_system",
+     "p = 2147483647 is too large for a 6-dimensional cocycle system"),
+    (["module", "--n", "3", "--p", "3"], "check_Ip_structure", "n must be at least 4"),
+    (["example", "--n", "6"], "example_tower", "the example pair needs odd n >= 5"),
+    (["cohom", "--group", "B5", "--p", "2"], "parse_group",
+     "bad group token 'B5'; expected A<n>, S<n> or C<n>"),
+    (["formula", "--tower", "C5;A2"], "__post_init__",
+     "A2 is trivial; levels must be nontrivial groups"),
+    (["verify", "--tower", "S3;C2", "--attempts", "-1"], "_cmd_verify",
+     "attempts must be nonnegative"),
+    (["verify", "--tower", "S3;C2", "--order-limit", "0"], "_cmd_verify",
+     "order limit must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("argv,owner,message", REFUSALS, ids=[" ".join(r[0]) for r in REFUSALS])
+def test_each_refusal_is_raised_by_its_owner_and_exits_2(capsys, argv, owner, message):
+    # the command itself, without main's handler: the refusal must come
+    # from the owner, not from a second copy of the rule on the way there
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(BadInput) as exc:
+        args.func(args)
+    assert exc.traceback[-1].name == owner
+    assert str(exc.value) == message
+    assert run(capsys, *argv) == (2, {"error": message})
 
 
 def test_verify_seed_passthrough(capsys):
@@ -338,9 +366,24 @@ def test_example_verify_certifies_generation(capsys):
     assert doc["order"] == "512988145055170560"
 
 
-def test_example_rejects_even_n(capsys):
-    code, doc = run(capsys, "example", "--n", "6")
-    assert code == 2 and "error" in doc
+@pytest.mark.parametrize("n,order_omitted", [(51, False), (2001, True)])
+def test_example_verify_past_its_budget_returns_at_once(n, order_omitted):
+    # n = 51 (612 leaves) once ran past 50 s, and n = 200001 past 6.8 GB
+    code, doc = run_process("example", "--n", str(n), "--verify", timeout=10)
+    assert code == 3 and doc["generates"] is None
+    budget = (f"{12 * n} leaves exceed the verification budget of "
+              f"{cli.EXAMPLE_LEAF_BUDGET}; not verified")
+    assert doc["warning"].endswith(budget)
+    assert doc["warning"].startswith("order omitted") == order_omitted
+
+
+def test_example_verify_budget_admits_its_own_leaf_count(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "EXAMPLE_LEAF_BUDGET", 60)
+    code, doc = run(capsys, "example", "--n", "5", "--verify")
+    assert code == 0 and doc["generates"] is True and "warning" not in doc
+    code, doc = run(capsys, "example", "--n", "7", "--verify")
+    assert code == 3 and doc["generates"] is None
+    assert doc["warning"] == "84 leaves exceed the verification budget of 60; not verified"
 
 
 def test_out_flag_writes_identical_json(capsys, tmp_path):

@@ -81,6 +81,45 @@ def test_cli_reads_no_constant_of_another_module():
     assert foreign_constants(cli.read_text()) == set()
 
 
+def caught_exceptions(source: str) -> list[tuple[str | None, tuple[str, ...]]]:
+    """Every `try` of a module that has handlers, in source order, as (the
+    function it sits in, or None at module level; the exceptions its
+    handlers name, a bare `except` as "BaseException")."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Try) and child.handlers:
+                names = []
+                for h in child.handlers:
+                    kinds = h.type.elts if isinstance(h.type, ast.Tuple) else [h.type]
+                    names += ["BaseException" if k is None else ast.unparse(k) for k in kinds]
+                found.append((func, tuple(names)))
+            is_func = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_func else func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_caught_exceptions_are_found():
+    src = ("try:\n    import x\nexcept ImportError:\n    pass\n"
+           "def main():\n    try:\n        f()\n    except (A, b.B):\n        pass\n"
+           "    except C as e:\n        pass\n"
+           "    try:\n        f()\n    finally:\n        g()\n"
+           "def helper():\n    def inner():\n        try:\n            pass\n"
+           "        except:\n            pass\n")
+    assert caught_exceptions(src) == [(None, ("ImportError",)), ("main", ("A", "b.B", "C")),
+                                      ("inner", ("BaseException",))]
+
+
+def test_cli_catches_only_in_main_and_only_the_two_refusals():
+    # BadInput exits 2 and BudgetExceeded 3; any other exception is a bug
+    # and must not be reported as either
+    cli = next(p for p in SOURCES if p.name == "cli.py")
+    assert caught_exceptions(cli.read_text()) == [("main", ("BadInput", "BudgetExceeded"))]
+
+
 PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 
 # read only by tests, which build most of their groups from cycle text;

@@ -33,7 +33,7 @@ from wreathgen.modfp import (
     perm_matrix,
     spin,
 )
-from wreathgen.permcore import BudgetExceeded, PermGroup, parse_cycles
+from wreathgen.permcore import BadInput, BudgetExceeded, PermGroup, parse_cycles
 from wreathgen.wreath import parse_group
 
 
@@ -369,14 +369,26 @@ def test_cocycle_refuses_a_p_too_large_for_int64():
     # I_p of A5 has dimension k = 4, and a pushed sum reaches 4 (p - 1)^2 + 1;
     # 1518500213 and 1518500279 are the primes on either side of the bound
     g = alt_group(5)
-    for p in (1518500279, 2 ** 31 - 1, 2 ** 31 + 11):
+    for p in (1518500279, 2 ** 31 - 1):
         mod = FpModule.natural(g, p)
-        with pytest.raises(ValueError, match="too large"):
+        with pytest.raises(BadInput, match="too large"):
             cocycle_dims(g, mod.restricted(aug_submodule(mod)))
     mod = FpModule.natural(g, 1518500213)
     rep = cocycle_dims(g, mod.restricted(aug_submodule(mod)))
     # p does not divide |A5|, so H^1 vanishes and Z^1 = B^1 = I_p
     assert (rep.dim_Z1, rep.dim_B1, rep.dim_H1, rep.group_order) == (4, 4, 0, 60)
+
+
+@pytest.mark.parametrize("p,message", [(4, "p must be prime"), (9, "p must be prime"),
+                                       (2 ** 31 + 11, "p must be below 2^31")])
+def test_a_module_is_refused_a_p_that_is_not_a_prime_below_2_31(p, message):
+    # cocycle_dims once met these moduli as numpy's "base is not invertible"
+    g = alt_group(5)
+    with pytest.raises(BadInput) as exc:
+        cocycle_dims(g, FpModule.natural(g, p))
+    assert str(exc.value) == message
+    with pytest.raises(BadInput):
+        FpModule(p, 1, [np.ones((1, 1), dtype=np.int64)])
 
 
 def test_cocycle_requires_matching_generators():

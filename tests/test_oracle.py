@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from wreathgen.oracle import (
     CayleyTable,
+    GenResult,
     GenSearchConfig,
     _scan_for_generating_tuple,
     d_lower_bound,
@@ -218,9 +219,10 @@ def test_min_generators_plain_groups():
     r = min_generators(_s4())
     assert (r.lower, r.upper, r.status) == (2, 2, "exact")
     assert r.lower_certificate == "noncyclic"
-    t = min_generators(PermGroup(3, [Permutation.identity(3)]))
-    assert (t.lower, t.upper, t.status) == (0, 0, "exact")
-    assert t.witness == ()
+    # d_lower_bound owns the trivial-group rule; min_generators meets it at once
+    for gens in ([], [Permutation.identity(3)]):
+        assert min_generators(PermGroup(3, gens), GenSearchConfig(seed=7)) == GenResult(
+            0, "trivial", 0, (), "exact", 7)
     c = min_generators(PermGroup.from_cycles(6, "(1 2)", "(3 4 5)"))
     assert (c.lower, c.upper) == (1, 1)
 
