@@ -44,7 +44,6 @@ from .formula import (
 from .oracle import (
     CayleyTable,
     GenResult,
-    GenSearchConfig,
     d_lower_bound,
     find_generating_tuple,
     min_generators,
@@ -70,7 +69,7 @@ def __getattr__(name):
 __all__ = [
     "BadInput", "BudgetExceeded", "CayleyTable", "CohomReport",
     "ConsistencyError", "CyclicTopError", "DegreeMismatch",
-    "FormulaResult", "FpModule", "GenResult", "GenSearchConfig", "GroupSpec",
+    "FormulaResult", "FpModule", "GenResult", "GroupSpec",
     "IpReport", "ParseError", "PermGroup", "Permutation",
     "TowerSpec", "TrivialLevelError", "abelian_p_ranks",
     "abelianization", "apply_at_vertex", "bsgs_build", "check_Ip_structure",

@@ -16,7 +16,7 @@ import sys
 from functools import cache
 
 from .formula import counting_profile, d_tower
-from .oracle import GenSearchConfig, min_generators
+from .oracle import min_generators
 from .permcore import (
     BadInput,
     BudgetExceeded,
@@ -104,8 +104,6 @@ def _cmd_formula(args) -> tuple[dict, int]:
 def _cmd_verify(args) -> tuple[dict, int]:
     if args.attempts < 0:
         raise BadInput("attempts must be nonnegative")
-    if args.order_limit < 1:
-        raise BadInput("order limit must be at least 1")
     t = parse_tower(args.tower)
     res = d_tower(t)
     doc = {
@@ -119,9 +117,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         doc["warning"] = (f"{t.leaf_count()} leaves exceed the verification "
                           f"budget of {VERIFY_LEAF_BUDGET}; formula only")
         return doc, EXIT_OK
-    cfg = GenSearchConfig(seed=args.seed, random_attempts=args.attempts,
-                          exhaustive_order_limit=args.order_limit)
-    oracle = min_generators(tower_group(t), cfg)
+    oracle = min_generators(tower_group(t), seed=args.seed, attempts=args.attempts)
     doc["oracle"] = oracle.to_json()
     if oracle.status == "exact":
         doc["agree"] = oracle.lower == res.d
@@ -197,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=1)
     v.add_argument("--attempts", type=int, default=200,
                    help="random witness attempts per tuple size")
-    v.add_argument("--order-limit", type=int, default=20000,
-                   help="largest group order eligible for exhaustive scans")
     v.set_defaults(func=_cmd_verify)
 
     m = sub.add_parser("module", help="structure of I_p inside F_p^n under Alt(n)")

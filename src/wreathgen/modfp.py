@@ -22,8 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .permcore import (BadInput, BudgetExceeded, PermGroup, Permutation, cayley_walk,
-                       prime_factorization)
+from .permcore import (BadInput, BudgetExceeded, ConsistencyError, PermGroup, Permutation,
+                       cayley_walk, prime_factorization)
 from .wreath import GroupSpec, standard_generators
 
 
@@ -370,7 +370,7 @@ def cocycle_dims(g: PermGroup, m: FpModule) -> CohomReport:
     dim_b1 = k - fixed
     dim_h1 = dim_z1 - dim_b1
     if dim_h1 < 0:
-        raise RuntimeError("negative H^1 dimension; constraint system is wrong")
+        raise ConsistencyError("negative H^1 dimension; constraint system is wrong")
     end = endomorphism_dim(m)
     return CohomReport(m.p, k, count, dim_z1, dim_b1, dim_h1,
                        fixed, end, k if end == 1 else None)

@@ -9,6 +9,7 @@ and oracle meeting in the middle is the point of the exercise.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -24,11 +25,17 @@ from .permcore import (
 )
 
 
-@dataclass
-class GenSearchConfig:
-    seed: int = 1
-    random_attempts: int = 200
-    exhaustive_order_limit: int = 20000
+# the exhaustive scan's Cayley table is budgeted in its own bytes; 800 MB
+# is the int16 table of 20,000 elements
+TABLE_BYTE_BUDGET = 800_000_000
+
+
+def _table_itemsize(order: int) -> int | None:
+    """Bytes per entry of the Cayley table of a group of this order, int16
+    indices below 2^15 elements and int32 above, or None when the n x n
+    table would pass TABLE_BYTE_BUDGET."""
+    itemsize = 2 if order < 2 ** 15 else 4
+    return itemsize if order * order * itemsize <= TABLE_BYTE_BUDGET else None
 
 
 @dataclass
@@ -66,16 +73,18 @@ class CayleyTable:
         self.gen_indices: list[int] = gen_indices
 
     @classmethod
-    def build(cls, g: PermGroup, limit: int) -> "CayleyTable":
+    def build(cls, g: PermGroup) -> "CayleyTable":
+        order = g.order()
+        itemsize = _table_itemsize(order)
+        if itemsize is None:
+            raise BudgetExceeded(f"the Cayley table of {order} elements exceeds "
+                                 f"the budget of {TABLE_BYTE_BUDGET} bytes")
         import numpy as np
 
-        order = g.order()
-        if order > limit:
-            raise BudgetExceeded(f"|G| = {order} exceeds the limit {limit}")
         gens = list(dict.fromkeys(p for p in g.generators if not p.is_identity()))
         elements, edges, tree = cayley_walk(g.degree, gens)
         n = len(elements)
-        dtype = np.int16 if n < 2 ** 15 else np.int32
+        dtype = np.dtype(f"int{8 * itemsize}")
         edges = np.array(edges, dtype=dtype)  # column s: x -> x * s
         # column-major: every write below fills one contiguous column
         table = np.empty((n, n), dtype=dtype, order="F")
@@ -185,20 +194,10 @@ def _scan_for_generating_tuple(ct: CayleyTable, k: int):
     slots run over all elements.
     """
     n = len(ct)
-
-    def rec(prefix, depth):
-        if depth == k:
-            return prefix if ct.closure_size(prefix) == n else None
-        for j in range(n):
-            hit = rec(prefix + (j,), depth + 1)
-            if hit is not None:
-                return hit
-        return None
-
     for i in ct.conjugacy_class_reps():
-        hit = rec((i,), 1)
-        if hit is not None:
-            return hit
+        for rest in itertools.product(range(n), repeat=k - 1):
+            if ct.closure_size((i, *rest)) == n:
+                return (i, *rest)
     return None
 
 
@@ -224,16 +223,15 @@ def _rattle(gens: list[Permutation], rng: random.Random, degree: int):
     return draw
 
 
-def find_generating_tuple(g: PermGroup, k: int, cfg: GenSearchConfig | None = None):
-    """Random witness search: cfg.random_attempts seeded candidates, each
+def find_generating_tuple(g: PermGroup, k: int, seed: int = 1, attempts: int = 200):
+    """Random witness search: `attempts` candidates drawn from `seed`, each
     certified by chain order equality; None when none generates."""
-    cfg = cfg or GenSearchConfig()
     if k < 1:
         return None
     order = g.order()
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     draw = _rattle(list(g.generators), rng, g.degree)
-    for _ in range(cfg.random_attempts):
+    for _ in range(attempts):
         cand = tuple(draw() for _ in range(k))
         chain = bsgs_build(PermGroup(g.degree, cand))
         if chain.order() == order:
@@ -241,29 +239,27 @@ def find_generating_tuple(g: PermGroup, k: int, cfg: GenSearchConfig | None = No
     return None
 
 
-def min_generators(g: PermGroup, cfg: GenSearchConfig | None = None) -> GenResult:
+def min_generators(g: PermGroup, seed: int = 1, attempts: int = 200) -> GenResult:
     """Bracket d(g) between certified bounds; exact when they meet.
 
     Lower bounds never come from the closed forms: the ladder is
     abelianization rank, then non-cyclicity, then exhaustive k-tuple
-    scans (feasible only within cfg.exhaustive_order_limit).  The upper
+    scans (only where the table fits TABLE_BYTE_BUDGET).  The upper
     bound is always held by an explicit witness; the generating set
     itself serves as the initial one.
     """
-    cfg = cfg or GenSearchConfig()
-    order = g.order()
     lower, cert = d_lower_bound(g)
     witness = tuple(p for p in dict.fromkeys(g.generators) if not p.is_identity())
     upper = len(witness)
-    can_exhaust = order <= cfg.exhaustive_order_limit
+    can_exhaust = _table_itemsize(g.order()) is not None
     ct = None  # built at the first scan; a witness often settles d first
 
     k = max(lower, 1)
     while k < upper:
-        found = find_generating_tuple(g, k, cfg)
+        found = find_generating_tuple(g, k, seed, attempts)
         if found is None and can_exhaust:
             if ct is None:
-                ct = CayleyTable.build(g, cfg.exhaustive_order_limit)
+                ct = CayleyTable.build(g)
             idxs = _scan_for_generating_tuple(ct, k)
             if idxs is None:
                 # certified: no k-tuple generates
@@ -278,4 +274,4 @@ def min_generators(g: PermGroup, cfg: GenSearchConfig | None = None) -> GenResul
         break
 
     status = "exact" if lower == upper else "bounds_only"
-    return GenResult(lower, cert, upper, witness, status, cfg.seed)
+    return GenResult(lower, cert, upper, witness, status, seed)

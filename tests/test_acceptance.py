@@ -14,7 +14,7 @@ from wreathgen.cli import main as cli_main
 from wreathgen.formula import abelianization, d_tower
 from wreathgen.modfp import alt_group, aug_submodule, check_Ip_structure, cocycle_dims
 from wreathgen.modfp import FpModule
-from wreathgen.oracle import GenSearchConfig, min_generators
+from wreathgen.oracle import min_generators
 from wreathgen.permcore import (
     PermGroup,
     abelian_p_ranks,
@@ -56,7 +56,7 @@ def test_acceptance_01_example_tower_two_generators(capsys):
     res = d_tower(t)
     if res.d != 2:
         failures.append(f"formula d = {res.d}")
-    oracle = min_generators(tower_group(t), GenSearchConfig(seed=1))
+    oracle = min_generators(tower_group(t), seed=1)
     if (oracle.status, oracle.lower, oracle.upper) != ("exact", 2, 2):
         failures.append(f"oracle {oracle.status} [{oracle.lower},{oracle.upper}]")
     x, y = example_generators(5)
@@ -79,7 +79,7 @@ def test_acceptance_02_cyclic_top_needs_three(capsys):
     if g.order() != 1536:
         failures.append(f"order {g.order()}")
     # exhaustive(2) certifies that the pair scan found no generating pair
-    oracle = min_generators(g, GenSearchConfig(seed=1))
+    oracle = min_generators(g, seed=1)
     if ((oracle.status, oracle.lower, oracle.upper, oracle.lower_certificate)
             != ("exact", 3, 3, "exhaustive(2)")):
         failures.append(f"oracle {oracle.to_json()}")
@@ -113,7 +113,7 @@ def test_acceptance_04_case_split_at_desk_scale(capsys):
         if d != want:
             failures.append(f"{text}: formula {d} != {want}")
             continue
-        oracle = min_generators(tower_group(t), GenSearchConfig(seed=1))
+        oracle = min_generators(tower_group(t), seed=1)
         if oracle.status != "exact" or oracle.lower != want:
             failures.append(f"{text}: oracle {oracle.to_json()}")
     with capsys.disabled():
@@ -268,10 +268,10 @@ def test_acceptance_10_property_suites(capsys):
     # oracle witnesses regenerate the group; fixed seeds reproduce results
     for text in ("S3;C2", "C2;S3", "A4;C3"):
         g = tower_group(parse_tower(text))
-        r = min_generators(g, GenSearchConfig(seed=1))
+        r = min_generators(g, seed=1)
         if PermGroup(g.degree, r.witness).order() != g.order():
             failures.append(f"witness failed on {text}")
-        if min_generators(g, GenSearchConfig(seed=1)).to_json() != r.to_json():
+        if min_generators(g, seed=1).to_json() != r.to_json():
             failures.append(f"seed 1 not reproducible on {text}")
 
     with capsys.disabled():

@@ -1,5 +1,6 @@
 """CLI surface: JSON documents, exit codes, determinism."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 from wreathgen import cli, modfp
 from wreathgen.formula import FormulaResult
+from wreathgen.oracle import min_generators
 from wreathgen.permcore import BadInput
 
 
@@ -191,8 +193,9 @@ REFUSALS = [
      "A2 is trivial; levels must be nontrivial groups"),
     (["verify", "--tower", "S3;C2", "--attempts", "-1"], "_cmd_verify",
      "attempts must be nonnegative"),
-    (["verify", "--tower", "S3;C2", "--order-limit", "0"], "_cmd_verify",
-     "order limit must be at least 1"),
+    (["module", "--n", "5", "--p", "6"], "_require_prime", "p must be prime"),
+    (["cohom", "--group", "C1", "--p", "2"], "__post_init__",
+     "C1 is trivial; levels must be nontrivial groups"),
 ]
 
 
@@ -211,6 +214,13 @@ def test_each_refusal_is_raised_by_its_owner_and_exits_2(capsys, argv, owner, me
 def test_verify_seed_passthrough(capsys):
     code, doc = run(capsys, "verify", "--tower", "C2;S3", "--seed", "9")
     assert code == 0 and doc["oracle"]["seed"] == 9
+
+
+def test_verify_defaults_are_the_oracles():
+    # the parser states each default a second time; the two must not drift
+    args = cli.build_parser().parse_args(["verify", "--tower", "C2"])
+    params = inspect.signature(min_generators).parameters
+    assert (args.seed, args.attempts) == (params["seed"].default, params["attempts"].default)
 
 
 def test_module_verified(capsys):
@@ -244,11 +254,6 @@ def test_module_over_budget_builds_nothing(capsys, monkeypatch):
     assert doc["status"] == "unverified" and doc["dim_Ip"] == 399
 
 
-def test_module_rejects_nonprime(capsys):
-    code, doc = run(capsys, "module", "--n", "5", "--p", "6")
-    assert code == 2 and "error" in doc
-
-
 def test_cohom_a5(capsys):
     code, doc = run(capsys, "cohom", "--group", "A5", "--p", "3")
     assert code == 0
@@ -261,12 +266,6 @@ def test_cohom_nonscalar_end_has_no_h(capsys):
     assert code == 0
     assert doc["h"] is None
     assert "endomorphism" in doc["warning"]
-
-
-def test_cohom_rejects_bad_token(capsys):
-    for group in ("B5", "C1"):
-        code, doc = run(capsys, "cohom", "--group", group, "--p", "2")
-        assert code == 2 and "error" in doc
 
 
 def test_cohom_over_budget_exits_3(capsys):

@@ -33,7 +33,8 @@ from wreathgen.modfp import (
     perm_matrix,
     spin,
 )
-from wreathgen.permcore import BadInput, BudgetExceeded, PermGroup, parse_cycles
+from wreathgen.permcore import (BadInput, BudgetExceeded, ConsistencyError, PermGroup,
+                                parse_cycles)
 from wreathgen.wreath import parse_group
 
 
@@ -318,6 +319,14 @@ def test_cocycle_dims_on_aug_submodules(n, p, h1):
     assert rep.dim == n - 1 and rep.r == n - 1
     assert rep.group_order == g.order()
     assert rep.dim_B1 == (n - 1) - (1 if n % p == 0 else 0)
+
+
+def test_a_negative_h1_is_a_consistency_error(monkeypatch):
+    # A5 on I_2 has H^1 = 0 and no fixed points; one fixed point too few
+    # makes B^1 larger than Z^1
+    monkeypatch.setattr(modfp, "fixed_points", lambda m: -1)
+    with pytest.raises(ConsistencyError, match="negative H\\^1 dimension"):
+        cohomology_of_Ip(parse_group("A5"), 2)
 
 
 def test_cocycle_vanishes_in_coprime_characteristic():

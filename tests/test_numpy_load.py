@@ -36,6 +36,8 @@ def numpy_loaded(*argv) -> bool:
     [],
     ["formula", "--tower", "A5;C3;C2;C2"],
     ["verify", "--tower", "C2;S3", "--seed", "1"],
+    # past the table budget: bounds_only from the witness search alone
+    ["verify", "--tower", "C5;C2;C2", "--attempts", "1", "--seed", "1"],
     ["example", "--n", "5", "--verify"],
 ], ids=lambda argv: " ".join(argv) or "import")
 def test_numpy_is_not_loaded(argv):

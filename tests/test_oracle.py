@@ -6,10 +6,10 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from wreathgen import oracle
 from wreathgen.oracle import (
     CayleyTable,
     GenResult,
-    GenSearchConfig,
     _scan_for_generating_tuple,
     d_lower_bound,
     find_generating_tuple,
@@ -38,7 +38,7 @@ def _index(ct: CayleyTable) -> dict:
 
 
 def test_table_matches_direct_products():
-    ct = CayleyTable.build(_s3(), 100)
+    ct = CayleyTable.build(_s3())
     index = _index(ct)
     assert len(ct) == 6 and len(index) == 6
     assert ct.elements[0].is_identity()
@@ -52,7 +52,7 @@ def test_table_matches_direct_products():
 def test_table_inverse_array():
     # the identity, index 0, sits in row i exactly at the column of i's
     # inverse, which is where conjugacy_class_reps finds an inverse
-    ct = CayleyTable.build(_s4(), 100)
+    ct = CayleyTable.build(_s4())
     index = _index(ct)
     for i in range(len(ct)):
         inv = index[ct.elements[i].inverse()]
@@ -61,9 +61,9 @@ def test_table_inverse_array():
 
 
 def test_conjugacy_class_counts():
-    assert len(CayleyTable.build(_s4(), 100).conjugacy_class_reps()) == 5
-    assert len(CayleyTable.build(_a5(), 100).conjugacy_class_reps()) == 5
-    assert len(CayleyTable.build(_s3(), 100).conjugacy_class_reps()) == 3
+    assert len(CayleyTable.build(_s4()).conjugacy_class_reps()) == 5
+    assert len(CayleyTable.build(_a5()).conjugacy_class_reps()) == 5
+    assert len(CayleyTable.build(_s3()).conjugacy_class_reps()) == 3
 
 
 @pytest.mark.parametrize("g", [
@@ -73,7 +73,7 @@ def test_conjugacy_class_counts():
     PermGroup.from_cycles(6, "(1 2)", "(3 4)", "(5 6)"),  # abelian: singletons
 ], ids=["S3", "S4", "A5", "A4", "C2;S3", "S3;C2", "C2^3"])
 def test_class_reps_are_the_least_index_of_each_class(g):
-    ct = CayleyTable.build(g, 100)
+    ct = CayleyTable.build(g)
     index = _index(ct)
     # brute force: the class of x is {y^-1 x y} over every element y
     least = {min(index[x.conj(y)] for y in ct.elements) for x in ct.elements}
@@ -81,7 +81,7 @@ def test_class_reps_are_the_least_index_of_each_class(g):
 
 
 def test_closure_sizes_in_s4():
-    ct = CayleyTable.build(_s4(), 100)
+    ct = CayleyTable.build(_s4())
     i = lambda text: _index(ct)[parse_cycles(text, 4)]
     assert ct.closure_size((i("(1 2 3 4)"),)) == 4
     assert ct.closure_size((i("(1 2)"), i("(3 4)"))) == 4
@@ -90,9 +90,24 @@ def test_closure_sizes_in_s4():
     assert ct.closure_size((0,)) == 1
 
 
-def test_order_limit_enforced():
+def test_order_limit_enforced(monkeypatch):
+    # A5;C3;C2;C2 is refused on its order alone, before the walk that
+    # would enumerate its elements
+    def no_walk(*args):
+        raise AssertionError("Cayley walk run for a table past the budget")
+
+    monkeypatch.setattr(oracle, "cayley_walk", no_walk)
     with pytest.raises(BudgetExceeded):
-        CayleyTable.build(tower_group(parse_tower("A5;C3;C2;C2")), 20000)
+        CayleyTable.build(tower_group(parse_tower("A5;C3;C2;C2")))
+
+
+def test_table_budget_counts_the_bytes_of_the_table(monkeypatch):
+    # S4's table is 24 x 24 int16 entries, 1,152 bytes
+    monkeypatch.setattr(oracle, "TABLE_BYTE_BUDGET", 1152)
+    assert CayleyTable.build(_s4()).table.nbytes == 1152
+    monkeypatch.setattr(oracle, "TABLE_BYTE_BUDGET", 1151)
+    with pytest.raises(BudgetExceeded):
+        CayleyTable.build(_s4())
 
 
 # ------------------------------------------------------------- lower bounds
@@ -127,7 +142,7 @@ def _reference_scan(ct: CayleyTable, k: int):
 
 
 def test_s4_generation_by_tuple_size():
-    ct = CayleyTable.build(_s4(), 100)
+    ct = CayleyTable.build(_s4())
     for scan in (_scan_for_generating_tuple, _reference_scan):
         assert scan(ct, 1) is None
         pair = scan(ct, 2)
@@ -156,7 +171,7 @@ def _small_groups(draw, max_block=4, max_order=60):
 @example(PermGroup.from_cycles(6, "(1 2)", "(3 4)", "(5 6)"), 2)  # C2^3: no pair
 @example(PermGroup.from_cycles(7, "(1 2 3)", "(1 2)", "(4 5)", "(6 7)"), 2)  # S3 x C2^2
 def test_reduced_scan_agrees_with_the_reference(g, k):
-    ct = CayleyTable.build(g, 60)
+    ct = CayleyTable.build(g)
     found = _scan_for_generating_tuple(ct, k)
     assert (found is None) == (_reference_scan(ct, k) is None)
     if found is not None:
@@ -174,7 +189,7 @@ def test_closure_size_is_the_order_of_the_generated_subgroup(data):
     g = data.draw(st.one_of(
         _small_groups(max_block=5, max_order=2000),
         st.sampled_from(_SCAN_GROUPS).map(lambda t: tower_group(parse_tower(t)))))
-    ct = CayleyTable.build(g, 2000)
+    ct = CayleyTable.build(g)
     n = len(ct)
     assert ct.closure_size(ct.gen_indices) == n
     # the identity and the generators are drawn often, so repeats, the
@@ -187,13 +202,13 @@ def test_closure_size_is_the_order_of_the_generated_subgroup(data):
 # ---------------------------------------------------------- witness search
 
 def test_random_witness_is_certified():
-    pair = find_generating_tuple(_s4(), 2, GenSearchConfig(seed=3))
+    pair = find_generating_tuple(_s4(), 2, seed=3)
     assert pair is not None and len(pair) == 2
     assert PermGroup(4, pair).order() == 24
 
 
 def test_random_witness_none_when_impossible():
-    assert find_generating_tuple(_s4(), 1, GenSearchConfig(seed=3)) is None
+    assert find_generating_tuple(_s4(), 1, seed=3) is None
 
 
 # ----------------------------------------------------------- min_generators
@@ -210,7 +225,7 @@ def test_min_generators_frozen_towers():
         "C4;C2": 2,
     }
     for text, d in expected.items():
-        r = min_generators(tower_group(parse_tower(text)), GenSearchConfig(seed=1))
+        r = min_generators(tower_group(parse_tower(text)), seed=1)
         assert r.status == "exact", text
         assert r.lower == r.upper == d, text
 
@@ -221,7 +236,7 @@ def test_min_generators_plain_groups():
     assert r.lower_certificate == "noncyclic"
     # d_lower_bound owns the trivial-group rule; min_generators meets it at once
     for gens in ([], [Permutation.identity(3)]):
-        assert min_generators(PermGroup(3, gens), GenSearchConfig(seed=7)) == GenResult(
+        assert min_generators(PermGroup(3, gens), seed=7) == GenResult(
             0, "trivial", 0, (), "exact", 7)
     c = min_generators(PermGroup.from_cycles(6, "(1 2)", "(3 4 5)"))
     assert (c.lower, c.upper) == (1, 1)
@@ -234,41 +249,42 @@ def test_table_is_built_only_when_a_scan_needs_it(monkeypatch):
 
     monkeypatch.setattr(CayleyTable, "build", no_table)
     g = tower_group(parse_tower("C3;A4"))
-    r = min_generators(g, GenSearchConfig(seed=1))
+    r = min_generators(g, seed=1)
     assert (r.lower, r.upper, r.status) == (2, 2, "exact")
 
 
 def test_witness_regenerates_group():
     for text in ("A4;C3", "S3;C2"):
         g = tower_group(parse_tower(text))
-        r = min_generators(g, GenSearchConfig(seed=1))
+        r = min_generators(g, seed=1)
         assert len(r.witness) == r.upper
         assert PermGroup(g.degree, r.witness).order() == g.order()
 
 
 def test_same_seed_same_result():
     g = tower_group(parse_tower("A4;C3"))
-    a = min_generators(g, GenSearchConfig(seed=7)).to_json()
-    b = min_generators(g, GenSearchConfig(seed=7)).to_json()
+    a = min_generators(g, seed=7).to_json()
+    b = min_generators(g, seed=7).to_json()
     assert a == b
 
 
 def test_seeds_agree_on_the_answer():
     g = tower_group(parse_tower("S3;C2"))
-    values = {min_generators(g, GenSearchConfig(seed=s)).upper for s in (1, 2, 3)}
+    values = {min_generators(g, seed=s).upper for s in (1, 2, 3)}
     assert values == {2}
 
 
-def test_bounds_only_when_scan_is_off_limits():
+def test_bounds_only_when_scan_is_off_limits(monkeypatch):
+    # C3;C2;C2's 1,536-element table takes 4.7 MB, past a 2 MB budget
+    monkeypatch.setattr(oracle, "TABLE_BYTE_BUDGET", 2_000_000)
     g = tower_group(parse_tower("C3;C2;C2"))
-    r = min_generators(g, GenSearchConfig(seed=1, random_attempts=40,
-                                          exhaustive_order_limit=1000))
+    r = min_generators(g, seed=1, attempts=40)
     assert (r.lower, r.upper, r.status) == (2, 3, "bounds_only")
     assert r.lower_certificate == "abelianization"
 
 
 def test_result_json_schema():
-    r = min_generators(_s4(), GenSearchConfig(seed=5))
+    r = min_generators(_s4(), seed=5)
     js = r.to_json()
     assert set(js) == {"lower", "lower_certificate", "upper", "witness", "status", "seed"}
     assert js["seed"] == 5
@@ -281,7 +297,7 @@ def test_oracle_brackets_are_sane_on_random_products():
     for _ in range(6):
         gens = [parse_cycles(rng.choice(pool), 4) for _ in range(2)]
         g = PermGroup(4, gens)
-        r = min_generators(g, GenSearchConfig(seed=rng.randrange(10 ** 6)))
+        r = min_generators(g, seed=rng.randrange(10 ** 6))
         assert r.lower <= r.upper
         assert r.status == "exact"
         if r.upper:
