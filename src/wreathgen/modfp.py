@@ -243,15 +243,12 @@ class IpReport:
 # it admits took, on a 2-core host, 13 s for (7,7), whose 705,894 vectors
 # mostly stop on their seed, and 169 s for (21,2), whose 2^20 - 1 vectors
 # all have leading entry 1 and each spin a few images in dimension 20.
-# The cocycle walk enumerates at most ELEMENT_BUDGET group elements
-# (|A8| = 20160)
 VECTOR_BUDGET = 2 ** 20
-ELEMENT_BUDGET = 20160
-# bytes of the arrays cocycle_dims may build (see cocycle_bytes).  A8 needs
-# 8.1 MB.  The largest cyclic group admitted is C37, whose 36-dimensional
-# I_p needs 16.3 MB: `cohom --group C37 --p 2` took 7.3 s and peaked at
-# 81 MB on a 2-core host, almost all of it eliminating the commutation
-# equations, whose cost grows as k^6
+# bytes of the arrays cocycle_dims may build (see cocycle_bytes), the one
+# budget of the cocycle system.  It admits A4-A8, S3-S8 (16.0 MB; `cohom
+# --group S8` took 0.9 s and peaked at 73 MB on a 2-core host) and C2-C37,
+# whose 36-dimensional I_p needs 16.3 MB and took 7.3 s at 81 MB, almost
+# all of it eliminating the commutation equations, which cost k^6
 EQUATION_BUDGET = 2 ** 24
 
 
@@ -362,9 +359,11 @@ def cocycle_dims(g: PermGroup, m: FpModule) -> CohomReport:
     derivation law delta(gh) = delta(g)h + delta(h) holds identically on
     the solution space.
     """
-    constraints, count = _cocycle_system(g, m)
     k = m.dim
     ngens = len(g.generators)
+    # before the walk or the k^4 commutation equations are built
+    _require_equation_budget(cocycle_bytes(g.order(), ngens, k))
+    constraints, count = _cocycle_system(g, m)
     dim_z1 = ngens * k - constraints.dim
     fixed = fixed_points(m)
     dim_b1 = k - fixed
@@ -380,20 +379,13 @@ def cohomology_of_Ip(spec: GroupSpec, p: int) -> CohomReport:
     """cocycle_dims for I_p under the group `spec` in its natural action.
 
     Raises BadInput unless p is a prime below 2^31, and BudgetExceeded
-    before building what would pass ELEMENT_BUDGET or EQUATION_BUDGET.
+    before walking a group whose arrays would pass EQUATION_BUDGET.
     """
     _require_prime(p)
-    # refused before its generators are built, and a degree over the budget
-    # before n! is: every level has at least n elements
-    if spec.n > ELEMENT_BUDGET or spec.order() > ELEMENT_BUDGET:
-        raise BudgetExceeded(f"group enumeration exceeds budget {ELEMENT_BUDGET}")
-    gens = standard_generators(spec)
-    # and before any module of degree n is built; I_p has dimension n - 1
-    need = cocycle_bytes(spec.order(), len(gens), spec.n - 1)
-    if need > EQUATION_BUDGET:
-        raise BudgetExceeded(f"cocycle equations need {need} bytes, over the budget "
-                             f"of {EQUATION_BUDGET}")
-    g = PermGroup(spec.n, gens)
+    # needs neither generators nor n!: every level has at least n elements
+    # and one generator, so it is a lower bound, and exact for C_n
+    _require_equation_budget(cocycle_bytes(spec.n, 1, spec.n - 1))
+    g = PermGroup(spec.n, standard_generators(spec))
     mod = FpModule.natural(g, p)
     return cocycle_dims(g, mod.restricted(aug_submodule(mod)))
 
@@ -405,6 +397,13 @@ def cocycle_bytes(order: int, ngens: int, k: int) -> int:
     commutation equations of endomorphism_dim, k^4 entries per generator.
     Temporaries take a small multiple of this."""
     return 4 * order * ngens * k * k + 8 * _EDGE_BLOCK * k * ngens * k + 8 * ngens * k ** 4
+
+
+def _require_equation_budget(need: int) -> None:
+    """Raise BudgetExceeded if cocycle arrays of `need` bytes pass EQUATION_BUDGET."""
+    if need > EQUATION_BUDGET:
+        raise BudgetExceeded(f"cocycle equations need at least {need} bytes, over the "
+                             f"budget of {EQUATION_BUDGET}")
 
 
 # the constraint equations of this many edges are folded into the basis at
@@ -423,7 +422,7 @@ def _cocycle_system(g: PermGroup, mod: FpModule) -> tuple[RowSpace, int]:
     # sum of k products below p, plus one, must fit in int64
     if k * (p - 1) ** 2 + 1 >= 2 ** 63:
         raise BadInput(f"p = {p} is too large for a {k}-dimensional cocycle system")
-    _, edges, tree = cayley_walk(g.degree, g.generators, ELEMENT_BUDGET)
+    _, edges, tree = cayley_walk(g.degree, g.generators)
     ngens = len(g.generators)
     count = len(edges)
     mats = np.array(mod.mats, dtype=np.int64).reshape(ngens, k, k)

@@ -501,7 +501,7 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 
 
-def cayley_walk(degree: int, gens, limit: int | None = None):
+def cayley_walk(degree: int, gens):
     """Breadth-first walk of the Cayley graph of <gens> by right multiplication.
 
     Returns (elements, edges, tree): the elements in discovery order,
@@ -511,7 +511,8 @@ def cayley_walk(degree: int, gens, limit: int | None = None):
     tree edge leaves an earlier row, and it is the first edge into its
     element in row-major order.
 
-    Raises BudgetExceeded if more than `limit` elements appear.
+    The walk holds every element of the group, so each caller sizes the
+    group against its own budget before it walks.
     """
     ident = Permutation.identity(degree).raw
     raw_gens = [s.raw for s in gens]
@@ -527,8 +528,6 @@ def cayley_walk(degree: int, gens, limit: int | None = None):
             j = index.get(f)
             if j is None:
                 j = len(order)
-                if limit is not None and j >= limit:
-                    raise BudgetExceeded(f"group enumeration exceeds budget {limit}")
                 index[f] = j
                 order.append(f)
                 tree.append(len(edges) * len(raw_gens) + len(row))

@@ -268,10 +268,30 @@ def test_cohom_nonscalar_end_has_no_h(capsys):
     assert "endomorphism" in doc["warning"]
 
 
-def test_cohom_over_budget_exits_3(capsys):
-    code, doc = run(capsys, "cohom", "--group", "A9", "--p", "2")
-    assert code == 3
-    assert doc == {"error": "group enumeration exceeds budget 20160"}
+def over_budget(need):
+    return {"error": f"cocycle equations need at least {need} bytes, over the budget "
+                     f"of {modfp.EQUATION_BUDGET}"}
+
+
+def test_cohom_over_budget_exits_3(capsys, monkeypatch):
+    # degree 9 passes the lower bound; the order refuses A9 and S9 before
+    # their Cayley graphs are walked
+    def refuse(*args):
+        raise AssertionError("walked a group over the budget")
+
+    monkeypatch.setattr(modfp, "cayley_walk", refuse)
+    for group, need in [("A9", 93224960), ("S9", 186122240)]:
+        code, doc = run(capsys, "cohom", "--group", group, "--p", "2")
+        assert code == 3
+        assert doc == over_budget(need)
+
+
+def test_cohom_s8(capsys):
+    # 11 does not divide 8!, so H^1 vanishes and Z^1 = B^1 = I_p
+    code, doc = run(capsys, "cohom", "--group", "S8", "--p", "11")
+    assert code == 0
+    assert doc["group_order"] == 40320 and doc["dim_H1"] == 0
+    assert doc["dim_Z1"] == doc["dim_B1"] == 7
 
 
 def test_cohom_over_budget_builds_nothing(capsys, monkeypatch):
@@ -281,19 +301,19 @@ def test_cohom_over_budget_builds_nothing(capsys, monkeypatch):
     monkeypatch.setattr(modfp, "standard_generators", refuse)
     code, doc = run(capsys, "cohom", "--group", "A260", "--p", "2")
     assert code == 3
-    assert doc == {"error": "group enumeration exceeds budget 20160"}
+    assert doc == over_budget(modfp.cocycle_bytes(260, 1, 259))
 
 
 def test_cohom_over_budget_at_a_huge_degree_returns_at_once():
     # the order (10^7)!/2 would take minutes to build
-    code, doc = run_process("cohom", "--group", "A10000000", "--p", "2")
+    code, doc = run_process("cohom", "--group", "A10000000", "--p", "2", timeout=10)
     assert code == 3
-    assert doc == {"error": "group enumeration exceeds budget 20160"}
+    assert doc == over_budget(modfp.cocycle_bytes(10 ** 7, 1, 10 ** 7 - 1))
 
 
 def test_cohom_over_the_equation_budget_allocates_nothing(capsys, monkeypatch):
-    # C250 passes the element budget, but endomorphism_dim alone would
-    # allocate k^4 * 8 bytes for k = 249, about 28.6 GiB
+    # endomorphism_dim alone would allocate k^4 * 8 bytes for k = 249,
+    # about 28.6 GiB
     def refuse(*args):
         raise AssertionError("module arrays built for a group over the budget")
 
@@ -304,12 +324,13 @@ def test_cohom_over_the_equation_budget_allocates_nothing(capsys, monkeypatch):
     assert code == 3
     need = modfp.cocycle_bytes(250, 1, 249)
     assert need > 28 * 2 ** 30
-    assert doc == {"error": f"cocycle equations need {need} bytes, over the budget "
-                            f"of {modfp.EQUATION_BUDGET}"}
+    assert doc == over_budget(need)
 
 
 def test_equation_budget_admits_a8_and_c37_and_refuses_c38():
     assert modfp.cocycle_bytes(20160, 2, 7) <= modfp.EQUATION_BUDGET
+    assert modfp.cocycle_bytes(40320, 2, 7) <= modfp.EQUATION_BUDGET  # S8
+    assert modfp.cocycle_bytes(181440, 2, 8) == 93224960 > modfp.EQUATION_BUDGET  # A9
     assert modfp.cocycle_bytes(37, 1, 36) <= modfp.EQUATION_BUDGET
     assert modfp.cocycle_bytes(38, 1, 37) > modfp.EQUATION_BUDGET
 

@@ -81,6 +81,39 @@ def test_cli_reads_no_constant_of_another_module():
     assert foreign_constants(cli.read_text()) == set()
 
 
+def unowned_budget_raises(source: str) -> set[str]:
+    """Each `raise BudgetExceeded(...)` of a module, as source text, that
+    reads no ALL-CAPS constant assigned at the module's top level: every
+    budget that stops a run is owned by the module that enforces it, not
+    passed in by a caller."""
+    tree = ast.parse(source)
+    owned = {t.id for n in tree.body if isinstance(n, (ast.Assign, ast.AnnAssign))
+             for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+             if isinstance(t, ast.Name) and t.id.isupper()}
+    return {ast.unparse(n) for n in ast.walk(tree)
+            if isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+            and ast.unparse(n.exc.func).split(".")[-1] == "BudgetExceeded"
+            and not owned & {x.id for x in ast.walk(n.exc) if isinstance(x, ast.Name)}}
+
+
+def test_unowned_budget_raises_are_found():
+    src = ("from .permcore import CAP\nLIMIT = 4\n"
+           "def f(n, limit):\n"
+           "    if n > LIMIT:\n        raise BudgetExceeded(f'{n} over {LIMIT}')\n"
+           "    if n > limit:\n        raise BudgetExceeded(f'{n} over {limit}')\n"
+           "    MAX = 3\n"
+           "    if n > MAX:\n        raise BudgetExceeded(MAX)\n"
+           "    raise permcore.BudgetExceeded(CAP)\n")
+    assert unowned_budget_raises(src) == {"raise BudgetExceeded(f'{n} over {limit}')",
+                                          "raise BudgetExceeded(MAX)",
+                                          "raise permcore.BudgetExceeded(CAP)"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_budget_refusal_reads_a_budget_of_its_module(path):
+    assert unowned_budget_raises(path.read_text()) == set()
+
+
 def caught_exceptions(source: str) -> list[tuple[str | None, tuple[str, ...]]]:
     """Every `try` of a module that has handlers, in source order, as (the
     function it sits in, or None at module level; the exceptions its

@@ -367,11 +367,22 @@ def test_cocycle_system_does_not_depend_on_the_edge_block(monkeypatch, n, p):
 
 
 def test_cocycle_budget(monkeypatch):
+    # a direct call is refused on its exact bytes before the group is
+    # walked or the commutation equations are built
     g = alt_group(7)
     mod = FpModule.natural(g, 2)
-    monkeypatch.setattr(modfp, "ELEMENT_BUDGET", 100)
-    with pytest.raises(BudgetExceeded, match="exceeds budget 100"):
-        cocycle_dims(g, mod.restricted(aug_submodule(mod)))
+    sub = mod.restricted(aug_submodule(mod))
+    need = cocycle_bytes(2520, 2, 6)
+    monkeypatch.setattr(modfp, "EQUATION_BUDGET", need - 1)
+    with monkeypatch.context() as walk:
+        walk.setattr(modfp, "cayley_walk", _refuse)
+        walk.setattr(modfp, "endomorphism_dim", _refuse)
+        with pytest.raises(BudgetExceeded) as exc:
+            cocycle_dims(g, sub)
+    assert str(exc.value) == (f"cocycle equations need at least {need} bytes, "
+                              f"over the budget of {need - 1}")
+    monkeypatch.setattr(modfp, "EQUATION_BUDGET", need)
+    assert cocycle_dims(g, sub).group_order == 2520
 
 
 def test_cocycle_refuses_a_p_too_large_for_int64():
@@ -411,17 +422,21 @@ def _refuse(*args):
     raise AssertionError("built for an input that is refused anyway")
 
 
+def _over_budget(need):
+    return (f"cocycle equations need at least {need} bytes, over the budget "
+            f"of {modfp.EQUATION_BUDGET}")
+
+
+# each refusal reads only the degree; for C250 the bound is exact, and
+# endomorphism_dim alone would allocate k^4 * 8 bytes for k = 249, 28.6 GiB
 @pytest.mark.parametrize("token,skipped,message", [
     ("A260", ("standard_generators", "perm_matrix", "_cocycle_system"),
-     "group enumeration exceeds budget 20160"),
+     _over_budget(cocycle_bytes(260, 1, 259))),
     # the order (10^7)!/2 would take minutes to build
     ("A10000000", ("standard_generators", "perm_matrix", "_cocycle_system"),
-     "group enumeration exceeds budget 20160"),
-    # C250 passes the element budget; endomorphism_dim alone would allocate
-    # k^4 * 8 bytes for k = 249, about 28.6 GiB
+     _over_budget(cocycle_bytes(10 ** 7, 1, 10 ** 7 - 1))),
     ("C250", ("perm_matrix", "_cocycle_system", "endomorphism_dim"),
-     f"cocycle equations need {cocycle_bytes(250, 1, 249)} bytes, over the budget "
-     f"of {modfp.EQUATION_BUDGET}"),
+     _over_budget(cocycle_bytes(250, 1, 249))),
 ])
 def test_cohomology_of_Ip_refuses_its_budgets_before_building(
         monkeypatch, token, skipped, message):

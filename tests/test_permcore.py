@@ -141,13 +141,13 @@ V4 = PermGroup.from_cycles(4, "(1 2)(3 4)", "(1 3)(2 4)")
 )
 def test_bsgs_order_matches_enumeration(group, order):
     assert group.order() == order
-    assert len(cayley_walk(group.degree, group.generators, order)[0]) == order
+    assert len(cayley_walk(group.degree, group.generators)[0]) == order
 
 
 def test_bsgs_order_s7():
     s7 = PermGroup.from_cycles(7, "(1 2)", "(1 2 3 4 5 6 7)")
     assert s7.order() == 5040
-    assert len(cayley_walk(7, s7.generators, 5040)[0]) == 5040
+    assert len(cayley_walk(7, s7.generators)[0]) == 5040
 
 
 def test_bsgs_deterministic_base():
@@ -371,11 +371,6 @@ def test_abelian_p_ranks_batch():
     assert abelian_p_ranks(S4, [2, 3, 5]) == {2: 1, 3: 0, 5: 0}
     with pytest.raises(ValueError):
         abelian_p_ranks(S4, [1])
-
-
-def test_enumerate_respects_limit():
-    with pytest.raises(BudgetExceeded, match="exceeds budget 59"):
-        cayley_walk(5, A5.generators, 59)
 
 
 # strong pseudoprimes to the first 4, 5, 6, 8, 11 and 12 prime bases: for
