@@ -117,11 +117,11 @@ class RowSpace:
         return np.array(self.rows, dtype=np.int64).reshape(self.dim, self.width)
 
 
-def perm_matrix(g: Permutation, p: int) -> np.ndarray:
+def perm_matrix(g: Permutation) -> np.ndarray:
     m = np.zeros((g.degree, g.degree), dtype=np.int64)
     for a in range(g.degree):
         m[a, g(a)] = 1
-    return m % p
+    return m
 
 
 @dataclass
@@ -138,7 +138,7 @@ class FpModule:
 
     @classmethod
     def natural(cls, group: PermGroup, p: int) -> "FpModule":
-        return cls(p, group.degree, [perm_matrix(g, p) for g in group.generators])
+        return cls(p, group.degree, [perm_matrix(g) for g in group.generators])
 
     @cached_property
     def _row_terms(self) -> list[list[list[tuple[int, int]]]]:

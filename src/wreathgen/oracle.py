@@ -30,12 +30,11 @@ from .permcore import (
 TABLE_BYTE_BUDGET = 800_000_000
 
 
-def _table_itemsize(order: int) -> int | None:
-    """Bytes per entry of the Cayley table of a group of this order, int16
-    indices below 2^15 elements and int32 above, or None when the n x n
-    table would pass TABLE_BYTE_BUDGET."""
-    itemsize = 2 if order < 2 ** 15 else 4
-    return itemsize if order * order * itemsize <= TABLE_BYTE_BUDGET else None
+def _table_fits(order: int) -> bool:
+    """Whether the n x n int16 Cayley table of a group of this order fits
+    TABLE_BYTE_BUDGET; the budget admits fewer than 2^15 elements, so
+    every admitted index fits int16."""
+    return order * order * 2 <= TABLE_BYTE_BUDGET
 
 
 @dataclass
@@ -75,8 +74,7 @@ class CayleyTable:
     @classmethod
     def build(cls, g: PermGroup) -> "CayleyTable":
         order = g.order()
-        itemsize = _table_itemsize(order)
-        if itemsize is None:
+        if not _table_fits(order):
             raise BudgetExceeded(f"the Cayley table of {order} elements exceeds "
                                  f"the budget of {TABLE_BYTE_BUDGET} bytes")
         import numpy as np
@@ -84,11 +82,10 @@ class CayleyTable:
         gens = list(dict.fromkeys(p for p in g.generators if not p.is_identity()))
         elements, edges, tree = cayley_walk(g.degree, gens)
         n = len(elements)
-        dtype = np.dtype(f"int{8 * itemsize}")
-        edges = np.array(edges, dtype=dtype)  # column s: x -> x * s
+        edges = np.array(edges, dtype=np.int16)  # column s: x -> x * s
         # column-major: every write below fills one contiguous column
-        table = np.empty((n, n), dtype=dtype, order="F")
-        table[:, 0] = np.arange(n, dtype=dtype)
+        table = np.empty((n, n), dtype=np.int16, order="F")
+        table[:, 0] = np.arange(n, dtype=np.int16)
         # a tree edge leaves an earlier row, whose column is already filled
         for t, e in enumerate(tree, 1):
             par, slot = divmod(e, len(gens))
@@ -251,7 +248,7 @@ def min_generators(g: PermGroup, seed: int = 1, attempts: int = 200) -> GenResul
     lower, cert = d_lower_bound(g)
     witness = tuple(p for p in dict.fromkeys(g.generators) if not p.is_identity())
     upper = len(witness)
-    can_exhaust = _table_itemsize(g.order()) is not None
+    can_exhaust = _table_fits(g.order())
     ct = None  # built at the first scan; a witness often settles d first
 
     k = max(lower, 1)

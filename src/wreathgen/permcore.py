@@ -99,8 +99,8 @@ def prime_factorization(n: int) -> dict[int, int]:
 # with fixed points, so that composing is bytes.translate and inverting is
 # bytes.maketrans; above 255, the tuple of images, composed by one
 # itemgetter over the left factor's images.  Both compositions run at C
-# speed.  _pack, _compose, _composer, _invert and _first_moved are the
-# only code that knows this format.
+# speed.  _pack, _composer, _invert and _first_moved are the only code
+# that knows this format.
 
 _IDENT256 = bytes(range(256))
 _IDENT256_INT = int.from_bytes(_IDENT256, "big")
@@ -117,15 +117,9 @@ def _compose_tuples(a, b):
     return itemgetter(*a)(b)  # a has more than one image, so this is a tuple
 
 
-def _compose(a, b):
-    """Stored form of x -> b[a[x]], the product a * b."""
-    if type(a) is bytes:
-        return a.translate(b)
-    return _compose_tuples(a, b)
-
-
 def _composer(degree: int):
-    """_compose without the type test, for loops that stay at one degree."""
+    """The composition of stored forms of this degree: it maps (a, b) to
+    the stored form of x -> b[a[x]], the product a * b."""
     return bytes.translate if degree <= 255 else _compose_tuples
 
 
@@ -180,7 +174,7 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if other.degree != self.degree:
             raise DegreeMismatch("cannot compose permutations of different degree")
-        return Permutation._wrap(self.degree, _compose(self.raw, other.raw))
+        return Permutation._wrap(self.degree, _composer(self.degree)(self.raw, other.raw))
 
     def inverse(self) -> "Permutation":
         return Permutation._wrap(self.degree, _invert(self.raw))

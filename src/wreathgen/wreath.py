@@ -191,7 +191,10 @@ def leaf_index(t: TowerSpec, address: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _standard_generators(kind: str, n: int) -> tuple[Permutation, ...]:
+def standard_generators(spec: GroupSpec) -> tuple[Permutation, ...]:
+    """Canonical generators in the natural action; the generated order is
+    checked against the spec's order once per spec, the cache key."""
+    kind, n = spec.kind, spec.n
     if kind == "C":
         gens = (Permutation(tuple(range(1, n)) + (0,)),)
     elif kind == "S":
@@ -208,15 +211,9 @@ def _standard_generators(kind: str, n: int) -> tuple[Permutation, ...]:
     # one generator generates a cyclic group of its own order, which costs
     # no chain: a chain of C_n holds 2n permutations of degree n
     order = gens[0].order() if len(gens) == 1 else bsgs_build(PermGroup(n, gens)).order()
-    if order != GroupSpec(kind, n).order():
-        raise ConsistencyError(f"standard generators of {kind}{n} have wrong order")
+    if order != spec.order():
+        raise ConsistencyError(f"standard generators of {spec.token()} have wrong order")
     return gens
-
-
-def standard_generators(spec: GroupSpec) -> list[Permutation]:
-    """Canonical generators in the natural action; the generated order is
-    checked against the spec's order once per spec."""
-    return list(_standard_generators(spec.kind, spec.n))
 
 
 # ---------------------------------------------------------------------------

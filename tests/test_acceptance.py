@@ -149,19 +149,19 @@ def test_acceptance_06_reduction_identity(capsys):
     t0 = time.monotonic()
     failures = []
     checked = 0
+    # the reference writes each level's abelianization out by kind, so a
+    # wrong per-level fact in the library shows here
     for t in _towers(_POOL, range(2, 6), lambda g: True):
-        # whole-tower form: d = max(2, d_ab(W)) under a non-cyclic top
-        if t.levels[0].is_cyclic():
-            want = max(2, max(abelianization(t, 2).values(), default=0) + 1)
-        else:
-            want = max(2, max(abelianization(t, 1).values(), default=0))
-        if d_tower(t).d != want:
+        res = d_tower(t)
+        if (res.d, res.case, res.abelianization) != ref.d_tower(t):
             failures.append(f"{t.text()}")
             if len(failures) > 3:
                 break
         checked += 1
+    if not failures:
+        failures += [] if checked == 10 * (10 + 100 + 1000 + 10000) else [f"checked {checked}"]
     with capsys.disabled():
-        _report(6, f"d = max(2, d_ab(W)) form holds on all {checked} towers", failures, t0, 300)
+        _report(6, f"d_tower agrees with the reference on all {checked} towers", failures, t0, 300)
 
 
 def test_acceptance_07_deleted_module_structure(capsys):

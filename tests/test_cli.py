@@ -294,37 +294,11 @@ def test_cohom_s8(capsys):
     assert doc["dim_Z1"] == doc["dim_B1"] == 7
 
 
-def test_cohom_over_budget_builds_nothing(capsys, monkeypatch):
-    def refuse(spec):
-        raise AssertionError("generators built for a group over the budget")
-
-    monkeypatch.setattr(modfp, "standard_generators", refuse)
-    code, doc = run(capsys, "cohom", "--group", "A260", "--p", "2")
-    assert code == 3
-    assert doc == over_budget(modfp.cocycle_bytes(260, 1, 259))
-
-
 def test_cohom_over_budget_at_a_huge_degree_returns_at_once():
     # the order (10^7)!/2 would take minutes to build
     code, doc = run_process("cohom", "--group", "A10000000", "--p", "2", timeout=10)
     assert code == 3
     assert doc == over_budget(modfp.cocycle_bytes(10 ** 7, 1, 10 ** 7 - 1))
-
-
-def test_cohom_over_the_equation_budget_allocates_nothing(capsys, monkeypatch):
-    # endomorphism_dim alone would allocate k^4 * 8 bytes for k = 249,
-    # about 28.6 GiB
-    def refuse(*args):
-        raise AssertionError("module arrays built for a group over the budget")
-
-    monkeypatch.setattr(modfp, "perm_matrix", refuse)
-    monkeypatch.setattr(modfp, "_cocycle_system", refuse)
-    monkeypatch.setattr(modfp, "endomorphism_dim", refuse)
-    code, doc = run(capsys, "cohom", "--group", "C250", "--p", "2")
-    assert code == 3
-    need = modfp.cocycle_bytes(250, 1, 249)
-    assert need > 28 * 2 ** 30
-    assert doc == over_budget(need)
 
 
 def test_equation_budget_admits_a8_and_c37_and_refuses_c38():

@@ -7,7 +7,6 @@ brute-force oracle in the acceptance suite).
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
@@ -101,18 +100,6 @@ def test_d_corollary_values():
 
 
 _POOL = ["A4", "A5", "S3", "S4", "S5", "C2", "C3", "C4", "C5", "C6"]
-_NONCYC = ["A4", "A5", "S3", "S4", "S5"]
-
-
-def test_corollary_agrees_with_case_split_exhaustively():
-    # every tower, k = 2..4, non-cyclic top (k = 5 runs in acceptance);
-    # d_corollary returns d_tower's value, so the counting form it states
-    # is checked as the reference writes it out by kind
-    for k in (2, 3, 4):
-        for rest in itertools.product(_POOL, repeat=k - 1):
-            for top in _NONCYC:
-                t = parse_tower(";".join((top,) + rest))
-                assert ref.d_corollary(t) == d_tower(t).d, t.text()
 
 
 def test_reduction_identity_on_random_towers():
@@ -120,12 +107,8 @@ def test_reduction_identity_on_random_towers():
     for _ in range(500):
         k = rng.randint(2, 8)
         t = parse_tower(";".join(rng.choice(_POOL) for _ in range(k)))
-        # whole-tower form: d = max(2, d_ab(W)) under a non-cyclic top
-        if t.levels[0].is_cyclic():
-            want = max(2, max(abelianization(t, 2).values(), default=0) + 1)
-        else:
-            want = max(2, max(abelianization(t, 1).values(), default=0))
-        assert d_tower(t).d == want
+        res = d_tower(t)
+        assert (res.d, res.case, res.abelianization) == ref.d_tower(t), t.text()
 
 
 def test_monotonicity_in_tail():

@@ -141,12 +141,12 @@ def test_worklist_spin_matches_round_robin_spin(case, restrict, data):
 
 def test_perm_matrix_right_action():
     g = parse_cycles("(1 2 3)", 3)
-    a = perm_matrix(g, 7)
+    a = perm_matrix(g)
     v = np.array([5, 0, 0])
     # v e_1 moved to coordinate g(1) = 2
-    assert list((v @ a) % 7) == [0, 5, 0]
+    assert list(v @ a) == [0, 5, 0]
     h = parse_cycles("(2 3)", 3)
-    assert ((perm_matrix(g, 7) @ perm_matrix(h, 7)) % 7 == perm_matrix(g * h, 7)).all()
+    assert (perm_matrix(g) @ perm_matrix(h) == perm_matrix(g * h)).all()
 
 
 def test_aug_submodule():
@@ -445,6 +445,8 @@ def test_cohomology_of_Ip_refuses_its_budgets_before_building(
     with pytest.raises(BudgetExceeded) as exc:
         cohomology_of_Ip(parse_group(token), 2)
     assert str(exc.value) == message
+    if token == "C250":
+        assert cocycle_bytes(250, 1, 249) > 28 * 2 ** 30
 
 
 @pytest.mark.parametrize("p,message", BAD_PRIMES)

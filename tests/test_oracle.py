@@ -104,10 +104,18 @@ def test_order_limit_enforced(monkeypatch):
 def test_table_budget_counts_the_bytes_of_the_table(monkeypatch):
     # S4's table is 24 x 24 int16 entries, 1,152 bytes
     monkeypatch.setattr(oracle, "TABLE_BYTE_BUDGET", 1152)
-    assert CayleyTable.build(_s4()).table.nbytes == 1152
+    table = CayleyTable.build(_s4()).table
+    assert (table.nbytes, table.dtype.name) == (1152, "int16")
     monkeypatch.setattr(oracle, "TABLE_BYTE_BUDGET", 1151)
     with pytest.raises(BudgetExceeded):
         CayleyTable.build(_s4())
+
+
+def test_the_table_budget_admits_only_int16_indices():
+    # the table's entries are int16, so the real budget must refuse every
+    # order of 2^15 or more; it admits up to 20,000 elements
+    assert oracle._table_fits(20_000) and not oracle._table_fits(20_001)
+    assert not any(map(oracle._table_fits, (2 ** 15, 2 ** 16, 10 ** 6)))
 
 
 # ------------------------------------------------------------- lower bounds
