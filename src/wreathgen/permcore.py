@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 from collections import deque
-from itertools import repeat
+from itertools import combinations, repeat
 from operator import itemgetter, ne
 
 
@@ -294,7 +294,7 @@ class Bsgs:
     that forces the new level, and all work queues are FIFO, so the
     structure is a pure function of the generator sequence.  extend()
     sifts a new generator and re-closes the chain incrementally, which
-    keeps normal closures and subgroup joins cheap.
+    keeps normal closures cheap.
     """
 
     def __init__(self, degree: int):
@@ -335,24 +335,6 @@ class Bsgs:
         self._insert(r, 0, lvl)
         self._run()
         return True
-
-    def fork(self) -> "Bsgs":
-        """Independent copy sharing immutable element data."""
-        other = Bsgs.__new__(Bsgs)
-        other.degree = self.degree
-        other._ident = self._ident
-        other._compose = self._compose
-        other._strong = list(self._strong)
-        other._levels = []
-        for lv in self._levels:
-            c = _Level(lv.point, self._ident)
-            c.gens = list(lv.gens)
-            c.orbit = dict(lv.orbit)
-            c.inv = dict(lv.inv)
-            c.pending = deque(lv.pending)
-            other._levels.append(c)
-        other._sifts = [(m, lv.point, lv.inv) for m, lv in enumerate(other._levels)]
-        return other
 
     # -- internals ----------------------------------------------------------
 
@@ -530,55 +512,54 @@ def cayley_walk(degree: int, gens):
     return [Permutation._wrap(degree, e) for e in order], edges, tree
 
 
-def derived_subgroup(g: PermGroup) -> PermGroup:
-    """Normal closure of the generator commutators, as a PermGroup."""
+def _normal_closure(g: PermGroup, seeds) -> PermGroup:
+    """Normal closure in g of the seed elements, with its chain built."""
     chain = Bsgs(g.degree)
     closure_gens: list[Permutation] = []
-    queue = deque()
-    gens = g.generators
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            c = gens[i].inverse() * gens[j].inverse() * gens[i] * gens[j]
-            if not c.is_identity():
-                queue.append(c)
+    queue = deque(seeds)
     while queue:
         c = queue.popleft()
         if chain.extend(c):
             closure_gens.append(c)
-            queue.extend(c.conj(s) for s in gens)
-    d = PermGroup(g.degree, closure_gens)
-    d._bsgs = chain
-    return d
+            queue.extend(c.conj(s) for s in g.generators)
+    n = PermGroup(g.degree, closure_gens)
+    n._bsgs = chain
+    return n
+
+
+def _commutators(gens) -> list[Permutation]:
+    return [a.inverse() * b.inverse() * a * b for a, b in combinations(gens, 2)]
+
+
+def derived_subgroup(g: PermGroup) -> PermGroup:
+    """Normal closure of the generator commutators, as a PermGroup."""
+    return _normal_closure(g, _commutators(g.generators))
 
 
 def abelian_p_ranks(g: PermGroup, primes) -> dict[int, int]:
-    """d_p(G/G') for several primes, sharing one derived-subgroup chain.
+    """d_p(G/G') for several primes, read off one chain.
 
-    When p^2 does not divide |G:G'|, the Sylow p-subgroup of G/G' has
-    order 1 or p, so d_p is v_p(|G:G'|) and no chain is built for p.
+    With r the product of the distinct primes, the normal closure N of
+    the generator commutators and the powers g_i^r is G'G^r.  For A =
+    G/G' and squarefree r, G/N = A/A^r is the product over p of A_p/A_p^p,
+    so d_p(G/G') = v_p(|G:N|).
     """
-    order = g.order()
-    dchain = derived_subgroup(g).bsgs()
-    abel = order // dchain.order()
+    primes = list(dict.fromkeys(primes))
+    if any(p < 2 for p in primes):
+        raise ValueError("p must be a prime >= 2")
+    r = math.prod(primes)
+    gens = g.generators
+    seeds = _commutators(gens) + [s ** (r % s.order()) for s in gens]
+    index, rem = divmod(g.order(), _normal_closure(g, seeds).order())
+    if rem:
+        raise ConsistencyError("subgroup order does not divide group order")
     out: dict[int, int] = {}
     for p in primes:
-        if p < 2:
-            raise ValueError("p must be a prime >= 2")
-        if abel % (p * p):
-            out[p] = int(abel % p == 0)
-            continue
-        chain = dchain.fork()
-        for gen in g.generators:
-            chain.extend(gen ** p)
-        index, rem = divmod(order, chain.order())
-        if rem:
-            raise ConsistencyError("subgroup order does not divide group order")
         rank = 0
         while index % p == 0:
             index //= p
             rank += 1
-        if index != 1:
-            raise ConsistencyError(
-                f"index of <G' u p-th powers> is not a power of {p}")
         out[p] = rank
+    if index != 1:
+        raise ConsistencyError(f"index of G'G^r has a prime outside {primes}")
     return out

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from wreathgen.permcore import (
     TRIAL_DIVISION_BOUND,
     BudgetExceeded,
+    Bsgs,
     DegreeMismatch,
     ParseError,
     PermGroup,
@@ -192,14 +193,13 @@ def test_transversal_maps_base_to_point():
             assert all(u[b] == b for b in chain.base[:i])
 
 
-def test_extend_and_fork():
+def test_extend_grows_and_refuses_members():
     chain = bsgs_build(PermGroup.from_cycles(5, "(1 2 3 4 5)"))
     assert chain.order() == 5
-    fork = chain.fork()
-    assert fork.extend(parse_cycles("(1 2 3)", 5))
-    assert fork.order() == 60
-    assert chain.order() == 5  # original untouched
-    assert not fork.extend(parse_cycles("(1 2 3)", 5))
+    assert chain.extend(parse_cycles("(1 2 3)", 5))
+    assert chain.order() == 60
+    assert not chain.extend(parse_cycles("(1 2 3)", 5))
+    assert chain.order() == 60
 
 
 def _chain_digest(chain) -> str:
@@ -371,6 +371,29 @@ def test_abelian_p_ranks_batch():
     assert abelian_p_ranks(S4, [2, 3, 5]) == {2: 1, 3: 0, 5: 0}
     with pytest.raises(ValueError):
         abelian_p_ranks(S4, [1])
+
+
+def test_abelian_p_ranks_build_one_chain(monkeypatch):
+    # on C6;C6 both 2^2 and 3^2 divide |G:G'|; chains are counted where
+    # extend runs on them, so a chain made without its constructor counts
+    g = tower_group(parse_tower("C6;C6"))
+    g.order()  # the group's own chain is built before counting starts
+    chains = []
+    extend = Bsgs.extend
+
+    def counting_extend(self, p):
+        if not any(c is self for c in chains):
+            chains.append(self)
+        return extend(self, p)
+
+    monkeypatch.setattr(Bsgs, "extend", counting_extend)
+    assert abelian_p_ranks(g, [2, 3]) == {2: 2, 3: 2}
+    assert len(chains) == 1
+    monkeypatch.undo()
+    assert abelian_p_ranks(g, [2, 2, 3]) == abelian_p_ranks(g, [2, 3])
+    assert abelian_p_ranks(tower_group(parse_tower("C3;C2;C2")), [5, 7]) == {5: 0, 7: 0}
+    with pytest.raises(ValueError):
+        abelian_p_ranks(g, [1])
 
 
 # strong pseudoprimes to the first 4, 5, 6, 8, 11 and 12 prime bases: for
