@@ -4,8 +4,10 @@ Row vectors carry a right action: a permutation g acts by the 0/1 matrix
 P_g with P_g[a, g(a)] = 1, so P_{gh} = P_g P_h.  The module of interest
 is the kernel I_p of the coordinate sum inside V = F_p^n; this file
 verifies its structure by exhaustive spinning, computes endomorphism and
-fixed-point dimensions, and counts 1-cocycles by propagating the
-derivation law over a breadth-first enumeration of the group.
+fixed-point dimensions, and counts 1-cocycles from the presentation that
+a recorded stabilizer chain proves: the derivation law carried along the
+chain's transversal elements and strong generators, and one set of
+equations per relator, so no element outside the chain is formed.
 
 The exhaustive check spins every vector of the class it checks, but each
 spin stops at the first vector it reaches that an earlier spin of the
@@ -22,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .permcore import (BadInput, BudgetExceeded, ConsistencyError, PermGroup, Permutation,
-                       cayley_walk, prime_factorization)
+from .permcore import (BadInput, Bsgs, BudgetExceeded, ConsistencyError, PermGroup,
+                       Permutation, prime_factorization)
 from .wreath import GroupSpec, standard_generators
 
 
@@ -245,10 +247,11 @@ class IpReport:
 # all have leading entry 1 and each spin a few images in dimension 20.
 VECTOR_BUDGET = 2 ** 20
 # bytes of the arrays cocycle_dims may build (see cocycle_bytes), the one
-# budget of the cocycle system.  It admits A4-A8, S3-S8 (16.0 MB; `cohom
-# --group S8` took 0.9 s and peaked at 73 MB on a 2-core host) and C2-C37,
-# whose 36-dimensional I_p needs 16.3 MB and took 7.3 s at 81 MB, almost
-# all of it eliminating the commutation equations, which cost k^6
+# budget of the cocycle system.  It admits A4-A21 (A21 needs 16.2 MB, and
+# `cohom --group A21` took 0.7 s and peaked at 58 MB on a 2-core host),
+# S3-S20 and C2-C38, whose 37-dimensional I_p needs 16.7 MB and took 9 s
+# at 87 MB, almost all of it eliminating the commutation equations, which
+# cost k^6
 EQUATION_BUDGET = 2 ** 24
 
 
@@ -352,18 +355,14 @@ class CohomReport:
 def cocycle_dims(g: PermGroup, m: FpModule) -> CohomReport:
     """Dimensions of Z^1, B^1 and H^1 = Z^1/B^1 for the module m.
 
-    Each group element reached by the breadth-first walk carries the
-    affine form of its cocycle value in terms of the unknown generator
-    images; rediscovering an element yields linear constraints.  With all
-    edges of the Cayley graph either defining or constraining, the
-    derivation law delta(gh) = delta(g)h + delta(h) holds identically on
-    the solution space.
+    Images of the generators extend to a derivation exactly when its value
+    vanishes on every relator of a presentation of g; the presentation is
+    the one a recorded stabilizer chain proves (_cocycle_system).
     """
     k = m.dim
     ngens = len(g.generators)
-    # before the walk or the k^4 commutation equations are built
-    _require_equation_budget(cocycle_bytes(g.order(), ngens, k))
-    constraints, count = _cocycle_system(g, m)
+    # checks the budget before any matrix or the k^4 commutation equations
+    constraints, order = _cocycle_system(g, m)
     dim_z1 = ngens * k - constraints.dim
     fixed = fixed_points(m)
     dim_b1 = k - fixed
@@ -371,7 +370,7 @@ def cocycle_dims(g: PermGroup, m: FpModule) -> CohomReport:
     if dim_h1 < 0:
         raise ConsistencyError("negative H^1 dimension; constraint system is wrong")
     end = endomorphism_dim(m)
-    return CohomReport(m.p, k, count, dim_z1, dim_b1, dim_h1,
+    return CohomReport(m.p, k, order, dim_z1, dim_b1, dim_h1,
                        fixed, end, k if end == 1 else None)
 
 
@@ -379,24 +378,27 @@ def cohomology_of_Ip(spec: GroupSpec, p: int) -> CohomReport:
     """cocycle_dims for I_p under the group `spec` in its natural action.
 
     Raises BadInput unless p is a prime below 2^31, and BudgetExceeded
-    before walking a group whose arrays would pass EQUATION_BUDGET.
+    before evaluating a presentation whose arrays would pass EQUATION_BUDGET.
     """
     _require_prime(p)
-    # needs neither generators nor n!: every level has at least n elements
-    # and one generator, so it is a lower bound, and exact for C_n
-    _require_equation_budget(cocycle_bytes(spec.n, 1, spec.n - 1))
+    # needs neither generators nor a chain: the group is transitive, so it
+    # has at least one letter, one strong generator and n - 1 transversal
+    # elements other than the identity, and a finite group has at least
+    # as many relators as letters; exact for C_n
+    _require_equation_budget(cocycle_bytes(spec.n + 1, 1, 1, spec.n - 1))
     g = PermGroup(spec.n, standard_generators(spec))
     mod = FpModule.natural(g, p)
     return cocycle_dims(g, mod.restricted(aug_submodule(mod)))
 
 
-def cocycle_bytes(order: int, ngens: int, k: int) -> int:
+def cocycle_bytes(nodes: int, relators: int, ngens: int, k: int) -> int:
     """Bytes of the arrays cocycle_dims builds for a k-dimensional module of
-    a group of this order with ngens generators: the walk's int32
-    coefficient store, one block of int64 constraint rows, and the int64
-    commutation equations of endomorphism_dim, k^4 entries per generator.
-    Temporaries take a small multiple of this."""
-    return 4 * order * ngens * k * k + 8 * _EDGE_BLOCK * k * ngens * k + 8 * ngens * k ** 4
+    a group presented on ngens letters: the int64 store of `nodes` letters
+    and defined elements, each with the action matrix and the ngens
+    coefficient matrices of itself and of its inverse; k int64 equations
+    per relator; and the int64 commutation equations of endomorphism_dim,
+    k^4 entries per generator.  Temporaries take a small multiple of this."""
+    return 16 * nodes * (ngens + 1) * k * k + 8 * relators * k * ngens * k + 8 * ngens * k ** 4
 
 
 def _require_equation_budget(need: int) -> None:
@@ -406,59 +408,82 @@ def _require_equation_budget(need: int) -> None:
                              f"budget of {EQUATION_BUDGET}")
 
 
-# the constraint equations of this many edges are folded into the basis at
-# once, which bounds the equations held at one time
-_EDGE_BLOCK = 256
-
-
 def _cocycle_system(g: PermGroup, mod: FpModule) -> tuple[RowSpace, int]:
-    """The constraints on the generator images, and the group order the
-    walk found."""
+    """The constraints on the generator images, and the group order.
+
+    The chain of g is built with its log, and the presentation it proves
+    is checked against EQUATION_BUDGET before any matrix is built.  Each
+    node of the presentation then carries its action matrix M and the
+    coefficients C_j of its cocycle value, delta(x) = sum_j delta(gens[j])
+    C_j, for itself and for its inverse: a product has M = M_a M_b and C =
+    C_a M_b + C_b, a letter's inverse acts by M^(ord - 1), so no matrix is
+    inverted, and the cocycle value of each relator must vanish.
+    """
     if len(mod.mats) != len(g.generators):
         raise ValueError("module action does not match the group's generators")
     k = mod.dim
     p = mod.p
-    # FpModule holds p below 2^31, so coefficients fit in int32; a pushed
-    # sum of k products below p, plus one, must fit in int64
-    if k * (p - 1) ** 2 + 1 >= 2 ** 63:
-        raise BadInput(f"p = {p} is too large for a {k}-dimensional cocycle system")
-    _, edges, tree = cayley_walk(g.degree, g.generators)
     ngens = len(g.generators)
-    count = len(edges)
-    mats = np.array(mod.mats, dtype=np.int64).reshape(ngens, k, k)
+    # entries are kept below p, so an entry of a product sums k products
+    # below p^2, and one of C_a M_b + C_b adds one entry below p; that sum
+    # must fit in int64
+    if k * (p - 1) ** 2 + p - 1 >= 2 ** 63:
+        raise BadInput(f"p = {p} is too large for a {k}-dimensional cocycle system")
+    log: list = []
+    chain = Bsgs(g.degree, log)
+    for x in g.generators:
+        chain.extend(x)
+    definitions, relators = chain.presentation(log)
+    _require_equation_budget(cocycle_bytes(ngens + len(definitions), len(relators), ngens, k))
+    eqs = _relator_equations(g, mod, definitions, relators)
+    return RowSpace.span(eqs, p), chain.order()
+
+
+def _relator_equations(g: PermGroup, mod: FpModule, definitions, relators) -> np.ndarray:
+    """k equations per relator of a presentation of g on its generators
+    (Bsgs.presentation), in the ngens * k unknowns delta(gens[j])[a] at
+    column j * k + a, reduced mod p."""
+    k = mod.dim
+    p = mod.p
+    ngens = len(g.generators)
+    # store[x, 0] is node x as [M, C_0, .., C_{ngens-1}], store[x, 1] its inverse
+    store = np.zeros((ngens + len(definitions), 2, ngens + 1, k, k), dtype=np.int64)
     eye = np.eye(k, dtype=np.int64)
-    # edge e = i * ngens + j leads from element i to target[e] = i * gens[j]
-    target = np.array(edges, dtype=np.intp).reshape(-1)
-    # the tree edge into element t defines its coefficients (the identity's
-    # are zero); it leaves source[t] < t, and the sources do not decrease
-    source, slot = np.divmod(np.array([0] + tree, dtype=np.intp), ngens)
-    # entries are below p; the products with `mats` are taken in int64
-    coeffs = np.zeros((count, ngens, k, k), dtype=np.int32)
+    for j, (x, a) in enumerate(zip(g.generators, mod.mats)):
+        a = a % p
+        inv = _matrix_power(a, x.order() - 1, p)
+        store[j, 0, 0] = a
+        store[j, 0, j + 1] = eye
+        store[j, 1, 0] = inv
+        store[j, 1, j + 1] = -inv % p  # delta(x^-1) = -delta(x) M_{x^-1}
 
-    def pushed(src, j):
-        """Coefficients of delta(x * gens[j]) = delta(x) a_j + u_j, x at src."""
-        cf = coeffs[src] @ mats[j][:, None]
-        cf[np.arange(len(src)), j] += eye
-        return cf
+    def product(word):
+        acc = store[word[0], 0] if word[0] >= 0 else store[~word[0], 1]
+        for x in word[1:]:
+            f = store[x, 0] if x >= 0 else store[~x, 1]
+            acc = acc @ f[0]
+            acc[1:] += f[1:]
+            acc %= p
+        return acc
 
-    done = 1
-    while done < count:
-        # the next elements whose sources already have their coefficients
-        stop = done + int(np.searchsorted(source[done:], done))
-        coeffs[done:stop] = pushed(source[done:stop], slot[done:stop]) % p
-        done = stop
-    # every other edge constrains the unknown generator images
-    rest = np.ones(count * ngens, dtype=bool)
-    rest[tree] = False
-    rest = np.flatnonzero(rest)
-    constraints = RowSpace(p, ngens * k)
-    for lo in range(0, len(rest), _EDGE_BLOCK):
-        block = rest[lo:lo + _EDGE_BLOCK]
-        diff = (pushed(*np.divmod(block, ngens)) - coeffs[target[block]]) % p
-        # one scalar equation per edge and module coordinate
-        eqs = diff.transpose(0, 3, 1, 2).reshape(len(block) * k, ngens * k)
-        constraints = RowSpace.span(np.vstack([constraints.matrix(), eqs]), p)
-    return constraints, count
+    for n, word in enumerate(definitions, ngens):
+        store[n, 0] = product(word)
+        store[n, 1] = product([~x for x in reversed(word)])
+    eqs = np.empty((len(relators), k, ngens * k), dtype=np.int64)
+    for r, word in enumerate(relators):
+        # equation c: the sum over j and a of delta(gens[j])[a] C_j[a, c]
+        eqs[r] = product(word)[1:].transpose(2, 0, 1).reshape(k, ngens * k)
+    return eqs.reshape(-1, ngens * k)
+
+
+def _matrix_power(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    out = np.eye(len(a), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ a % p
+        a = a @ a % p
+        e >>= 1
+    return out
 
 
 def h_param(s: int, r: int) -> int:

@@ -295,10 +295,20 @@ class Bsgs:
     structure is a pure function of the generator sequence.  extend()
     sifts a new generator and re-closes the chain incrementally, which
     keeps normal closures cheap.
+
+    With a list as `log`, the build appends one record per event, and
+    presentation() reads the words the build proved off the finished
+    chain.  The records are (i, pt, gi) when level i takes up the pair
+    (orbit point, strong generator index) from its queue; (hi,) after it
+    when that pair's Schreier generator sifted to a residue inserted at
+    levels i+1..hi; and (raw, hi) when extend() sifts the generator raw,
+    whose residue was inserted at levels 0..hi, or which is a member when
+    hi is None.  The log changes nothing about the chain.
     """
 
-    def __init__(self, degree: int):
+    def __init__(self, degree: int, log: list | None = None):
         self.degree = degree
+        self._log = log
         self._ident = Permutation.identity(degree).raw
         self._compose = _composer(degree)
         self._levels: list[_Level] = []
@@ -330,6 +340,8 @@ class Bsgs:
         if p.degree != self.degree:
             raise DegreeMismatch("generator degree differs from chain degree")
         r, lvl = self._sift(p.raw)
+        if self._log is not None:
+            self._log.append((p.raw, None if r is None else lvl))
         if r is None:
             return False
         self._insert(r, 0, lvl)
@@ -398,8 +410,11 @@ class Bsgs:
         top = len(self._levels)
         compose = self._compose
         ident = self._ident
+        log = self._log
         while pending:
             pt, gi = pending.popleft()
+            if log is not None:
+                log.append((i, pt, gi))
             s = gens[gi]
             q = s[pt]
             w = compose(orbit[pt], s)
@@ -423,9 +438,82 @@ class Bsgs:
                 if g == ident:
                     continue
                 m = top
+            if log is not None:
+                log.append((m,))
             self._insert(g, i + 1, m)
             return m
         return None
+
+    def presentation(self, log: list) -> tuple[list[list[int]], list[list[int]]]:
+        """The words that the build recorded in `log` proves, read off the
+        finished chain: (definitions, relators).
+
+        Letters 0..t-1 are the generators of the build's t extend() calls,
+        in order, and node t + n is the product of definitions[n]: one for
+        each transversal element and strong generator the chain built.  A
+        word lists nodes, ~x for the inverse of node x, multiplied left to
+        right, and names only letters and earlier nodes.  Each relator is a
+        word equal to the identity: a generator or a Schreier generator
+        that sifted to it, including u_pt s = u_q on an edge (pt, s) that
+        reached q after the edge that defined u_q.  With the definitions,
+        the relators present the group (Holt, Eick and O'Brien, Handbook
+        of Computational Group Theory, 2005, ch. 6; Sims, Computation with
+        Finitely Presented Groups, 1994).
+
+        A sift is replayed through the finished chain: transversal entries
+        are never replaced and levels are only appended, so it takes the
+        path the build took.  Raises ConsistencyError on a chain with work
+        left in a queue, or a relator that does not sift to the identity.
+        """
+        levels = self._levels
+        if any(lv.pending for lv in levels):
+            raise ConsistencyError("a presentation needs a finished chain")
+        compose = self._compose
+        letters = sum(len(rec) == 2 for rec in log)
+        # per level, orbit point -> node of its transversal element, None
+        # for the identity at the base point; and the nodes of lv.gens
+        names = [{lv.point: None} for lv in levels]
+        strong: list[list[int]] = [[] for _ in levels]
+        definitions: list[list[int]] = []
+        relators: list[list[int]] = []
+        t = 0
+        for n, rec in enumerate(log):
+            if len(rec) == 1:
+                continue  # read with the pair before it
+            if len(rec) == 2:
+                g, hi = rec
+                word, lo = [t], 0
+                t += 1
+            else:
+                i, pt, gi = rec
+                lv = levels[i]
+                s = lv.gens[gi]
+                q = s[pt]
+                word = [strong[i][gi]] if names[i][pt] is None else [names[i][pt], strong[i][gi]]
+                if q not in names[i]:  # the edge that defines u_q
+                    names[i][q] = letters + len(definitions)
+                    definitions.append(word)
+                    continue
+                g = compose(compose(lv.orbit[pt], s), lv.inv[q])
+                if names[i][q] is not None:
+                    word.append(~names[i][q])
+                nxt = log[n + 1] if n + 1 < len(log) else ()
+                hi, lo = nxt[0] if len(nxt) == 1 else None, i + 1
+            for m in range(lo, len(levels) if hi is None else hi):
+                lv = levels[m]
+                image = g[lv.point]
+                if image != lv.point:
+                    g = compose(g, lv.inv[image])
+                    word.append(~names[m][image])
+            if hi is None:
+                if g != self._ident:
+                    raise ConsistencyError("a recorded relator does not sift to the identity")
+                relators.append(word)
+            else:
+                for m in range(lo, hi + 1):
+                    strong[m].append(letters + len(definitions))
+                definitions.append(word)
+        return definitions, relators
 
 
 def bsgs_build(g: "PermGroup") -> Bsgs:

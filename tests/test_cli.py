@@ -274,16 +274,29 @@ def over_budget(need):
 
 
 def test_cohom_over_budget_exits_3(capsys, monkeypatch):
-    # degree 9 passes the lower bound; the order refuses A9 and S9 before
-    # their Cayley graphs are walked
+    # degrees 22 and 21 pass the lower bound; the presentations of their
+    # chains refuse A22 (266 nodes, 1,418 relators) and S21 (248 nodes,
+    # 1,814 relators) before any matrix is built
     def refuse(*args):
-        raise AssertionError("walked a group over the budget")
+        raise AssertionError("evaluated a presentation over the budget")
 
-    monkeypatch.setattr(modfp, "cayley_walk", refuse)
-    for group, need in [("A9", 93224960), ("S9", 186122240)]:
+    monkeypatch.setattr(modfp, "_relator_equations", refuse)
+    monkeypatch.setattr(modfp, "endomorphism_dim", refuse)
+    for group, need in [("A22", 18747792), ("S21", 18931200)]:
         code, doc = run(capsys, "cohom", "--group", group, "--p", "2")
         assert code == 3
         assert doc == over_budget(need)
+    assert modfp.cocycle_bytes(266, 1418, 2, 21) == 18747792
+    assert modfp.cocycle_bytes(248, 1814, 2, 20) == 18931200
+
+
+@pytest.mark.parametrize("group,order", [("A9", 181440), ("S9", 362880)])
+def test_cohom_a9_and_s9(capsys, group, order):
+    # 11 does not divide 9!, so H^1 vanishes and Z^1 = B^1 = I_p
+    code, doc = run(capsys, "cohom", "--group", group, "--p", "11")
+    assert code == 0
+    assert doc["group_order"] == order and doc["dim_H1"] == 0
+    assert doc["dim_Z1"] == doc["dim_B1"] == 8
 
 
 def test_cohom_s8(capsys):
@@ -295,40 +308,48 @@ def test_cohom_s8(capsys):
 
 
 def test_cohom_over_budget_at_a_huge_degree_returns_at_once():
-    # the order (10^7)!/2 would take minutes to build
+    # a chain of degree 10^7 would take minutes to build
     code, doc = run_process("cohom", "--group", "A10000000", "--p", "2", timeout=10)
     assert code == 3
-    assert doc == over_budget(modfp.cocycle_bytes(10 ** 7, 1, 10 ** 7 - 1))
+    assert doc == over_budget(modfp.cocycle_bytes(10 ** 7 + 1, 1, 1, 10 ** 7 - 1))
 
 
-def test_equation_budget_admits_a8_and_c37_and_refuses_c38():
-    assert modfp.cocycle_bytes(20160, 2, 7) <= modfp.EQUATION_BUDGET
-    assert modfp.cocycle_bytes(40320, 2, 7) <= modfp.EQUATION_BUDGET  # S8
-    assert modfp.cocycle_bytes(181440, 2, 8) == 93224960 > modfp.EQUATION_BUDGET  # A9
-    assert modfp.cocycle_bytes(37, 1, 36) <= modfp.EQUATION_BUDGET
-    assert modfp.cocycle_bytes(38, 1, 37) > modfp.EQUATION_BUDGET
+def test_equation_budget_admits_a21_s20_and_c38_and_refuses_c39():
+    # (nodes, relators) of the recorded chains: A21 (244, 1396), S20 (226,
+    # 1524); C_n has n + 1 nodes and one relator
+    assert modfp.cocycle_bytes(244, 1396, 2, 20) == 16179200 <= modfp.EQUATION_BUDGET
+    assert modfp.cocycle_bytes(226, 1524, 2, 19) == 14803888 <= modfp.EQUATION_BUDGET
+    assert modfp.cocycle_bytes(39, 1, 1, 37) == 16712752 <= modfp.EQUATION_BUDGET
+    assert modfp.cocycle_bytes(40, 1, 1, 38) == 18540960 > modfp.EQUATION_BUDGET
 
 
 @pytest.mark.parametrize("group,p", [("A5", "3"), ("S4", "2"), ("C20", "3"), ("C21", "5")])
 def test_cocycle_bytes_bounds_every_equation_stack(capsys, monkeypatch, group, p):
-    spans = []
+    spans, needs = [], []
     span = modfp.RowSpace.span.__func__
+    require = modfp._require_equation_budget
 
     def recorded(cls, matrix, q):
         spans.append(np.asarray(matrix).nbytes)
         return span(cls, matrix, q)
 
+    def checked(need):
+        needs.append(need)
+        require(need)
+
     monkeypatch.setattr(modfp.RowSpace, "span", classmethod(recorded))
+    monkeypatch.setattr(modfp, "_require_equation_budget", checked)
     code, doc = run(capsys, "cohom", "--group", group, "--p", p)
     assert code == 0
-    ngens = 1 if group[0] == "C" else 2
-    assert max(spans) <= modfp.cocycle_bytes(int(doc["group_order"]), ngens, doc["dim"])
+    # the degree bound, then the chain's own count
+    assert len(needs) == 2 and needs[0] <= needs[1]
+    assert max(spans) <= needs[1]
 
 
 @pytest.mark.parametrize("group,p", [
-    ("A5", "2147483659"),  # a prime above 2^31: no int32 coefficient store
-    ("A7", "2147483647"),  # 6 (p - 1)^2 + 1 overflows the int64 sums
-    ("A5", "2147483647"),  # so does 4 (p - 1)^2 + 1
+    ("A5", "2147483659"),  # a prime above 2^31, refused with every module over it
+    ("A7", "2147483647"),  # 6 (p - 1)^2 + p - 1 overflows the int64 sums
+    ("A5", "2147483647"),  # so does 4 (p - 1)^2 + p - 1
 ])
 def test_cohom_rejects_a_p_too_large_for_its_arithmetic(capsys, group, p):
     code, doc = run(capsys, "cohom", "--group", group, "--p", p)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cocycle_reference
 from wreathgen import modfp
 from wreathgen.modfp import (
     FpModule,
@@ -33,9 +34,9 @@ from wreathgen.modfp import (
     perm_matrix,
     spin,
 )
-from wreathgen.permcore import (BadInput, BudgetExceeded, ConsistencyError, PermGroup,
+from wreathgen.permcore import (BadInput, Bsgs, BudgetExceeded, ConsistencyError, PermGroup,
                                 parse_cycles)
-from wreathgen.wreath import parse_group
+from wreathgen.wreath import parse_group, standard_generators
 
 
 def test_rowspace_rank_and_reduction():
@@ -354,29 +355,100 @@ def test_inner_derivations_satisfy_the_constraints():
 @pytest.mark.parametrize("n", [5, 6])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_cocycle_system_does_not_depend_on_the_edge_block(monkeypatch, n, p):
+    # the walk of the reference folds its equations into the basis a block
+    # of edges at a time; neither the block nor the method moves a row of
+    # the reduced constraints
     g = alt_group(n)
     mod = FpModule.natural(g, p)
     restricted = mod.restricted(aug_submodule(mod))
-    whole, _ = _cocycle_system(g, restricted)
-    dims = cocycle_dims(g, restricted).to_json()
-    monkeypatch.setattr(modfp, "_EDGE_BLOCK", 1)
-    single, _ = _cocycle_system(g, restricted)
-    assert single.pivots == whole.pivots
-    assert (single.matrix() == whole.matrix()).all()
-    assert cocycle_dims(g, restricted).to_json() == dims
+    whole, order = cocycle_reference.cocycle_system(g, restricted)
+    monkeypatch.setattr(cocycle_reference, "EDGE_BLOCK", 1)
+    single, _ = cocycle_reference.cocycle_system(g, restricted)
+    relators, chain_order = _cocycle_system(g, restricted)
+    assert single.pivots == whole.pivots == relators.pivots
+    assert single.rows == whole.rows == relators.rows
+    assert chain_order == order == g.order()
+
+
+def _group(token):
+    spec = parse_group(token)
+    return PermGroup(spec.n, standard_generators(spec))
+
+
+def _ip(g, p):
+    mod = FpModule.natural(g, p)
+    return mod.restricted(aug_submodule(mod))
+
+
+# every group the walk's budget admitted up to A7, S7 and C37, at five
+# primes, and A8 and S8 at two
+REFERENCE_CASES = ([(f"{kind}{n}", (2, 3, 5, 7, 11)) for kind, ns in
+                    [("A", range(3, 8)), ("S", range(3, 8)), ("C", range(2, 38))] for n in ns]
+                   + [("A8", (2, 3)), ("S8", (2, 3))])
+
+
+@pytest.mark.parametrize("token,primes", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
+def test_relators_give_the_walks_constraints(token, primes):
+    g = _group(token)
+    for p in primes:
+        mod = _ip(g, p)
+        walked, order = cocycle_reference.cocycle_system(g, mod)
+        relators, chain_order = _cocycle_system(g, mod)
+        assert (relators.rows, relators.pivots) == (walked.rows, walked.pivots), p
+        assert chain_order == order
+
+
+def _presentation(g):
+    log = []
+    chain = Bsgs(g.degree, log)
+    for x in g.generators:
+        chain.extend(x)
+    return chain.presentation(log)
+
+
+def test_dropping_one_relator_of_a4_raises_z1_at_2(monkeypatch):
+    # most relators of a chain's presentation are redundant for Z^1; on
+    # A4 at p = 2 one of the six is not
+    g, mod = alt_group(4), _ip(alt_group(4), 2)
+    definitions, relators = _presentation(g)
+    assert len(relators) == 6
+    assert cocycle_dims(g, mod).dim_Z1 == 3
+    present = Bsgs.presentation
+    dims = []
+    for i in range(len(relators)):
+        monkeypatch.setattr(Bsgs, "presentation", lambda chain, log, i=i: (
+            lambda d, r: (d, r[:i] + r[i + 1:]))(*present(chain, log)))
+        dims.append(_cocycle_system(g, mod)[0].dim)
+    assert [2 * 3 - d for d in dims] == [3, 4, 3, 3, 3, 3]
+
+
+@pytest.mark.parametrize("token,p,z1", [("A4", 2, 3), ("S3", 2, 2), ("S3", 3, 2),
+                                        ("S3", 5, 2)])
+def test_an_edge_back_into_the_schreier_tree_is_a_relator(token, p, z1):
+    # u_pt s = u_q as permutations on an edge that did not define u_q is a
+    # relator of the words, not a tree edge: without those relators Z^1
+    # comes out one larger on these cases
+    g = _group(token)
+    mod = _ip(g, p)
+    assert cocycle_dims(g, mod).dim_Z1 == z1
+    walked, _ = cocycle_reference.cocycle_system(g, mod)
+    assert len(g.generators) * mod.dim - walked.dim == z1
 
 
 def test_cocycle_budget(monkeypatch):
-    # a direct call is refused on its exact bytes before the group is
-    # walked or the commutation equations are built
+    # a direct call is refused on the exact bytes of its presentation, 27
+    # nodes and 24 relators for A7, before any matrix or the commutation
+    # equations are built
     g = alt_group(7)
-    mod = FpModule.natural(g, 2)
-    sub = mod.restricted(aug_submodule(mod))
-    need = cocycle_bytes(2520, 2, 6)
+    sub = _ip(g, 2)
+    definitions, relators = _presentation(g)
+    assert (len(definitions), len(relators)) == (25, 24)
+    need = cocycle_bytes(27, 24, 2, 6)
+    assert need == 81216
     monkeypatch.setattr(modfp, "EQUATION_BUDGET", need - 1)
-    with monkeypatch.context() as walk:
-        walk.setattr(modfp, "cayley_walk", _refuse)
-        walk.setattr(modfp, "endomorphism_dim", _refuse)
+    with monkeypatch.context() as built:
+        built.setattr(modfp, "_relator_equations", _refuse)
+        built.setattr(modfp, "endomorphism_dim", _refuse)
         with pytest.raises(BudgetExceeded) as exc:
             cocycle_dims(g, sub)
     assert str(exc.value) == (f"cocycle equations need at least {need} bytes, "
@@ -385,9 +457,28 @@ def test_cocycle_budget(monkeypatch):
     assert cocycle_dims(g, sub).group_order == 2520
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 20, 38])
+def test_the_degree_bound_is_exact_for_cyclic_groups(monkeypatch, n):
+    # cohomology_of_Ip checks n + 1 nodes and one relator before it builds
+    # anything; C_n's presentation has exactly that many
+    class Checked(Exception):
+        pass
+
+    def stop(*args):
+        raise Checked
+
+    needs = []
+    monkeypatch.setattr(modfp, "_require_equation_budget", needs.append)
+    monkeypatch.setattr(modfp, "_relator_equations", stop)
+    with pytest.raises(Checked):
+        cohomology_of_Ip(parse_group(f"C{n}"), 2)
+    assert needs == [cocycle_bytes(n + 1, 1, 1, n - 1)] * 2
+
+
 def test_cocycle_refuses_a_p_too_large_for_int64():
-    # I_p of A5 has dimension k = 4, and a pushed sum reaches 4 (p - 1)^2 + 1;
-    # 1518500213 and 1518500279 are the primes on either side of the bound
+    # I_p of A5 has dimension k = 4, and an entry of C_a M_b + C_b reaches
+    # 4 (p - 1)^2 + p - 1; 1518500213 and 1518500279 are the primes on
+    # either side of the bound
     g = alt_group(5)
     for p in (1518500279, 2 ** 31 - 1):
         mod = FpModule.natural(g, p)
@@ -431,12 +522,12 @@ def _over_budget(need):
 # endomorphism_dim alone would allocate k^4 * 8 bytes for k = 249, 28.6 GiB
 @pytest.mark.parametrize("token,skipped,message", [
     ("A260", ("standard_generators", "perm_matrix", "_cocycle_system"),
-     _over_budget(cocycle_bytes(260, 1, 259))),
-    # the order (10^7)!/2 would take minutes to build
+     _over_budget(cocycle_bytes(261, 1, 1, 259))),
+    # a chain of degree 10^7 would take minutes to build
     ("A10000000", ("standard_generators", "perm_matrix", "_cocycle_system"),
-     _over_budget(cocycle_bytes(10 ** 7, 1, 10 ** 7 - 1))),
+     _over_budget(cocycle_bytes(10 ** 7 + 1, 1, 1, 10 ** 7 - 1))),
     ("C250", ("perm_matrix", "_cocycle_system", "endomorphism_dim"),
-     _over_budget(cocycle_bytes(250, 1, 249))),
+     _over_budget(cocycle_bytes(251, 1, 1, 249))),
 ])
 def test_cohomology_of_Ip_refuses_its_budgets_before_building(
         monkeypatch, token, skipped, message):
@@ -446,7 +537,7 @@ def test_cohomology_of_Ip_refuses_its_budgets_before_building(
         cohomology_of_Ip(parse_group(token), 2)
     assert str(exc.value) == message
     if token == "C250":
-        assert cocycle_bytes(250, 1, 249) > 28 * 2 ** 30
+        assert cocycle_bytes(251, 1, 1, 249) > 28 * 2 ** 30
 
 
 @pytest.mark.parametrize("p,message", BAD_PRIMES)

@@ -18,6 +18,7 @@ from wreathgen.permcore import (
     TRIAL_DIVISION_BOUND,
     BudgetExceeded,
     Bsgs,
+    ConsistencyError,
     DegreeMismatch,
     ParseError,
     PermGroup,
@@ -229,12 +230,61 @@ CHAIN_PINS = {
 }
 
 
+def _recorded(group: PermGroup) -> tuple[Bsgs, list]:
+    log: list = []
+    chain = Bsgs(group.degree, log)
+    for x in group.generators:
+        chain.extend(x)
+    return chain, log
+
+
 @pytest.mark.parametrize("name", CHAIN_PINS)
 def test_chain_structure_is_pinned(name):
     build, base, digest = CHAIN_PINS[name]
-    chain = bsgs_build(build())
-    assert chain.base == base
-    assert _chain_digest(chain) == digest
+    group = build()
+    # a build that records its events builds the same chain
+    for chain in (bsgs_build(group), _recorded(group)[0]):
+        assert chain.base == base
+        assert _chain_digest(chain) == digest
+
+
+@pytest.mark.parametrize("name", CHAIN_PINS)
+def test_presentation_names_the_chain_and_its_relators_hold(name):
+    group = CHAIN_PINS[name][0]()
+    chain, log = _recorded(group)
+    definitions, relators = chain.presentation(log)
+    nodes = list(group.generators)
+    ident = Permutation.identity(group.degree)
+
+    def value(word):
+        out = ident
+        for x in word:
+            out = out * (nodes[x] if x >= 0 else nodes[~x].inverse())
+        return out
+
+    for word in definitions:
+        assert all(-len(nodes) <= x < len(nodes) for x in word)  # earlier nodes only
+        nodes.append(value(word))
+    # one node for each transversal element but the identities and each
+    # strong generator
+    levels = chain._levels
+    assert len(definitions) == sum(len(lv.orbit) - 1 for lv in levels) + len(chain._strong)
+    kept = {u for lv in levels for pt, u in lv.orbit.items() if pt != lv.point}
+    assert {x.raw for x in nodes[len(group.generators):]} == kept | set(chain._strong)
+    assert all(value(word) == ident for word in relators)
+    # a finite group has at least as many relators as generators
+    assert len(relators) >= len(group.generators)
+
+
+def test_presentation_is_read_only_off_a_finished_chain_and_a_whole_log():
+    chain, log = _recorded(A5)
+    # a generator recorded as a member that is not one
+    odd = parse_cycles("(1 2)", 5).raw
+    with pytest.raises(ConsistencyError, match="does not sift"):
+        chain.presentation(log + [(odd, None)])
+    chain._levels[-1].pending.append((chain.base[-1], 0))
+    with pytest.raises(ConsistencyError, match="finished chain"):
+        chain.presentation(log)
 
 
 @st.composite
