@@ -4,8 +4,8 @@ Row vectors carry a right action: a permutation g acts by the 0/1 matrix
 P_g with P_g[a, g(a)] = 1, so P_{gh} = P_g P_h.  The module of interest
 is the kernel I_p of the coordinate sum inside V = F_p^n; this file
 verifies its structure by exhaustive spinning, computes endomorphism and
-fixed-point dimensions, and counts 1-cocycles from the presentation that
-a recorded stabilizer chain proves: the derivation law carried along the
+fixed-point dimensions, and counts 1-cocycles from the presentation the
+group's own stabilizer chain gives: the derivation law carried along the
 chain's transversal elements and strong generators, and one set of
 equations per relator, so no element outside the chain is formed.
 
@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .permcore import (BadInput, Bsgs, BudgetExceeded, ConsistencyError, PermGroup,
+from .permcore import (BadInput, BudgetExceeded, ConsistencyError, PermGroup,
                        Permutation, prime_factorization)
 from .wreath import GroupSpec, standard_generators
 
@@ -151,9 +151,11 @@ class FpModule:
 
     def restricted(self, sub: RowSpace) -> "FpModule":
         """The action on an invariant subspace, in coordinates of its RREF
-        basis (a vector's coordinates are its entries at the pivots)."""
-        b = sub.matrix()
-        mats = [((b @ a) % self.p)[:, sub.pivots] for a in self.mats]
+        basis (a vector's coordinates are its entries at the pivots); the
+        outer products of b a are reduced first, so a sum stays below dim * p."""
+        b, p = sub.matrix(), self.p
+        mats = [sum(np.outer(col, row) % p for col, row in zip(b.T, a[:, sub.pivots] % p)) % p
+                for a in self.mats]
         return FpModule(self.p, sub.dim, mats)
 
 
@@ -357,7 +359,7 @@ def cocycle_dims(g: PermGroup, m: FpModule) -> CohomReport:
 
     Images of the generators extend to a derivation exactly when its value
     vanishes on every relator of a presentation of g; the presentation is
-    the one a recorded stabilizer chain proves (_cocycle_system).
+    the one g's stabilizer chain gives (_cocycle_system).
     """
     k = m.dim
     ngens = len(g.generators)
@@ -411,7 +413,7 @@ def _require_equation_budget(need: int) -> None:
 def _cocycle_system(g: PermGroup, mod: FpModule) -> tuple[RowSpace, int]:
     """The constraints on the generator images, and the group order.
 
-    The chain of g is built with its log, and the presentation it proves
+    The presentation of g's chain on its generators (Bsgs.presentation)
     is checked against EQUATION_BUDGET before any matrix is built.  Each
     node of the presentation then carries its action matrix M and the
     coefficients C_j of its cocycle value, delta(x) = sum_j delta(gens[j])
@@ -429,14 +431,10 @@ def _cocycle_system(g: PermGroup, mod: FpModule) -> tuple[RowSpace, int]:
     # must fit in int64
     if k * (p - 1) ** 2 + p - 1 >= 2 ** 63:
         raise BadInput(f"p = {p} is too large for a {k}-dimensional cocycle system")
-    log: list = []
-    chain = Bsgs(g.degree, log)
-    for x in g.generators:
-        chain.extend(x)
-    definitions, relators = chain.presentation(log)
+    definitions, relators = g.bsgs().presentation(g.generators)
     _require_equation_budget(cocycle_bytes(ngens + len(definitions), len(relators), ngens, k))
     eqs = _relator_equations(g, mod, definitions, relators)
-    return RowSpace.span(eqs, p), chain.order()
+    return RowSpace.span(eqs, p), g.order()
 
 
 def _relator_equations(g: PermGroup, mod: FpModule, definitions, relators) -> np.ndarray:

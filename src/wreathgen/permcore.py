@@ -296,19 +296,17 @@ class Bsgs:
     sifts a new generator and re-closes the chain incrementally, which
     keeps normal closures cheap.
 
-    With a list as `log`, the build appends one record per event, and
-    presentation() reads the words the build proved off the finished
-    chain.  The records are (i, pt, gi) when level i takes up the pair
-    (orbit point, strong generator index) from its queue; (hi,) after it
-    when that pair's Schreier generator sifted to a residue inserted at
-    levels i+1..hi; and (raw, hi) when extend() sifts the generator raw,
-    whose residue was inserted at levels 0..hi, or which is a member when
-    hi is None.  The log changes nothing about the chain.
+    Two records, in creation order, let presentation() rebuild the words
+    of the chain's nodes.  `_defs` holds one entry per node: (i, pt, gi)
+    for the tree edge that added pt^s to level i's orbit, s the level's
+    strong generator gi; (i, pt, gi, hi) for that pair's Schreier
+    generator, whose residue was inserted at levels i+1..hi; and (t, hi)
+    for the residue of the t-th extend() argument, inserted at levels
+    0..hi.  `_calls` holds that hi per extend() call, None for a member.
     """
 
-    def __init__(self, degree: int, log: list | None = None):
+    def __init__(self, degree: int):
         self.degree = degree
-        self._log = log
         self._ident = Permutation.identity(degree).raw
         self._compose = _composer(degree)
         self._levels: list[_Level] = []
@@ -316,6 +314,7 @@ class Bsgs:
         # of the chain a sift reads; kept in step with _levels by _insert
         self._sifts: list[tuple[int, int, dict]] = []
         self._strong: list = []  # raw, insertion order
+        self._defs, self._calls = [], []  # the records, see above
 
     # -- public api ---------------------------------------------------------
 
@@ -340,10 +339,10 @@ class Bsgs:
         if p.degree != self.degree:
             raise DegreeMismatch("generator degree differs from chain degree")
         r, lvl = self._sift(p.raw)
-        if self._log is not None:
-            self._log.append((p.raw, None if r is None else lvl))
+        self._calls.append(None if r is None else lvl)
         if r is None:
             return False
+        self._defs.append((len(self._calls) - 1, lvl))
         self._insert(r, 0, lvl)
         self._run()
         return True
@@ -410,11 +409,8 @@ class Bsgs:
         top = len(self._levels)
         compose = self._compose
         ident = self._ident
-        log = self._log
         while pending:
             pt, gi = pending.popleft()
-            if log is not None:
-                log.append((i, pt, gi))
             s = gens[gi]
             q = s[pt]
             w = compose(orbit[pt], s)
@@ -422,6 +418,7 @@ class Bsgs:
             if uq is None:
                 orbit[q] = w
                 inv[q] = _invert(w)
+                self._defs.append((i, pt, gi))
                 pending.extend(zip(repeat(q), range(len(gens))))
                 continue
             if w == uq:
@@ -438,81 +435,86 @@ class Bsgs:
                 if g == ident:
                     continue
                 m = top
-            if log is not None:
-                log.append((m,))
+            self._defs.append((i, pt, gi, m))
             self._insert(g, i + 1, m)
             return m
         return None
 
-    def presentation(self, log: list) -> tuple[list[list[int]], list[list[int]]]:
-        """The words that the build recorded in `log` proves, read off the
-        finished chain: (definitions, relators).
+    def presentation(self, gens) -> tuple[list[list[int]], list[list[int]]]:
+        """(definitions, relators): the group's presentation, read off the finished chain.
 
-        Letters 0..t-1 are the generators of the build's t extend() calls,
-        in order, and node t + n is the product of definitions[n]: one for
-        each transversal element and strong generator the chain built.  A
-        word lists nodes, ~x for the inverse of node x, multiplied left to
-        right, and names only letters and earlier nodes.  Each relator is a
-        word equal to the identity: a generator or a Schreier generator
-        that sifted to it, including u_pt s = u_q on an edge (pt, s) that
-        reached q after the edge that defined u_q.  With the definitions,
-        the relators present the group (Holt, Eick and O'Brien, Handbook
-        of Computational Group Theory, 2005, ch. 6; Sims, Computation with
-        Finitely Presented Groups, 1994).
+        Letters 0..t-1 are `gens`, the arguments of the chain's t extend()
+        calls, and node t + n is the product of definitions[n], one per
+        transversal element and strong generator in the order the chain
+        made them.  A word lists nodes, ~x for the inverse of node x,
+        multiplied left to right, and names only letters and earlier nodes.
+        The relators are the member letters and, for each level, orbit
+        point pt and strong generator s whose pair defined no node,
+        u_pt s u_q^-1 with q = pt^s, each times its sift to the identity.
+        With the definitions they present the group (Holt, Eick and
+        O'Brien, Handbook of Computational Group Theory, 2005, ch. 6; Sims,
+        Computation with Finitely Presented Groups, 1994).
 
-        A sift is replayed through the finished chain: transversal entries
-        are never replaced and levels are only appended, so it takes the
-        path the build took.  Raises ConsistencyError on a chain with work
-        left in a queue, or a relator that does not sift to the identity.
+        Transversal entries are never replaced and levels are only
+        appended, so a definition sifted through the finished chain takes
+        the path its build took.  Raises ConsistencyError on work left in a
+        queue, letters other than the extend() arguments (each replays to
+        its recorded residue) and relators that do not sift to the identity.
         """
-        levels = self._levels
+        levels, ident, compose, top = self._levels, self._ident, self._compose, len(self._levels)
         if any(lv.pending for lv in levels):
             raise ConsistencyError("a presentation needs a finished chain")
-        compose = self._compose
-        letters = sum(len(rec) == 2 for rec in log)
-        # per level, orbit point -> node of its transversal element, None
-        # for the identity at the base point; and the nodes of lv.gens
-        names = [{lv.point: None} for lv in levels]
-        strong: list[list[int]] = [[] for _ in levels]
-        definitions: list[list[int]] = []
-        relators: list[list[int]] = []
-        t = 0
-        for n, rec in enumerate(log):
-            if len(rec) == 1:
-                continue  # read with the pair before it
-            if len(rec) == 2:
-                g, hi = rec
-                word, lo = [t], 0
-                t += 1
-            else:
-                i, pt, gi = rec
-                lv = levels[i]
-                s = lv.gens[gi]
-                q = s[pt]
-                word = [strong[i][gi]] if names[i][pt] is None else [names[i][pt], strong[i][gi]]
-                if q not in names[i]:  # the edge that defines u_q
-                    names[i][q] = letters + len(definitions)
-                    definitions.append(word)
-                    continue
-                g = compose(compose(lv.orbit[pt], s), lv.inv[q])
-                if names[i][q] is not None:
-                    word.append(~names[i][q])
-                nxt = log[n + 1] if n + 1 < len(log) else ()
-                hi, lo = nxt[0] if len(nxt) == 1 else None, i + 1
-            for m in range(lo, len(levels) if hi is None else hi):
+        if len(gens) != len(self._calls) or any(x.degree != self.degree for x in gens):
+            raise ConsistencyError("the letters must be the chain's extend() arguments")
+        # per level: orbit point -> [node of u_pt], [] at the base point; nodes of lv.gens
+        names = [{lv.point: []} for lv in levels]
+        strong, definitions = [[] for _ in levels], []
+
+        def sift(word, g, lo, hi, residue):
+            # word times the transversal inverses that sift g, which must end at `residue`
+            for m in range(lo, hi):
                 lv = levels[m]
                 image = g[lv.point]
                 if image != lv.point:
+                    if image not in lv.inv:
+                        break  # outside the orbit: g is no residue the chain recorded
                     g = compose(g, lv.inv[image])
-                    word.append(~names[m][image])
-            if hi is None:
-                if g != self._ident:
-                    raise ConsistencyError("a recorded relator does not sift to the identity")
-                relators.append(word)
+                    word.append(~names[m][image][0])
+            if g != residue:
+                raise ConsistencyError("a word does not sift to the residue the chain recorded")
+            return word
+
+        def schreier(i, pt, gi, hi, residue):
+            # u_pt s u_q^-1, s = levels[i].gens[gi] and q = pt^s, sifted
+            lv = levels[i]
+            s = lv.gens[gi]
+            q = s[pt]
+            word = names[i][pt] + [strong[i][gi]] + [~x for x in names[i][q]]
+            return sift(word, compose(compose(lv.orbit[pt], s), lv.inv[q]), i + 1, hi, residue)
+
+        residues = iter(self._strong)
+        for rec in self._defs:
+            node = len(gens) + len(definitions)
+            if len(rec) == 3:  # the tree edge that adds pt^s to level i's orbit
+                i, pt, gi = rec
+                definitions.append(names[i][pt] + [strong[i][gi]])
+                names[i][levels[i].gens[gi][pt]] = [node]
+                continue
+            if len(rec) == 2:  # the residue of letter x
+                x, hi = rec
+                word, lo = sift([x], gens[x].raw, 0, hi, next(residues)), 0
             else:
-                for m in range(lo, hi + 1):
-                    strong[m].append(letters + len(definitions))
-                definitions.append(word)
+                i, pt, gi, hi = rec
+                word, lo = schreier(i, pt, gi, hi, next(residues)), i + 1
+            for m in range(lo, hi + 1):
+                strong[m].append(node)
+            definitions.append(word)
+        relators = [sift([x], gens[x].raw, 0, top, ident)
+                    for x, hi in enumerate(self._calls) if hi is None]
+        defined = {rec[:3] for rec in self._defs if len(rec) > 2}
+        for i, lv in enumerate(levels):
+            relators += [schreier(i, pt, gi, top, ident) for pt in lv.orbit
+                         for gi in range(len(lv.gens)) if (i, pt, gi) not in defined]
         return definitions, relators
 
 

@@ -1,5 +1,6 @@
 """The pair summary of tools/benchpairs.py: quartiles, IQR, wins, the
-claim rule, the regression bound and the unresolved flag."""
+claim rule, the regression bound, the unresolved flag and the failure
+share."""
 
 from __future__ import annotations
 
@@ -110,3 +111,21 @@ def test_unresolved_when_the_parent_spread_is_wider_than_the_bound():
     s = benchpairs.summarize(_pairs(parent, [p - 100 for p in parent]),
                              _metrics(0.25, rss="lower"))["rss"]
     assert s["unresolved"] is False
+
+
+def test_failure_share_sums_over_the_pairs_and_flags_a_larger_one():
+    def share(*failed):
+        return benchpairs.failure_share([{"failed": {"parent": p, "change": c}}
+                                         for p, c in failed])
+
+    # 1 of 40 against 0 of 40: the change fails a larger share
+    s = share(([0, 20], [1, 20]), ([0, 20], [0, 20]))
+    assert s["failed_ratio"] == {"parent": 0.0, "change": 1 / 40}
+    assert s["failed_not_worse"] is False
+    # ratios of the sums, not means of per-pair ratios: 2/20 against 2/22
+    s = share(([2, 10], [0, 2]), ([0, 10], [2, 20]))
+    assert s["failed_ratio"] == {"parent": 2 / 20, "change": 2 / 22}
+    assert s["failed_not_worse"] is True
+    # equal shares, and nothing attempted, are not worse
+    assert share(([1, 10], [2, 20]))["failed_not_worse"] is True
+    assert share(([0, 0], [0, 0]))["failed_ratio"] == {"parent": 0.0, "change": 0.0}

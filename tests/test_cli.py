@@ -315,7 +315,7 @@ def test_cohom_over_budget_at_a_huge_degree_returns_at_once():
 
 
 def test_equation_budget_admits_a21_s20_and_c38_and_refuses_c39():
-    # (nodes, relators) of the recorded chains: A21 (244, 1396), S20 (226,
+    # (nodes, relators) of the groups' chains: A21 (244, 1396), S20 (226,
     # 1524); C_n has n + 1 nodes and one relator
     assert modfp.cocycle_bytes(244, 1396, 2, 20) == 16179200 <= modfp.EQUATION_BUDGET
     assert modfp.cocycle_bytes(226, 1524, 2, 19) == 14803888 <= modfp.EQUATION_BUDGET

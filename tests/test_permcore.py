@@ -230,29 +230,21 @@ CHAIN_PINS = {
 }
 
 
-def _recorded(group: PermGroup) -> tuple[Bsgs, list]:
-    log: list = []
-    chain = Bsgs(group.degree, log)
-    for x in group.generators:
-        chain.extend(x)
-    return chain, log
-
-
 @pytest.mark.parametrize("name", CHAIN_PINS)
 def test_chain_structure_is_pinned(name):
     build, base, digest = CHAIN_PINS[name]
-    group = build()
-    # a build that records its events builds the same chain
-    for chain in (bsgs_build(group), _recorded(group)[0]):
-        assert chain.base == base
-        assert _chain_digest(chain) == digest
+    chain = bsgs_build(build())
+    assert chain.base == base
+    assert _chain_digest(chain) == digest
 
 
-@pytest.mark.parametrize("name", CHAIN_PINS)
-def test_presentation_names_the_chain_and_its_relators_hold(name):
-    group = CHAIN_PINS[name][0]()
-    chain, log = _recorded(group)
-    definitions, relators = chain.presentation(log)
+def _nodes(chain) -> int:
+    """Transversal elements other than the identities, and strong generators."""
+    return sum(len(lv.orbit) - 1 for lv in chain._levels) + len(chain._strong)
+
+
+def _check_presentation(group: PermGroup, chain: Bsgs):
+    definitions, relators = chain.presentation(group.generators)
     nodes = list(group.generators)
     ident = Permutation.identity(group.degree)
 
@@ -268,7 +260,7 @@ def test_presentation_names_the_chain_and_its_relators_hold(name):
     # one node for each transversal element but the identities and each
     # strong generator
     levels = chain._levels
-    assert len(definitions) == sum(len(lv.orbit) - 1 for lv in levels) + len(chain._strong)
+    assert len(definitions) == _nodes(chain)
     kept = {u for lv in levels for pt, u in lv.orbit.items() if pt != lv.point}
     assert {x.raw for x in nodes[len(group.generators):]} == kept | set(chain._strong)
     assert all(value(word) == ident for word in relators)
@@ -276,15 +268,70 @@ def test_presentation_names_the_chain_and_its_relators_hold(name):
     assert len(relators) >= len(group.generators)
 
 
-def test_presentation_is_read_only_off_a_finished_chain_and_a_whole_log():
-    chain, log = _recorded(A5)
-    # a generator recorded as a member that is not one
-    odd = parse_cycles("(1 2)", 5).raw
+@pytest.mark.parametrize("name", CHAIN_PINS)
+def test_presentation_names_the_chain_and_its_relators_hold(name):
+    group = CHAIN_PINS[name][0]()
+    _check_presentation(group, bsgs_build(group))
+
+
+@pytest.mark.parametrize("tower", ["C3;C2;C2", "C16;C16"])
+def test_a_tower_groups_cached_chain_presents_it(tower):
+    # the chain tower_group built to certify the order, not a second one
+    group = tower_group(parse_tower(tower))
+    chain = group._bsgs
+    assert chain is not None and group.bsgs() is chain
+    _check_presentation(group, chain)
+
+
+@pytest.mark.parametrize("name", CHAIN_PINS)
+def test_records_hold_one_entry_per_node_and_per_extend_call(name):
+    group = CHAIN_PINS[name][0]()
+    chain = bsgs_build(group)
+    nodes, calls = _nodes(chain), len(group.generators)
+    assert (len(chain._defs), len(chain._calls)) == (nodes, calls)
+    # nothing the chain holds grows with the pairs its queues took up:
+    # C16;C16 took up 2,449 pairs for its 499 nodes and calls
+    assert all(len(v) <= nodes + calls for v in vars(chain).values() if isinstance(v, list))
+    for lv in chain._levels:
+        assert all(len(v) <= nodes for v in (lv.gens, lv.orbit, lv.inv, lv.pending))
+    # letters that grew the group and residues of Schreier generators
+    # define the strong generators
+    assert sum(len(rec) != 3 for rec in chain._defs) == len(chain._strong)
+    assert [rec for rec in chain._defs if len(rec) == 2] == [
+        (t, hi) for t, hi in enumerate(chain._calls) if hi is not None]
+    # a member adds one call and defines nothing
+    assert not chain.extend(group.generators[0])
+    assert (len(chain._defs), chain._calls[-1], len(chain._calls)) == (nodes, None, calls + 1)
+
+
+def test_a_wrong_letter_list_is_refused():
+    chain = S4.bsgs()
     with pytest.raises(ConsistencyError, match="does not sift"):
-        chain.presentation(log + [(odd, None)])
+        chain.presentation(S4.generators[::-1])
+    with pytest.raises(ConsistencyError, match="extend"):
+        chain.presentation(S4.generators[:1])
+    with pytest.raises(ConsistencyError, match="extend"):
+        chain.presentation(S6.generators)
+    # A5 on a repeated letter: the repeat is a member, and its relator
+    # refuses a non-member in its place
+    x, y = A5.generators
+    chain = bsgs_build(PermGroup(5, (x, y, x)))
+    assert chain._calls[2] is None
+    chain.presentation((x, y, x))
+    with pytest.raises(ConsistencyError, match="does not sift"):
+        chain.presentation((x, y, parse_cycles("(1 2)", 5)))
+
+
+def test_presentation_is_read_only_off_a_finished_chain_and_a_whole_log():
+    chain = bsgs_build(A5)
+    chain.presentation(A5.generators)
+    # a letter that is not the generator the chain was extended by
+    odd = parse_cycles("(1 2)", 5)
+    with pytest.raises(ConsistencyError, match="does not sift"):
+        chain.presentation((A5.generators[0], odd))
     chain._levels[-1].pending.append((chain.base[-1], 0))
     with pytest.raises(ConsistencyError, match="finished chain"):
-        chain.presentation(log)
+        chain.presentation(A5.generators)
 
 
 @st.composite

@@ -17,7 +17,9 @@ pairs each side won, in the direction BENCHMARK.json gives, `claim`,
 whether the pairs meet the rule for claiming a gain, `within_bound`,
 whether the change's median is no worse than the parent's by more than
 the metric's bound in BENCHMARK.json, and `unresolved`, whether the
-parent's spread is too wide to tell), plus `<w>_trace` for the traced runs.
+parent's spread is too wide to tell; and the failure share: each side's
+`failed_ratio` and `failed_not_worse`), plus `<w>_trace` for the traced
+runs.
 """
 
 from __future__ import annotations
@@ -103,6 +105,19 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def failure_share(pairs: list[dict]) -> dict:
+    """`failed_ratio`: per side, the failed operations summed over the
+    pairs, over the attempted ones summed likewise (0 when none were
+    attempted); `failed_not_worse`: whether the change's ratio is at most
+    the parent's.  Each pair's `failed` maps a side to [failed, attempted]."""
+    ratio = {}
+    for side in ("parent", "change"):
+        failed = sum(p["failed"][side][0] for p in pairs)
+        attempted = sum(p["failed"][side][1] for p in pairs)
+        ratio[side] = failed / attempted if attempted else 0.0
+    return {"failed_ratio": ratio, "failed_not_worse": ratio["change"] <= ratio["parent"]}
+
+
 def src_loc(header: dict) -> dict:
     return {k.removeprefix("loc."): v for k, v in header.items() if k.startswith("loc.")}
 
@@ -138,8 +153,9 @@ def main(argv=None) -> int:
                 doc["src_loc"][side] = src_loc(header)
                 doc["machine"] = {k: header[k] for k in ("nproc", "python", "numpy", "caches")}
             pairs.append({k: pair[k] for k in ("seed", "first", "parent", "change", "failed")})
-        doc["workloads"][workload] = {"pairs": pairs,
-                                      "summary": summarize(pairs, bench["end_to_end"])}
+        doc["workloads"][workload] = {
+            "pairs": pairs,
+            "summary": summarize(pairs, bench["end_to_end"]) | failure_share(pairs)}
         if args.trace_seed is not None:
             doc[f"{workload}_trace"] = {
                 side: values(run_side(sides[side], workload, args.trace_seed, args.seconds, 1)[1])
