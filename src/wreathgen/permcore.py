@@ -443,17 +443,17 @@ class Bsgs:
     def presentation(self, gens) -> tuple[list[list[int]], list[list[int]]]:
         """(definitions, relators): the group's presentation, read off the finished chain.
 
-        Letters 0..t-1 are `gens`, the arguments of the chain's t extend()
-        calls, and node t + n is the product of definitions[n], one per
-        transversal element and strong generator in the order the chain
-        made them.  A word lists nodes, ~x for the inverse of node x,
-        multiplied left to right, and names only letters and earlier nodes.
-        The relators are the member letters and, for each level, orbit
-        point pt and strong generator s whose pair defined no node,
-        u_pt s u_q^-1 with q = pt^s, each times its sift to the identity.
-        With the definitions they present the group (Holt, Eick and
-        O'Brien, Handbook of Computational Group Theory, 2005, ch. 6; Sims,
-        Computation with Finitely Presented Groups, 1994).
+        Letters 0..t-1 are `gens`, the arguments of the chain's extend()
+        calls or of the t that grew it alone.  Node t + n is the product of
+        definitions[n], one per transversal element and strong generator in
+        the order the chain made them.  A word lists nodes, ~x for the
+        inverse of node x, multiplied left to right, and names only letters
+        and earlier nodes.  The relators are the member letters and, for
+        each level, orbit point pt and strong generator s whose pair defined
+        no node, u_pt s u_q^-1 with q = pt^s, each times its sift to the
+        identity.  With the definitions they present the group (Holt, Eick
+        and O'Brien, Handbook of Computational Group Theory, 2005, ch. 6;
+        Sims, Computation with Finitely Presented Groups, 1994).
 
         Transversal entries are never replaced and levels are only
         appended, so a definition sifted through the finished chain takes
@@ -464,8 +464,11 @@ class Bsgs:
         levels, ident, compose, top = self._levels, self._ident, self._compose, len(self._levels)
         if any(lv.pending for lv in levels):
             raise ConsistencyError("a presentation needs a finished chain")
-        if len(gens) != len(self._calls) or any(x.degree != self.degree for x in gens):
+        every = len(gens) == len(self._calls)  # else the growing calls' letters alone
+        calls = {t: hi for t, hi in enumerate(self._calls) if every or hi is not None}
+        if len(gens) != len(calls) or any(x.degree != self.degree for x in gens):
             raise ConsistencyError("the letters must be the chain's extend() arguments")
+        letter = dict(zip(calls, range(len(gens))))
         # per level: orbit point -> [node of u_pt], [] at the base point; nodes of lv.gens
         names = [{lv.point: []} for lv in levels]
         strong, definitions = [[] for _ in levels], []
@@ -476,8 +479,8 @@ class Bsgs:
                 lv = levels[m]
                 image = g[lv.point]
                 if image != lv.point:
-                    if image not in lv.inv:
-                        break  # outside the orbit: g is no residue the chain recorded
+                    if image not in names[m]:
+                        break  # not in the orbit yet: g is no residue the chain recorded
                     g = compose(g, lv.inv[image])
                     word.append(~names[m][image][0])
             if g != residue:
@@ -486,8 +489,7 @@ class Bsgs:
 
         def schreier(i, pt, gi, hi, residue):
             # u_pt s u_q^-1, s = levels[i].gens[gi] and q = pt^s, sifted
-            lv = levels[i]
-            s = lv.gens[gi]
+            lv, s = levels[i], levels[i].gens[gi]
             q = s[pt]
             word = names[i][pt] + [strong[i][gi]] + [~x for x in names[i][q]]
             return sift(word, compose(compose(lv.orbit[pt], s), lv.inv[q]), i + 1, hi, residue)
@@ -501,7 +503,7 @@ class Bsgs:
                 names[i][levels[i].gens[gi][pt]] = [node]
                 continue
             if len(rec) == 2:  # the residue of letter x
-                x, hi = rec
+                x, hi = letter[rec[0]], rec[1]
                 word, lo = sift([x], gens[x].raw, 0, hi, next(residues)), 0
             else:
                 i, pt, gi, hi = rec
@@ -510,7 +512,7 @@ class Bsgs:
                 strong[m].append(node)
             definitions.append(word)
         relators = [sift([x], gens[x].raw, 0, top, ident)
-                    for x, hi in enumerate(self._calls) if hi is None]
+                    for x, hi in enumerate(calls.values()) if hi is None]
         defined = {rec[:3] for rec in self._defs if len(rec) > 2}
         for i, lv in enumerate(levels):
             relators += [schreier(i, pt, gi, top, ident) for pt in lv.orbit
@@ -559,9 +561,7 @@ class PermGroup:
         return self.bsgs().contains(p)
 
     def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(gens[i] * gens[j] == gens[j] * gens[i]
-                   for i in range(len(gens)) for j in range(i + 1, len(gens)))
+        return all(a * b == b * a for a, b in combinations(self.generators, 2))
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"

@@ -35,8 +35,8 @@ from wreathgen.modfp import (
     spin,
 )
 from wreathgen.permcore import (BadInput, Bsgs, BudgetExceeded, ConsistencyError, PermGroup,
-                                parse_cycles)
-from wreathgen.wreath import parse_group, standard_generators
+                                derived_subgroup, parse_cycles)
+from wreathgen.wreath import parse_group, parse_tower, standard_generators, tower_group
 
 
 def test_rowspace_rank_and_reduction():
@@ -438,6 +438,19 @@ def test_an_edge_back_into_the_schreier_tree_is_a_relator(token, p, z1):
     g = _group(token)
     mod = _ip(g, p)
     assert cocycle_dims(g, mod).dim_Z1 == z1
+    walked, _ = cocycle_reference.cocycle_system(g, mod)
+    assert len(g.generators) * mod.dim - walked.dim == z1
+
+
+@pytest.mark.parametrize("p,z1,h1", [(2, 18, 9), (3, 9, 0)])
+def test_cocycles_of_a_normal_closure(p, z1, h1):
+    # the closure's cached chain was also extended by seeds that did not
+    # grow it, and only the seeds that did are its generators
+    g = derived_subgroup(tower_group(parse_tower("C3;C2;C2")))
+    assert len(g.bsgs()._calls) > len(g.generators)
+    mod = FpModule.natural(g, p)
+    rep = cocycle_dims(g, mod)
+    assert (rep.group_order, rep.dim, rep.dim_Z1, rep.dim_B1, rep.dim_H1) == (128, 12, z1, 9, h1)
     walked, _ = cocycle_reference.cocycle_system(g, mod)
     assert len(g.generators) * mod.dim - walked.dim == z1
 

@@ -274,10 +274,11 @@ def test_presentation_names_the_chain_and_its_relators_hold(name):
     _check_presentation(group, bsgs_build(group))
 
 
-@pytest.mark.parametrize("tower", ["C3;C2;C2", "C16;C16"])
-def test_a_tower_groups_cached_chain_presents_it(tower):
-    # the chain tower_group built to certify the order, not a second one
-    group = tower_group(parse_tower(tower))
+@pytest.mark.parametrize("name", ["C3;C2;C2", "C16;C16", "derived C3;C2;C2"])
+def test_a_groups_cached_chain_presents_it(name):
+    # the chain tower_group or the normal closure built, not a second one;
+    # the closure's was also extended by seeds that are no generators
+    group = CHAIN_PINS[name][0]()
     chain = group._bsgs
     assert chain is not None and group.bsgs() is chain
     _check_presentation(group, chain)
@@ -318,8 +319,15 @@ def test_a_wrong_letter_list_is_refused():
     chain = bsgs_build(PermGroup(5, (x, y, x)))
     assert chain._calls[2] is None
     chain.presentation((x, y, x))
+    chain.presentation((x, y))  # the letters of the growing calls alone
     with pytest.raises(ConsistencyError, match="does not sift"):
         chain.presentation((x, y, parse_cycles("(1 2)", 5)))
+    # a letter whose image is in the finished orbit, but not yet in the
+    # orbit its call sifted through
+    cyc = [parse_cycles(c, 4) for c in ("(1 2)", "(3 4)", "(2 3)", "(1 3)")]
+    chain = bsgs_build(PermGroup(4, cyc[:3]))
+    with pytest.raises(ConsistencyError, match="does not sift"):
+        chain.presentation((cyc[0], cyc[3], cyc[2]))
 
 
 def test_presentation_is_read_only_off_a_finished_chain_and_a_whole_log():
