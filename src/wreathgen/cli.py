@@ -144,7 +144,9 @@ def _cmd_cohom(args) -> tuple[dict, int]:
     doc = rep.to_json()
     doc["group"] = spec.token()
     doc["dim_Ip"] = rep.dim
-    doc["s"] = rep.dim_H1  # I_p has no trivial factor
+    # I_p has no trivial factor when p does not divide n; when p | n the
+    # constants lie in I_p, and dim_fixed is 1
+    doc["s"] = rep.dim_H1
     if rep.r is None:  # r is set only when End is scalar
         doc["h"] = None
         doc["warning"] = "endomorphism algebra is not scalar; no h value"

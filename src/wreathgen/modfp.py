@@ -12,7 +12,10 @@ equations per relator, so no element outside the chain is formed.
 The exhaustive check spins every vector of the class it checks, but each
 spin stops at the first vector it reaches that an earlier spin of the
 scan has already shown to generate everything: a submodule that holds w
-holds spin(w).
+holds spin(w).  Besides each generator image, the spin tests the last
+row of the basis it has built, which has the most leading zeros and so
+comes early in the scan's order; in the scans the tests pin, only the
+first vector of the class spins to the end.
 """
 
 from __future__ import annotations
@@ -75,7 +78,10 @@ class RowSpace:
         """All of F_p^width: the identity rows, the canonical basis that
         every spanning set reduces to."""
         space = cls(p, width)
-        space.rows = [[0] * i + [1] + [0] * (width - 1 - i) for i in range(width)]
+        zero = [0] * width
+        space.rows = [zero.copy() for _ in range(width)]
+        for i, row in enumerate(space.rows):
+            row[i] = 1
         space.pivots = list(range(width))
         return space
 
@@ -176,33 +182,37 @@ def spin(m: FpModule, seeds, known=None) -> RowSpace:
 
     `known`, when given, is a stop rule: a predicate on vectors reduced
     mod p that may hold only for vectors whose spin is all of m.  Once a
-    seed or a generator image satisfies it, the spin returns the whole
-    space, whose rows and pivots are those a full spin reaches.  This is
-    sound because spin(v) contains spin(w) for every w it reaches.
+    seed, a generator image or the last basis row (the one with the last
+    pivot) satisfies it, the spin returns the whole space, whose rows and
+    pivots are those a full spin reaches.  This is sound because spin(v)
+    contains spin(w) for every w in the space it has built.
     """
     p = m.p
-    space = RowSpace(p, m.dim)
+    dim = m.dim
+    row_terms = m._row_terms
+    space = RowSpace(p, dim)
     queue = []
     for s in seeds:
         v = [int(x) % p for x in s]
         if known is not None and known(v):
-            return RowSpace.whole(p, m.dim)
+            return RowSpace.whole(p, dim)
         if space.insert(v):
             queue.append(v)
-    while queue and space.dim < m.dim:
-        v = queue.pop()
-        for terms in m._row_terms:
-            img = [0] * m.dim
-            for i, x in enumerate(v):
-                if x:
-                    for j, c in terms[i]:
-                        img[j] += x * c
+    while queue and space.dim < dim:
+        support = [(i, x) for i, x in enumerate(queue.pop()) if x]
+        for terms in row_terms:
+            img = [0] * dim
+            for i, x in support:
+                for j, c in terms[i]:
+                    img[j] += x * c
             if known is not None:
                 img = [x % p for x in img]
                 if known(img):
-                    return RowSpace.whole(p, m.dim)
+                    return RowSpace.whole(p, dim)
             if space.insert(img):
                 queue.append(img)
+                if known is not None and known(space.rows[-1]):
+                    return RowSpace.whole(p, dim)
     return space
 
 
@@ -243,10 +253,11 @@ class IpReport:
         return asdict(self)
 
 
-# check_Ip_structure spins at most this many vectors.  The largest inputs
-# it admits took, on a 2-core host, 13 s for (7,7), whose 705,894 vectors
-# mostly stop on their seed, and 169 s for (21,2), whose 2^20 - 1 vectors
-# all have leading entry 1 and each spin a few images in dimension 20.
+# check_Ip_structure spins at most this many vectors, which does not bound
+# its seconds.  The largest inputs it admits took, on a 2-core host, 5.8 s
+# for (7,7), whose 705,894 vectors mostly stop on their seed, and 35 s for
+# (21,2), whose 2^20 - 1 vectors all have leading entry 1 and each spin a
+# few images in dimension 20.
 VECTOR_BUDGET = 2 ** 20
 # bytes of the arrays cocycle_dims may build (see cocycle_bytes), the one
 # budget of the cocycle system.  It admits A4-A21 (A21 needs 16.2 MB, and
@@ -278,16 +289,22 @@ def _scan(m: FpModule, in_class) -> tuple[int, bool]:
     Since the scan stops at a failure, a vector w of the class whose
     multiple with leading entry 1 came before v spins to everything, and so
     does v once its spin reaches w: spin(v) contains spin(w) = spin(c w).
-    That is each spin's stop rule; a vector whose leading entry is not 1
-    settles on its seed.
+    That is each spin's stop rule, tested on the seed, on each generator
+    image and, after each insert, on the last basis row: it has leading
+    entry 1 and pivots past every other row, so once the spin of v holds
+    a row with a pivot past v's leading entry, that row comes before v.
+    A vector whose leading entry is not 1 settles on its seed.
     """
     p = m.p
 
     def known(w: list[int]) -> bool:
         if not in_class(w):
             return False
-        inv = pow(next(filter(None, w)), -1, p)  # both classes exclude 0
-        return tuple([x * inv % p for x in w]) < v
+        lead = next(filter(None, w))  # both classes exclude 0
+        if lead != 1:
+            inv = pow(lead, -1, p)
+            w = [x * inv % p for x in w]
+        return tuple(w) < v
 
     checked = 0
     for v in itertools.product(range(p), repeat=m.dim):

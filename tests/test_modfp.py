@@ -277,9 +277,21 @@ def _check_Ip_reference(n, p):
 
 
 @pytest.mark.parametrize("n,p", [(4, 2), (4, 3), (4, 5), (5, 2), (5, 3), (5, 5),
-                                 (6, 2), (6, 3), (7, 2)])
+                                 (6, 2), (6, 3), (7, 2), (7, 3), (6, 5), (8, 3)])
 def test_Ip_check_matches_the_plain_scan(n, p):
     assert check_Ip_structure(n, p) == _check_Ip_reference(n, p)
+
+
+@pytest.mark.parametrize("n,p", [(8, 3), (6, 5), (5, 5)])
+def test_only_the_first_vector_of_a_scan_spins_to_the_end(monkeypatch, n, p):
+    # a spin that meets the stop rule returns RowSpace.whole; once the
+    # first vector has spun to everything, its basis rows reach the rule
+    whole = RowSpace.whole
+    stopped = []
+    monkeypatch.setattr(RowSpace, "whole",
+                        classmethod(lambda cls, *args: stopped.append(args) or whole(*args)))
+    r = check_Ip_structure(n, p)
+    assert r.checked_vectors - len(stopped) == 1
 
 
 @pytest.mark.parametrize("n,p,cycles,checked", [
@@ -294,6 +306,10 @@ def test_Ip_check_matches_the_plain_scan(n, p):
     # sum 0 form a second maximal submodule, which (0, 0, 0, 0, 1, 1) is
     # the first vector outside I_3 to lie in
     (6, 3, ["(1 2 3 4 5 6)"], 4),
+    # x^6 - 1 = (x - 1)(x + 1)(x^2 + x + 1)(x^2 - x + 1) over F_5; coordinates
+    # (0, 0, 0, 1, 0), the 5th, give e_4 - e_6, which is -x^3 (x - 1)(x + 1)
+    # and spins to a 4-dimensional submodule
+    (6, 5, ["(1 2 3 4 5 6)"], 5),
 ])
 def test_a_reducible_module_is_still_caught(monkeypatch, n, p, cycles, checked):
     monkeypatch.setattr(modfp, "alt_group", lambda n: PermGroup.from_cycles(n, *cycles))
