@@ -36,10 +36,11 @@ from .wreath import (
 # `verify` reports the formula alone rather than grinding
 VERIFY_LEAF_BUDGET = 4096
 # `example --verify` builds the pair's stabilizer chain; past this many
-# leaves it answers "generates": null and exits 3.  On a 2-core host it
-# took 1.5 s at n = 19 (228 leaves), 3.0-3.4 s at n = 21 (252), 16-18 s
-# at n = 23 (276), 23 s at n = 25 (300) and 35 s at n = 27 (324); the
-# step after 252 leaves coincides with the switch to tuple permutations
+# leaves it answers "generates": null and exits 3.  On a 2-core host the
+# chain took 0.3 s at n = 19 (228 leaves), 0.6 s at n = 21 (252), 6.8 s
+# at n = 23 (276), 9.4 s at n = 25 (300) and 12.2 s at n = 27 (324), and
+# the whole command 0.7 s at n = 19 and 0.9 s at n = 21; the step after
+# 252 leaves coincides with the switch to tuple permutations
 EXAMPLE_LEAF_BUDGET = 252
 
 EXIT_OK = 0

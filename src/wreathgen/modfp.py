@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -74,9 +74,12 @@ class RowSpace:
         return space
 
     @classmethod
+    @cache
     def whole(cls, p: int, width: int) -> "RowSpace":
         """All of F_p^width: the identity rows, the canonical basis that
-        every spanning set reduces to."""
+        every spanning set reduces to.  One instance per (cls, p, width)
+        is shared: insert() reduces every vector to 0 and changes nothing,
+        and no caller changes its rows."""
         space = cls(p, width)
         zero = [0] * width
         space.rows = [zero.copy() for _ in range(width)]

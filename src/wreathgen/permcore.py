@@ -296,6 +296,18 @@ class Bsgs:
     sifts a new generator and re-closes the chain incrementally, which
     keeps normal closures cheap.
 
+    Each extend() sifts a distinct Schreier generator at most once; a
+    repeat is skipped, which changes nothing.  When level i takes up a
+    pair, every deeper level's queue is empty, so levels i+1.. are a
+    complete chain of the group H their strong generators generate, and
+    H only grows.  A repeat g fixes the base points of levels 0..i, so
+    its earlier sift divided it only by transversal elements of levels
+    i+1.., which are never replaced, and ended at the identity or at a
+    residue it made a strong generator of one of those levels.  Either
+    way g lies in H, and sifting it again would end at the identity.
+    The set of sifted generators lives in the extend() call: a finished
+    chain holds none of it.
+
     Two records, in creation order, let presentation() rebuild the words
     of the chain's nodes.  `_defs` holds one entry per node: (i, pt, gi)
     for the tree edge that added pt^s to level i's orbit, s the level's
@@ -386,19 +398,22 @@ class Bsgs:
             lv.pending.extend(zip(lv.orbit, repeat(gi)))
 
     def _run(self):
+        sifted = set()  # the Schreier generators this extend() call has sifted
         i = len(self._levels) - 1
         while i >= 0:
-            dropped = self._process(i)
+            dropped = self._process(i, sifted)
             if dropped is None:
                 i -= 1
             else:
                 i = dropped
 
-    def _process(self, i):
+    def _process(self, i, sifted):
         """Drain level i's work queue; returns the level of any insertion.
 
         Each Schreier generator is sifted through the levels below i in
-        place, as _sift does it through the whole chain.
+        place, as _sift does it through the whole chain, unless it is in
+        `sifted`, the generators the same extend() call has sifted; the
+        class docstring says why skipping those changes nothing.
         """
         lv = self._levels[i]
         gens, orbit, inv, pending = lv.gens, lv.orbit, lv.inv, lv.pending
@@ -424,6 +439,9 @@ class Bsgs:
             if w == uq:
                 continue  # tree edge, trivial Schreier generator
             g = compose(w, inv[q])
+            if g in sifted:
+                continue
+            sifted.add(g)
             for m, point, low_inv in below:
                 image = g[point]
                 if image != point:

@@ -153,6 +153,37 @@ def test_cli_catches_only_in_main_and_only_the_two_refusals():
     assert caught_exceptions(cli.read_text()) == [("main", ("BadInput", "BudgetExceeded"))]
 
 
+def module_containers(source: str) -> set[str]:
+    """Names a module binds at its top level to a list, dict or set (a
+    display, a comprehension or a call of list, dict or set): state that
+    outlives every call into the module."""
+    found = set()
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            continue
+        value = node.value
+        if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
+                              ast.SetComp)) or (
+                isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id in ("list", "dict", "set")):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update(ast.unparse(t) for t in targets)
+    return found
+
+
+def test_module_containers_are_found():
+    src = ("_SEEN = set()\nA: dict = {}\nB = C = [x for x in ()]\nD = (1, 2)\n"
+           "E = frozenset()\ndef f():\n    local = set()\n")
+    assert module_containers(src) == {"_SEEN", "A", "B", "C"}
+
+
+def test_permcore_binds_no_module_level_container():
+    # a memo of a Schreier-Sims build, such as the Schreier generators it
+    # has sifted, lives and dies with that build's extend() call
+    permcore = next(p for p in SOURCES if p.name == "permcore.py")
+    assert module_containers(permcore.read_text()) == set()
+
+
 PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 
 # read only by tests, which build most of their groups from cycle text;

@@ -294,6 +294,17 @@ def test_only_the_first_vector_of_a_scan_spins_to_the_end(monkeypatch, n, p):
     assert r.checked_vectors - len(stopped) == 1
 
 
+def test_a_stopped_spin_returns_one_whole_space_that_an_insert_leaves_alone():
+    mod = FpModule.natural(alt_group(5), 3)
+    whole = spin(mod, [[1, 0, 0, 0, 0]], known=lambda w: True)
+    assert spin(mod, [[0, 2, 0, 1, 0]], known=lambda w: True) is whole
+    assert not whole.insert([1, 2, 0, 1, 1])
+    fresh = RowSpace(3, 5)
+    for row in np.eye(5, dtype=np.int64):
+        fresh.insert(row)
+    assert (whole.rows, whole.pivots) == (fresh.rows, fresh.pivots)
+
+
 @pytest.mark.parametrize("n,p,cycles,checked", [
     # x^7 - 1 = (x + 1)(x^3 + x + 1)(x^3 + x^2 + 1) over F_2, so I_2 under
     # the 7-cycle is the sum of two 3-dimensional submodules; coordinates
@@ -310,6 +321,15 @@ def test_only_the_first_vector_of_a_scan_spins_to_the_end(monkeypatch, n, p):
     # (0, 0, 0, 1, 0), the 5th, give e_4 - e_6, which is -x^3 (x - 1)(x + 1)
     # and spins to a 4-dimensional submodule
     (6, 5, ["(1 2 3 4 5 6)"], 5),
+    # two cases where the stop rule must refuse a vector of I_p that comes
+    # first (without its class test the scan reports True at 32 and 486).
+    # C2 wr C3 on the blocks {1, 2}, {3, 4}, {5, 6}: x1 + x2 = x3 + x4 =
+    # x5 + x6 is a submodule outside I_2, (0, 1, 0, 1, 0, 1) the 11th
+    # vector in it, and its spin holds e5 + e6 of I_2
+    (6, 2, ["(1 3 5)(2 4 6)", "(1 2)"], 11),
+    # C3 wr C2 on {1, 2, 3}, {4, 5, 6}: x1 + x2 + x3 = x4 + x5 + x6 is a
+    # submodule outside I_3, (0, 0, 1, 0, 0, 1) the 20th vector in it
+    (6, 3, ["(1 4)(2 5)(3 6)", "(1 2 3)"], 20),
 ])
 def test_a_reducible_module_is_still_caught(monkeypatch, n, p, cycles, checked):
     monkeypatch.setattr(modfp, "alt_group", lambda n: PermGroup.from_cycles(n, *cycles))

@@ -14,6 +14,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chain_reference import ReferenceBsgs, chain_digest, reference_build
+from wreathgen import oracle, permcore
 from wreathgen.permcore import (
     TRIAL_DIVISION_BOUND,
     BudgetExceeded,
@@ -238,6 +240,50 @@ def test_chain_structure_is_pinned(name):
     assert _chain_digest(chain) == digest
 
 
+# the library's chain against the plain reference, which sifts every
+# Schreier generator, also one its build has sifted before: the same base,
+# transversals, strong generators and records
+@pytest.mark.parametrize("name", [*CHAIN_PINS, "C17;C3;C5"])
+def test_chain_matches_the_reference(name):
+    # C16;C16 (degree 256) and C17;C3;C5 (degree 255) on either side of
+    # the switch between the stored forms
+    group = CHAIN_PINS[name][0]() if name in CHAIN_PINS else tower_group(parse_tower(name))
+    assert chain_digest(bsgs_build(group)) == chain_digest(reference_build(group))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 12).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)))
+def test_chain_matches_the_reference_on_drawn_groups(images):
+    group = PermGroup(len(images[0]), [Permutation(g) for g in images])
+    assert chain_digest(bsgs_build(group)) == chain_digest(reference_build(group))
+
+
+def test_a_normal_closures_chain_matches_the_reference(monkeypatch):
+    # also extended by seeds that did not grow it
+    g = tower_group(parse_tower("C3;C2;C2"))
+    chain = derived_subgroup(g)._bsgs
+    monkeypatch.setattr(permcore, "Bsgs", ReferenceBsgs)
+    assert chain_digest(chain) == chain_digest(derived_subgroup(g)._bsgs)
+
+
+@pytest.mark.parametrize("tower", ["C5;C2;C2", "C3;C3;C2;C2"])
+def test_witness_candidate_chains_match_the_reference(monkeypatch, tower):
+    # the 200 seed-1 candidate pairs, none of which generates: chains of
+    # one group built one after another, each with its own sifts
+    g = tower_group(parse_tower(tower))
+    same = []
+
+    def both(h):
+        chain = bsgs_build(h)
+        same.append(chain_digest(chain) == chain_digest(reference_build(h)))
+        return chain
+
+    monkeypatch.setattr(oracle, "bsgs_build", both)
+    assert oracle.find_generating_tuple(g, 2, seed=1) is None
+    assert same == [True] * 200
+
+
 def _nodes(chain) -> int:
     """Transversal elements other than the identities, and strong generators."""
     return sum(len(lv.orbit) - 1 for lv in chain._levels) + len(chain._strong)
@@ -292,7 +338,8 @@ def test_records_hold_one_entry_per_node_and_per_extend_call(name):
     assert (len(chain._defs), len(chain._calls)) == (nodes, calls)
     # nothing the chain holds grows with the pairs its queues took up:
     # C16;C16 took up 2,449 pairs for its 499 nodes and calls
-    assert all(len(v) <= nodes + calls for v in vars(chain).values() if isinstance(v, list))
+    assert all(len(v) <= nodes + calls for v in vars(chain).values()
+               if isinstance(v, (list, set, dict)))
     for lv in chain._levels:
         assert all(len(v) <= nodes for v in (lv.gens, lv.orbit, lv.inv, lv.pending))
     # letters that grew the group and residues of Schreier generators
