@@ -42,6 +42,12 @@ VERIFY_LEAF_BUDGET = 4096
 # the whole command 0.7 s at n = 19 and 0.9 s at n = 21; the step after
 # 252 leaves coincides with the switch to tuple permutations
 EXAMPLE_LEAF_BUDGET = 252
+# `example` holds the pair as permutations of its 12n leaves and prints
+# their cycles, all of it linear in n: measured in one process at n =
+# 20,001, 50,001 and 100,001, the peak rose 187-188 bytes per leaf over
+# the interpreter's 16 MB (100,001: 2.5 s, 231 MB).  Past 200 bytes a
+# leaf times this budget it refuses before it builds anything
+EXAMPLE_BYTE_BUDGET = 256 * 2 ** 20
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -158,6 +164,10 @@ def _cmd_cohom(args) -> tuple[dict, int]:
 
 def _cmd_example(args) -> tuple[dict, int]:
     t = example_tower(args.n)
+    need = 200 * t.leaf_count()
+    if need > EXAMPLE_BYTE_BUDGET:
+        raise BudgetExceeded(f"the pair of {t.leaf_count()} leaves needs about {need} bytes, "
+                             f"over the budget of {EXAMPLE_BYTE_BUDGET}")
     x, y = example_generators(args.n)
     doc = {
         "tower": t.text(), "n": args.n, **_order_fields(t, leaf_count=True),
@@ -227,7 +237,7 @@ def main(argv=None) -> int:
         doc, code = args.func(args)
     except BadInput as e:  # refused by the module that owns the rule
         doc, code = {"error": str(e)}, EXIT_USAGE
-    except BudgetExceeded as e:  # a degree too large to factor, or a modfp budget
+    except BudgetExceeded as e:  # a degree too large to factor, or an example or modfp budget
         doc, code = {"error": str(e)}, EXIT_BUDGET
     _emit(doc, args.out)
     return code

@@ -322,9 +322,6 @@ class Bsgs:
         self._ident = Permutation.identity(degree).raw
         self._compose = _composer(degree)
         self._levels: list[_Level] = []
-        # (level, base point, inverse transversal) of each level, the part
-        # of the chain a sift reads; kept in step with _levels by _insert
-        self._sifts: list[tuple[int, int, dict]] = []
         self._strong: list = []  # raw, insertion order
         self._defs, self._calls = [], []  # the records, see above
 
@@ -361,35 +358,32 @@ class Bsgs:
 
     # -- internals ----------------------------------------------------------
 
-    def _sift(self, g):
-        """Reduce g through the chain; returns (residue or None, level).
+    def _sift(self, g, start=0):
+        """Reduce g through levels start..; returns (residue or None, level).
 
-        The residue fixes the base points of all levels < level and, if
+        The residue fixes the base points of levels start..level-1 and, if
         level < len(levels), moves the base point there.  None means g is
-        a member of the group.  _process sifts its Schreier generators
-        through the levels below its own in a loop of its own.
+        a member of the group those levels generate.
         """
         compose = self._compose
-        for i, point, inv in self._sifts:
-            pt = g[point]
-            if pt == point:
+        levels = self._levels
+        for i in range(start, len(levels)):
+            lv = levels[i]
+            pt = g[lv.point]
+            if pt == lv.point:
                 continue
-            ui = inv.get(pt)
+            ui = lv.inv.get(pt)
             if ui is None:
                 return g, i
             g = compose(g, ui)
-        if g == self._ident:
-            return None, len(self._levels)
-        return g, len(self._levels)
+        return (None if g == self._ident else g), len(levels)
 
     def _insert(self, g, lo, hi):
         # g fixes the base points of levels < hi; register it as a strong
         # generator for every level lo..hi, creating a level when g fixes
         # the whole current base.
         if hi == len(self._levels):
-            lv = _Level(_first_moved(g), self._ident)
-            self._levels.append(lv)
-            self._sifts.append((hi, lv.point, lv.inv))
+            self._levels.append(_Level(_first_moved(g), self._ident))
         self._strong.append(g)
         for m in range(lo, hi + 1):
             lv = self._levels[m]
@@ -410,20 +404,13 @@ class Bsgs:
     def _process(self, i, sifted):
         """Drain level i's work queue; returns the level of any insertion.
 
-        Each Schreier generator is sifted through the levels below i in
-        place, as _sift does it through the whole chain, unless it is in
-        `sifted`, the generators the same extend() call has sifted; the
-        class docstring says why skipping those changes nothing.
+        Each Schreier generator is sifted through the levels below i,
+        unless it is in `sifted`, the generators the same extend() call has
+        sifted; the class docstring says why skipping those changes nothing.
         """
         lv = self._levels[i]
         gens, orbit, inv, pending = lv.gens, lv.orbit, lv.inv, lv.pending
-        if not pending:
-            return None
-        # the levels below only change through an insertion, which returns
-        below = self._sifts[i + 1:]
-        top = len(self._levels)
         compose = self._compose
-        ident = self._ident
         while pending:
             pt, gi = pending.popleft()
             s = gens[gi]
@@ -442,27 +429,18 @@ class Bsgs:
             if g in sifted:
                 continue
             sifted.add(g)
-            for m, point, low_inv in below:
-                image = g[point]
-                if image != point:
-                    u = low_inv.get(image)
-                    if u is None:
-                        break
-                    g = compose(g, u)
-            else:
-                if g == ident:
-                    continue
-                m = top
-            self._defs.append((i, pt, gi, m))
-            self._insert(g, i + 1, m)
-            return m
+            r, m = self._sift(g, i + 1)
+            if r is not None:
+                self._defs.append((i, pt, gi, m))
+                self._insert(r, i + 1, m)
+                return m
         return None
 
     def presentation(self, gens) -> tuple[list[list[int]], list[list[int]]]:
         """(definitions, relators): the group's presentation, read off the finished chain.
 
-        Letters 0..t-1 are `gens`, the arguments of the chain's extend()
-        calls or of the t that grew it alone.  Node t + n is the product of
+        Letters 0..t-1 are `gens`, the arguments of the chain's t extend()
+        calls, members too.  Node t + n is the product of
         definitions[n], one per transversal element and strong generator in
         the order the chain made them.  A word lists nodes, ~x for the
         inverse of node x, multiplied left to right, and names only letters
@@ -482,11 +460,8 @@ class Bsgs:
         levels, ident, compose, top = self._levels, self._ident, self._compose, len(self._levels)
         if any(lv.pending for lv in levels):
             raise ConsistencyError("a presentation needs a finished chain")
-        every = len(gens) == len(self._calls)  # else the growing calls' letters alone
-        calls = {t: hi for t, hi in enumerate(self._calls) if every or hi is not None}
-        if len(gens) != len(calls) or any(x.degree != self.degree for x in gens):
+        if len(gens) != len(self._calls) or any(x.degree != self.degree for x in gens):
             raise ConsistencyError("the letters must be the chain's extend() arguments")
-        letter = dict(zip(calls, range(len(gens))))
         # per level: orbit point -> [node of u_pt], [] at the base point; nodes of lv.gens
         names = [{lv.point: []} for lv in levels]
         strong, definitions = [[] for _ in levels], []
@@ -521,7 +496,7 @@ class Bsgs:
                 names[i][levels[i].gens[gi][pt]] = [node]
                 continue
             if len(rec) == 2:  # the residue of letter x
-                x, hi = letter[rec[0]], rec[1]
+                x, hi = rec
                 word, lo = sift([x], gens[x].raw, 0, hi, next(residues)), 0
             else:
                 i, pt, gi, hi = rec
@@ -530,7 +505,7 @@ class Bsgs:
                 strong[m].append(node)
             definitions.append(word)
         relators = [sift([x], gens[x].raw, 0, top, ident)
-                    for x, hi in enumerate(calls.values()) if hi is None]
+                    for x, hi in enumerate(self._calls) if hi is None]
         defined = {rec[:3] for rec in self._defs if len(rec) > 2}
         for i, lv in enumerate(levels):
             relators += [schreier(i, pt, gi, top, ident) for pt in lv.orbit
@@ -620,8 +595,9 @@ def cayley_walk(degree: int, gens):
     return [Permutation._wrap(degree, e) for e in order], edges, tree
 
 
-def _normal_closure(g: PermGroup, seeds) -> PermGroup:
-    """Normal closure in g of the seed elements, with its chain built."""
+def _normal_closure(g: PermGroup, seeds) -> tuple[list[Permutation], Bsgs]:
+    """Normal closure in g of the seed elements: (the seeds that grew its
+    chain, which generate it; the chain, also extended by the others)."""
     chain = Bsgs(g.degree)
     closure_gens: list[Permutation] = []
     queue = deque(seeds)
@@ -630,9 +606,7 @@ def _normal_closure(g: PermGroup, seeds) -> PermGroup:
         if chain.extend(c):
             closure_gens.append(c)
             queue.extend(c.conj(s) for s in g.generators)
-    n = PermGroup(g.degree, closure_gens)
-    n._bsgs = chain
-    return n
+    return closure_gens, chain
 
 
 def _commutators(gens) -> list[Permutation]:
@@ -641,7 +615,7 @@ def _commutators(gens) -> list[Permutation]:
 
 def derived_subgroup(g: PermGroup) -> PermGroup:
     """Normal closure of the generator commutators, as a PermGroup."""
-    return _normal_closure(g, _commutators(g.generators))
+    return PermGroup(g.degree, _normal_closure(g, _commutators(g.generators))[0])
 
 
 def abelian_p_ranks(g: PermGroup, primes) -> dict[int, int]:
@@ -658,7 +632,7 @@ def abelian_p_ranks(g: PermGroup, primes) -> dict[int, int]:
     r = math.prod(primes)
     gens = g.generators
     seeds = _commutators(gens) + [s ** (r % s.order()) for s in gens]
-    index, rem = divmod(g.order(), _normal_closure(g, seeds).order())
+    index, rem = divmod(g.order(), _normal_closure(g, seeds)[1].order())
     if rem:
         raise ConsistencyError("subgroup order does not divide group order")
     out: dict[int, int] = {}

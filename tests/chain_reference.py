@@ -4,50 +4,21 @@ sift of a repeat ends at the identity, so the library's chain must be
 this chain, record for record."""
 
 import hashlib
-from itertools import repeat
 
-from wreathgen.permcore import Bsgs, PermGroup, _invert
+from wreathgen.permcore import Bsgs, PermGroup
+
+
+class _NothingSifted(set):
+    """A set of sifted generators that claims to hold none of them."""
+
+    def __contains__(self, g):
+        return False
 
 
 class ReferenceBsgs(Bsgs):
     def _process(self, i, sifted):
-        # Bsgs._process without the set of sifted generators: `sifted` is
-        # never read
-        lv = self._levels[i]
-        gens, orbit, inv, pending = lv.gens, lv.orbit, lv.inv, lv.pending
-        below = self._sifts[i + 1:]
-        top = len(self._levels)
-        compose = self._compose
-        while pending:
-            pt, gi = pending.popleft()
-            s = gens[gi]
-            q = s[pt]
-            w = compose(orbit[pt], s)
-            uq = orbit.get(q)
-            if uq is None:
-                orbit[q] = w
-                inv[q] = _invert(w)
-                self._defs.append((i, pt, gi))
-                pending.extend(zip(repeat(q), range(len(gens))))
-                continue
-            if w == uq:
-                continue
-            g = compose(w, inv[q])
-            for m, point, low_inv in below:
-                image = g[point]
-                if image != point:
-                    u = low_inv.get(image)
-                    if u is None:
-                        break
-                    g = compose(g, u)
-            else:
-                if g == self._ident:
-                    continue
-                m = top
-            self._defs.append((i, pt, gi, m))
-            self._insert(g, i + 1, m)
-            return m
-        return None
+        # Bsgs._process with a set of sifted generators that never skips one
+        return super()._process(i, _NothingSifted())
 
 
 def reference_build(g: PermGroup) -> ReferenceBsgs:

@@ -401,6 +401,30 @@ def test_example_verify_budget_admits_its_own_leaf_count(capsys, monkeypatch):
     assert doc["warning"] == "84 leaves exceed the verification budget of 60; not verified"
 
 
+def _refuse_to_build(n):
+    raise AssertionError("example pair built past its byte budget")
+
+
+def test_example_past_its_byte_budget_is_refused_before_it_is_built(capsys, monkeypatch):
+    # unbudgeted, n = 200,001 (2.4 million leaves) would peak near 450 MB
+    monkeypatch.setattr(cli, "example_generators", _refuse_to_build)
+    for argv in (["--n", "200001"], ["--n", "1000001", "--verify"]):
+        code, doc = run(capsys, "example", *argv)
+        leaves = 12 * int(argv[1])
+        assert code == 3 and doc == {"error": (
+            f"the pair of {leaves} leaves needs about {200 * leaves} bytes, "
+            f"over the budget of {cli.EXAMPLE_BYTE_BUDGET}")}
+
+
+def test_example_byte_budget_admits_its_own_need(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "EXAMPLE_BYTE_BUDGET", 200 * 84)
+    code, doc = run(capsys, "example", "--n", "7")
+    assert code == 0 and doc["order_y"] == 10
+    monkeypatch.setattr(cli, "example_generators", _refuse_to_build)
+    code, doc = run(capsys, "example", "--n", "9")
+    assert code == 3 and doc["error"].endswith("over the budget of 16800")
+
+
 def test_out_flag_writes_identical_json(capsys, tmp_path):
     path = tmp_path / "doc.json"
     code = cli.main(["formula", "--tower", "S4;C2", "--out", str(path)])

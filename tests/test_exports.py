@@ -184,6 +184,38 @@ def test_permcore_binds_no_module_level_container():
     assert module_containers(permcore.read_text()) == set()
 
 
+def chain_writes(source: str) -> set[str]:
+    """Each assignment of a module to an attribute `_bsgs` outside the
+    class PermGroup, as source text: a group's cached chain is built by the
+    group, on its own generators."""
+    found = set()
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and not inside:
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                if any(isinstance(t, ast.Attribute) and t.attr == "_bsgs"
+                       for target in targets for t in ast.walk(target)):
+                    found.add(ast.unparse(child))
+            visit(child, inside or isinstance(child, ast.ClassDef) and child.name == "PermGroup")
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_chain_writes_are_found():
+    src = ("class PermGroup:\n    def bsgs(self):\n        self._bsgs = build(self)\n"
+           "class Other:\n    def f(self, g):\n        g._bsgs = None\n"
+           "def closure(g, n):\n    n._bsgs: object = g\n    a, n.b._bsgs = 1, 2\n"
+           "    n._bsgs_size = 3\n")
+    assert chain_writes(src) == {"g._bsgs = None", "n._bsgs: object = g",
+                                 "a, n.b._bsgs = (1, 2)"}
+
+
+def test_only_a_permgroup_writes_its_chain():
+    assert set().union(*(chain_writes(p.read_text()) for p in SOURCES)) == set()
+
+
 PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 
 # read only by tests, which build most of their groups from cycle text;
