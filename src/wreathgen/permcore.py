@@ -99,11 +99,19 @@ def prime_factorization(n: int) -> dict[int, int]:
 # with fixed points, so that composing is bytes.translate and inverting is
 # bytes.maketrans; above 255, the tuple of images, composed by one
 # itemgetter over the left factor's images.  Both compositions run at C
-# speed.  _pack, _composer, _invert and _first_moved are the only code
-# that knows this format.
+# speed.
+#
+# Up to degree 255 only the right factor of bytes.translate must be a
+# 256-byte table: a.translate(t) is as long as a.  So Bsgs keeps each value
+# in the form of the role it plays.  Values it composes on the left
+# (transversal elements, Schreier generators, sift residues) are short: the
+# `degree` bytes of their images.  Values it composes on the right (strong
+# generators, inverse transversal elements) are tables, and _table pads a
+# short form into one.  Above 255 both roles share the tuple: p.raw[:degree]
+# and _table return their argument.  _pack, _composer, _table, _invert and
+# _first_moved are the only code that knows these formats.
 
 _IDENT256 = bytes(range(256))
-_IDENT256_INT = int.from_bytes(_IDENT256, "big")
 
 
 def _pack(images):
@@ -111,6 +119,11 @@ def _pack(images):
     if len(images) <= 255:
         return bytes(images) + _IDENT256[len(images):]
     return tuple(images)
+
+
+def _table(a):
+    """The right-operand form of a: a short form padded with fixed points."""
+    return a + _IDENT256[len(a):] if type(a) is bytes else a
 
 
 def _compose_tuples(a, b):
@@ -124,18 +137,19 @@ def _composer(degree: int):
 
 
 def _first_moved(a) -> int:
-    """Least point a stored form moves; a is not the identity."""
+    """Least point a stored or short form moves; a is not the identity."""
     if type(a) is bytes:
         # read big-endian, a XOR identity has its highest set bit in the
         # first byte where they differ
-        diff = int.from_bytes(a, "big") ^ _IDENT256_INT
-        return 255 - (diff.bit_length() - 1) // 8
+        diff = int.from_bytes(a, "big") ^ int.from_bytes(_IDENT256[:len(a)], "big")
+        return len(a) - 1 - (diff.bit_length() - 1) // 8
     return list(map(ne, a, range(len(a)))).index(True)
 
 
 def _invert(a):
+    """Inverse of a stored form; of a short form, as a table."""
     if type(a) is bytes:
-        return bytes.maketrans(a, _IDENT256)
+        return bytes.maketrans(a, _IDENT256[:len(a)])
     inv = [0] * len(a)
     for x, y in enumerate(a):
         inv[y] = x
@@ -281,9 +295,9 @@ class _Level:
 
     def __init__(self, point, ident):
         self.point = point
-        self.gens = []  # raw strong generators fixing all base points above
-        self.orbit = {point: ident}  # pt -> u with u(base point) = pt
-        self.inv = {point: ident}
+        self.gens = []  # strong generators fixing all base points above, as tables
+        self.orbit = {point: ident}  # pt -> u with u(base point) = pt, short
+        self.inv = {point: _table(ident)}  # pt -> u^-1, as a table
         self.pending = deque()  # (orbit point, generator index) not yet expanded
 
 
@@ -319,10 +333,10 @@ class Bsgs:
 
     def __init__(self, degree: int):
         self.degree = degree
-        self._ident = Permutation.identity(degree).raw
+        self._ident = Permutation.identity(degree).raw[:degree]  # short
         self._compose = _composer(degree)
         self._levels: list[_Level] = []
-        self._strong: list = []  # raw, insertion order
+        self._strong: list = []  # tables, insertion order
         self._defs, self._calls = [], []  # the records, see above
 
     # -- public api ---------------------------------------------------------
@@ -340,14 +354,14 @@ class Bsgs:
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise DegreeMismatch("membership test across degrees")
-        r, _ = self._sift(p.raw)
+        r, _ = self._sift(p.raw[:self.degree])
         return r is None
 
     def extend(self, p: Permutation) -> bool:
         """Add a generator; returns True if the group grew."""
         if p.degree != self.degree:
             raise DegreeMismatch("generator degree differs from chain degree")
-        r, lvl = self._sift(p.raw)
+        r, lvl = self._sift(p.raw[:self.degree])
         self._calls.append(None if r is None else lvl)
         if r is None:
             return False
@@ -359,7 +373,7 @@ class Bsgs:
     # -- internals ----------------------------------------------------------
 
     def _sift(self, g, start=0):
-        """Reduce g through levels start..; returns (residue or None, level).
+        """Reduce short g through levels start..; returns (residue or None, level).
 
         The residue fixes the base points of levels start..level-1 and, if
         level < len(levels), moves the base point there.  None means g is
@@ -384,6 +398,7 @@ class Bsgs:
         # the whole current base.
         if hi == len(self._levels):
             self._levels.append(_Level(_first_moved(g), self._ident))
+        g = _table(g)
         self._strong.append(g)
         for m in range(lo, hi + 1):
             lv = self._levels[m]
@@ -487,7 +502,8 @@ class Bsgs:
             word = names[i][pt] + [strong[i][gi]] + [~x for x in names[i][q]]
             return sift(word, compose(compose(lv.orbit[pt], s), lv.inv[q]), i + 1, hi, residue)
 
-        residues = iter(self._strong)
+        degree = self.degree
+        residues = (r[:degree] for r in self._strong)
         for rec in self._defs:
             node = len(gens) + len(definitions)
             if len(rec) == 3:  # the tree edge that adds pt^s to level i's orbit
@@ -497,14 +513,14 @@ class Bsgs:
                 continue
             if len(rec) == 2:  # the residue of letter x
                 x, hi = rec
-                word, lo = sift([x], gens[x].raw, 0, hi, next(residues)), 0
+                word, lo = sift([x], gens[x].raw[:degree], 0, hi, next(residues)), 0
             else:
                 i, pt, gi, hi = rec
                 word, lo = schreier(i, pt, gi, hi, next(residues)), i + 1
             for m in range(lo, hi + 1):
                 strong[m].append(node)
             definitions.append(word)
-        relators = [sift([x], gens[x].raw, 0, top, ident)
+        relators = [sift([x], gens[x].raw[:degree], 0, top, ident)
                     for x, hi in enumerate(self._calls) if hi is None]
         defined = {rec[:3] for rec in self._defs if len(rec) > 2}
         for i, lv in enumerate(levels):

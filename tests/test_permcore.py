@@ -13,6 +13,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.combinatorics import Permutation as SympyPermutation, PermutationGroup
 
 from chain_reference import ReferenceBsgs, chain_digest, reference_build
 from wreathgen import oracle, permcore
@@ -32,7 +33,11 @@ from wreathgen.permcore import (
     format_cycles,
     parse_cycles,
     prime_factorization,
+    _composer,
+    _first_moved,
+    _invert,
     _strong_probable_prime,
+    _table,
 )
 from wreathgen.wreath import GroupSpec, parse_tower, standard_generators, tower_group
 
@@ -108,6 +113,38 @@ def test_compose_and_invert_across_the_255_switch(pair):
     assert Permutation.identity(3) != Permutation.identity(4)
     with pytest.raises(IndexError):
         p(n)
+
+
+@st.composite
+def _windowed(draw, n, size=8):
+    """A permutation of 0..n-1 that moves at most the points of one window
+    of up to `size`, placed anywhere, at the top end half the time."""
+    lo = draw(st.one_of(st.integers(0, n - 1), st.just(max(0, n - size))))
+    hi = draw(st.integers(lo + 1, min(n, lo + size)))
+    return tuple(range(lo)) + tuple(draw(st.permutations(range(lo, hi)))) + tuple(range(hi, n))
+
+
+@given(st.one_of(st.integers(1, 255), st.integers(256, 260)).flatmap(
+    lambda n: st.tuples(_windowed(n), st.permutations(range(n)))))
+def test_short_forms_agree_with_plain_tuples(pair):
+    # Bsgs composes short forms, `degree` bytes up to degree 255, on the
+    # left of tables; above 255 both are the tuple of images
+    a, b = pair[0], tuple(pair[1])
+    n = len(a)
+    short_a, short_b = Permutation(a).raw[:n], Permutation(b).raw[:n]
+    compose = _composer(n)
+    ab, ba = tuple(b[x] for x in a), tuple(a[x] for x in b)
+    inverse = tuple(sorted(range(n), key=a.__getitem__))
+    # a table is the stored form, so it is a right operand for both forms
+    assert _table(short_a) == Permutation(a).raw and _table(short_b) == Permutation(b).raw
+    assert compose(short_a, _table(short_b)) == Permutation(ab).raw[:n]
+    assert tuple(compose(short_b, _table(short_a))) == ba
+    assert compose(Permutation(a).raw, _table(short_b)) == Permutation(ab).raw
+    assert _invert(short_a) == Permutation(inverse).raw
+    assert tuple(compose(short_a, _invert(short_a))) == tuple(range(n))
+    if a != tuple(range(n)):
+        assert _first_moved(short_a) == min(x for x in range(n) if a[x] != x)
+        assert _first_moved(_table(short_a)) == _first_moved(short_a)
 
 
 def test_pow_and_order():
@@ -259,6 +296,22 @@ def test_chain_matches_the_reference_on_drawn_groups(images):
     assert chain_digest(bsgs_build(group)) == chain_digest(reference_build(group))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 254, 255, 256]).flatmap(
+    lambda n: st.lists(_windowed(n, 5), min_size=1, max_size=3)))
+def test_chains_at_the_ends_of_both_forms_match_the_reference_and_sympy(images):
+    # degrees 1 and 2 and either side of the switch between the two forms
+    n = len(images[0])
+    group = PermGroup(n, [Permutation(g) for g in images])
+    chain = bsgs_build(group)
+    assert chain_digest(chain) == chain_digest(reference_build(group))
+    assert chain.order() == PermutationGroup([SympyPermutation(list(g)) for g in images]).order()
+    assert all(chain.contains(g) for g in group.generators)
+    # the tables a chain composes on the right are stored forms
+    assert all(Permutation(s[:n]).raw == s for s in chain._strong)
+    assert all(Permutation(v[:n]).raw == v for lv in chain._levels for v in lv.inv.values())
+
+
 def test_a_normal_closures_chain_matches_the_reference(monkeypatch):
     # also extended by seeds that did not grow it
     g = tower_group(parse_tower("C3;C2;C2"))
@@ -269,11 +322,16 @@ def test_a_normal_closures_chain_matches_the_reference(monkeypatch):
     assert chain_digest(chain) == chain_digest(permcore._normal_closure(g, seeds)[1])
 
 
-@pytest.mark.parametrize("tower", ["C5;C2;C2", "C3;C3;C2;C2"])
+# the four cyclic-top towers of the verify-scan benchmark, each with the
+# k its witness search fails at: its abelianization lower bound
+WITNESS_K = {"C5;C2;C2": 2, "C7;C2;C2": 2, "C3;C2;C2;C2": 3, "C3;C3;C2;C2": 2}
+
+
+@pytest.mark.parametrize("tower", WITNESS_K)
 def test_witness_candidate_chains_match_the_reference(monkeypatch, tower):
-    # the 200 seed-1 candidate pairs, none of which generates: chains of
-    # one group built one after another, each with its own sifts
-    g = tower_group(parse_tower(tower))
+    # the 200 seed-1 candidate k-tuples, none of which generates: chains
+    # of one group built one after another, each with its own sifts
+    g, k = tower_group(parse_tower(tower)), WITNESS_K[tower]
     same = []
 
     def both(h):
@@ -282,7 +340,7 @@ def test_witness_candidate_chains_match_the_reference(monkeypatch, tower):
         return chain
 
     monkeypatch.setattr(oracle, "bsgs_build", both)
-    assert oracle.find_generating_tuple(g, 2, seed=1) is None
+    assert oracle.find_generating_tuple(g, k, seed=1) is None
     assert same == [True] * 200
 
 
@@ -306,11 +364,12 @@ def _check_presentation(group: PermGroup, chain: Bsgs):
         assert all(-len(nodes) <= x < len(nodes) for x in word)  # earlier nodes only
         nodes.append(value(word))
     # one node for each transversal element but the identities and each
-    # strong generator
-    levels = chain._levels
+    # strong generator, all compared as the images of 0..degree-1
+    levels, d = chain._levels, group.degree
     assert len(definitions) == _nodes(chain)
-    kept = {u for lv in levels for pt, u in lv.orbit.items() if pt != lv.point}
-    assert {x.raw for x in nodes[len(group.generators):]} == kept | set(chain._strong)
+    kept = {u[:d] for lv in levels for pt, u in lv.orbit.items() if pt != lv.point}
+    strong = {s[:d] for s in chain._strong}
+    assert {x.raw[:d] for x in nodes[len(group.generators):]} == kept | strong
     assert all(value(word) == ident for word in relators)
     # a finite group has at least as many relators as generators
     assert len(relators) >= len(group.generators)
