@@ -94,35 +94,31 @@ def prime_factorization(n: int) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # permutations
 #
-# A permutation is stored in the one form its compositions run on, chosen
-# from the degree: up to degree 255, the 256-byte string of images padded
-# with fixed points, so that composing is bytes.translate and inverting is
-# bytes.maketrans; above 255, the tuple of images, composed by one
-# itemgetter over the left factor's images.  Both compositions run at C
-# speed.
+# A permutation is stored as its images, in a form chosen from the degree:
+# up to degree 255, the `degree` bytes of its images, composed by
+# bytes.translate and inverted by bytes.maketrans; above 255, the tuple of
+# images, composed by one itemgetter over the left factor's images.  Both
+# compositions run at C speed.
 #
-# Up to degree 255 only the right factor of bytes.translate must be a
-# 256-byte table: a.translate(t) is as long as a.  So Bsgs keeps each value
-# in the form of the role it plays.  Values it composes on the left
-# (transversal elements, Schreier generators, sift residues) are short: the
-# `degree` bytes of their images.  Values it composes on the right (strong
-# generators, inverse transversal elements) are tables, and _table pads a
-# short form into one.  Above 255 both roles share the tuple: p.raw[:degree]
-# and _table return their argument.  _pack, _composer, _table, _invert and
-# _first_moved are the only code that knows these formats.
+# bytes.translate needs its right operand as a 256-byte table, the images
+# padded with fixed points, and returns a string as long as its left one.
+# _table makes that table, and _invert returns one; above 255 the tuple is
+# its own table.  Permutation.__mul__ pads its right factor, cayley_walk
+# its generators once, and Bsgs keeps the values it composes on the right
+# (strong generators, inverse transversal elements) as tables.  _pack,
+# _composer, _table, _invert and _first_moved are the only code that knows
+# these formats.
 
 _IDENT256 = bytes(range(256))
 
 
 def _pack(images):
     """Stored form of a sequence of images of 0..m-1."""
-    if len(images) <= 255:
-        return bytes(images) + _IDENT256[len(images):]
-    return tuple(images)
+    return bytes(images) if len(images) <= 255 else tuple(images)
 
 
 def _table(a):
-    """The right-operand form of a: a short form padded with fixed points."""
+    """The right-operand form of a: its images padded with fixed points."""
     return a + _IDENT256[len(a):] if type(a) is bytes else a
 
 
@@ -137,7 +133,7 @@ def _composer(degree: int):
 
 
 def _first_moved(a) -> int:
-    """Least point a stored or short form moves; a is not the identity."""
+    """Least point a stored form or table moves; a is not the identity."""
     if type(a) is bytes:
         # read big-endian, a XOR identity has its highest set bit in the
         # first byte where they differ
@@ -147,7 +143,7 @@ def _first_moved(a) -> int:
 
 
 def _invert(a):
-    """Inverse of a stored form; of a short form, as a table."""
+    """Inverse of a stored form, as a table."""
     if type(a) is bytes:
         return bytes.maketrans(a, _IDENT256[:len(a)])
     inv = [0] * len(a)
@@ -188,10 +184,11 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if other.degree != self.degree:
             raise DegreeMismatch("cannot compose permutations of different degree")
-        return Permutation._wrap(self.degree, _composer(self.degree)(self.raw, other.raw))
+        return Permutation._wrap(self.degree,
+                                 _composer(self.degree)(self.raw, _table(other.raw)))
 
     def inverse(self) -> "Permutation":
-        return Permutation._wrap(self.degree, _invert(self.raw))
+        return Permutation._wrap(self.degree, _invert(self.raw)[:self.degree])
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -235,9 +232,7 @@ class Permutation:
         return math.lcm(*(len(c) for c in self.cycles()))
 
     def __eq__(self, other) -> bool:
-        # padded identities of different degrees share their stored form
-        return (isinstance(other, Permutation) and self.degree == other.degree
-                and self.raw == other.raw)
+        return isinstance(other, Permutation) and self.raw == other.raw
 
     def __hash__(self) -> int:
         return hash(self.raw)
@@ -296,7 +291,7 @@ class _Level:
     def __init__(self, point, ident):
         self.point = point
         self.gens = []  # strong generators fixing all base points above, as tables
-        self.orbit = {point: ident}  # pt -> u with u(base point) = pt, short
+        self.orbit = {point: ident}  # pt -> u with u(base point) = pt
         self.inv = {point: _table(ident)}  # pt -> u^-1, as a table
         self.pending = deque()  # (orbit point, generator index) not yet expanded
 
@@ -333,7 +328,7 @@ class Bsgs:
 
     def __init__(self, degree: int):
         self.degree = degree
-        self._ident = Permutation.identity(degree).raw[:degree]  # short
+        self._ident = Permutation.identity(degree).raw
         self._compose = _composer(degree)
         self._levels: list[_Level] = []
         self._strong: list = []  # tables, insertion order
@@ -354,14 +349,14 @@ class Bsgs:
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise DegreeMismatch("membership test across degrees")
-        r, _ = self._sift(p.raw[:self.degree])
+        r, _ = self._sift(p.raw)
         return r is None
 
     def extend(self, p: Permutation) -> bool:
         """Add a generator; returns True if the group grew."""
         if p.degree != self.degree:
             raise DegreeMismatch("generator degree differs from chain degree")
-        r, lvl = self._sift(p.raw[:self.degree])
+        r, lvl = self._sift(p.raw)
         self._calls.append(None if r is None else lvl)
         if r is None:
             return False
@@ -373,7 +368,7 @@ class Bsgs:
     # -- internals ----------------------------------------------------------
 
     def _sift(self, g, start=0):
-        """Reduce short g through levels start..; returns (residue or None, level).
+        """Reduce stored form g through levels start..; returns (residue or None, level).
 
         The residue fixes the base points of levels start..level-1 and, if
         level < len(levels), moves the base point there.  None means g is
@@ -502,8 +497,7 @@ class Bsgs:
             word = names[i][pt] + [strong[i][gi]] + [~x for x in names[i][q]]
             return sift(word, compose(compose(lv.orbit[pt], s), lv.inv[q]), i + 1, hi, residue)
 
-        degree = self.degree
-        residues = (r[:degree] for r in self._strong)
+        residues = (r[:self.degree] for r in self._strong)
         for rec in self._defs:
             node = len(gens) + len(definitions)
             if len(rec) == 3:  # the tree edge that adds pt^s to level i's orbit
@@ -513,14 +507,14 @@ class Bsgs:
                 continue
             if len(rec) == 2:  # the residue of letter x
                 x, hi = rec
-                word, lo = sift([x], gens[x].raw[:degree], 0, hi, next(residues)), 0
+                word, lo = sift([x], gens[x].raw, 0, hi, next(residues)), 0
             else:
                 i, pt, gi, hi = rec
                 word, lo = schreier(i, pt, gi, hi, next(residues)), i + 1
             for m in range(lo, hi + 1):
                 strong[m].append(node)
             definitions.append(word)
-        relators = [sift([x], gens[x].raw[:degree], 0, top, ident)
+        relators = [sift([x], gens[x].raw, 0, top, ident)
                     for x, hi in enumerate(self._calls) if hi is None]
         defined = {rec[:3] for rec in self._defs if len(rec) > 2}
         for i, lv in enumerate(levels):
@@ -590,7 +584,7 @@ def cayley_walk(degree: int, gens):
     group against its own budget before it walks.
     """
     ident = Permutation.identity(degree).raw
-    raw_gens = [s.raw for s in gens]
+    raw_gens = [_table(s.raw) for s in gens]
     compose = _composer(degree)
     index = {ident: 0}
     order = [ident]
@@ -643,8 +637,8 @@ def abelian_p_ranks(g: PermGroup, primes) -> dict[int, int]:
     so d_p(G/G') = v_p(|G:N|).
     """
     primes = list(dict.fromkeys(primes))
-    if any(p < 2 for p in primes):
-        raise ValueError("p must be a prime >= 2")
+    if any(prime_factorization(p) != {p: 1} for p in primes):
+        raise ValueError("each p must be a prime")
     r = math.prod(primes)
     gens = g.generators
     seeds = _commutators(gens) + [s ** (r % s.order()) for s in gens]

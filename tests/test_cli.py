@@ -22,14 +22,18 @@ def run(capsys, *argv):
     return code, json.loads(out)
 
 
-def run_process(*argv, timeout=30, python_flags=()):
+def process(*argv, timeout=30, python_flags=()) -> subprocess.CompletedProcess:
     """The CLI in a fresh interpreter, for inputs whose failure mode is a
     hang: a run past the timeout fails the test."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, *python_flags, "-m", "wreathgen.cli", *argv],
+    return subprocess.run([sys.executable, *python_flags, "-m", "wreathgen.cli", *argv],
                           capture_output=True, text=True, timeout=timeout, env=env)
+
+
+def run_process(*argv, timeout=30, python_flags=()):
+    proc = process(*argv, timeout=timeout, python_flags=python_flags)
     return proc.returncode, json.loads(proc.stdout)
 
 
@@ -431,6 +435,16 @@ def test_out_flag_writes_identical_json(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 0
     assert path.read_text() == out
+
+
+def test_an_out_path_that_cannot_be_written_is_bad_input(tmp_path):
+    # a missing directory and a directory: exit 2 with the reason, before
+    # any document or traceback
+    for argv in (["example", "--n", "5", "--out", str(tmp_path / "missing" / "x.json")],
+                 ["formula", "--tower", "C2", "--out", str(tmp_path)]):
+        proc = process(*argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "argument --out: can't open" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -216,6 +216,26 @@ def test_only_a_permgroup_writes_its_chain():
     assert set().union(*(chain_writes(p.read_text()) for p in SOURCES)) == set()
 
 
+def raw_readers(source: str) -> set[str]:
+    """Each read of an attribute `raw` in a module, as source text: how a
+    permutation is stored is permcore's decision, so no other module reads
+    a stored form."""
+    return {ast.unparse(n) for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and n.attr == "raw" and isinstance(n.ctx, ast.Load)}
+
+
+def test_raw_readers_are_found():
+    src = "def f(p, q):\n    q.raw = p.raw[0]\n    return q.g.raw, p.raw_size, raw\n"
+    assert raw_readers(src) == {"p.raw", "q.g.raw"}
+    oracle = next(p for p in SOURCES if p.name == "oracle.py").read_text()
+    assert raw_readers(oracle + "\ndef planted(p):\n    return p.raw[0]\n") == {"p.raw"}
+
+
+def test_only_permcore_reads_a_stored_form():
+    assert set().union(*(raw_readers(p.read_text()) for p in SOURCES
+                         if p.name != "permcore.py")) == set()
+
+
 PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 
 # read only by tests, which build most of their groups from cycle text;

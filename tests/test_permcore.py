@@ -126,25 +126,44 @@ def _windowed(draw, n, size=8):
 
 @given(st.one_of(st.integers(1, 255), st.integers(256, 260)).flatmap(
     lambda n: st.tuples(_windowed(n), st.permutations(range(n)))))
-def test_short_forms_agree_with_plain_tuples(pair):
-    # Bsgs composes short forms, `degree` bytes up to degree 255, on the
-    # left of tables; above 255 both are the tuple of images
+def test_stored_forms_and_tables_agree_with_plain_tuples(pair):
+    # a stored form is the `degree` bytes of the images up to degree 255
+    # and the tuple above; the right operand of a composition is a table,
+    # the bytes padded with fixed points to 256, the tuple itself above 255
     a, b = pair[0], tuple(pair[1])
     n = len(a)
-    short_a, short_b = Permutation(a).raw[:n], Permutation(b).raw[:n]
+    raw_a, raw_b = Permutation(a).raw, Permutation(b).raw
     compose = _composer(n)
     ab, ba = tuple(b[x] for x in a), tuple(a[x] for x in b)
     inverse = tuple(sorted(range(n), key=a.__getitem__))
-    # a table is the stored form, so it is a right operand for both forms
-    assert _table(short_a) == Permutation(a).raw and _table(short_b) == Permutation(b).raw
-    assert compose(short_a, _table(short_b)) == Permutation(ab).raw[:n]
-    assert tuple(compose(short_b, _table(short_a))) == ba
-    assert compose(Permutation(a).raw, _table(short_b)) == Permutation(ab).raw
-    assert _invert(short_a) == Permutation(inverse).raw
-    assert tuple(compose(short_a, _invert(short_a))) == tuple(range(n))
+    if n <= 255:
+        assert raw_a == bytes(a) and _table(raw_a) == bytes(a) + bytes(range(n, 256))
+    else:
+        assert raw_a == a and _table(raw_a) == a
+    assert compose(raw_a, _table(raw_b)) == Permutation(ab).raw
+    assert tuple(compose(raw_b, _table(raw_a))) == ba
+    # a table composed on the left is the table of the product
+    assert compose(_table(raw_a), _table(raw_b)) == _table(Permutation(ab).raw)
+    assert _invert(raw_a) == _table(Permutation(inverse).raw)
+    assert tuple(compose(raw_a, _invert(raw_a))) == tuple(range(n))
     if a != tuple(range(n)):
-        assert _first_moved(short_a) == min(x for x in range(n) if a[x] != x)
-        assert _first_moved(_table(short_a)) == _first_moved(short_a)
+        assert _first_moved(raw_a) == min(x for x in range(n) if a[x] != x)
+        assert _first_moved(_table(raw_a)) == _first_moved(raw_a)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 260).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)), st.permutations(range(n)),
+    st.just(()) if n == 0 else _windowed(n, 4))))
+def test_a_stored_form_holds_exactly_its_degree_images(drawn):
+    # the small window keeps the walked group small at every degree
+    p, q, w = Permutation(drawn[0]), Permutation(drawn[1]), Permutation(drawn[2])
+    n = p.degree
+    made = [p * q, p.inverse(), Permutation.identity(n), parse_cycles(format_cycles(p), n),
+            *cayley_walk(n, [w, w.inverse()])[0]]
+    assert all(len(x.raw) == x.degree == n for x in made)
+    assert all(type(x.raw) is (bytes if n <= 255 else tuple) for x in made)
+    assert Permutation.identity(3).raw != Permutation.identity(5).raw
 
 
 def test_pow_and_order():
@@ -307,9 +326,10 @@ def test_chains_at_the_ends_of_both_forms_match_the_reference_and_sympy(images):
     assert chain_digest(chain) == chain_digest(reference_build(group))
     assert chain.order() == PermutationGroup([SympyPermutation(list(g)) for g in images]).order()
     assert all(chain.contains(g) for g in group.generators)
-    # the tables a chain composes on the right are stored forms
-    assert all(Permutation(s[:n]).raw == s for s in chain._strong)
-    assert all(Permutation(v[:n]).raw == v for lv in chain._levels for v in lv.inv.values())
+    # the values a chain composes on the right are the tables of stored forms
+    assert all(_table(Permutation(s[:n]).raw) == s for s in chain._strong)
+    assert all(_table(Permutation(v[:n]).raw) == v
+               for lv in chain._levels for v in lv.inv.values())
 
 
 def test_a_normal_closures_chain_matches_the_reference(monkeypatch):
@@ -367,9 +387,9 @@ def _check_presentation(group: PermGroup, chain: Bsgs):
     # strong generator, all compared as the images of 0..degree-1
     levels, d = chain._levels, group.degree
     assert len(definitions) == _nodes(chain)
-    kept = {u[:d] for lv in levels for pt, u in lv.orbit.items() if pt != lv.point}
+    kept = {u for lv in levels for pt, u in lv.orbit.items() if pt != lv.point}
     strong = {s[:d] for s in chain._strong}
-    assert {x.raw[:d] for x in nodes[len(group.generators):]} == kept | strong
+    assert {x.raw for x in nodes[len(group.generators):]} == kept | strong
     assert all(value(word) == ident for word in relators)
     # a finite group has at least as many relators as generators
     assert len(relators) >= len(group.generators)
@@ -607,6 +627,17 @@ def test_abelian_p_ranks_build_one_chain(monkeypatch):
     assert abelian_p_ranks(tower_group(parse_tower("C3;C2;C2")), [5, 7]) == {5: 0, 7: 0}
     with pytest.raises(ValueError):
         abelian_p_ranks(g, [1])
+
+
+def test_abelian_p_ranks_refuse_a_p_that_is_not_prime():
+    # unrefused, C2;C2 answered {4: 1} for [4], and [6] there and [4] on
+    # C4;C2 raised ConsistencyError, which reports a bug
+    c2c2, c4c2 = tower_group(parse_tower("C2;C2")), tower_group(parse_tower("C4;C2"))
+    for group, primes in ((c2c2, [4]), (c2c2, [6]), (c4c2, [4]), (c2c2, [2, 9]),
+                          (c2c2, [0]), (c2c2, [-3])):
+        with pytest.raises(ValueError, match="prime"):
+            abelian_p_ranks(group, primes)
+    assert abelian_p_ranks(c2c2, [2, 3]) == {2: 2, 3: 0}
 
 
 # strong pseudoprimes to the first 4, 5, 6, 8, 11 and 12 prime bases: for
