@@ -4,13 +4,17 @@ Nothing in here consults the closed forms: lower bounds come from the
 abelianization rank, non-cyclicity, or an exhaustive scan over tuples of
 Cayley-table indices, and upper bounds come from explicit witness tuples
 whose generated chain order is compared with the group order.  Formula
-and oracle meeting in the middle is the point of the exercise.
+and oracle meeting in the middle is the point of the exercise.  For a
+tower group the abelianization rank is read off the generators' local
+actions; each level's characters are worked out here from the level's
+kind and degree, never from the closed form's per-level facts.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .permcore import (
@@ -23,6 +27,7 @@ from .permcore import (
     format_cycles,
     prime_factorization,
 )
+from .wreath import GroupSpec, TowerSpec, local_actions
 
 
 # the exhaustive scan's Cayley table is budgeted in its own bytes; 800 MB
@@ -171,13 +176,77 @@ class CayleyTable:
         return size
 
 
-def d_lower_bound(g: PermGroup) -> tuple[int, str]:
+def _pair_partition(s: Permutation) -> int:
+    """Alt 4 -> Z_3: s permutes the three pair partitions of {0, 1, 2, 3}
+    by a rotation, which moves {01|23} to {0a|bc}; the rotation is a - 1."""
+    images = [s(x) for x in range(4)]
+    j = images.index(0)
+    return images[j ^ 1] - 1  # the point paired with 0 in the image of {01|23}
+
+
+def _characters(spec: GroupSpec) -> list[tuple[int, Callable[[Permutation], int]]]:
+    """Homomorphisms f from a level's group onto Z_p, as (p, f), one per
+    Z_p factor of its abelianization: the rotation mod p for Cyc n, each
+    prime p dividing n; the sign for Sym n; the pair partitions for Alt 4;
+    none for Alt n, n >= 5."""
+    if spec.kind == "C":
+        return [(p, lambda s, p=p: s(0) % p) for p in prime_factorization(spec.n)]
+    if spec.kind == "S":
+        return [(2, Permutation.parity)]
+    return [(3, _pair_partition)] if spec.n == 4 else []
+
+
+def _rank_mod(rows: list[list[int]], p: int) -> int:
+    """F_p-rank of integer rows, by plain elimination."""
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows if r[c] % p), None)
+        if pivot is None:
+            continue
+        scale = pow(pivot[c], -1, p)
+        rows = [[(x - r[c] * scale * y) % p for x, y in zip(r, pivot)]
+                for r in rows if r is not pivot]
+        rank += 1
+    return rank
+
+
+def level_sum_ranks(g: PermGroup, tower: TowerSpec) -> dict[int, int]:
+    """{p: d_p of g's image under the level sums}, for a g inside the
+    tower's group W.
+
+    For a character f: G_i -> Z_p the level sum phi(w) = sum over the
+    vertices v of level i of f(sigma_v(w)) is a homomorphism W -> Z_p,
+    since sigma_v(wu) = sigma_v(w) sigma_{v^w}(u) and v -> v^w permutes
+    the level.  The images of g's generators span g's image in F_p^m, m
+    the characters at p, so their rank r gives d(g) >= r.  Every
+    generator's local actions are read, which refuses one outside W with
+    ConsistencyError, before any rank is taken.
+    """
+    actions = [local_actions(tower, w) for w in g.generators]
+    # per prime, one vector per character: its level sum at each generator
+    # (the transpose of the generators' images, which has the same rank)
+    sums: dict[int, list[list[int]]] = {}
+    for i, spec in enumerate(tower.levels):
+        for p, f in _characters(spec):
+            sums.setdefault(p, []).append([sum(map(f, acts[i])) for acts in actions])
+    return {p: _rank_mod(vectors, p) for p, vectors in sums.items()}
+
+
+def d_lower_bound(g: PermGroup, tower: TowerSpec | None = None) -> tuple[int, str]:
     """Certificate-backed lower bound: max of the abelianization rank and
-    2 when the group is (exactly determined to be) non-cyclic."""
+    2 when the group is (exactly determined to be) non-cyclic.
+
+    With the tower whose group g lies in, the rank is read off the
+    generators' local actions (`level_sum_ranks`); a group given without
+    one builds the chain of G'G^r (`permcore.abelian_p_ranks`)."""
     order = g.order()
     if order == 1:
         return 0, "trivial"
-    d_ab = max(abelian_p_ranks(g, prime_factorization(order)).values())
+    if tower is None:
+        ranks = abelian_p_ranks(g, prime_factorization(order))
+    else:
+        ranks = level_sum_ranks(g, tower)
+    d_ab = max(ranks.values(), default=0)
     if d_ab < 2 and not g.is_abelian():  # d_ab < 2: cyclic exactly when abelian
         return 2, "noncyclic"
     return max(d_ab, 1), "abelianization"
@@ -236,16 +305,18 @@ def find_generating_tuple(g: PermGroup, k: int, seed: int = 1, attempts: int = 2
     return None
 
 
-def min_generators(g: PermGroup, seed: int = 1, attempts: int = 200) -> GenResult:
+def min_generators(g: PermGroup, seed: int = 1, attempts: int = 200,
+                   tower: TowerSpec | None = None) -> GenResult:
     """Bracket d(g) between certified bounds; exact when they meet.
 
     Lower bounds never come from the closed forms: the ladder is
-    abelianization rank, then non-cyclicity, then exhaustive k-tuple
+    abelianization rank (read off the tower's local actions when g is
+    given with its tower), then non-cyclicity, then exhaustive k-tuple
     scans (only where the table fits TABLE_BYTE_BUDGET).  The upper
     bound is always held by an explicit witness; the generating set
     itself serves as the initial one.
     """
-    lower, cert = d_lower_bound(g)
+    lower, cert = d_lower_bound(g, tower)
     witness = tuple(p for p in dict.fromkeys(g.generators) if not p.is_identity())
     upper = len(witness)
     can_exhaust = _table_fits(g.order())

@@ -231,6 +231,10 @@ class Permutation:
     def order(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles()))
 
+    def parity(self) -> int:
+        """0 for an even permutation, 1 for an odd one."""
+        return sum(len(c) - 1 for c in self.cycles()) % 2
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.raw == other.raw
 

@@ -24,6 +24,7 @@ from .permcore import (
     PermGroup,
     Permutation,
     bsgs_build,
+    format_cycles,
     prime_factorization,
 )
 
@@ -243,6 +244,50 @@ def apply_at_vertex(t: TowerSpec, vertex: tuple[int, ...], sigma: Permutation) -
         for off in range(block):
             images[src + off] = dst + off
     return Permutation(images)
+
+
+def local_actions(t: TowerSpec, w: Permutation) -> list[list[Permutation]]:
+    """How w moves the children of each vertex: per level i, top-first,
+    the local action sigma_v(w) of degree n_i at each vertex v of depth
+    i-1, vertices in leaf order.  Child c of v goes to child sigma_v(w)(c)
+    of v's image, so sigma_v(wu) = sigma_v(w) * sigma_{v^w}(u).
+
+    Read off w's leaf images.  Raises ConsistencyError unless w lies in
+    the tower group: it keeps every level's blocks of leaves together and
+    each local action lies in G_i (even for Alt n, a rotation for Cyc n).
+    """
+    if w.degree != t.leaf_count():
+        raise ConsistencyError(f"a permutation of degree {w.degree} is no element "
+                               f"of the {t.leaf_count()}-leaf tower {t.text()}")
+    images = [w(x) for x in range(w.degree)]
+    out = []
+    for i, (spec, stride) in enumerate(zip(t.levels, t.strides()), start=1):
+        # the children at level i are the blocks of `stride` leaves; the
+        # blocks of level i-1 were checked one pass earlier, so the n_i
+        # children of a vertex go to the children of one vertex
+        blocks = [y // stride for y in images]
+        heads = blocks[::stride]
+        if stride > 1 and any(blocks[b * stride:(b + 1) * stride].count(h) != stride
+                              for b, h in enumerate(heads)):
+            raise ConsistencyError(f"{format_cycles(w)} splits a block of level {i} "
+                                   f"of {t.text()}")
+        n = spec.n
+        moves = [h % n for h in heads]
+        level, seen = [], {}  # each distinct local action is built and checked once
+        for v in range(0, len(moves), n):
+            key = tuple(moves[v:v + n])
+            sigma = seen.get(key)
+            if sigma is None:
+                sigma = seen[key] = Permutation(key)
+                r = key[0]
+                if (spec.kind == "A" and sigma.parity()
+                        or spec.kind == "C" and key != tuple(range(r, n)) + tuple(range(r))):
+                    raise ConsistencyError(f"{format_cycles(w)} acts by {format_cycles(sigma)}, "
+                                           f"not an element of {spec.token()}, at level {i} "
+                                           f"of {t.text()}")
+            level.append(sigma)
+        out.append(level)
+    return out
 
 
 def tower_generators(t: TowerSpec) -> list[Permutation]:

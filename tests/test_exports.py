@@ -236,6 +236,40 @@ def test_only_permcore_reads_a_stored_form():
                          if p.name != "permcore.py")) == set()
 
 
+def closed_form_reads(source: str) -> set[str]:
+    """What a module takes from the closed form, as source text: each
+    import that names the module `formula` and each read of
+    `abelian_primes`, the per-level facts the closed form counts with."""
+    found = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in n.names] + [getattr(n, "module", None) or ""]
+            if any("formula" in name.split(".") for name in names):
+                found.add(ast.unparse(n))
+        elif (isinstance(n, ast.Attribute) and n.attr == "abelian_primes"
+              or isinstance(n, ast.Name) and n.id == "abelian_primes"
+              or isinstance(n, ast.Constant) and n.value == "abelian_primes"):
+            found.add(ast.unparse(n))
+    return found
+
+
+def test_closed_form_reads_are_found():
+    oracle = next(p for p in SOURCES if p.name == "oracle.py").read_text()
+    planted = ("from .formula import d_tower\nfrom . import formula as f\n"
+               "import wreathgen.formula\nfrom .wreath import formula_like\n"
+               "def g(t):\n    return [s.abelian_primes for s in t.levels], "
+               "getattr(t, 'abelian_primes')\n")
+    assert closed_form_reads(oracle + planted) == {
+        "from .formula import d_tower", "from . import formula as f", "import wreathgen.formula",
+        "s.abelian_primes", "'abelian_primes'"}
+
+
+def test_the_oracle_reads_nothing_of_the_closed_form():
+    # its lower bounds are independent of the formula they certify
+    oracle = next(p for p in SOURCES if p.name == "oracle.py")
+    assert closed_form_reads(oracle.read_text()) == set()
+
+
 PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 
 # read only by tests, which build most of their groups from cycle text;

@@ -1,8 +1,10 @@
 """Brute-force generation oracle: tables, bounds, certificates."""
 
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -10,13 +12,31 @@ from wreathgen import oracle
 from wreathgen.oracle import (
     CayleyTable,
     GenResult,
+    _characters,
     _scan_for_generating_tuple,
     d_lower_bound,
     find_generating_tuple,
+    level_sum_ranks,
     min_generators,
 )
-from wreathgen.permcore import BudgetExceeded, PermGroup, Permutation, parse_cycles
-from wreathgen.wreath import parse_tower, tower_group
+from wreathgen.permcore import (
+    BudgetExceeded,
+    ConsistencyError,
+    PermGroup,
+    Permutation,
+    abelian_p_ranks,
+    parse_cycles,
+    prime_factorization,
+)
+from wreathgen.wreath import (
+    GroupSpec,
+    TowerSpec,
+    apply_at_vertex,
+    parse_tower,
+    standard_generators,
+    tower_generators,
+    tower_group,
+)
 
 
 def _s3():
@@ -139,6 +159,119 @@ def test_lower_bound_ladder():
     assert d_lower_bound(tower_group(parse_tower("C2;C2;C2"))) == (3, "abelianization")
 
 
+# ------------------------------------------- level sums of local actions
+
+def homomorphism_failure(ct: CayleyTable, f, p):
+    """The first pair (a, b) of the table's elements with f(ab) != f(a) +
+    f(b) mod p, or None when f is a homomorphism from the group to Z_p."""
+    value = np.array([f(e) % p for e in ct.elements])
+    bad = np.argwhere(value[ct.table] != (value[:, None] + value[None, :]) % p)
+    return None if not len(bad) else tuple(ct.elements[i] for i in bad[0])
+
+
+# A3 and S2 are made as C3 and C2
+_LEVELS = [GroupSpec(kind, n) for kind, lo in (("A", 4), ("S", 3), ("C", 2))
+           for n in range(lo, 7)]
+# the Z_p factors of each level's abelianization
+_EXPECTED_PRIMES = {"A4": [3], "A5": [], "A6": [], "C4": [2], "C6": [2, 3]}
+
+
+@pytest.mark.parametrize("spec", _LEVELS, ids=lambda s: s.token())
+def test_each_character_is_a_homomorphism_onto_z_p(spec):
+    # every pair of elements, through the table's products
+    ct = CayleyTable.build(PermGroup(spec.n, standard_generators(spec)))
+    assert len(ct) == spec.order()
+    chars = _characters(spec)
+    want = _EXPECTED_PRIMES.get(spec.token(), list(prime_factorization(spec.n))
+                                if spec.kind == "C" else [2])
+    assert [p for p, _ in chars] == want
+    for p, f in chars:
+        assert homomorphism_failure(ct, f, p) is None
+        assert {f(e) % p for e in ct.elements} == set(range(p))  # onto, so not constant
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("S", 4), GroupSpec("A", 4), GroupSpec("S", 5)],
+                         ids=lambda s: s.token())
+def test_a_planted_non_homomorphism_fails_the_check(spec):
+    ct = CayleyTable.build(PermGroup(spec.n, standard_generators(spec)))
+    fixed_points = lambda s: sum(s(x) == x for x in range(s.degree))
+    a, b = homomorphism_failure(ct, fixed_points, 2)
+    assert (fixed_points(a * b) - fixed_points(a) - fixed_points(b)) % 2
+
+
+def _planted_non_members():
+    """(tower, a leaf permutation outside its group, what the refusal names)"""
+    s3c2 = parse_tower("S3;C2")  # leaves 1,2 | 3,4 | 5,6
+    c2a5 = parse_tower("C2;A5")
+    c2c4 = parse_tower("C2;C4")
+    return [
+        (s3c2, parse_cycles("(2 3)", 6), "splits a block of level 1"),
+        (c2a5, apply_at_vertex(c2a5, (2,), parse_cycles("(1 2)", 5)), "not an element of A5"),
+        (c2c4, apply_at_vertex(c2c4, (1,), parse_cycles("(2 4)", 4)), "not an element of C4"),
+    ]
+
+
+@pytest.mark.parametrize("tower,bad,names", _planted_non_members(),
+                         ids=["across-top-subtrees", "odd-at-A5", "reflection-at-C4"])
+def test_a_non_member_of_the_tower_group_is_refused_before_any_rank(monkeypatch, tower,
+                                                                     bad, names):
+    def no_rank(*args):
+        raise AssertionError("a rank was read")
+
+    monkeypatch.setattr(oracle, "_rank_mod", no_rank)
+    monkeypatch.setattr(oracle, "abelian_p_ranks", no_rank)
+    # the planted generator comes last, after members that pass the check
+    g = PermGroup(tower.leaf_count(), tower_generators(tower) + [bad])
+    with pytest.raises(ConsistencyError, match=names):
+        d_lower_bound(g, tower)
+    with pytest.raises(ConsistencyError, match=names):
+        min_generators(g, tower=tower)
+    # the members alone do reach the rank, so the refusal came first
+    with pytest.raises(AssertionError, match="a rank was read"):
+        d_lower_bound(tower_group(tower), tower)
+
+
+def _pool_towers(max_leaves=64):
+    """The acceptance suite's towers (its ten levels, any height) of at
+    most max_leaves leaves."""
+    pool = [GroupSpec(k, n) for k, n in [("A", 4), ("A", 5), ("S", 3), ("S", 4), ("S", 5),
+                                         ("C", 2), ("C", 3), ("C", 4), ("C", 5), ("C", 6)]]
+    out, height = [], [()]
+    while height:  # the towers of one more level, grown from those that fit
+        height = [c + (s,) for c in height for s in pool
+                  if math.prod(x.n for x in c) * s.n <= max_leaves]
+        out += map(TowerSpec, height)
+    return out
+
+
+# the items of the benchmark's `verify-scan` workload, A4;C3 twice
+_VERIFY_SCAN = ["C5;C2;C2", "C7;C2;C2", "C3;C2;C2;C2", "C3;C3;C2;C2", "C3;A4", "A4;C3",
+                "C2;S3", "S3;C2", "S3;C2;C2", "C2;C2", "C2;C2;C2", "C17;C3;C5", "C16;C16",
+                "C2;S4", "C2;C3;C2", "A4;C3", "C3;S3", "C2;C2;C3"]
+
+
+def test_level_sum_ranks_agree_with_the_chain_of_g_prime_g_r():
+    # every third of the 977 pool towers, and the verify-scan towers; the
+    # chain reference takes about 2 s for all 977
+    pool = _pool_towers()
+    assert len(pool) == 977
+    scan = [parse_tower(x) for x in _VERIFY_SCAN]
+    rng = random.Random(29)
+    for t in pool[::3] + scan:
+        g = tower_group(t)
+        chain = abelian_p_ranks(g, prime_factorization(g.order()))
+        sums = level_sum_ranks(g, t)
+        assert set(sums) <= set(chain), t.text()
+        assert {p: sums.get(p, 0) for p in chain} == chain, t.text()
+        # the tower's generators act at the leftmost vertices only; their
+        # conjugates by an element of W generate W too, and act anywhere
+        w = math.prod((rng.choice(g.generators) for _ in range(6)), start=g.generators[0])
+        moved = PermGroup(g.degree, [x.conj(w) for x in g.generators])
+        assert level_sum_ranks(moved, t) == sums, t.text()
+        if t in scan:
+            assert d_lower_bound(g, t) == d_lower_bound(g), t.text()
+
+
 # ------------------------------------------------------- exhaustive scanning
 
 def _reference_scan(ct: CayleyTable, k: int):
@@ -236,6 +369,13 @@ def test_min_generators_frozen_towers():
         r = min_generators(tower_group(parse_tower(text)), seed=1)
         assert r.status == "exact", text
         assert r.lower == r.upper == d, text
+
+
+def test_min_generators_reads_the_same_bounds_off_the_tower():
+    for text in ("S3;C2", "A4;C3", "C2;C2", "C2;S3", "C2;C2;C2", "S3;C2;C2", "C3;C3", "C4;C2"):
+        t = parse_tower(text)
+        g = tower_group(t)
+        assert min_generators(g, seed=1, tower=t) == min_generators(g, seed=1), text
 
 
 def test_min_generators_plain_groups():

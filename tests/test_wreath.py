@@ -250,6 +250,34 @@ def test_projection_is_homomorphism_onto_top():
     assert top.order() == 60  # images generate A5
 
 
+def test_local_actions_of_a_vertex_move():
+    # sigma at the vertex it is applied at, the identity at every other
+    t = parse_tower("C2;S3;C4")
+    sigma = parse_cycles("(1 3)", 3)
+    acts = wreath.local_actions(t, apply_at_vertex(t, (2,), sigma))
+    assert [len(level) for level in acts] == [1, 2, 6]
+    assert acts[1] == [Permutation.identity(3), sigma]
+    assert all(s.is_identity() for level in (acts[0], acts[2]) for s in level)
+    with pytest.raises(ConsistencyError, match="degree 12"):
+        wreath.local_actions(parse_tower("C2;S3"), Permutation.identity(12))
+
+
+@pytest.mark.parametrize("text", ["A4;C3;C2", "C3;S3;C4", "C2;A5"])
+def test_local_actions_compose_by_the_wreath_rule(text):
+    # sigma_v(wu) = sigma_v(w) * sigma_{v^w}(u), where v^w is the vertex
+    # w moves v to; its projection on the level above
+    t = parse_tower(text)
+    gens = tower_generators(t)
+    rng = random.Random(11)
+    for _ in range(20):
+        w = math.prod((rng.choice(gens) for _ in range(5)), start=gens[0])
+        u = math.prod((rng.choice(gens) for _ in range(5)), start=gens[-1])
+        aw, au, awu = (wreath.local_actions(t, x) for x in (w, u, w * u))
+        for i in range(t.k):
+            moved = project(t, w, i) if i else Permutation.identity(1)
+            assert awu[i] == [aw[i][v] * au[i][moved(v)] for v in range(len(aw[i]))]
+
+
 def test_mixed_tower_composition():
     a = apply_at_vertex(parse_tower("C2;C2"), (), Permutation((1, 0)))
     b = apply_at_vertex(parse_tower("C2;C3"), (), Permutation((1, 0)))
