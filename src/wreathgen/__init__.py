@@ -14,9 +14,7 @@ from .permcore import (
     ParseError,
     PermGroup,
     Permutation,
-    abelian_p_ranks,
     bsgs_build,
-    derived_subgroup,
     format_cycles,
     parse_cycles,
 )
@@ -71,12 +69,11 @@ __all__ = [
     "ConsistencyError", "CyclicTopError", "DegreeMismatch",
     "FormulaResult", "FpModule", "GenResult", "GroupSpec",
     "IpReport", "ParseError", "PermGroup", "Permutation",
-    "TowerSpec", "TrivialLevelError", "abelian_p_ranks",
-    "abelianization", "apply_at_vertex", "bsgs_build", "check_Ip_structure",
+    "TowerSpec", "TrivialLevelError", "abelianization",
+    "apply_at_vertex", "bsgs_build", "check_Ip_structure",
     "cocycle_dims", "cohomology_of_Ip", "counting_profile", "d_corollary",
-    "d_lower_bound", "d_tower", "derived_subgroup",
-    "example_generators", "example_tower", "find_generating_tuple",
-    "format_cycles", "h_param", "min_generators", "parse_cycles",
-    "parse_group", "parse_tower", "standard_generators",
+    "d_lower_bound", "d_tower", "example_generators", "example_tower",
+    "find_generating_tuple", "format_cycles", "h_param", "min_generators",
+    "parse_cycles", "parse_group", "parse_tower", "standard_generators",
     "tower_generators", "tower_group",
 ]

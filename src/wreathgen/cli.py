@@ -29,7 +29,6 @@ from .wreath import (
     example_tower,
     parse_group,
     parse_tower,
-    tower_group,
 )
 
 # the oracle works on explicit leaf permutations; past this many leaves
@@ -125,8 +124,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         doc["warning"] = (f"{t.leaf_count()} leaves exceed the verification "
                           f"budget of {VERIFY_LEAF_BUDGET}; formula only")
         return doc, EXIT_OK
-    oracle = min_generators(tower_group(t), seed=args.seed, attempts=args.attempts,
-                            tower=t)
+    oracle = min_generators(t, seed=args.seed, attempts=args.attempts)
     doc["oracle"] = oracle.to_json()
     doc["agree"] = oracle.lower <= res.d <= oracle.upper
     return doc, EXIT_OK if doc["agree"] else EXIT_MISMATCH

@@ -4,10 +4,11 @@ Nothing in here consults the closed forms: lower bounds come from the
 abelianization rank, non-cyclicity, or an exhaustive scan over tuples of
 Cayley-table indices, and upper bounds come from explicit witness tuples
 whose generated chain order is compared with the group order.  Formula
-and oracle meeting in the middle is the point of the exercise.  For a
-tower group the abelianization rank is read off the generators' local
-actions; each level's characters are worked out here from the level's
-kind and degree, never from the closed form's per-level facts.
+and oracle meeting in the middle is the point of the exercise.  The
+oracle's input is a tower, and the abelianization rank is read off its
+generators' local actions; each level's characters are worked out here
+from the level's kind and degree, never from the closed form's
+per-level facts.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ from .permcore import (
     BudgetExceeded,
     PermGroup,
     Permutation,
-    abelian_p_ranks,
     bsgs_build,
     cayley_walk,
     format_cycles,
     prime_factorization,
 )
-from .wreath import GroupSpec, TowerSpec, local_actions
+from .wreath import GroupSpec, TowerSpec, local_actions, tower_group
 
 
 # the exhaustive scan's Cayley table is budgeted in its own bytes; 800 MB
@@ -45,7 +45,7 @@ def _table_fits(order: int) -> bool:
 @dataclass
 class GenResult:
     lower: int
-    lower_certificate: str  # "abelianization" | "noncyclic" | "exhaustive(k)" | "trivial"
+    lower_certificate: str  # "abelianization" | "noncyclic" | "exhaustive(k)"
     upper: int
     witness: tuple[Permutation, ...]
     status: str  # "exact" | "bounds_only"
@@ -232,24 +232,17 @@ def level_sum_ranks(g: PermGroup, tower: TowerSpec) -> dict[int, int]:
     return {p: _rank_mod(vectors, p) for p, vectors in sums.items()}
 
 
-def d_lower_bound(g: PermGroup, tower: TowerSpec | None = None) -> tuple[int, str]:
-    """Certificate-backed lower bound: max of the abelianization rank and
-    2 when the group is (exactly determined to be) non-cyclic.
-
-    With the tower whose group g lies in, the rank is read off the
-    generators' local actions (`level_sum_ranks`); a group given without
-    one builds the chain of G'G^r (`permcore.abelian_p_ranks`)."""
-    order = g.order()
-    if order == 1:
-        return 0, "trivial"
-    if tower is None:
-        ranks = abelian_p_ranks(g, prime_factorization(order))
-    else:
-        ranks = level_sum_ranks(g, tower)
-    d_ab = max(ranks.values(), default=0)
+def d_lower_bound(g: PermGroup, tower: TowerSpec) -> tuple[int, str]:
+    """Certificate-backed lower bound on d(g), g the tower's group W given
+    by any generators: the largest rank of their level-sum images
+    (`level_sum_ranks`), or 2 when that is below 2 and two generators do
+    not commute.  Builds no chain.  The bound is at least 1, since an
+    abelian W is one cyclic level C_n, which its rotation mod p maps onto
+    Z_p for each prime p | n."""
+    d_ab = max(level_sum_ranks(g, tower).values(), default=0)
     if d_ab < 2 and not g.is_abelian():  # d_ab < 2: cyclic exactly when abelian
         return 2, "noncyclic"
-    return max(d_ab, 1), "abelianization"
+    return d_ab, "abelianization"
 
 
 def _scan_for_generating_tuple(ct: CayleyTable, k: int):
@@ -305,24 +298,24 @@ def find_generating_tuple(g: PermGroup, k: int, seed: int = 1, attempts: int = 2
     return None
 
 
-def min_generators(g: PermGroup, seed: int = 1, attempts: int = 200,
-                   tower: TowerSpec | None = None) -> GenResult:
-    """Bracket d(g) between certified bounds; exact when they meet.
+def min_generators(tower: TowerSpec, seed: int = 1, attempts: int = 200) -> GenResult:
+    """Bracket d(W), W the tower's group, between certified bounds; exact
+    when they meet.
 
     Lower bounds never come from the closed forms: the ladder is
-    abelianization rank (read off the tower's local actions when g is
-    given with its tower), then non-cyclicity, then exhaustive k-tuple
-    scans (only where the table fits TABLE_BYTE_BUDGET).  The upper
-    bound is always held by an explicit witness; the generating set
-    itself serves as the initial one.
+    abelianization rank (read off the tower's local actions), then
+    non-cyclicity, then exhaustive k-tuple scans (only where the table
+    fits TABLE_BYTE_BUDGET).  The upper bound is always held by an
+    explicit witness; the tower's generators serve as the initial one.
     """
+    g = tower_group(tower)
     lower, cert = d_lower_bound(g, tower)
-    witness = tuple(p for p in dict.fromkeys(g.generators) if not p.is_identity())
+    witness = g.generators
     upper = len(witness)
     can_exhaust = _table_fits(g.order())
     ct = None  # built at the first scan; a witness often settles d first
 
-    k = max(lower, 1)
+    k = lower
     while k < upper:
         found = find_generating_tuple(g, k, seed, attempts)
         if found is None and can_exhaust:

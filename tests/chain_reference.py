@@ -1,11 +1,14 @@
-"""Plain reference for Schreier-Sims: the library's Bsgs with every
-Schreier generator sifted, also one its build has sifted before.  Each
-sift of a repeat ends at the identity, so the library's chain must be
-this chain, record for record."""
+"""Plain references built on stabilizer chains.
+
+`ReferenceBsgs` is the library's Bsgs with every Schreier generator
+sifted, also one its build has sifted before.  Each sift of a repeat
+ends at the identity, so the library's chain must be this chain, record
+for record.  `chain_lower_bound` is the oracle's lower bound with its
+ranks read off the chain of G'G^r instead of the tree's local actions."""
 
 import hashlib
 
-from wreathgen.permcore import Bsgs, PermGroup
+from wreathgen.permcore import Bsgs, PermGroup, abelian_p_ranks, prime_factorization
 
 
 class _NothingSifted(set):
@@ -37,3 +40,13 @@ def chain_digest(chain: Bsgs) -> str:
             [(list(lv.orbit.items()), list(lv.inv.items()), lv.gens) for lv in chain._levels],
             chain._strong, chain._defs, chain._calls)
     return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+def chain_lower_bound(g: PermGroup) -> tuple[int, str]:
+    """The largest p-rank of g's abelianization (`abelian_p_ranks`), or 2
+    when that is below 2 and g is not abelian: `oracle.d_lower_bound`'s
+    rule on a group given without its tower."""
+    d_ab = max(abelian_p_ranks(g, prime_factorization(g.order())).values(), default=0)
+    if d_ab < 2 and not g.is_abelian():
+        return 2, "noncyclic"
+    return d_ab, "abelianization"

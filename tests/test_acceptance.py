@@ -56,7 +56,7 @@ def test_acceptance_01_example_tower_two_generators(capsys):
     res = d_tower(t)
     if res.d != 2:
         failures.append(f"formula d = {res.d}")
-    oracle = min_generators(tower_group(t), seed=1)
+    oracle = min_generators(t, seed=1)
     if (oracle.status, oracle.lower, oracle.upper) != ("exact", 2, 2):
         failures.append(f"oracle {oracle.status} [{oracle.lower},{oracle.upper}]")
     x, y = example_generators(5)
@@ -75,15 +75,14 @@ def test_acceptance_02_cyclic_top_needs_three(capsys):
     res = d_tower(t)
     if res.d != 3:
         failures.append(f"formula d = {res.d}")
-    g = tower_group(t)
-    if g.order() != 1536:
-        failures.append(f"order {g.order()}")
+    if t.order() != 1536:
+        failures.append(f"order {t.order()}")
     # exhaustive(2) certifies that the pair scan found no generating pair
-    oracle = min_generators(g, seed=1)
+    oracle = min_generators(t, seed=1)
     if ((oracle.status, oracle.lower, oracle.upper, oracle.lower_certificate)
             != ("exact", 3, 3, "exhaustive(2)")):
         failures.append(f"oracle {oracle.to_json()}")
-    if PermGroup(g.degree, oracle.witness).order() != g.order():
+    if PermGroup(t.leaf_count(), oracle.witness).order() != t.order():
         failures.append("the witness does not regenerate the group")
     with capsys.disabled():
         _report(2, "d = 3 on C3;C2;C2 certified by exhaustive pair scan", failures, t0, 300)
@@ -113,7 +112,7 @@ def test_acceptance_04_case_split_at_desk_scale(capsys):
         if d != want:
             failures.append(f"{text}: formula {d} != {want}")
             continue
-        oracle = min_generators(tower_group(t), seed=1)
+        oracle = min_generators(t, seed=1)
         if oracle.status != "exact" or oracle.lower != want:
             failures.append(f"{text}: oracle {oracle.to_json()}")
     with capsys.disabled():
@@ -267,11 +266,11 @@ def test_acceptance_10_property_suites(capsys):
 
     # oracle witnesses regenerate the group; fixed seeds reproduce results
     for text in ("S3;C2", "C2;S3", "A4;C3"):
-        g = tower_group(parse_tower(text))
-        r = min_generators(g, seed=1)
-        if PermGroup(g.degree, r.witness).order() != g.order():
+        t = parse_tower(text)
+        r = min_generators(t, seed=1)
+        if PermGroup(t.leaf_count(), r.witness).order() != t.order():
             failures.append(f"witness failed on {text}")
-        if min_generators(g, seed=1).to_json() != r.to_json():
+        if min_generators(t, seed=1).to_json() != r.to_json():
             failures.append(f"seed 1 not reproducible on {text}")
 
     with capsys.disabled():

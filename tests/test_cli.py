@@ -103,10 +103,10 @@ _C2_14 = ";".join(["C2"] * 14)  # order 2^16383, 4,932 decimal digits
 ])
 def test_an_order_past_the_int_to_string_limit_is_null_with_a_warning(
         capsys, monkeypatch, argv):
-    def refuse(t):
-        raise AssertionError("oracle run on a group past the order limit")
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle run on a tower past the order limit")
 
-    monkeypatch.setattr(cli, "tower_group", refuse)  # S3;S1000 has 3,000 leaves
+    monkeypatch.setattr(cli, "min_generators", refuse)  # S3;S1000 has 3,000 leaves
     code, doc = run(capsys, *argv)
     assert code == 0
     assert doc["order"] is None

@@ -236,20 +236,30 @@ def test_only_permcore_reads_a_stored_form():
                          if p.name != "permcore.py")) == set()
 
 
+def mentions(source: str, names: set[str]) -> set[str]:
+    """Each import, variable, attribute or string of a module that names
+    one of `names`, as source text."""
+    found = set()
+    for n in ast.walk(ast.parse(source)):
+        if (isinstance(n, (ast.Import, ast.ImportFrom))
+                and names & {a.name.split(".")[-1] for a in n.names}
+                or isinstance(n, ast.Attribute) and n.attr in names
+                or isinstance(n, ast.Name) and n.id in names
+                or isinstance(n, ast.Constant) and n.value in names):
+            found.add(ast.unparse(n))
+    return found
+
+
 def closed_form_reads(source: str) -> set[str]:
     """What a module takes from the closed form, as source text: each
     import that names the module `formula` and each read of
     `abelian_primes`, the per-level facts the closed form counts with."""
-    found = set()
+    found = mentions(source, {"abelian_primes"})
     for n in ast.walk(ast.parse(source)):
         if isinstance(n, (ast.Import, ast.ImportFrom)):
             names = [a.name for a in n.names] + [getattr(n, "module", None) or ""]
             if any("formula" in name.split(".") for name in names):
                 found.add(ast.unparse(n))
-        elif (isinstance(n, ast.Attribute) and n.attr == "abelian_primes"
-              or isinstance(n, ast.Name) and n.id == "abelian_primes"
-              or isinstance(n, ast.Constant) and n.value == "abelian_primes"):
-            found.add(ast.unparse(n))
     return found
 
 
@@ -268,6 +278,29 @@ def test_the_oracle_reads_nothing_of_the_closed_form():
     # its lower bounds are independent of the formula they certify
     oracle = next(p for p in SOURCES if p.name == "oracle.py")
     assert closed_form_reads(oracle.read_text()) == set()
+
+
+# the abelian ranks read off a stabilizer chain of G'G^r, which the tests
+# keep as the reference for the ranks the oracle reads off the tree
+CHAIN_ROUTE = {"abelian_p_ranks", "derived_subgroup"}
+
+
+def test_chain_route_names_are_found():
+    oracle = next(p for p in SOURCES if p.name == "oracle.py").read_text()
+    planted = ("from .permcore import abelian_p_ranks as ranks\n"
+               "from . import permcore as pc\n"
+               "def g(h):\n    return pc.derived_subgroup(h), getattr(pc, 'abelian_p_ranks'), "
+               "derived_subgroup, ranks\n")
+    assert mentions(oracle + planted, CHAIN_ROUTE) == {
+        "from .permcore import abelian_p_ranks as ranks", "pc.derived_subgroup",
+        "'abelian_p_ranks'", "derived_subgroup"}
+
+
+def test_the_oracle_takes_no_chain_route_to_its_ranks():
+    # the oracle's input is a tower, and its one lower-bound route reads
+    # the tree's local actions
+    oracle = next(p for p in SOURCES if p.name == "oracle.py")
+    assert mentions(oracle.read_text(), CHAIN_ROUTE) == set()
 
 
 PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
