@@ -282,11 +282,9 @@ def _rattle(gens: list[Permutation], rng: random.Random, degree: int):
     return draw
 
 
-def find_generating_tuple(g: PermGroup, k: int, seed: int = 1, attempts: int = 200):
+def find_generating_tuple(g: PermGroup, k: int, seed: int, attempts: int):
     """Random witness search: `attempts` candidates drawn from `seed`, each
     certified by chain order equality; None when none generates."""
-    if k < 1:
-        return None
     order = g.order()
     rng = random.Random(seed)
     draw = _rattle(list(g.generators), rng, g.degree)

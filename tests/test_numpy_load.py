@@ -1,8 +1,10 @@
 """Which entry points load numpy.  Only `modfp` (F_p linear algebra) and
 `CayleyTable.build` (the exhaustive scan's table) use it, so importing the
 package and running `formula`, `example` or a `verify` that settles
-without a scan start without it; each case runs in a fresh interpreter."""
+without a scan start without it, and run where numpy cannot be imported;
+each case runs in a fresh interpreter."""
 
+import json
 import os
 import subprocess
 import sys
@@ -24,24 +26,51 @@ sys.stderr.write(str("numpy" in sys.modules))
 """
 
 
-def numpy_loaded(*argv) -> bool:
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True,
-                          text=True, timeout=60, env=env, check=True)
-    return {"True": True, "False": False}[proc.stderr.strip()]
+# a None entry in sys.modules makes every import of numpy raise ImportError
+BLOCKED = """\
+import json, sys
+sys.modules["numpy"] = None
+from wreathgen import *
+from wreathgen import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+try:
+    cli.main(["module", "--n", "5", "--p", "3"])
+except ImportError:
+    pass
+else:
+    raise AssertionError("module ran with numpy blocked")
+"""
 
-
-@pytest.mark.parametrize("argv", [
-    [],
+NUMPY_FREE = [
     ["formula", "--tower", "A5;C3;C2;C2"],
     ["verify", "--tower", "C2;S3", "--seed", "1"],
     # past the table budget: bounds_only from the witness search alone
     ["verify", "--tower", "C5;C2;C2", "--attempts", "1", "--seed", "1"],
     ["example", "--n", "5", "--verify"],
-], ids=lambda argv: " ".join(argv) or "import")
+]
+
+
+def run_probe(script: str, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def numpy_loaded(*argv) -> bool:
+    return {"True": True, "False": False}[run_probe(PROBE, *argv).stderr.strip()]
+
+
+@pytest.mark.parametrize("argv", [[], *NUMPY_FREE], ids=lambda argv: " ".join(argv) or "import")
 def test_numpy_is_not_loaded(argv):
     assert not numpy_loaded(*argv)
+
+
+def test_the_numpy_free_paths_run_with_numpy_blocked():
+    run_probe(BLOCKED, json.dumps(NUMPY_FREE))
 
 
 @pytest.mark.parametrize("argv", [
@@ -53,13 +82,3 @@ def test_numpy_is_not_loaded(argv):
 def test_numpy_is_loaded_where_arrays_are_built(argv):
     assert numpy_loaded(*argv)
 
-
-def test_the_modfp_exports_are_the_modules_own():
-    import wreathgen
-    from wreathgen import modfp
-
-    assert wreathgen.FpModule is modfp.FpModule
-    for name in wreathgen._MODFP_EXPORTS:
-        assert getattr(wreathgen, name) is getattr(modfp, name)
-    with pytest.raises(AttributeError):
-        wreathgen.no_such_name  # noqa: B018

@@ -370,13 +370,13 @@ def test_closure_size_is_the_order_of_the_generated_subgroup(data):
 # ---------------------------------------------------------- witness search
 
 def test_random_witness_is_certified():
-    pair = find_generating_tuple(_s4(), 2, seed=3)
+    pair = find_generating_tuple(_s4(), 2, seed=3, attempts=200)
     assert pair is not None and len(pair) == 2
     assert PermGroup(4, pair).order() == 24
 
 
 def test_random_witness_none_when_impossible():
-    assert find_generating_tuple(_s4(), 1, seed=3) is None
+    assert find_generating_tuple(_s4(), 1, seed=3, attempts=200) is None
 
 
 # ----------------------------------------------------------- min_generators
@@ -396,6 +396,35 @@ def test_min_generators_frozen_towers():
         r = min_generators(parse_tower(text), seed=1)
         assert r.status == "exact", text
         assert r.lower == r.upper == d, text
+
+
+# level kinds outside the acceptance pool (A4, A5, S3-S5, C2-C6): A_n and
+# S_n for even and odd n past 5, the prime powers C8 and C9, and C_n with
+# two primes.  In each tower the middle level's abelian primes decide d, so
+# one wrong prime there moves d_tower off the oracle's value.
+NEW_LEVELS = {
+    "S3;S6;C2": (3,), "S3;S7;C2": (3,), "A4;A6;C3": (3,), "A4;A7;C3": (3,),
+    "S3;C8;C2": (3,), "A4;C9;C3": (2,), "S3;C10;C2": (5,), "A4;C12;C3": (2,),
+    "A4;C15;C3": (5,),
+}
+
+
+def _exact_at_the_closed_form(t: TowerSpec) -> bool:
+    r = min_generators(t, seed=1)
+    return r.status == "exact" and r.lower == d_tower(t).d
+
+
+@pytest.mark.parametrize("text", NEW_LEVELS)
+def test_min_generators_certify_levels_outside_the_pool(text):
+    assert _exact_at_the_closed_form(parse_tower(text))
+
+
+@pytest.mark.parametrize("text", NEW_LEVELS)
+def test_a_wrong_prime_on_the_new_level_alone_fails_the_check(monkeypatch, text):
+    t = parse_tower(text)
+    # levels are shared objects, and d_tower reads the cached property off them
+    monkeypatch.setitem(vars(t.levels[1]), "abelian_primes", NEW_LEVELS[text])
+    assert not _exact_at_the_closed_form(t)
 
 
 def test_min_generators_single_levels():
