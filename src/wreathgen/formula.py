@@ -9,27 +9,25 @@ oracle module certify.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .wreath import TowerSpec
+from .wreath import GroupSpec, TowerSpec
 
 
 class CyclicTopError(ValueError):
     """The counting form requires a non-cyclic top level."""
 
 
-def abelianization(t: TowerSpec, from_level: int = 1) -> dict[int, int]:
-    """Nonzero p-ranks {p: rank} of the abelianization of the sub-tower
-    from the given level; its d is the largest rank.
+def abelianization(levels: Iterable[GroupSpec]) -> dict[int, int]:
+    """Nonzero p-ranks {p: rank} of the abelianization of the wreath
+    product of the given levels; its d is the largest rank.
 
     (B wr G)^ab = B^ab x G^ab, so each level contributes its own
     abelianization, one Z_p for each p in `GroupSpec.abelian_primes`.
-    from_level = k+1 names the trivial group.
     """
-    if not 1 <= from_level <= t.k + 1:
-        raise ValueError("from_level out of range")
     ranks: dict[int, int] = {}
-    for g in t.levels[from_level - 1:]:
+    for g in levels:
         for p in g.abelian_primes:
             ranks[p] = ranks.get(p, 0) + 1
     return ranks
@@ -57,7 +55,7 @@ def d_tower(t: TowerSpec) -> FormulaResult:
     g1 = t.levels[0]
     if t.k == 1:
         return FormulaResult(1 if g1.is_cyclic() else 2, "SingleLevel", {})
-    a = abelianization(t, 2)
+    a = abelianization(t.levels[1:])
     d = max(a.values(), default=0)
     if g1.is_cyclic():
         return FormulaResult(max(2, d + 1), "Cyclic", a)

@@ -46,10 +46,16 @@ def _table_fits(order: int) -> bool:
 class GenResult:
     lower: int
     lower_certificate: str  # "abelianization" | "noncyclic" | "exhaustive(k)"
-    upper: int
     witness: tuple[Permutation, ...]
-    status: str  # "exact" | "bounds_only"
     seed: int
+
+    @property
+    def upper(self) -> int:
+        return len(self.witness)
+
+    @property
+    def status(self) -> str:
+        return "exact" if self.lower == self.upper else "bounds_only"
 
     def to_json(self) -> dict:
         return {
@@ -296,7 +302,7 @@ def find_generating_tuple(g: PermGroup, k: int, seed: int, attempts: int):
     return None
 
 
-def min_generators(tower: TowerSpec, seed: int = 1, attempts: int = 200) -> GenResult:
+def min_generators(tower: TowerSpec, seed: int, attempts: int) -> GenResult:
     """Bracket d(W), W the tower's group, between certified bounds; exact
     when they meet.
 
@@ -309,28 +315,19 @@ def min_generators(tower: TowerSpec, seed: int = 1, attempts: int = 200) -> GenR
     g = tower_group(tower)
     lower, cert = d_lower_bound(g, tower)
     witness = g.generators
-    upper = len(witness)
-    can_exhaust = _table_fits(g.order())
     ct = None  # built at the first scan; a witness often settles d first
-
-    k = lower
-    while k < upper:
+    for k in range(lower, len(witness)):
         found = find_generating_tuple(g, k, seed, attempts)
-        if found is None and can_exhaust:
+        if found is None and _table_fits(g.order()):
             if ct is None:
                 ct = CayleyTable.build(g)
             idxs = _scan_for_generating_tuple(ct, k)
             if idxs is None:
                 # certified: no k-tuple generates
                 lower, cert = k + 1, f"exhaustive({k})"
-                k += 1
                 continue
             found = tuple(ct.elements[i] for i in idxs)
-        if found is None:
-            k += 1  # random search failed and the group is too big to scan
-            continue
-        witness, upper = found, k
-        break
-
-    status = "exact" if lower == upper else "bounds_only"
-    return GenResult(lower, cert, upper, witness, status, seed)
+        if found is not None:  # None: no witness drawn and no table fits
+            witness = found
+            break
+    return GenResult(lower, cert, witness, seed)

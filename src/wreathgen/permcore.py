@@ -34,10 +34,11 @@ class BudgetExceeded(RuntimeError):
     """A computation would overrun its budget; not a bug and not bad input."""
 
 
-# trial division stops at TRIAL_DIVISION_BOUND, past every prime factor of
-# the order of a permutation group of degree up to 2^16 and the square root
-# of every p below 2^32; a cofactor left over is certified prime by
-# Miller-Rabin with the first 13 prime bases, which is exact below
+# trial division stops at TRIAL_DIVISION_BOUND; what is factored is a level
+# degree (`GroupSpec.abelian_primes`, `oracle._characters`) or a prime p
+# (`modfp._require_prime`, `abelian_p_ranks`), and the bound is past the
+# square root of every p below 2^32; a cofactor left over is certified prime
+# by Miller-Rabin with the first 13 prime bases, which is exact below
 # _MR_EXACT_BELOW (Sorenson and Webster, Math. Comp. 86, 2017)
 TRIAL_DIVISION_BOUND = 2 ** 16
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -26,13 +26,11 @@ def parse_tower(text: str) -> TowerSpec:
     return TowerSpec(tuple(levels))
 
 
-def counting_profile(t: TowerSpec, from_level: int = 1) -> tuple[int, int, dict[int, int]]:
-    """(a4, s, c) of levels from_level..k."""
-    if not 1 <= from_level <= t.k + 1:
-        raise ValueError("from_level out of range")
+def counting_profile(levels) -> tuple[int, int, dict[int, int]]:
+    """(a4, s, c) of the given levels."""
     a4 = s = 0
     c: dict[int, int] = {}
-    for g in t.levels[from_level - 1:]:
+    for g in levels:
         if g.kind == "A" and g.n == 4:
             a4 += 1
         elif g.kind == "S":
@@ -43,9 +41,9 @@ def counting_profile(t: TowerSpec, from_level: int = 1) -> tuple[int, int, dict[
     return a4, s, c
 
 
-def abelianization(t: TowerSpec, from_level: int = 1) -> dict[int, int]:
+def abelianization(levels) -> dict[int, int]:
     """Nonzero p-ranks: c_p, plus s at p = 2 and a_4 at p = 3."""
-    a4, s, c = counting_profile(t, from_level)
+    a4, s, c = counting_profile(levels)
     ranks = {**c, 2: c.get(2, 0) + s, 3: c.get(3, 0) + a4}
     return {p: r for p, r in sorted(ranks.items()) if r}
 
@@ -55,7 +53,7 @@ def d_tower(t: TowerSpec) -> tuple[int, str, dict[int, int]]:
     g1 = t.levels[0]
     if t.k == 1:
         return (1 if g1.kind == "C" else 2), "SingleLevel", {}
-    a = abelianization(t, 2)
+    a = abelianization(t.levels[1:])
     d_a = max(a.values(), default=0)
     if (g1.kind, g1.n) == ("A", 4):
         case, d = "A4", max(2, d_a, a.get(3, 0) + 1)
@@ -73,5 +71,5 @@ def d_corollary(t: TowerSpec) -> int:
         raise ValueError("the counting form needs k >= 2")
     if t.levels[0].kind == "C":
         raise CyclicTopError("the counting form requires a non-cyclic top level")
-    a4, s, c = counting_profile(t)
+    a4, s, c = counting_profile(t.levels)
     return max(2, c.get(2, 0) + s, c.get(3, 0) + a4, max(c.values(), default=0))

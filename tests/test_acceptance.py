@@ -56,7 +56,7 @@ def test_acceptance_01_example_tower_two_generators(capsys):
     res = d_tower(t)
     if res.d != 2:
         failures.append(f"formula d = {res.d}")
-    oracle = min_generators(t, seed=1)
+    oracle = min_generators(t, seed=1, attempts=200)
     if (oracle.status, oracle.lower, oracle.upper) != ("exact", 2, 2):
         failures.append(f"oracle {oracle.status} [{oracle.lower},{oracle.upper}]")
     x, y = example_generators(5)
@@ -78,7 +78,7 @@ def test_acceptance_02_cyclic_top_needs_three(capsys):
     if t.order() != 1536:
         failures.append(f"order {t.order()}")
     # exhaustive(2) certifies that the pair scan found no generating pair
-    oracle = min_generators(t, seed=1)
+    oracle = min_generators(t, seed=1, attempts=200)
     if ((oracle.status, oracle.lower, oracle.upper, oracle.lower_certificate)
             != ("exact", 3, 3, "exhaustive(2)")):
         failures.append(f"oracle {oracle.to_json()}")
@@ -112,7 +112,7 @@ def test_acceptance_04_case_split_at_desk_scale(capsys):
         if d != want:
             failures.append(f"{text}: formula {d} != {want}")
             continue
-        oracle = min_generators(t, seed=1)
+        oracle = min_generators(t, seed=1, attempts=200)
         if oracle.status != "exact" or oracle.lower != want:
             failures.append(f"{text}: oracle {oracle.to_json()}")
     with capsys.disabled():
@@ -213,7 +213,7 @@ def test_acceptance_09_abelianization_cross_check(capsys):
     for t in _towers(_POOL, range(1, 6), lambda g: not g.is_cyclic()):
         if t.leaf_count() > 60:
             continue
-        symbolic = abelianization(t, 1)
+        symbolic = abelianization(t.levels)
         computed = abelian_p_ranks(tower_group(t), primes)
         for p in primes:
             if symbolic.get(p, 0) != computed[p]:
@@ -267,10 +267,10 @@ def test_acceptance_10_property_suites(capsys):
     # oracle witnesses regenerate the group; fixed seeds reproduce results
     for text in ("S3;C2", "C2;S3", "A4;C3"):
         t = parse_tower(text)
-        r = min_generators(t, seed=1)
+        r = min_generators(t, seed=1, attempts=200)
         if PermGroup(t.leaf_count(), r.witness).order() != t.order():
             failures.append(f"witness failed on {text}")
-        if min_generators(t, seed=1).to_json() != r.to_json():
+        if min_generators(t, seed=1, attempts=200).to_json() != r.to_json():
             failures.append(f"seed 1 not reproducible on {text}")
 
     with capsys.disabled():

@@ -1,6 +1,5 @@
 """CLI surface: JSON documents, exit codes, determinism."""
 
-import inspect
 import json
 import os
 import subprocess
@@ -12,7 +11,6 @@ import pytest
 
 from wreathgen import cli, modfp
 from wreathgen.formula import FormulaResult
-from wreathgen.oracle import min_generators
 from wreathgen.permcore import BadInput
 
 
@@ -218,13 +216,6 @@ def test_each_refusal_is_raised_by_its_owner_and_exits_2(capsys, argv, owner, me
 def test_verify_seed_passthrough(capsys):
     code, doc = run(capsys, "verify", "--tower", "C2;S3", "--seed", "9")
     assert code == 0 and doc["oracle"]["seed"] == 9
-
-
-def test_verify_defaults_are_the_oracles():
-    # the parser states each default a second time; the two must not drift
-    args = cli.build_parser().parse_args(["verify", "--tower", "C2"])
-    params = inspect.signature(min_generators).parameters
-    assert (args.seed, args.attempts) == (params["seed"].default, params["attempts"].default)
 
 
 def test_module_verified(capsys):

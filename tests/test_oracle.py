@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import branch_pool
 import numpy as np
 import pytest
 from chain_reference import chain_lower_bound
@@ -34,6 +35,7 @@ from wreathgen.wreath import (
     GroupSpec,
     TowerSpec,
     apply_at_vertex,
+    parse_group,
     parse_tower,
     standard_generators,
     tower_generators,
@@ -253,7 +255,7 @@ def test_a_non_member_of_the_tower_group_is_refused_before_any_rank(monkeypatch,
     # min_generators reads its bound through the same refusal
     monkeypatch.setattr(oracle, "tower_group", lambda t: g)
     with pytest.raises(ConsistencyError, match=names):
-        min_generators(tower)
+        min_generators(tower, seed=1, attempts=200)
 
 
 def _pool_towers(max_leaves=64):
@@ -393,24 +395,60 @@ def test_min_generators_frozen_towers():
         "C4;C2": 2,
     }
     for text, d in expected.items():
-        r = min_generators(parse_tower(text), seed=1)
+        r = min_generators(parse_tower(text), seed=1, attempts=200)
         assert r.status == "exact", text
         assert r.lower == r.upper == d, text
 
 
-# level kinds outside the acceptance pool (A4, A5, S3-S5, C2-C6): A_n and
-# S_n for even and odd n past 5, the prime powers C8 and C9, and C_n with
-# two primes.  In each tower the middle level's abelian primes decide d, so
-# one wrong prime there moves d_tower off the oracle's value.
-NEW_LEVELS = {
-    "S3;S6;C2": (3,), "S3;S7;C2": (3,), "A4;A6;C3": (3,), "A4;A7;C3": (3,),
-    "S3;C8;C2": (3,), "A4;C9;C3": (2,), "S3;C10;C2": (5,), "A4;C12;C3": (2,),
-    "A4;C15;C3": (5,),
-}
+def _toggled(text: str) -> tuple[int, ...]:
+    """The middle level's abelian primes with the bottom's prime q
+    toggled: a wrong set that moves d, since q decides it."""
+    middle, bottom = parse_tower(text).levels[1:]
+    return tuple(sorted(set(middle.abelian_primes) ^ {bottom.n}))
+
+
+# the branch pool's A4 and Sn towers, each with one level outside the
+# acceptance pool in the middle, and that level's wrong abelian primes
+NEW_LEVELS = {text: _toggled(text)
+              for text in branch_pool.D_TOWER["A4"] + branch_pool.D_TOWER["Sn"]}
+
+
+def _standard_generators_branch(token: str) -> str:
+    gens = standard_generators(parse_group(token))
+    n = gens[0].degree
+    shapes = tuple(tuple(len(c) for c in g.cycles()) for g in gens)
+    return {((n,),): "C_n", ((2,), (n,)): "S_n", ((3,), (n,)): "A_n, n odd",
+            ((3,), (n - 1,)): "A_n, n even"}[shapes]
+
+
+def _abelian_primes_branch(token: str) -> str:
+    spec = parse_group(token)
+    primes = spec.abelian_primes
+    if spec.kind == "C":
+        if len(primes) > 1:
+            return "C_n, two primes"
+        return "C_n, n a prime" if primes == (spec.n,) else "C_n, n a prime power"
+    return {("S", (2,)): "S_n", ("A", (3,)): "A4", ("A", ()): "A_n, n >= 5"}[spec.kind, primes]
+
+
+@pytest.mark.parametrize("branches,branch_of,names", [
+    (branch_pool.STANDARD_GENERATORS, _standard_generators_branch,
+     {"C_n", "S_n", "A_n, n odd", "A_n, n even"}),
+    (branch_pool.ABELIAN_PRIMES, _abelian_primes_branch,
+     {"C_n, n a prime", "C_n, n a prime power", "C_n, two primes", "S_n", "A4", "A_n, n >= 5"}),
+    (branch_pool.D_TOWER, lambda text: d_tower(parse_tower(text)).case,
+     {"SingleLevel", "Cyclic", "A4", "An", "Sn"}),
+], ids=["standard_generators", "abelian_primes", "d_tower"])
+def test_every_branch_occurs(branches, branch_of, names):
+    # each branch has its own list, and every entry of it takes that branch
+    assert set(branches) == names
+    for branch, entries in branches.items():
+        assert entries, f"no entry takes the branch {branch}"
+        assert {branch_of(e) for e in entries} == {branch}, branch
 
 
 def _exact_at_the_closed_form(t: TowerSpec) -> bool:
-    r = min_generators(t, seed=1)
+    r = min_generators(t, seed=1, attempts=200)
     return r.status == "exact" and r.lower == d_tower(t).d
 
 
@@ -428,13 +466,13 @@ def test_a_wrong_prime_on_the_new_level_alone_fails_the_check(monkeypatch, text)
 
 
 def test_min_generators_single_levels():
-    r = min_generators(parse_tower("S4"))
+    r = min_generators(parse_tower("S4"), seed=1, attempts=200)
     assert (r.lower, r.upper, r.status) == (2, 2, "exact")
     assert r.lower_certificate == "noncyclic"
     # the tower's generators are the initial witness, as they are
-    c = min_generators(parse_tower("C6"), seed=7)
-    assert c == GenResult(1, "abelianization", 1, tuple(standard_generators(GroupSpec("C", 6))),
-                          "exact", 7)
+    c = min_generators(parse_tower("C6"), seed=7, attempts=200)
+    assert c == GenResult(1, "abelianization", tuple(standard_generators(GroupSpec("C", 6))), 7)
+    assert (c.upper, c.status) == (1, "exact")
 
 
 def test_table_is_built_only_when_a_scan_needs_it(monkeypatch):
@@ -443,28 +481,28 @@ def test_table_is_built_only_when_a_scan_needs_it(monkeypatch):
         raise AssertionError("Cayley table built without a scan")
 
     monkeypatch.setattr(CayleyTable, "build", no_table)
-    r = min_generators(parse_tower("C3;A4"), seed=1)
+    r = min_generators(parse_tower("C3;A4"), seed=1, attempts=200)
     assert (r.lower, r.upper, r.status) == (2, 2, "exact")
 
 
 def test_witness_regenerates_group():
     for text in ("A4;C3", "S3;C2"):
         t = parse_tower(text)
-        r = min_generators(t, seed=1)
+        r = min_generators(t, seed=1, attempts=200)
         assert len(r.witness) == r.upper
         assert PermGroup(t.leaf_count(), r.witness).order() == t.order()
 
 
 def test_same_seed_same_result():
     t = parse_tower("A4;C3")
-    a = min_generators(t, seed=7).to_json()
-    b = min_generators(t, seed=7).to_json()
+    a = min_generators(t, seed=7, attempts=200).to_json()
+    b = min_generators(t, seed=7, attempts=200).to_json()
     assert a == b
 
 
 def test_seeds_agree_on_the_answer():
     t = parse_tower("S3;C2")
-    values = {min_generators(t, seed=s).upper for s in (1, 2, 3)}
+    values = {min_generators(t, seed=s, attempts=200).upper for s in (1, 2, 3)}
     assert values == {2}
 
 
@@ -477,7 +515,7 @@ def test_bounds_only_when_scan_is_off_limits(monkeypatch):
 
 
 def test_result_json_schema():
-    r = min_generators(parse_tower("S4"), seed=5)
+    r = min_generators(parse_tower("S4"), seed=5, attempts=200)
     js = r.to_json()
     assert set(js) == {"lower", "lower_certificate", "upper", "witness", "status", "seed"}
     assert js["seed"] == 5
@@ -492,7 +530,7 @@ def test_oracle_brackets_are_sane_on_random_products(monkeypatch):
     assert len(pool) == 179
     rng = random.Random(20260815)
     for t in rng.sample(pool, 30):
-        r = min_generators(t, seed=rng.randrange(10 ** 6))
+        r = min_generators(t, seed=rng.randrange(10 ** 6), attempts=200)
         assert r.lower <= d_tower(t).d <= r.upper, t.text()
         assert (r.status == "exact") == (r.lower == r.upper), t.text()
         assert PermGroup(t.leaf_count(), r.witness).order() == t.order(), t.text()
