@@ -26,6 +26,7 @@ from .permcore import (
     cayley_walk,
     format_cycles,
     prime_factorization,
+    rattle,
 )
 from .wreath import GroupSpec, TowerSpec, local_actions, tower_group
 
@@ -266,34 +267,12 @@ def _scan_for_generating_tuple(ct: CayleyTable, k: int):
     return None
 
 
-def _rattle(gens: list[Permutation], rng: random.Random, degree: int):
-    """Seeded product-replacement state; draws well-mixed elements."""
-    slots = list(gens) * 2 + [Permutation.identity(degree)]
-    acc = Permutation.identity(degree)
-    for _ in range(len(slots) * 10):
-        i, j = rng.randrange(len(slots)), rng.randrange(len(slots))
-        if i != j:
-            slots[i] = slots[i] * slots[j]
-            acc = acc * slots[i]
-
-    def draw() -> Permutation:
-        nonlocal acc
-        for _ in range(3):
-            i, j = rng.randrange(len(slots)), rng.randrange(len(slots))
-            if i != j:
-                slots[i] = slots[i] * slots[j]
-                acc = acc * slots[i]
-        return acc
-
-    return draw
-
-
 def find_generating_tuple(g: PermGroup, k: int, seed: int, attempts: int):
     """Random witness search: `attempts` candidates drawn from `seed`, each
     certified by chain order equality; None when none generates."""
     order = g.order()
     rng = random.Random(seed)
-    draw = _rattle(list(g.generators), rng, g.degree)
+    draw = rattle(g.generators, rng, g.degree)
     for _ in range(attempts):
         cand = tuple(draw() for _ in range(k))
         chain = bsgs_build(PermGroup(g.degree, cand))

@@ -8,6 +8,7 @@ convention x^(pq) = (x^p)^q.  Group orders are exact Python integers.
 from __future__ import annotations
 
 import math
+import random
 import re
 from collections import deque
 from itertools import combinations, repeat
@@ -302,7 +303,8 @@ class _Level:
 
 
 class Bsgs:
-    """Base and strong generating set via deterministic Schreier-Sims.
+    """Base and strong generating set via deterministic Schreier-Sims, or
+    built to a known order from random elements (_fill, see bsgs_build).
 
     Base points are chosen as the smallest point moved by the generator
     that forces the new level, and all work queues are FIFO, so the
@@ -329,6 +331,7 @@ class Bsgs:
     generator, whose residue was inserted at levels i+1..hi; and (t, hi)
     for the residue of the t-th extend() argument, inserted at levels
     0..hi.  `_calls` holds that hi per extend() call, None for a member.
+    A chain built to a known order has neither record: both are None.
     """
 
     def __init__(self, degree: int):
@@ -361,6 +364,8 @@ class Bsgs:
         """Add a generator; returns True if the group grew."""
         if p.degree != self.degree:
             raise DegreeMismatch("generator degree differs from chain degree")
+        if self._calls is None:
+            raise ConsistencyError("a chain built to a known order takes no extend()")
         r, lvl = self._sift(p.raw)
         self._calls.append(None if r is None else lvl)
         if r is None:
@@ -451,6 +456,46 @@ class Bsgs:
                 return m
         return None
 
+    def _fill(self, gens, order):
+        """Sift product-replacement draws of <gens> until the orbit product
+        reaches `order`; see bsgs_build.  Keeps no records, and a level's
+        strong generators are the residues whose sift stopped there."""
+        self._defs = self._calls = None
+        # a fixed seed, so a build is a pure function of gens and order
+        draw = rattle(gens, random.Random(0), self.degree)
+        size, quiet = 1, 0
+        while size < order:
+            r, lvl = self._sift(draw().raw)
+            if r is None:
+                quiet += 1
+                if quiet == QUIET_DRAWS:
+                    raise ConsistencyError(f"a chain stalled at order {size} below the "
+                                           f"claimed {order} for {QUIET_DRAWS} draws")
+                continue
+            quiet = 0
+            self._insert(r, lvl, lvl)
+            lv = self._levels[lvl]
+            before = len(lv.orbit)
+            self._close(lv)
+            size = size // before * len(lv.orbit)
+        if size != order:
+            raise ConsistencyError(f"a chain's order {size} passes the claimed {order}")
+
+    def _close(self, lv):
+        """Drain lv's work queue by tree edges alone, so its orbit becomes the
+        base point's orbit under its strong generators; no Schreier
+        generator is formed."""
+        gens, orbit, inv, pending = lv.gens, lv.orbit, lv.inv, lv.pending
+        compose = self._compose
+        while pending:
+            pt, gi = pending.popleft()
+            s = gens[gi]
+            q = s[pt]
+            if q not in orbit:
+                w = orbit[q] = compose(orbit[pt], s)
+                inv[q] = _invert(w)
+                pending.extend(zip(repeat(q), range(len(gens))))
+
     def presentation(self, gens) -> tuple[list[list[int]], list[list[int]]]:
         """(definitions, relators): the group's presentation, read off the finished chain.
 
@@ -468,11 +513,14 @@ class Bsgs:
 
         Transversal entries are never replaced and levels are only
         appended, so a definition sifted through the finished chain takes
-        the path its build took.  Raises ConsistencyError on work left in a
-        queue, letters other than the extend() arguments (each replays to
-        its recorded residue) and relators that do not sift to the identity.
+        the path its build took.  Raises ConsistencyError on a chain built
+        to a known order, work left in a queue, letters other than the
+        extend() arguments (each replays to its recorded residue) and
+        relators that do not sift to the identity.
         """
         levels, ident, compose, top = self._levels, self._ident, self._compose, len(self._levels)
+        if self._calls is None:
+            raise ConsistencyError("a chain built to a known order keeps no records to present")
         if any(lv.pending for lv in levels):
             raise ConsistencyError("a presentation needs a finished chain")
         if len(gens) != len(self._calls) or any(x.degree != self.degree for x in gens):
@@ -528,8 +576,60 @@ class Bsgs:
         return definitions, relators
 
 
-def bsgs_build(g: "PermGroup") -> Bsgs:
+def rattle(gens, rng: random.Random, degree: int):
+    """Seeded product-replacement state on gens; returns a function that
+    draws well-mixed elements of <gens>.  The witness search and a chain
+    built to a known order both draw from it."""
+    slots = list(gens) * 2 + [Permutation.identity(degree)]
+    acc = Permutation.identity(degree)
+    for _ in range(len(slots) * 10):
+        i, j = rng.randrange(len(slots)), rng.randrange(len(slots))
+        if i != j:
+            slots[i] = slots[i] * slots[j]
+            acc = acc * slots[i]
+
+    def draw() -> Permutation:
+        nonlocal acc
+        for _ in range(3):
+            i, j = rng.randrange(len(slots)), rng.randrange(len(slots))
+            if i != j:
+                slots[i] = slots[i] * slots[j]
+                acc = acc * slots[i]
+        return acc
+
+    return draw
+
+
+# a known-order chain gives up after this many draws in a row sift through
+# it; while its orbit product is below |<gens>|, a uniform draw sifts
+# through with chance at most 1/2, so a chain that could still grow gives
+# up with chance about 2^-40
+QUIET_DRAWS = 40
+
+
+def bsgs_build(g: "PermGroup", order: int | None = None) -> Bsgs:
+    """A chain of <g.generators>.
+
+    With no order: deterministic Schreier-Sims, one extend() per generator.
+    With the order the caller knows, a chain that sifts product-replacement
+    draws: a residue becomes a strong generator of the level its sift
+    stopped at, whose orbit then grows by closure under that level's
+    strong generators, so no Schreier generator is formed.  Each orbit
+    lies in the basic orbit of the true point stabilizer, so the orbit
+    product is at most |<gens>|, and the build stops when it equals
+    `order`: then |<gens>| >= order, and when the caller has shown
+    |<gens>| <= order every orbit is the basic orbit and the chain is a
+    complete BSGS (Seress, Permutation Group Algorithms, 2003, ch. 4).
+    Raises ConsistencyError when the product passes `order` or stays put
+    for QUIET_DRAWS draws in a row.  A claim below |<gens>| that the
+    product meets exactly stops there, which is why the caller needs the
+    upper bound.  Such a chain keeps no records, so presentation() and
+    extend() refuse it.
+    """
     b = Bsgs(g.degree)
+    if order is not None:
+        b._fill(g.generators, order)
+        return b
     for gen in g.generators:
         b.extend(gen)
     return b
@@ -540,9 +640,13 @@ def bsgs_build(g: "PermGroup") -> Bsgs:
 
 
 class PermGroup:
-    """A permutation group on {0..m-1} given by generators."""
+    """A permutation group on {0..m-1} given by generators.
 
-    def __init__(self, degree: int, generators):
+    `order`, when the caller knows it, is passed to bsgs_build, whose chain
+    then stops at it; see there for what the caller must have shown.
+    """
+
+    def __init__(self, degree: int, generators, order: int | None = None):
         generators = tuple(generators)
         if not generators:
             generators = (Permutation.identity(degree),)
@@ -551,6 +655,7 @@ class PermGroup:
                 raise DegreeMismatch("generator degree differs from group degree")
         self.degree = degree
         self.generators = generators
+        self._known_order = order
         self._bsgs: Bsgs | None = None
 
     @classmethod
@@ -559,7 +664,8 @@ class PermGroup:
 
     def bsgs(self) -> Bsgs:
         if self._bsgs is None:
-            self._bsgs = bsgs_build(self)
+            self._bsgs = (bsgs_build(self) if self._known_order is None
+                          else bsgs_build(self, self._known_order))
         return self._bsgs
 
     def order(self) -> int:

@@ -303,15 +303,18 @@ def tower_generators(t: TowerSpec) -> list[Permutation]:
 
 
 def tower_group(t: TowerSpec) -> PermGroup:
-    """The wreath product as a leaf permutation group.
+    """The wreath product W as a leaf permutation group, with its chain built.
 
-    The chain order is compared against the closed-form product, so the
-    construction is certified rather than assumed.
+    The construction is certified rather than assumed.  Every generator's
+    local actions are read, which refuses one outside W, so <gens> <= W;
+    the chain, built to the order |W| of the closed-form product, then
+    shows |<gens>| >= |W| (bsgs_build), so <gens> = W.
     """
-    g = PermGroup(t.leaf_count(), tower_generators(t))
-    if g.order() != t.order():
-        raise ConsistencyError(
-            f"tower group order {g.order()} != expected {t.order()}")
+    gens = tower_generators(t)
+    for w in gens:
+        local_actions(t, w)
+    g = PermGroup(t.leaf_count(), gens, t.order())
+    g.bsgs()
     return g
 
 

@@ -7,7 +7,9 @@ consolidated; any refactor must leave them unchanged.  The `verify
 Cayley table finds the witness and the printed cycles pin the walk's
 element order.  C17;C3;C5 (255 leaves) and C16;C16 (256 leaves) pin the
 witness search on either side of the switch between the two stored
-forms of a permutation.  `module` at p = 3 for n = 6, 7 and 8 pins both
+forms of a permutation.  `verify` on C2^9 (512 leaves), recorded while
+`tower_group` still built a deterministic chain, pins the output on a
+wide tower whose chain is built to its known order.  `module` at p = 3 for n = 6, 7 and 8 pins both
 branches of the I_p structure check (p | n and p prime to n), recorded
 before that check's spins learned to stop early.
 """

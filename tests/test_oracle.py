@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from chain_reference import chain_lower_bound
 from hypothesis import assume, example, given, settings, strategies as st
+from tree_blocks import PLANTED_IDS, planted_non_members
 
 from wreathgen import oracle, permcore
 from wreathgen.formula import d_tower
@@ -34,7 +35,6 @@ from wreathgen.permcore import (
 from wreathgen.wreath import (
     GroupSpec,
     TowerSpec,
-    apply_at_vertex,
     parse_group,
     parse_tower,
     standard_generators,
@@ -225,20 +225,7 @@ def test_a_planted_non_homomorphism_fails_the_check(spec):
     assert (fixed_points(a * b) - fixed_points(a) - fixed_points(b)) % 2
 
 
-def _planted_non_members():
-    """(tower, a leaf permutation outside its group, what the refusal names)"""
-    s3c2 = parse_tower("S3;C2")  # leaves 1,2 | 3,4 | 5,6
-    c2a5 = parse_tower("C2;A5")
-    c2c4 = parse_tower("C2;C4")
-    return [
-        (s3c2, parse_cycles("(2 3)", 6), "splits a block of level 1"),
-        (c2a5, apply_at_vertex(c2a5, (2,), parse_cycles("(1 2)", 5)), "not an element of A5"),
-        (c2c4, apply_at_vertex(c2c4, (1,), parse_cycles("(2 4)", 4)), "not an element of C4"),
-    ]
-
-
-@pytest.mark.parametrize("tower,bad,names", _planted_non_members(),
-                         ids=["across-top-subtrees", "odd-at-A5", "reflection-at-C4"])
+@pytest.mark.parametrize("tower,bad,names", planted_non_members(), ids=PLANTED_IDS)
 def test_a_non_member_of_the_tower_group_is_refused_before_any_rank(monkeypatch, tower,
                                                                      bad, names):
     def no_rank(*args):

@@ -39,7 +39,13 @@ from wreathgen.permcore import (
     _strong_probable_prime,
     _table,
 )
-from wreathgen.wreath import GroupSpec, parse_tower, standard_generators, tower_group
+from wreathgen.wreath import (
+    GroupSpec,
+    local_actions,
+    parse_tower,
+    standard_generators,
+    tower_group,
+)
 
 
 def _images(p: Permutation) -> tuple[int, ...]:
@@ -315,6 +321,34 @@ def test_chain_matches_the_reference_on_drawn_groups(images):
     assert chain_digest(bsgs_build(group)) == chain_digest(reference_build(group))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 12).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)),
+    st.randoms(use_true_random=False))
+def test_a_chain_built_to_the_known_order_is_complete(images, rng):
+    n = len(images[0])
+    group = PermGroup(n, [Permutation(g) for g in images])
+    full = bsgs_build(group)
+    order = full.order()
+    chain = bsgs_build(group, order)
+    assert chain.order() == order
+    probes = [Permutation(rng.sample(range(n), n)) for _ in range(20)]
+    word = Permutation.identity(n)
+    for g in rng.choices(group.generators, k=2 * n):
+        word = word * g
+        probes.append(word)
+    assert [chain.contains(p) for p in probes] == [full.contains(p) for p in probes]
+    # no chain of <gens> exceeds its order, so it stalls below twice that
+    with pytest.raises(ConsistencyError, match="stalled"):
+        bsgs_build(group, 2 * order)
+    # every orbit of a subgroup has a size that divides the order, so the
+    # orbit product never equals order - 1, which is prime to it; the
+    # product passes it
+    if order > 2:
+        with pytest.raises(ConsistencyError, match="passes"):
+            bsgs_build(group, order - 1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([1, 2, 254, 255, 256]).flatmap(
     lambda n: st.lists(_windowed(n, 5), min_size=1, max_size=3)))
@@ -402,12 +436,25 @@ def test_presentation_names_the_chain_and_its_relators_hold(name):
 
 
 @pytest.mark.parametrize("name", ["C3;C2;C2", "C16;C16"])
-def test_a_groups_cached_chain_presents_it(name):
-    # the chain tower_group built, not a second one
-    group = CHAIN_PINS[name][0]()
+def test_a_tower_groups_cached_chain_is_complete_and_presents_nothing(name):
+    # the chain tower_group built to |W|, not a second one
+    t = parse_tower(name)
+    group = tower_group(t)
     chain = group._bsgs
     assert chain is not None and group.bsgs() is chain
-    _check_presentation(group, chain)
+    assert chain.order() == t.order()
+    assert all(chain.contains(g) for g in group.generators)
+    # (1 3) splits the bottom level's first block of C3;C2;C2 and is no
+    # rotation at the bottom of C16;C16
+    bad = parse_cycles("(1 3)", t.leaf_count())
+    with pytest.raises(ConsistencyError):
+        local_actions(t, bad)
+    assert not chain.contains(bad)
+    # a chain built to a known order keeps no records
+    with pytest.raises(ConsistencyError, match="known order"):
+        chain.presentation(group.generators)
+    with pytest.raises(ConsistencyError, match="known order"):
+        chain.extend(bad)
 
 
 @pytest.mark.parametrize("name", CHAIN_PINS)

@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-from tree_blocks import project
-from wreathgen import wreath
+from tree_blocks import PLANTED_IDS, planted_non_members, project
+from wreathgen import permcore, wreath
 from wreathgen.permcore import (
     ConsistencyError,
     DegreeMismatch,
@@ -333,6 +333,38 @@ def test_example_pair_generates_everything(n):
     t = example_tower(n)
     x, y = example_generators(n)
     assert PermGroup(t.leaf_count(), [x, y]).order() == t.order()
+
+
+@pytest.mark.parametrize("tower,bad,names", planted_non_members(), ids=PLANTED_IDS)
+def test_tower_group_refuses_a_generator_outside_w_before_any_chain(monkeypatch, tower,
+                                                                     bad, names):
+    # a chain alone may miss it: built to |W|, it stops when its orbit
+    # product meets |W|, which it can do before it passes |W|
+    def no_chain(*args):
+        raise AssertionError("a chain was built")
+
+    monkeypatch.setattr(wreath, "tower_generators", lambda t: tower_generators(t) + [bad])
+    monkeypatch.setattr(permcore, "bsgs_build", no_chain)
+    with pytest.raises(ConsistencyError, match=names):
+        tower_group(tower)
+
+
+def test_the_tower_group_of_c2_to_the_9_forms_no_schreier_generator(monkeypatch):
+    calls = []
+    process = permcore.Bsgs._process
+
+    def counted(self, *args):
+        calls.append(args)
+        return process(self, *args)
+
+    monkeypatch.setattr(permcore.Bsgs, "_process", counted)
+    t = parse_tower(";".join(["C2"] * 9))
+    g = tower_group(t)
+    assert g.order() == t.order() and calls == []
+    # the deterministic chain of a smaller tower's generators does form them
+    small = parse_tower("C2;C2;C2")
+    assert permcore.bsgs_build(PermGroup(8, tower_generators(small))).order() == small.order()
+    assert calls
 
 
 def test_tower_order_check_has_teeth(monkeypatch):

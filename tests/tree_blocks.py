@@ -1,7 +1,8 @@
-"""Reference for block preservation, shared by the test modules."""
+"""Reference for block preservation, and leaf permutations planted outside
+a tower's group, shared by the test modules."""
 
-from wreathgen.permcore import Permutation
-from wreathgen.wreath import TowerSpec
+from wreathgen.permcore import Permutation, parse_cycles
+from wreathgen.wreath import TowerSpec, apply_at_vertex, parse_tower
 
 
 def project(t: TowerSpec, perm: Permutation, level: int) -> Permutation:
@@ -19,3 +20,18 @@ def project(t: TowerSpec, perm: Permutation, level: int) -> Permutation:
             raise ValueError("permutation does not preserve level blocks")
         images.append(target)
     return Permutation(images)
+
+
+def planted_non_members():
+    """(tower, a leaf permutation outside its group, what the refusal names)"""
+    s3c2 = parse_tower("S3;C2")  # leaves 1,2 | 3,4 | 5,6
+    c2a5 = parse_tower("C2;A5")
+    c2c4 = parse_tower("C2;C4")
+    return [
+        (s3c2, parse_cycles("(2 3)", 6), "splits a block of level 1"),
+        (c2a5, apply_at_vertex(c2a5, (2,), parse_cycles("(1 2)", 5)), "not an element of A5"),
+        (c2c4, apply_at_vertex(c2c4, (1,), parse_cycles("(2 4)", 4)), "not an element of C4"),
+    ]
+
+
+PLANTED_IDS = ["across-top-subtrees", "odd-at-A5", "reflection-at-C4"]
