@@ -27,6 +27,7 @@ from .permcore import (
 from .wreath import (
     example_generators,
     example_tower,
+    local_actions,
     parse_group,
     parse_tower,
 )
@@ -34,12 +35,11 @@ from .wreath import (
 # the oracle works on explicit leaf permutations; past this many leaves
 # `verify` reports the formula alone rather than grinding
 VERIFY_LEAF_BUDGET = 4096
-# `example --verify` builds the pair's stabilizer chain; past this many
-# leaves it answers "generates": null and exits 3.  On a 2-core host the
-# chain took 0.3 s at n = 19 (228 leaves), 0.6 s at n = 21 (252), 6.8 s
-# at n = 23 (276), 9.4 s at n = 25 (300) and 12.2 s at n = 27 (324), and
-# the whole command 0.7 s at n = 19 and 0.9 s at n = 21; the step after
-# 252 leaves coincides with the switch to tuple permutations
+# `example --verify` builds the pair's chain to |W|; past this many leaves
+# it answers "generates": null and exits 3.  On a 2-core host that chain
+# took 0.034 s and 18 MB peak at n = 21 (252 leaves), 0.11 s and 33 MB at
+# n = 23, 0.29 s and 74 MB at n = 31 and 0.7-0.85 s and 176 MB at n = 41:
+# memory, not time, sets the limit now
 EXAMPLE_LEAF_BUDGET = 252
 # `example` holds the pair as permutations of its 12n leaves and prints
 # their cycles, all of it linear in n: measured in one process at n =
@@ -179,7 +179,9 @@ def _cmd_example(args) -> tuple[dict, int]:
                 f"{t.leaf_count()} leaves exceed the verification budget of "
                 f"{EXAMPLE_LEAF_BUDGET}; not verified"))))
             return doc, EXIT_BUDGET
-        chain = bsgs_build(PermGroup(t.leaf_count(), (x, y)))
+        for w in (x, y):  # refuses one outside W, so reaching |W| proves <x, y> = W
+            local_actions(t, w)
+        chain = bsgs_build(PermGroup(t.leaf_count(), (x, y)), t.order())
         doc["generates"] = chain.order() == t.order()
     return doc, EXIT_OK if doc["generates"] in (None, True) else EXIT_MISMATCH
 

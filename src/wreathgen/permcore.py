@@ -457,34 +457,25 @@ class Bsgs:
         return None
 
     def _fill(self, gens, order):
-        """Sift product-replacement draws of <gens> until the orbit product
-        reaches `order`; see bsgs_build.  Keeps no records, and a level's
-        strong generators are the residues whose sift stopped there."""
+        """Sift product-replacement draws of <gens> into the chain, keeping
+        no records; see bsgs_build."""
         self._defs = self._calls = None
         # a fixed seed, so a build is a pure function of gens and order
         draw = rattle(gens, random.Random(0), self.degree)
-        size, quiet = 1, 0
-        while size < order:
+        quiet = 0
+        while self.order() < order and quiet < QUIET_DRAWS:
             r, lvl = self._sift(draw().raw)
-            if r is None:
-                quiet += 1
-                if quiet == QUIET_DRAWS:
-                    raise ConsistencyError(f"a chain stalled at order {size} below the "
-                                           f"claimed {order} for {QUIET_DRAWS} draws")
-                continue
-            quiet = 0
-            self._insert(r, lvl, lvl)
-            lv = self._levels[lvl]
-            before = len(lv.orbit)
-            self._close(lv)
-            size = size // before * len(lv.orbit)
-        if size != order:
-            raise ConsistencyError(f"a chain's order {size} passes the claimed {order}")
+            quiet = quiet + 1 if r is None else 0
+            if r is not None:
+                self._insert(r, 0, lvl)
+                for lv in self._levels[:lvl + 1]:
+                    self._close(lv)
+        if self.order() > order:
+            raise ConsistencyError(f"a chain's order {self.order()} passes the claimed {order}")
 
     def _close(self, lv):
-        """Drain lv's work queue by tree edges alone, so its orbit becomes the
-        base point's orbit under its strong generators; no Schreier
-        generator is formed."""
+        """Drain lv's work queue by tree edges alone: its orbit becomes the
+        base point's orbit under its strong generators, forming no Schreier generator."""
         gens, orbit, inv, pending = lv.gens, lv.orbit, lv.inv, lv.pending
         compose = self._compose
         while pending:
@@ -601,9 +592,14 @@ def rattle(gens, rng: random.Random, degree: int):
 
 
 # a known-order chain gives up after this many draws in a row sift through
-# it; while its orbit product is below |<gens>|, a uniform draw sifts
-# through with chance at most 1/2, so a chain that could still grow gives
-# up with chance about 2^-40
+# it.  Each level's group contains the next level's, so if the chain falls
+# short, the deepest level i whose levels i.. sift only part of G_i (the
+# stabilizer of the base points above) holds what levels i+1.. sift, G_i's
+# stabilizer of its base point: its orbit length properly divides the
+# basic orbit's.  A uniform draw then sifts through with chance at most
+# 1/2, and a chain that could still grow gives up with chance about 2^-40
+# (Seress, Permutation Group Algorithms, 2003, sec. 4.3).  Without the
+# containment an orbit can fall short by less: A18's by 1 of 18
 QUIET_DRAWS = 40
 
 
@@ -611,20 +607,18 @@ def bsgs_build(g: "PermGroup", order: int | None = None) -> Bsgs:
     """A chain of <g.generators>.
 
     With no order: deterministic Schreier-Sims, one extend() per generator.
-    With the order the caller knows, a chain that sifts product-replacement
-    draws: a residue becomes a strong generator of the level its sift
-    stopped at, whose orbit then grows by closure under that level's
-    strong generators, so no Schreier generator is formed.  Each orbit
-    lies in the basic orbit of the true point stabilizer, so the orbit
-    product is at most |<gens>|, and the build stops when it equals
-    `order`: then |<gens>| >= order, and when the caller has shown
-    |<gens>| <= order every orbit is the basic orbit and the chain is a
-    complete BSGS (Seress, Permutation Group Algorithms, 2003, ch. 4).
-    Raises ConsistencyError when the product passes `order` or stays put
-    for QUIET_DRAWS draws in a row.  A claim below |<gens>| that the
-    product meets exactly stops there, which is why the caller needs the
-    upper bound.  Such a chain keeps no records, so presentation() and
-    extend() refuse it.
+    With an order the caller knows, a chain that sifts product-replacement
+    draws and, as extend() does, makes a residue a strong generator of
+    every level down to the one its sift stopped at; those levels' orbits
+    grow by closure alone, so no Schreier generator is formed.  Each orbit
+    lies in the basic orbit of the true point stabilizer, so the returned
+    chain's order() is a lower bound on |<gens>|.  The build stops when it
+    reaches `order`, or after QUIET_DRAWS quiet draws in a row (the comment
+    there says why each level's group must contain the next level's), and
+    raises ConsistencyError when it passes `order`.  When the caller has
+    shown |<gens>| <= order, reaching it makes the chain a complete BSGS
+    (Seress, Permutation Group Algorithms, 2003, ch. 4).  Such a chain
+    keeps no records, so presentation() and extend() refuse it.
     """
     b = Bsgs(g.degree)
     if order is not None:
@@ -642,8 +636,8 @@ def bsgs_build(g: "PermGroup", order: int | None = None) -> Bsgs:
 class PermGroup:
     """A permutation group on {0..m-1} given by generators.
 
-    `order`, when the caller knows it, is passed to bsgs_build, whose chain
-    then stops at it; see there for what the caller must have shown.
+    `order`, when the caller knows it, goes to bsgs_build (see there for
+    what the caller must have shown); bsgs() raises when the chain falls short.
     """
 
     def __init__(self, degree: int, generators, order: int | None = None):
@@ -664,8 +658,11 @@ class PermGroup:
 
     def bsgs(self) -> Bsgs:
         if self._bsgs is None:
-            self._bsgs = (bsgs_build(self) if self._known_order is None
-                          else bsgs_build(self, self._known_order))
+            chain = bsgs_build(self, self._known_order)
+            if self._known_order is not None and chain.order() < self._known_order:
+                raise ConsistencyError(f"a chain stalled at {chain.order()}, below the "
+                                       f"claimed order {self._known_order}")
+            self._bsgs = chain
         return self._bsgs
 
     def order(self) -> int:

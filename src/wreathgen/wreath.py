@@ -193,9 +193,9 @@ def leaf_index(t: TowerSpec, address: tuple[int, ...]) -> int:
 
 @lru_cache(maxsize=None)
 def standard_generators(spec: GroupSpec) -> tuple[Permutation, ...]:
-    """Canonical generators in the natural action; the generated order is
-    checked against the spec's order once per spec, the cache key."""
-    kind, n = spec.kind, spec.n
+    """Canonical generators in the natural action; that they generate the
+    spec's group is certified once per spec, the cache key."""
+    kind, n, claim = spec.kind, spec.n, spec.order()
     if kind == "C":
         gens = (Permutation(tuple(range(1, n)) + (0,)),)
     elif kind == "S":
@@ -210,9 +210,10 @@ def standard_generators(spec: GroupSpec) -> tuple[Permutation, ...]:
             big = [0] + list(range(2, n)) + [1]  # (2 3 .. n)
         gens = (Permutation(three), Permutation(big))
     # one generator generates a cyclic group of its own order, which costs
-    # no chain: a chain of C_n holds 2n permutations of degree n
-    order = gens[0].order() if len(gens) == 1 else bsgs_build(PermGroup(n, gens)).order()
-    if order != spec.order():
+    # no chain: a chain of C_n holds 2n permutations of degree n.  Two lie
+    # in the group (A_n's are even) and reach its order in a chain built to it
+    order = gens[0].order() if len(gens) == 1 else bsgs_build(PermGroup(n, gens), claim).order()
+    if order != claim or kind == "A" and any(s.parity() for s in gens):
         raise ConsistencyError(f"standard generators of {spec.token()} have wrong order")
     return gens
 

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wreathgen import cli, modfp
+from tree_blocks import EXAMPLE_PLANTED_IDS, planted_example_non_members
+from wreathgen import cli, modfp, permcore
 from wreathgen.formula import FormulaResult
-from wreathgen.permcore import BadInput
+from wreathgen.permcore import BadInput, ConsistencyError
 
 
 def run(capsys, *argv):
@@ -374,6 +375,33 @@ def test_example_verify_certifies_generation(capsys):
     assert code == 0
     assert doc["generates"] is True
     assert doc["order"] == "512988145055170560"
+
+
+def test_example_verify_reports_a_pair_that_does_not_generate(capsys, monkeypatch):
+    # <x> is cyclic of order 12; its chain, built to |W|, falls short and
+    # forms no Schreier generator on the way
+    def no_schreier(*args):
+        raise AssertionError("a Schreier generator was formed")
+
+    x, _ = cli.example_generators(5)
+    monkeypatch.setattr(cli, "example_generators", lambda n: (x, x))
+    monkeypatch.setattr(permcore.Bsgs, "_process", no_schreier)
+    code, doc = run(capsys, "example", "--n", "5", "--verify")
+    assert code == cli.EXIT_MISMATCH == 4 and doc["generates"] is False
+
+
+@pytest.mark.parametrize("bad,names", planted_example_non_members(), ids=EXAMPLE_PLANTED_IDS)
+def test_example_verify_refuses_a_pair_outside_w_before_any_chain(monkeypatch, bad, names):
+    # a chain built to |W| shows only |<x, y>| >= |W|, so a pair outside W
+    # must be refused before it
+    def no_chain(*args):
+        raise AssertionError("a chain was built")
+
+    x, _ = cli.example_generators(5)
+    monkeypatch.setattr(cli, "example_generators", lambda n: (x, bad))
+    monkeypatch.setattr(cli, "bsgs_build", no_chain)
+    with pytest.raises(ConsistencyError, match=names):
+        cli.main(["example", "--n", "5", "--verify"])
 
 
 @pytest.mark.parametrize("n,order_omitted", [(51, False), (2001, True)])

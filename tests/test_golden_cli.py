@@ -11,7 +11,11 @@ forms of a permutation.  `verify` on C2^9 (512 leaves), recorded while
 `tower_group` still built a deterministic chain, pins the output on a
 wide tower whose chain is built to its known order.  `module` at p = 3 for n = 6, 7 and 8 pins both
 branches of the I_p structure check (p | n and p prime to n), recorded
-before that check's spins learned to stop early.
+before that check's spins learned to stop early.  `example --n 21
+--verify`, recorded while the pair's chain was still deterministic, pins
+its output now that the chain is built to |W|.  `verify` on A18, whose
+chain once stalled below |A18| when each residue was kept at its own
+level only, pins d = 2 with the oracle's exact bracket [2, 2].
 """
 
 import json

@@ -338,15 +338,30 @@ def test_a_chain_built_to_the_known_order_is_complete(images, rng):
         word = word * g
         probes.append(word)
     assert [chain.contains(p) for p in probes] == [full.contains(p) for p in probes]
-    # no chain of <gens> exceeds its order, so it stalls below twice that
+    # no chain of <gens> exceeds its order: built to twice that, it stops
+    # at the order, a lower bound, and the group given that claim refuses it
+    assert bsgs_build(group, 2 * order).order() == order
     with pytest.raises(ConsistencyError, match="stalled"):
-        bsgs_build(group, 2 * order)
+        PermGroup(n, group.generators, 2 * order).order()
     # every orbit of a subgroup has a size that divides the order, so the
     # orbit product never equals order - 1, which is prime to it; the
     # product passes it
     if order > 2:
         with pytest.raises(ConsistencyError, match="passes"):
             bsgs_build(group, order - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 12).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)))
+def test_a_known_order_chains_levels_are_nested(images):
+    # each level's strong generators include the next level's, which the
+    # bound behind QUIET_DRAWS needs; residues kept at their own level only
+    # broke it
+    group = PermGroup(len(images[0]), [Permutation(g) for g in images])
+    chain = bsgs_build(group, bsgs_build(group).order())
+    for upper, lower in zip(chain._levels, chain._levels[1:]):
+        assert set(lower.gens) <= set(upper.gens)
 
 
 @settings(max_examples=40, deadline=None)

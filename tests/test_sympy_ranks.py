@@ -85,8 +85,8 @@ def test_a_chain_that_drops_an_orbit_point_disagrees_with_sympy(monkeypatch):
     # the last point of the top level's orbit, with its transversal entry
     build = permcore.bsgs_build
 
-    def dropped(g):
-        chain = build(g)
+    def dropped(g, order=None):
+        chain = build(g, order)
         level = chain._levels[0]
         pt = next(reversed(level.orbit))
         del level.orbit[pt], level.inv[pt]

@@ -147,6 +147,17 @@ def test_cyclic_generators_are_certified_without_a_chain(monkeypatch):
     assert gen.order() == 4099 and gen(4098) == 0
 
 
+def test_standard_generators_of_s_and_a_are_certified_without_schreier_generators(monkeypatch):
+    # a chain built to |S_n| or |A_n|; S100 stalled below its order when
+    # each residue was kept at its own level only
+    def no_schreier(*args):
+        raise AssertionError("a Schreier generator was formed")
+
+    monkeypatch.setattr(permcore.Bsgs, "_process", no_schreier)
+    for spec in (GroupSpec("S", 100), GroupSpec("A", 41), GroupSpec("A", 40)):
+        assert len(standard_generators.__wrapped__(spec)) == 2  # past the cache
+
+
 def test_a3_and_s2_are_made_as_c3_and_c2():
     for spec, cyclic in ((GroupSpec("A", 3), GroupSpec("C", 3)),
                          (GroupSpec("S", 2), GroupSpec("C", 2))):
@@ -365,6 +376,16 @@ def test_the_tower_group_of_c2_to_the_9_forms_no_schreier_generator(monkeypatch)
     small = parse_tower("C2;C2;C2")
     assert permcore.bsgs_build(PermGroup(8, tower_generators(small))).order() == small.order()
     assert calls
+
+
+# towers whose chain stalled below |W| when each residue was kept at the
+# level its sift stopped at: the chain's draws are seeded, so each stall
+# reproduced on every run
+@pytest.mark.parametrize("text", ["A18", "A30", "A39", "A41", "S57", "S65",
+                                  "C2;S57", "S3;A41", "S57;S3"])
+def test_tower_group_completes_where_own_level_residues_stalled(text):
+    t = parse_tower(text)
+    assert tower_group(t).order() == t.order()
 
 
 def test_tower_order_check_has_teeth(monkeypatch):

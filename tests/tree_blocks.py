@@ -2,7 +2,7 @@
 a tower's group, shared by the test modules."""
 
 from wreathgen.permcore import Permutation, parse_cycles
-from wreathgen.wreath import TowerSpec, apply_at_vertex, parse_tower
+from wreathgen.wreath import TowerSpec, apply_at_vertex, example_tower, parse_tower
 
 
 def project(t: TowerSpec, perm: Permutation, level: int) -> Permutation:
@@ -35,3 +35,17 @@ def planted_non_members():
 
 
 PLANTED_IDS = ["across-top-subtrees", "odd-at-A5", "reflection-at-C4"]
+
+
+def planted_example_non_members():
+    """(a leaf permutation outside the A5;C3;C2;C2 group of the example
+    pair, what the refusal names)"""
+    t = example_tower(5)  # leaves 1,2 | 3,4 at the bottom level
+    return [
+        (parse_cycles("(2 3)", 60), "splits a block of level 3"),
+        (apply_at_vertex(t, (), parse_cycles("(1 2)", 5)), "not an element of A5"),
+        (apply_at_vertex(t, (1,), parse_cycles("(2 3)", 3)), "not an element of C3"),
+    ]
+
+
+EXAMPLE_PLANTED_IDS = ["across-bottom-blocks", "odd-at-A5", "reflection-at-C3"]
