@@ -36,10 +36,12 @@ from .wreath import (
 # `verify` reports the formula alone rather than grinding
 VERIFY_LEAF_BUDGET = 4096
 # `example --verify` builds the pair's chain to |W|; past this many leaves
-# it answers "generates": null and exits 3.  On a 2-core host that chain
-# took 0.034 s and 18 MB peak at n = 21 (252 leaves), 0.11 s and 33 MB at
-# n = 23, 0.29 s and 74 MB at n = 31 and 0.7-0.85 s and 176 MB at n = 41:
-# memory, not time, sets the limit now
+# it answers "generates": null and exits 3.  That chain stores one inverse
+# transversal element per orbit point and two permutations per strong
+# generator.  On a 2-core host it took 0.013 s at n = 21 (252 leaves),
+# 0.044 s at n = 23, 0.10 s at n = 31 and 0.21 s at n = 41, in a process
+# whose peak RSS was 16, 23, 35 and 61 MB (15 MB of it the interpreter and
+# the package)
 EXAMPLE_LEAF_BUDGET = 252
 # `example` holds the pair as permutations of its 12n leaves and prints
 # their cycles, all of it linear in n: measured in one process at n =

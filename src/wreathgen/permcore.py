@@ -105,9 +105,14 @@ def prime_factorization(n: int) -> dict[int, int]:
 # bytes.translate needs its right operand as a 256-byte table, the images
 # padded with fixed points, and returns a string as long as its left one.
 # _table makes that table, and _invert returns one; above 255 the tuple is
-# its own table.  Permutation.__mul__ pads its right factor, cayley_walk
-# its generators once, and Bsgs keeps the values it composes on the right
-# (strong generators, inverse transversal elements) as tables.  _pack,
+# its own table, and a table composed with a table is a table.
+# Permutation.__mul__ pads its right factor, cayley_walk its generators
+# once, and rattle keeps its slots as tables.  Bsgs keeps as tables the
+# strong generators and, per orbit point, the inverse transversal element
+# u^-1 that its sift composes on the right.  A deterministic chain also
+# keeps each transversal element u in stored form, which its Schreier
+# generators read; a chain built to a known order keeps the inverse of
+# each strong generator instead, the left factor of s^-1 u^-1.  _pack,
 # _composer, _table, _invert and _first_moved are the only code that knows
 # these formats.
 
@@ -292,14 +297,23 @@ def format_cycles(p: Permutation) -> str:
 
 
 class _Level:
+    """One level of a chain: its base point, the strong generators fixing
+    all base points above, and `inv`, pt -> u^-1 as a table for the
+    transversal element u with u(base point) = pt, whose keys are the
+    orbit.  A sift reads only `inv`.  A deterministic chain's level also
+    keeps `orbit` (pt -> u), which its Schreier generators read, and a
+    work queue of (orbit point, generator index) pairs, and its `gens`
+    are tables.  A known-order chain's level keeps neither (both None),
+    and its `gens` are (table, inverse table) pairs."""
+
     __slots__ = ("point", "gens", "orbit", "inv", "pending")
 
-    def __init__(self, point, ident):
+    def __init__(self, point, ident, records: bool):
         self.point = point
-        self.gens = []  # strong generators fixing all base points above, as tables
-        self.orbit = {point: ident}  # pt -> u with u(base point) = pt
-        self.inv = {point: _table(ident)}  # pt -> u^-1, as a table
-        self.pending = deque()  # (orbit point, generator index) not yet expanded
+        self.gens = []
+        self.inv = {point: _table(ident)}
+        self.orbit = {point: ident} if records else None
+        self.pending = deque() if records else None
 
 
 class Bsgs:
@@ -331,7 +345,11 @@ class Bsgs:
     generator, whose residue was inserted at levels i+1..hi; and (t, hi)
     for the residue of the t-th extend() argument, inserted at levels
     0..hi.  `_calls` holds that hi per extend() call, None for a member.
-    A chain built to a known order has neither record: both are None.
+
+    A chain built to a known order (_fill) has neither record: both are
+    None.  It holds one permutation per orbit point, u^-1, and two per
+    strong generator, s and s^-1; a deterministic chain holds u and u^-1
+    per orbit point.
     """
 
     def __init__(self, degree: int):
@@ -351,7 +369,7 @@ class Bsgs:
     def order(self) -> int:
         n = 1
         for lv in self._levels:
-            n *= len(lv.orbit)
+            n *= len(lv.inv)
         return n
 
     def contains(self, p: Permutation) -> bool:
@@ -399,10 +417,10 @@ class Bsgs:
 
     def _insert(self, g, lo, hi):
         # g fixes the base points of levels < hi; register it as a strong
-        # generator for every level lo..hi, creating a level when g fixes
-        # the whole current base.
+        # generator for every level lo..hi of a deterministic chain,
+        # creating a level when g fixes the whole current base.
         if hi == len(self._levels):
-            self._levels.append(_Level(_first_moved(g), self._ident))
+            self._levels.append(_Level(_first_moved(g), self._ident, records=True))
         g = _table(g)
         self._strong.append(g)
         for m in range(lo, hi + 1):
@@ -458,34 +476,58 @@ class Bsgs:
 
     def _fill(self, gens, order):
         """Sift product-replacement draws of <gens> into the chain, keeping
-        no records; see bsgs_build."""
+        no records; see bsgs_build.
+
+        Each residue becomes a strong generator of levels 0..lvl, lvl the
+        level its sift stopped at, as in extend(); it is inverted once,
+        the pair is shared by those levels, and _grow closes each of them.
+        """
         self._defs = self._calls = None
+        levels = self._levels
         # a fixed seed, so a build is a pure function of gens and order
         draw = rattle(gens, random.Random(0), self.degree)
-        quiet = 0
-        while self.order() < order and quiet < QUIET_DRAWS:
+        size, quiet = 1, 0
+        while size < order and quiet < QUIET_DRAWS:
             r, lvl = self._sift(draw().raw)
-            quiet = quiet + 1 if r is None else 0
-            if r is not None:
-                self._insert(r, 0, lvl)
-                for lv in self._levels[:lvl + 1]:
-                    self._close(lv)
-        if self.order() > order:
-            raise ConsistencyError(f"a chain's order {self.order()} passes the claimed {order}")
+            if r is None:
+                quiet += 1
+                continue
+            quiet = 0
+            if lvl == len(levels):
+                levels.append(_Level(_first_moved(r), self._ident, records=False))
+            s = _table(r)
+            self._strong.append(s)
+            pair = (s, _invert(s))
+            for lv in levels[:lvl + 1]:
+                lv.gens.append(pair)
+                self._grow(lv, pair)
+            size = self.order()
+        if size > order:
+            raise ConsistencyError(f"a chain's order {size} passes the claimed {order}")
 
-    def _close(self, lv):
-        """Drain lv's work queue by tree edges alone: its orbit becomes the
-        base point's orbit under its strong generators, forming no Schreier generator."""
-        gens, orbit, inv, pending = lv.gens, lv.orbit, lv.inv, lv.pending
-        compose = self._compose
-        while pending:
-            pt, gi = pending.popleft()
-            s = gens[gi]
-            q = s[pt]
-            if q not in orbit:
-                w = orbit[q] = compose(orbit[pt], s)
-                inv[q] = _invert(w)
-                pending.extend(zip(repeat(q), range(len(gens))))
+    def _grow(self, lv, pair):
+        """Close lv's orbit under its strong generators once `pair`, the
+        last of them, has joined: one itemgetter call reads the new
+        generator's images of the whole orbit, and only the points they
+        add are walked, in the order a FIFO queue of (point, generator)
+        pairs reaches them.  Each new inverse is s^-1 u^-1, so nothing is
+        inverted here; no Schreier generator is formed."""
+        s, s_inv = pair
+        inv, compose = lv.inv, self._compose
+        images = itemgetter(*inv)(s) if len(inv) > 1 else (s[lv.point],)
+        if all(map(inv.__contains__, images)):
+            return
+        new = []
+        for pt, q in zip(list(inv), images):
+            if q not in inv:
+                inv[q] = compose(s_inv, inv[pt])
+                new.append(q)
+        for pt in new:  # grows while it is walked
+            for t, t_inv in lv.gens:
+                q = t[pt]
+                if q not in inv:
+                    inv[q] = compose(t_inv, inv[pt])
+                    new.append(q)
 
     def presentation(self, gens) -> tuple[list[list[int]], list[list[int]]]:
         """(definitions, relators): the group's presentation, read off the finished chain.
@@ -570,23 +612,27 @@ class Bsgs:
 def rattle(gens, rng: random.Random, degree: int):
     """Seeded product-replacement state on gens; returns a function that
     draws well-mixed elements of <gens>.  The witness search and a chain
-    built to a known order both draw from it."""
-    slots = list(gens) * 2 + [Permutation.identity(degree)]
-    acc = Permutation.identity(degree)
-    for _ in range(len(slots) * 10):
+    built to a known order both draw from it.  The slots are kept as
+    tables, which compose into tables, so no step pads an operand."""
+    compose = _composer(degree)
+    ident = _table(Permutation.identity(degree).raw)
+    slots = [_table(g.raw) for g in gens] * 2 + [ident]
+    acc = ident
+
+    def step():
+        nonlocal acc
         i, j = rng.randrange(len(slots)), rng.randrange(len(slots))
         if i != j:
-            slots[i] = slots[i] * slots[j]
-            acc = acc * slots[i]
+            slots[i] = compose(slots[i], slots[j])
+            acc = compose(acc, slots[i])
+
+    for _ in range(len(slots) * 10):
+        step()
 
     def draw() -> Permutation:
-        nonlocal acc
         for _ in range(3):
-            i, j = rng.randrange(len(slots)), rng.randrange(len(slots))
-            if i != j:
-                slots[i] = slots[i] * slots[j]
-                acc = acc * slots[i]
-        return acc
+            step()
+        return Permutation._wrap(degree, acc[:degree])
 
     return draw
 
@@ -610,7 +656,8 @@ def bsgs_build(g: "PermGroup", order: int | None = None) -> Bsgs:
     With an order the caller knows, a chain that sifts product-replacement
     draws and, as extend() does, makes a residue a strong generator of
     every level down to the one its sift stopped at; those levels' orbits
-    grow by closure alone, so no Schreier generator is formed.  Each orbit
+    grow by closure alone, so no Schreier generator is formed, and each
+    level stores only the inverse transversal its sift reads.  Each orbit
     lies in the basic orbit of the true point stabilizer, so the returned
     chain's order() is a lower bound on |<gens>|.  The build stops when it
     reaches `order`, or after QUIET_DRAWS quiet draws in a row (the comment

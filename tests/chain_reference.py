@@ -4,11 +4,20 @@
 sifted, also one its build has sifted before.  Each sift of a repeat
 ends at the identity, so the library's chain must be this chain, record
 for record.  `chain_lower_bound` is the oracle's lower bound with its
-ranks read off the chain of G'G^r instead of the tree's local actions."""
+ranks read off the chain of G'G^r instead of the tree's local actions.
+`reference_rattle` is the draw stream written with Permutation products,
+which the library's `rattle` must reproduce draw for draw."""
 
 import hashlib
+import random
 
-from wreathgen.permcore import Bsgs, PermGroup, abelian_p_ranks, prime_factorization
+from wreathgen.permcore import (
+    Bsgs,
+    PermGroup,
+    Permutation,
+    abelian_p_ranks,
+    prime_factorization,
+)
 
 
 class _NothingSifted(set):
@@ -50,3 +59,26 @@ def chain_lower_bound(g: PermGroup) -> tuple[int, str]:
     if d_ab < 2 and not g.is_abelian():
         return 2, "noncyclic"
     return d_ab, "abelianization"
+
+
+def reference_rattle(gens, rng: random.Random, degree: int):
+    """Seeded product-replacement state on gens; returns a function that
+    draws well-mixed elements of <gens>."""
+    slots = list(gens) * 2 + [Permutation.identity(degree)]
+    acc = Permutation.identity(degree)
+    for _ in range(len(slots) * 10):
+        i, j = rng.randrange(len(slots)), rng.randrange(len(slots))
+        if i != j:
+            slots[i] = slots[i] * slots[j]
+            acc = acc * slots[i]
+
+    def draw() -> Permutation:
+        nonlocal acc
+        for _ in range(3):
+            i, j = rng.randrange(len(slots)), rng.randrange(len(slots))
+            if i != j:
+                slots[i] = slots[i] * slots[j]
+                acc = acc * slots[i]
+        return acc
+
+    return draw

@@ -10,12 +10,15 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import sys
+import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.combinatorics import Permutation as SympyPermutation, PermutationGroup
 
-from chain_reference import ReferenceBsgs, chain_digest, reference_build
+from chain_reference import ReferenceBsgs, chain_digest, reference_build, reference_rattle
 from wreathgen import oracle, permcore
 from wreathgen.permcore import (
     TRIAL_DIVISION_BOUND,
@@ -44,6 +47,7 @@ from wreathgen.wreath import (
     local_actions,
     parse_tower,
     standard_generators,
+    tower_generators,
     tower_group,
 )
 
@@ -562,6 +566,133 @@ def test_chain_agrees_with_enumeration(case, rng):
         swap = list(range(n))
         swap[0], swap[n - 1] = n - 1, 0
         assert not chain.contains(Permutation(swap))
+
+
+# known-order chains of towers on either side of the switch between the
+# stored forms: C17;C3;C5 (255 leaves) and A5;C3;C3;C2;C2 (180) keep
+# bytes, C16;C16 (256) tuples
+KNOWN_ORDER_TOWERS = ["C17;C3;C5", "A5;C3;C3;C2;C2", "C16;C16"]
+
+
+def _probes(group: PermGroup, reference: Bsgs, rng: random.Random, k: int = 20):
+    """(members, non-members): k random words in the generators, and each
+    of k random permutations the reference refuses planted on a member."""
+    n, word = group.degree, Permutation.identity(group.degree)
+    members = []
+    for g in rng.choices(group.generators, k=k):
+        word = word * g
+        members.append(word)
+    outside = (Permutation(rng.sample(range(n), n)) for _ in range(k))
+    return members, [rng.choice(members) * x for x in outside if not reference.contains(x)]
+
+
+def _bad_inverses(chain: Bsgs, reference: Bsgs) -> list[tuple[int, int]]:
+    """(level, point) of each stored inverse that does not send its point
+    to the level's base point, moves a base point above, or lies outside
+    the reference's group."""
+    bad = []
+    for i, lv in enumerate(chain._levels):
+        for q, v in lv.inv.items():
+            p = Permutation(v[:chain.degree])
+            if (p(q) != lv.point or any(p(b) != b for b in chain.base[:i])
+                    or not reference.contains(p)):
+                bad.append((i, q))
+    return bad
+
+
+def _check_known_order_chain(group: PermGroup, chain: Bsgs, rng: random.Random):
+    # the deterministic chain of the same generators is the reference
+    reference = bsgs_build(PermGroup(group.degree, group.generators))
+    members, outside = _probes(group, reference, rng)
+    assert chain.order() == reference.order()
+    assert all(chain.contains(p) and reference.contains(p) for p in members)
+    assert not any(chain.contains(p) or reference.contains(p) for p in outside)
+    assert _bad_inverses(chain, reference) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(_padded_groups(), st.randoms(use_true_random=False))
+def test_a_known_order_chain_agrees_with_the_reference_on_drawn_groups(case, rng):
+    n, m, gens, _ = case
+    pad = tuple(range(m, n))
+    group = PermGroup(n, [Permutation(g + pad) for g in gens])
+    _check_known_order_chain(group, bsgs_build(group, bsgs_build(group).order()), rng)
+
+
+@pytest.mark.parametrize("name", KNOWN_ORDER_TOWERS)
+def test_a_known_order_chain_agrees_with_the_reference_on_towers(name):
+    group = tower_group(parse_tower(name))
+    _check_known_order_chain(group, group.bsgs(), random.Random(1))
+
+
+def _swapped(v, x, y):
+    w = list(v)
+    w[x], w[y] = w[y], w[x]
+    return type(v)(w)
+
+
+def _transposition(n: int, x: int, y: int) -> Permutation:
+    return Permutation(_swapped(tuple(range(n)), x, y))
+
+
+@pytest.mark.parametrize("name", KNOWN_ORDER_TOWERS)
+def test_swapping_two_images_in_a_stored_inverse_is_caught(name):
+    group = tower_group(parse_tower(name))
+    chain, reference = group.bsgs(), bsgs_build(PermGroup(group.degree, group.generators))
+    assert _bad_inverses(chain, reference) == []
+    lv = chain._levels[0]
+    q = next(reversed(lv.inv))
+    kept = lv.inv[q]
+    # the images of two points other than q whose transposition t lies
+    # outside the group: the inverse still sends q home, but t times it
+    # leaves the group
+    x, y = next((x, y) for x, y in combinations(range(chain.degree), 2)
+                if q not in (x, y) and not reference.contains(_transposition(chain.degree, x, y)))
+    lv.inv[q] = _swapped(kept, x, y)
+    assert _bad_inverses(chain, reference) == [(0, q)]
+    lv.inv[q] = _swapped(kept, q, x)
+    assert _bad_inverses(chain, reference) == [(0, q)]
+
+
+def test_a_known_order_chain_inverts_each_strong_generator_once(monkeypatch):
+    # every other inverse it stores is composed from these
+    calls = []
+    invert = permcore._invert
+
+    def counted(a):
+        calls.append(a)
+        return invert(a)
+
+    monkeypatch.setattr(permcore, "_invert", counted)
+    chain = tower_group(parse_tower("C2;C2;C2;C2;C2;C2;C2;C2;C2")).bsgs()
+    assert len(calls) == len(chain._strong) == 363
+
+
+@pytest.mark.parametrize("name", [*KNOWN_ORDER_TOWERS, "S4;S4;S4;S4"])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_rattle_draws_the_reference_stream(name, seed):
+    # the draws of the Permutation-level stream, which the witnesses,
+    # the perfbench pins and the golden documents were recorded with
+    gens = tower_generators(parse_tower(name))
+    n = gens[0].degree
+    ours = permcore.rattle(gens, random.Random(seed), n)
+    theirs = reference_rattle(gens, random.Random(seed), n)
+    assert [ours() for _ in range(50)] == [theirs() for _ in range(50)]
+
+
+@pytest.mark.parametrize("name", ["C16;C16", "S4;S4;S4;S4", "C2;C2;C2;C2;C2;C2;C2;C2;C2"])
+def test_a_known_order_chain_stores_one_permutation_per_orbit_point(name):
+    # plus the strong generators and their inverses; a chain that also
+    # kept each transversal element peaked at 1.6-2.8 times this
+    t = parse_tower(name)
+    tracemalloc.start()
+    try:
+        chain = tower_group(t).bsgs()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stored = sum(len(lv.inv) for lv in chain._levels) + 2 * len(chain._strong)
+    assert peak <= 1.4 * stored * sys.getsizeof(chain._strong[0])
 
 
 @settings(max_examples=60, deadline=None)
