@@ -4,10 +4,10 @@ Row vectors carry a right action: a permutation g acts by the 0/1 matrix
 P_g with P_g[a, g(a)] = 1, so P_{gh} = P_g P_h.  The module of interest
 is the kernel I_p of the coordinate sum inside V = F_p^n; this file
 verifies its structure by exhaustive spinning, computes endomorphism and
-fixed-point dimensions, and counts 1-cocycles from the presentation the
-group's own stabilizer chain gives: the derivation law carried along the
-chain's transversal elements and strong generators, and one set of
-equations per relator, so no element outside the chain is formed.
+fixed-point dimensions, and counts 1-cocycles from a presentation out of
+the literature (`presentation`): the derivation law carried along each
+relator, one set of equations per relator, so no element other than the
+letters is formed.
 
 The exhaustive check spins every vector of the class it checks, but each
 spin stops at the first vector it reaches that an earlier spin of the
@@ -263,11 +263,11 @@ class IpReport:
 # few images in dimension 20.
 VECTOR_BUDGET = 2 ** 20
 # bytes of the arrays cocycle_dims may build (see cocycle_bytes), the one
-# budget of the cocycle system.  It admits A4-A21 (A21 needs 16.2 MB, and
-# `cohom --group A21` took 0.7 s and peaked at 58 MB on a 2-core host),
-# S3-S20 and C2-C38, whose 37-dimensional I_p needs 16.7 MB and took 9 s
-# at 87 MB, almost all of it eliminating the commutation equations, which
-# cost k^6
+# budget of the cocycle system, checked from the degree alone.  It admits
+# A4-A32, S3-S32 (S32 needs 15.2 MB, and `cohom --group S32` took 0.2 s
+# and peaked at 71 MB on a 2-core host) and C2-C39, whose 38-dimensional
+# I_p needs 16.7 MB and took 4.5 s at 94 MB, almost all of it eliminating
+# the commutation equations, which cost k^6
 EQUATION_BUDGET = 2 ** 24
 
 
@@ -374,18 +374,16 @@ class CohomReport:
         return asdict(self)
 
 
-def cocycle_dims(g: PermGroup, m: FpModule) -> CohomReport:
+def cocycle_dims(g: PermGroup, m: FpModule, relators) -> CohomReport:
     """Dimensions of Z^1, B^1 and H^1 = Z^1/B^1 for the module m.
 
-    Images of the generators extend to a derivation exactly when its value
-    vanishes on every relator of a presentation of g; the presentation is
-    the one g's stabilizer chain gives (_cocycle_system).
+    `relators` are words in g.generators that present g (see
+    `presentation`).  Images of the generators extend to a derivation
+    exactly when its value vanishes on every relator.
     """
     k = m.dim
-    ngens = len(g.generators)
-    # checks the budget before any matrix or the k^4 commutation equations
-    constraints, order = _cocycle_system(g, m)
-    dim_z1 = ngens * k - constraints.dim
+    constraints, order = _cocycle_system(g, m, relators)
+    dim_z1 = len(g.generators) * k - constraints.dim
     fixed = fixed_points(m)
     dim_b1 = k - fixed
     dim_h1 = dim_z1 - dim_b1
@@ -396,31 +394,84 @@ def cocycle_dims(g: PermGroup, m: FpModule) -> CohomReport:
                        fixed, end, k if end == 1 else None)
 
 
+def presentation(spec: GroupSpec) -> tuple[tuple[Permutation, ...], list[list[int]]]:
+    """(letters, relators) for the group `spec` in its natural action.
+
+    A relator is a word in the letters, ~x for the inverse of letter x,
+    multiplied left to right as in permcore.  S_n is Moore's presentation
+    on s = (1 2) and t = (1 2 .. n): s^2, t^n, (st)^(n-1), (s t^-1 s t)^3
+    and (s t^-j s t^j)^2 for 2 <= j <= n//2.  A_n (n >= 4) is Carmichael's
+    on a = (1 2 3) and b = (3 4 .. n) for odd n, b = (1 2)(3 4 .. n) for
+    even n: a^3, b^(n-2), (ab)^n for odd n or (ab)^(n-1) for even n, and
+    (a^e b^-k a b^k)^2 for 1 <= k < n//2, e = -1 for odd k and even n,
+    else 1 (Coxeter and Moser, Generators and Relations for Discrete
+    Groups, 1957, ch. 6).  C_n is <t | t^n>.  _presentation_size counts
+    them from n alone.
+    """
+    n = spec.n
+    t = Permutation(list(range(1, n)) + [0])
+    if spec.kind == "C":
+        return (t,), [[0] * n]
+    if spec.kind == "S":
+        relators = [[0] * 2, [1] * n, [0, 1] * (n - 1), [0, ~1, 0, 1] * 3]
+        relators += [([0] + [~1] * j + [0] + [1] * j) * 2 for j in range(2, n // 2 + 1)]
+        return (Permutation([1, 0] + list(range(2, n))), t), relators
+    odd = n % 2
+    a = Permutation([1, 2, 0] + list(range(3, n)))
+    b = Permutation(([0, 1] if odd else [1, 0]) + list(range(3, n)) + [2])
+    relators = [[0] * 3, [1] * (n - 2), [0, 1] * (n - 1 + odd)]
+    relators += [([~0 if k % 2 and not odd else 0] + [~1] * k + [0] + [1] * k) * 2
+                 for k in range(1, n // 2)]
+    return (a, b), relators
+
+
+def _presentation_size(spec: GroupSpec) -> tuple[int, int]:
+    """(letters, relators) counts of presentation(spec), from n alone."""
+    if spec.kind == "C":
+        return 1, 1
+    return 2, spec.n // 2 + (3 if spec.kind == "S" else 2)
+
+
 def cohomology_of_Ip(spec: GroupSpec, p: int) -> CohomReport:
     """cocycle_dims for I_p under the group `spec` in its natural action.
 
-    Raises BadInput unless p is a prime below 2^31, and BudgetExceeded
-    before evaluating a presentation whose arrays would pass EQUATION_BUDGET.
+    Raises BadInput unless p is a prime below 2^31, and BudgetExceeded,
+    before anything is built, when the arrays of the presentation's
+    system would pass EQUATION_BUDGET.
+
+    Each relator is checked to be the identity on the letters, so
+    <letters> is a quotient of the presented group, and the chain of
+    <letters> built to |G| then shows it is all of G.  That the presented
+    group has order |G| rests on the theorems `presentation` cites; the
+    tests check it by coset enumeration for small n.  Were one of them
+    wrong, some relator would be missing, and H^1 could come out too
+    large, never too small.
     """
     _require_prime(p)
-    # needs neither generators nor a chain: the group is transitive, so it
-    # has at least one letter, one strong generator and n - 1 transversal
-    # elements other than the identity, and a finite group has at least
-    # as many relators as letters; exact for C_n
-    _require_equation_budget(cocycle_bytes(spec.n + 1, 1, 1, spec.n - 1))
-    g = PermGroup(spec.n, standard_generators(spec))
+    n = spec.n
+    ngens, nrels = _presentation_size(spec)
+    _require_equation_budget(cocycle_bytes(nrels, ngens, n - 1))
+    letters, relators = presentation(spec)
+    inverses = [x.inverse() for x in letters]
+    for word in relators:
+        value = Permutation.identity(n)
+        for x in word:
+            value = value * (letters[x] if x >= 0 else inverses[~x])
+        if not value.is_identity():
+            raise ConsistencyError(f"a relator of {spec.token()} is not the identity")
+    g = PermGroup(n, letters, spec.order())
     mod = FpModule.natural(g, p)
-    return cocycle_dims(g, mod.restricted(aug_submodule(mod)))
+    return cocycle_dims(g, mod.restricted(aug_submodule(mod)), relators)
 
 
-def cocycle_bytes(nodes: int, relators: int, ngens: int, k: int) -> int:
+def cocycle_bytes(relators: int, ngens: int, k: int) -> int:
     """Bytes of the arrays cocycle_dims builds for a k-dimensional module of
-    a group presented on ngens letters: the int64 store of `nodes` letters
-    and defined elements, each with the action matrix and the ngens
-    coefficient matrices of itself and of its inverse; k int64 equations
-    per relator; and the int64 commutation equations of endomorphism_dim,
-    k^4 entries per generator.  Temporaries take a small multiple of this."""
-    return 16 * nodes * (ngens + 1) * k * k + 8 * relators * k * ngens * k + 8 * ngens * k ** 4
+    a group presented on ngens letters: the int64 store of the letters,
+    each with the action matrix and the ngens coefficient matrices of
+    itself and of its inverse; k int64 equations per relator; and the
+    int64 commutation equations of endomorphism_dim, k^4 entries per
+    generator.  Temporaries take a small multiple of this."""
+    return 16 * ngens * (ngens + 1) * k * k + 8 * relators * k * ngens * k + 8 * ngens * k ** 4
 
 
 def _require_equation_budget(need: int) -> None:
@@ -430,42 +481,36 @@ def _require_equation_budget(need: int) -> None:
                              f"budget of {EQUATION_BUDGET}")
 
 
-def _cocycle_system(g: PermGroup, mod: FpModule) -> tuple[RowSpace, int]:
+def _cocycle_system(g: PermGroup, mod: FpModule, relators) -> tuple[RowSpace, int]:
     """The constraints on the generator images, and the group order.
 
-    The presentation of g's chain on its generators (Bsgs.presentation)
-    is checked against EQUATION_BUDGET before any matrix is built.  Each
-    node of the presentation then carries its action matrix M and the
-    coefficients C_j of its cocycle value, delta(x) = sum_j delta(gens[j])
-    C_j, for itself and for its inverse: a product has M = M_a M_b and C =
-    C_a M_b + C_b, a letter's inverse acts by M^(ord - 1), so no matrix is
-    inverted, and the cocycle value of each relator must vanish.
+    Each letter carries its action matrix M and the coefficients C_j of
+    its cocycle value, delta(x) = sum_j delta(gens[j]) C_j, for itself and
+    for its inverse: a product has M = M_a M_b and C = C_a M_b + C_b, a
+    letter's inverse acts by M^(ord - 1), so no matrix is inverted, and
+    the cocycle value of each relator must vanish.
     """
     if len(mod.mats) != len(g.generators):
         raise ValueError("module action does not match the group's generators")
     k = mod.dim
     p = mod.p
-    ngens = len(g.generators)
     # entries are kept below p, so an entry of a product sums k products
     # below p^2, and one of C_a M_b + C_b adds one entry below p; that sum
     # must fit in int64
     if k * (p - 1) ** 2 + p - 1 >= 2 ** 63:
         raise BadInput(f"p = {p} is too large for a {k}-dimensional cocycle system")
-    definitions, relators = g.bsgs().presentation(g.generators)
-    _require_equation_budget(cocycle_bytes(ngens + len(definitions), len(relators), ngens, k))
-    eqs = _relator_equations(g, mod, definitions, relators)
+    eqs = _relator_equations(g, mod, relators)
     return RowSpace.span(eqs, p), g.order()
 
 
-def _relator_equations(g: PermGroup, mod: FpModule, definitions, relators) -> np.ndarray:
-    """k equations per relator of a presentation of g on its generators
-    (Bsgs.presentation), in the ngens * k unknowns delta(gens[j])[a] at
-    column j * k + a, reduced mod p."""
+def _relator_equations(g: PermGroup, mod: FpModule, relators) -> np.ndarray:
+    """k equations per relator, in the ngens * k unknowns delta(gens[j])[a]
+    at column j * k + a, reduced mod p."""
     k = mod.dim
     p = mod.p
     ngens = len(g.generators)
-    # store[x, 0] is node x as [M, C_0, .., C_{ngens-1}], store[x, 1] its inverse
-    store = np.zeros((ngens + len(definitions), 2, ngens + 1, k, k), dtype=np.int64)
+    # store[x, 0] is letter x as [M, C_0, .., C_{ngens-1}], store[x, 1] its inverse
+    store = np.zeros((ngens, 2, ngens + 1, k, k), dtype=np.int64)
     eye = np.eye(k, dtype=np.int64)
     for j, (x, a) in enumerate(zip(g.generators, mod.mats)):
         a = a % p
@@ -474,23 +519,16 @@ def _relator_equations(g: PermGroup, mod: FpModule, definitions, relators) -> np
         store[j, 0, j + 1] = eye
         store[j, 1, 0] = inv
         store[j, 1, j + 1] = -inv % p  # delta(x^-1) = -delta(x) M_{x^-1}
-
-    def product(word):
+    eqs = np.empty((len(relators), k, ngens * k), dtype=np.int64)
+    for r, word in enumerate(relators):
         acc = store[word[0], 0] if word[0] >= 0 else store[~word[0], 1]
         for x in word[1:]:
             f = store[x, 0] if x >= 0 else store[~x, 1]
             acc = acc @ f[0]
             acc[1:] += f[1:]
             acc %= p
-        return acc
-
-    for n, word in enumerate(definitions, ngens):
-        store[n, 0] = product(word)
-        store[n, 1] = product([~x for x in reversed(word)])
-    eqs = np.empty((len(relators), k, ngens * k), dtype=np.int64)
-    for r, word in enumerate(relators):
         # equation c: the sum over j and a of delta(gens[j])[a] C_j[a, c]
-        eqs[r] = product(word)[1:].transpose(2, 0, 1).reshape(k, ngens * k)
+        eqs[r] = acc[1:].transpose(2, 0, 1).reshape(k, ngens * k)
     return eqs.reshape(-1, ngens * k)
 
 

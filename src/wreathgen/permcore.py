@@ -308,12 +308,12 @@ class _Level:
 
     __slots__ = ("point", "gens", "orbit", "inv", "pending")
 
-    def __init__(self, point, ident, records: bool):
+    def __init__(self, point, ident, schreier: bool):
         self.point = point
         self.gens = []
         self.inv = {point: _table(ident)}
-        self.orbit = {point: ident} if records else None
-        self.pending = deque() if records else None
+        self.orbit = {point: ident} if schreier else None
+        self.pending = deque() if schreier else None
 
 
 class Bsgs:
@@ -338,18 +338,9 @@ class Bsgs:
     The set of sifted generators lives in the extend() call: a finished
     chain holds none of it.
 
-    Two records, in creation order, let presentation() rebuild the words
-    of the chain's nodes.  `_defs` holds one entry per node: (i, pt, gi)
-    for the tree edge that added pt^s to level i's orbit, s the level's
-    strong generator gi; (i, pt, gi, hi) for that pair's Schreier
-    generator, whose residue was inserted at levels i+1..hi; and (t, hi)
-    for the residue of the t-th extend() argument, inserted at levels
-    0..hi.  `_calls` holds that hi per extend() call, None for a member.
-
-    A chain built to a known order (_fill) has neither record: both are
-    None.  It holds one permutation per orbit point, u^-1, and two per
-    strong generator, s and s^-1; a deterministic chain holds u and u^-1
-    per orbit point.
+    A chain built to a known order (_fill) holds one permutation per
+    orbit point, u^-1, and two per strong generator, s and s^-1; a
+    deterministic chain holds u and u^-1 per orbit point.
     """
 
     def __init__(self, degree: int):
@@ -358,7 +349,6 @@ class Bsgs:
         self._compose = _composer(degree)
         self._levels: list[_Level] = []
         self._strong: list = []  # tables, insertion order
-        self._defs, self._calls = [], []  # the records, see above
 
     # -- public api ---------------------------------------------------------
 
@@ -379,16 +369,15 @@ class Bsgs:
         return r is None
 
     def extend(self, p: Permutation) -> bool:
-        """Add a generator; returns True if the group grew."""
+        """Add a generator; returns True if the group grew.  Refused on a
+        chain built to a known order, whose levels keep no orbit maps."""
         if p.degree != self.degree:
             raise DegreeMismatch("generator degree differs from chain degree")
-        if self._calls is None:
+        if self._levels and self._levels[0].orbit is None:
             raise ConsistencyError("a chain built to a known order takes no extend()")
         r, lvl = self._sift(p.raw)
-        self._calls.append(None if r is None else lvl)
         if r is None:
             return False
-        self._defs.append((len(self._calls) - 1, lvl))
         self._insert(r, 0, lvl)
         self._run()
         return True
@@ -420,7 +409,7 @@ class Bsgs:
         # generator for every level lo..hi of a deterministic chain,
         # creating a level when g fixes the whole current base.
         if hi == len(self._levels):
-            self._levels.append(_Level(_first_moved(g), self._ident, records=True))
+            self._levels.append(_Level(_first_moved(g), self._ident, schreier=True))
         g = _table(g)
         self._strong.append(g)
         for m in range(lo, hi + 1):
@@ -458,7 +447,6 @@ class Bsgs:
             if uq is None:
                 orbit[q] = w
                 inv[q] = _invert(w)
-                self._defs.append((i, pt, gi))
                 pending.extend(zip(repeat(q), range(len(gens))))
                 continue
             if w == uq:
@@ -469,20 +457,18 @@ class Bsgs:
             sifted.add(g)
             r, m = self._sift(g, i + 1)
             if r is not None:
-                self._defs.append((i, pt, gi, m))
                 self._insert(r, i + 1, m)
                 return m
         return None
 
     def _fill(self, gens, order):
-        """Sift product-replacement draws of <gens> into the chain, keeping
-        no records; see bsgs_build.
+        """Sift product-replacement draws of <gens> into the chain; see
+        bsgs_build.
 
         Each residue becomes a strong generator of levels 0..lvl, lvl the
         level its sift stopped at, as in extend(); it is inverted once,
         the pair is shared by those levels, and _grow closes each of them.
         """
-        self._defs = self._calls = None
         levels = self._levels
         # a fixed seed, so a build is a pure function of gens and order
         draw = rattle(gens, random.Random(0), self.degree)
@@ -494,7 +480,7 @@ class Bsgs:
                 continue
             quiet = 0
             if lvl == len(levels):
-                levels.append(_Level(_first_moved(r), self._ident, records=False))
+                levels.append(_Level(_first_moved(r), self._ident, schreier=False))
             s = _table(r)
             self._strong.append(s)
             pair = (s, _invert(s))
@@ -528,85 +514,6 @@ class Bsgs:
                 if q not in inv:
                     inv[q] = compose(t_inv, inv[pt])
                     new.append(q)
-
-    def presentation(self, gens) -> tuple[list[list[int]], list[list[int]]]:
-        """(definitions, relators): the group's presentation, read off the finished chain.
-
-        Letters 0..t-1 are `gens`, the arguments of the chain's t extend()
-        calls, members too.  Node t + n is the product of
-        definitions[n], one per transversal element and strong generator in
-        the order the chain made them.  A word lists nodes, ~x for the
-        inverse of node x, multiplied left to right, and names only letters
-        and earlier nodes.  The relators are the member letters and, for
-        each level, orbit point pt and strong generator s whose pair defined
-        no node, u_pt s u_q^-1 with q = pt^s, each times its sift to the
-        identity.  With the definitions they present the group (Holt, Eick
-        and O'Brien, Handbook of Computational Group Theory, 2005, ch. 6;
-        Sims, Computation with Finitely Presented Groups, 1994).
-
-        Transversal entries are never replaced and levels are only
-        appended, so a definition sifted through the finished chain takes
-        the path its build took.  Raises ConsistencyError on a chain built
-        to a known order, work left in a queue, letters other than the
-        extend() arguments (each replays to its recorded residue) and
-        relators that do not sift to the identity.
-        """
-        levels, ident, compose, top = self._levels, self._ident, self._compose, len(self._levels)
-        if self._calls is None:
-            raise ConsistencyError("a chain built to a known order keeps no records to present")
-        if any(lv.pending for lv in levels):
-            raise ConsistencyError("a presentation needs a finished chain")
-        if len(gens) != len(self._calls) or any(x.degree != self.degree for x in gens):
-            raise ConsistencyError("the letters must be the chain's extend() arguments")
-        # per level: orbit point -> [node of u_pt], [] at the base point; nodes of lv.gens
-        names = [{lv.point: []} for lv in levels]
-        strong, definitions = [[] for _ in levels], []
-
-        def sift(word, g, lo, hi, residue):
-            # word times the transversal inverses that sift g, which must end at `residue`
-            for m in range(lo, hi):
-                lv = levels[m]
-                image = g[lv.point]
-                if image != lv.point:
-                    if image not in names[m]:
-                        break  # not in the orbit yet: g is no residue the chain recorded
-                    g = compose(g, lv.inv[image])
-                    word.append(~names[m][image][0])
-            if g != residue:
-                raise ConsistencyError("a word does not sift to the residue the chain recorded")
-            return word
-
-        def schreier(i, pt, gi, hi, residue):
-            # u_pt s u_q^-1, s = levels[i].gens[gi] and q = pt^s, sifted
-            lv, s = levels[i], levels[i].gens[gi]
-            q = s[pt]
-            word = names[i][pt] + [strong[i][gi]] + [~x for x in names[i][q]]
-            return sift(word, compose(compose(lv.orbit[pt], s), lv.inv[q]), i + 1, hi, residue)
-
-        residues = (r[:self.degree] for r in self._strong)
-        for rec in self._defs:
-            node = len(gens) + len(definitions)
-            if len(rec) == 3:  # the tree edge that adds pt^s to level i's orbit
-                i, pt, gi = rec
-                definitions.append(names[i][pt] + [strong[i][gi]])
-                names[i][levels[i].gens[gi][pt]] = [node]
-                continue
-            if len(rec) == 2:  # the residue of letter x
-                x, hi = rec
-                word, lo = sift([x], gens[x].raw, 0, hi, next(residues)), 0
-            else:
-                i, pt, gi, hi = rec
-                word, lo = schreier(i, pt, gi, hi, next(residues)), i + 1
-            for m in range(lo, hi + 1):
-                strong[m].append(node)
-            definitions.append(word)
-        relators = [sift([x], gens[x].raw, 0, top, ident)
-                    for x, hi in enumerate(self._calls) if hi is None]
-        defined = {rec[:3] for rec in self._defs if len(rec) > 2}
-        for i, lv in enumerate(levels):
-            relators += [schreier(i, pt, gi, top, ident) for pt in lv.orbit
-                         for gi in range(len(lv.gens)) if (i, pt, gi) not in defined]
-        return definitions, relators
 
 
 def rattle(gens, rng: random.Random, degree: int):
@@ -664,8 +571,8 @@ def bsgs_build(g: "PermGroup", order: int | None = None) -> Bsgs:
     there says why each level's group must contain the next level's), and
     raises ConsistencyError when it passes `order`.  When the caller has
     shown |<gens>| <= order, reaching it makes the chain a complete BSGS
-    (Seress, Permutation Group Algorithms, 2003, ch. 4).  Such a chain
-    keeps no records, so presentation() and extend() refuse it.
+    (Seress, Permutation Group Algorithms, 2003, ch. 4).  Its levels keep
+    no orbit maps for Schreier generators to read, so extend() refuses it.
     """
     b = Bsgs(g.degree)
     if order is not None:

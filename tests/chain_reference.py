@@ -2,8 +2,8 @@
 
 `ReferenceBsgs` is the library's Bsgs with every Schreier generator
 sifted, also one its build has sifted before.  Each sift of a repeat
-ends at the identity, so the library's chain must be this chain, record
-for record.  `chain_lower_bound` is the oracle's lower bound with its
+ends at the identity, so the library's chain must be this chain, level
+for level.  `chain_lower_bound` is the oracle's lower bound with its
 ranks read off the chain of G'G^r instead of the tree's local actions.
 `reference_rattle` is the draw stream written with Permutation products,
 which the library's `rattle` must reproduce draw for draw."""
@@ -41,13 +41,12 @@ def reference_build(g: PermGroup) -> ReferenceBsgs:
 
 
 def chain_digest(chain: Bsgs) -> str:
-    """Everything a build records, hashed: the base; per level its orbit
+    """Everything a build keeps, hashed: the base; per level its orbit
     map and inverse transversal, in discovery order, and its strong
-    generators; the strong generators in insertion order; `_defs` and
-    `_calls`."""
+    generators; and the strong generators in insertion order."""
     data = (chain.base,
             [(list(lv.orbit.items()), list(lv.inv.items()), lv.gens) for lv in chain._levels],
-            chain._strong, chain._defs, chain._calls)
+            chain._strong)
     return hashlib.sha256(repr(data).encode()).hexdigest()
 
 

@@ -12,8 +12,7 @@ import formula_reference as ref
 from tree_blocks import project
 from wreathgen.cli import main as cli_main
 from wreathgen.formula import abelianization, d_tower
-from wreathgen.modfp import alt_group, aug_submodule, check_Ip_structure, cocycle_dims
-from wreathgen.modfp import FpModule
+from wreathgen.modfp import check_Ip_structure, cohomology_of_Ip
 from wreathgen.oracle import min_generators
 from wreathgen.permcore import (
     PermGroup,
@@ -192,9 +191,7 @@ def test_acceptance_08_cocycle_dimension_bounds(capsys):
     }
     alt_orders = {4: 12, 5: 60, 6: 360, 7: 2520}
     for (n, p), (bound, frozen) in table.items():
-        g = alt_group(n)
-        mod = FpModule.natural(g, p)
-        rep = cocycle_dims(g, mod.restricted(aug_submodule(mod)))
+        rep = cohomology_of_Ip(GroupSpec("A", n), p)
         if rep.dim_H1 > bound:
             failures.append(f"H1(A{n}, I_{p}) = {rep.dim_H1} > {bound}")
         if rep.dim_H1 != frozen:

@@ -129,3 +129,41 @@ def test_failure_share_sums_over_the_pairs_and_flags_a_larger_one():
     # equal shares, and nothing attempted, are not worse
     assert share(([1, 10], [2, 20]))["failed_not_worse"] is True
     assert share(([0, 0], [0, 0]))["failed_ratio"] == {"parent": 0.0, "change": 0.0}
+
+
+def _checkout(root: Path) -> Path:
+    """A checkout with one module under each compiled directory and a
+    BENCHMARK.json without end-to-end metrics."""
+    for rel in ("src/pkg/mod.py", "perfbench/bench.py"):
+        (root / rel).parent.mkdir(parents=True)
+        (root / rel).write_text("X = 1\n")
+    (root / "BENCHMARK.json").write_text('{"end_to_end": []}')
+    return root
+
+
+def test_both_checkouts_are_compiled_before_the_first_pair(tmp_path, monkeypatch):
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+    events = []
+    compile_checkout = benchpairs.compile_checkout
+
+    def compiled(checkout):
+        compile_checkout(checkout)
+        events.append(("compiled", checkout))
+
+    def ran(checkout, workload, seed, seconds, trace):
+        events.append(("ran", checkout))
+        header = {"nproc": 2, "python": "3", "numpy": "2", "caches": {}}
+        return header, {"metrics": {}, "failed": 0, "attempted": 1}
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(benchpairs, "compile_checkout", compiled)
+    monkeypatch.setattr(benchpairs, "run_side", ran)
+    assert benchpairs.main(["--parent", str(parent), "--change", str(change), "--workload", "w",
+                            "--seeds", "1-2", "--out", str(tmp_path / "out.json")]) == 0
+    sides = {parent.resolve(), change.resolve()}
+    assert {c for _, c in events[:2]} == sides and [e for e, _ in events[:2]] == ["compiled"] * 2
+    assert [e for e, _ in events[2:]] == ["ran"] * 4
+    # with bytecode writing switched off for imports, compileall still writes it
+    for side in sides:
+        for rel in ("src/pkg/mod.py", "perfbench/bench.py"):
+            assert Path(importlib.util.cache_from_source(str(side / rel))).is_file()

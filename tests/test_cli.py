@@ -270,20 +270,20 @@ def over_budget(need):
 
 
 def test_cohom_over_budget_exits_3(capsys, monkeypatch):
-    # degrees 22 and 21 pass the lower bound; the presentations of their
-    # chains refuse A22 (266 nodes, 1,418 relators) and S21 (248 nodes,
-    # 1,814 relators) before any matrix is built
+    # A33 (18 relators), S33 (19) and C40 (1) are refused on the size of
+    # their presentations before anything is built
     def refuse(*args):
-        raise AssertionError("evaluated a presentation over the budget")
+        raise AssertionError("built something for a group over the budget")
 
-    monkeypatch.setattr(modfp, "_relator_equations", refuse)
-    monkeypatch.setattr(modfp, "endomorphism_dim", refuse)
-    for group, need in [("A22", 18747792), ("S21", 18931200)]:
+    for name in ("presentation", "_relator_equations", "endomorphism_dim"):
+        monkeypatch.setattr(modfp, name, refuse)
+    for group, need in [("A33", 17170432), ("S33", 17186816), ("C40", 18568368)]:
         code, doc = run(capsys, "cohom", "--group", group, "--p", "2")
         assert code == 3
         assert doc == over_budget(need)
-    assert modfp.cocycle_bytes(266, 1418, 2, 21) == 18747792
-    assert modfp.cocycle_bytes(248, 1814, 2, 20) == 18931200
+    assert modfp.cocycle_bytes(18, 2, 32) == 17170432
+    assert modfp.cocycle_bytes(19, 2, 32) == 17186816
+    assert modfp.cocycle_bytes(1, 1, 39) == 18568368
 
 
 @pytest.mark.parametrize("group,order", [("A9", 181440), ("S9", 362880)])
@@ -307,16 +307,17 @@ def test_cohom_over_budget_at_a_huge_degree_returns_at_once():
     # a chain of degree 10^7 would take minutes to build
     code, doc = run_process("cohom", "--group", "A10000000", "--p", "2", timeout=10)
     assert code == 3
-    assert doc == over_budget(modfp.cocycle_bytes(10 ** 7 + 1, 1, 1, 10 ** 7 - 1))
+    assert doc == over_budget(modfp.cocycle_bytes(5 * 10 ** 6 + 2, 2, 10 ** 7 - 1))
 
 
-def test_equation_budget_admits_a21_s20_and_c38_and_refuses_c39():
-    # (nodes, relators) of the groups' chains: A21 (244, 1396), S20 (226,
-    # 1524); C_n has n + 1 nodes and one relator
-    assert modfp.cocycle_bytes(244, 1396, 2, 20) == 16179200 <= modfp.EQUATION_BUDGET
-    assert modfp.cocycle_bytes(226, 1524, 2, 19) == 14803888 <= modfp.EQUATION_BUDGET
-    assert modfp.cocycle_bytes(39, 1, 1, 37) == 16712752 <= modfp.EQUATION_BUDGET
-    assert modfp.cocycle_bytes(40, 1, 1, 38) == 18540960 > modfp.EQUATION_BUDGET
+def test_equation_budget_admits_a32_s32_and_c39_and_refuses_c40():
+    # A_n has n // 2 + 2 relators and S_n n // 2 + 3, on two letters; C_n
+    # has one on one letter.  The next degree of each is refused in
+    # test_cohom_over_budget_exits_3
+    assert modfp.cocycle_bytes(18, 2, 31) == 15145360 <= modfp.EQUATION_BUDGET
+    assert modfp.cocycle_bytes(19, 2, 31) == 15160736 <= modfp.EQUATION_BUDGET
+    assert modfp.cocycle_bytes(1, 1, 38) == 16738848 <= modfp.EQUATION_BUDGET
+    assert modfp.cocycle_bytes(1, 1, 39) == 18568368 > modfp.EQUATION_BUDGET
 
 
 @pytest.mark.parametrize("group,p", [("A5", "3"), ("S4", "2"), ("C20", "3"), ("C21", "5")])
@@ -337,9 +338,9 @@ def test_cocycle_bytes_bounds_every_equation_stack(capsys, monkeypatch, group, p
     monkeypatch.setattr(modfp, "_require_equation_budget", checked)
     code, doc = run(capsys, "cohom", "--group", group, "--p", p)
     assert code == 0
-    # the degree bound, then the chain's own count
-    assert len(needs) == 2 and needs[0] <= needs[1]
-    assert max(spans) <= needs[1]
+    # one check, on the presentation's size, before anything is built
+    assert len(needs) == 1
+    assert max(spans) <= needs[0]
 
 
 @pytest.mark.parametrize("group,p", [

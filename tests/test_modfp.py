@@ -9,7 +9,9 @@ regular-plus-trivial, pinning H^1 to 0 and at most 1).
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,11 +34,12 @@ from wreathgen.modfp import (
     fixed_points,
     h_param,
     perm_matrix,
+    presentation,
     spin,
 )
-from wreathgen.permcore import (BadInput, Bsgs, BudgetExceeded, ConsistencyError, PermGroup,
-                                derived_subgroup, parse_cycles)
-from wreathgen.wreath import parse_group, parse_tower, standard_generators, tower_group
+from wreathgen.permcore import (BadInput, BudgetExceeded, ConsistencyError, PermGroup,
+                                Permutation, derived_subgroup, parse_cycles)
+from wreathgen.wreath import GroupSpec, parse_group, parse_tower, tower_group
 
 
 def test_rowspace_rank_and_reduction():
@@ -199,14 +202,14 @@ def test_fixed_points_are_the_constants():
 
 
 def test_endomorphism_dims():
-    g = alt_group(4)
+    g, relators = _presented("A4")
     mod = FpModule.natural(g, 3)
     assert endomorphism_dim(mod) == 2  # V = I_3 + constants, two projections
     ip = mod.restricted(aug_submodule(mod))
     assert endomorphism_dim(ip) == 1
     # r is the module's dimension when End is scalar, and unset otherwise
-    assert cocycle_dims(g, ip).r == ip.dim == 3
-    assert cocycle_dims(g, mod).r is None
+    assert cocycle_dims(g, ip, relators).r == ip.dim == 3
+    assert cocycle_dims(g, mod, relators).r is None
 
 
 @pytest.mark.parametrize("n,p,checked", [(4, 2, 8), (5, 5, 2500), (6, 2, 32)])
@@ -341,15 +344,24 @@ def test_a_reducible_module_is_still_caught(monkeypatch, n, p, cycles, checked):
 
 # --- cocycles ---------------------------------------------------------------
 
-def _c3():
-    return PermGroup.from_cycles(3, "(1 2 3)")
+def _presented(token):
+    """The group of `token` on its presentation's letters, and the relators."""
+    spec = parse_group(token)
+    letters, relators = presentation(spec)
+    return PermGroup(spec.n, letters, spec.order()), relators
+
+
+def _ip(g, p):
+    mod = FpModule.natural(g, p)
+    return mod.restricted(aug_submodule(mod))
 
 
 def test_cocycles_cyclic_trivial_module():
     ones = np.ones((1, 1), dtype=np.int64)
-    rep = cocycle_dims(_c3(), FpModule(3, 1, [ones]))
+    c3, relators = _presented("C3")
+    rep = cocycle_dims(c3, FpModule(3, 1, [ones]), relators)
     assert (rep.dim_Z1, rep.dim_B1, rep.dim_H1) == (1, 0, 1)
-    rep = cocycle_dims(_c3(), FpModule(2, 1, [ones]))
+    rep = cocycle_dims(c3, FpModule(2, 1, [ones]), relators)
     assert (rep.dim_Z1, rep.dim_B1, rep.dim_H1) == (0, 0, 0)
 
 
@@ -360,12 +372,10 @@ def test_cocycles_cyclic_trivial_module():
     (6, 5, 0),
 ])
 def test_cocycle_dims_on_aug_submodules(n, p, h1):
-    g = alt_group(n)
-    mod = FpModule.natural(g, p)
-    rep = cocycle_dims(g, mod.restricted(aug_submodule(mod)))
+    rep = cohomology_of_Ip(GroupSpec("A", n), p)
     assert rep.dim_H1 == h1
     assert rep.dim == n - 1 and rep.r == n - 1
-    assert rep.group_order == g.order()
+    assert rep.group_order == alt_group(n).order()
     assert rep.dim_B1 == (n - 1) - (1 if n % p == 0 else 0)
 
 
@@ -379,18 +389,14 @@ def test_a_negative_h1_is_a_consistency_error(monkeypatch):
 
 def test_cocycle_vanishes_in_coprime_characteristic():
     for n, p in [(4, 5), (4, 7), (5, 7), (5, 11)]:
-        g = alt_group(n)
-        mod = FpModule.natural(g, p)
-        assert cocycle_dims(g, mod.restricted(aug_submodule(mod))).dim_H1 == 0
+        assert cohomology_of_Ip(GroupSpec("A", n), p).dim_H1 == 0
 
 
 def test_inner_derivations_satisfy_the_constraints():
-    g = alt_group(5)
+    g, relators = _presented("A5")
     p = 3
-    mod = FpModule.natural(g, p)
-    ip = aug_submodule(mod)
-    restricted = mod.restricted(ip)
-    constraints, _ = _cocycle_system(g, restricted)
+    restricted = _ip(g, p)
+    constraints, _ = _cocycle_system(g, restricted, relators)
     rng = np.random.default_rng(17)
     eye = np.eye(restricted.dim, dtype=np.int64)
     for _ in range(10):
@@ -405,26 +411,59 @@ def test_cocycle_system_does_not_depend_on_the_edge_block(monkeypatch, n, p):
     # the walk of the reference folds its equations into the basis a block
     # of edges at a time; neither the block nor the method moves a row of
     # the reduced constraints
-    g = alt_group(n)
-    mod = FpModule.natural(g, p)
-    restricted = mod.restricted(aug_submodule(mod))
+    g, words = _presented(f"A{n}")
+    restricted = _ip(g, p)
     whole, order = cocycle_reference.cocycle_system(g, restricted)
     monkeypatch.setattr(cocycle_reference, "EDGE_BLOCK", 1)
     single, _ = cocycle_reference.cocycle_system(g, restricted)
-    relators, chain_order = _cocycle_system(g, restricted)
+    relators, chain_order = _cocycle_system(g, restricted, words)
     assert single.pivots == whole.pivots == relators.pivots
     assert single.rows == whole.rows == relators.rows
     assert chain_order == order == g.order()
 
 
-def _group(token):
+_spec = importlib.util.spec_from_file_location(
+    "coset_orders", Path(__file__).resolve().parent.parent / "tools" / "coset_orders.py")
+coset_orders = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(coset_orders)
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("S", n) for n in (3, 4, 5)]
+                         + [GroupSpec("A", n) for n in (4, 5)]
+                         + [GroupSpec("C", n) for n in (2, 5, 12)], ids=GroupSpec.token)
+def test_coset_enumeration_gives_the_order_of_each_presentation(spec):
+    # the theorems presentation() cites, checked where sympy's Todd-Coxeter
+    # takes under a second; tools/coset_orders.py runs n = 6 and 7 in CI
+    assert coset_orders.presented_order(spec) == spec.order()
+
+
+def test_every_admitted_presentation_holds_and_has_its_counted_size():
+    # the relators of every group the equation budget admits are the
+    # identity on their letters, and _presentation_size counts them
+    for kind, ns in (("A", range(4, 33)), ("S", range(3, 33)), ("C", range(2, 40))):
+        for n in ns:
+            spec = GroupSpec(kind, n)
+            letters, relators = presentation(spec)
+            assert (len(letters), len(relators)) == modfp._presentation_size(spec)
+            for word in relators:
+                value = Permutation.identity(n)
+                for x in word:
+                    value = value * (letters[x] if x >= 0 else letters[~x].inverse())
+                assert value.is_identity(), (spec.token(), word)
+
+
+@pytest.mark.parametrize("token", ["S5", "C6"])
+def test_a_relator_that_does_not_hold_is_refused_before_the_chain(monkeypatch, token):
+    # t^(n-1) in place of t^n, the power of the letter (1 2 .. n)
     spec = parse_group(token)
-    return PermGroup(spec.n, standard_generators(spec))
-
-
-def _ip(g, p):
-    mod = FpModule.natural(g, p)
-    return mod.restricted(aug_submodule(mod))
+    letters, relators = presentation(spec)
+    power = [len(letters) - 1] * spec.n
+    planted = [w[:-1] if w == power else w for w in relators]
+    assert planted != relators
+    monkeypatch.setattr(modfp, "presentation", lambda s: (letters, planted))
+    monkeypatch.setattr(modfp, "PermGroup", _refuse)
+    with pytest.raises(ConsistencyError, match=f"a relator of {token} is not the identity"):
+        cohomology_of_Ip(spec, 2)
 
 
 # every group the walk's budget admitted up to A7, S7 and C37, at five
@@ -436,112 +475,124 @@ REFERENCE_CASES = ([(f"{kind}{n}", (2, 3, 5, 7, 11)) for kind, ns in
 
 @pytest.mark.parametrize("token,primes", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
 def test_relators_give_the_walks_constraints(token, primes):
-    g = _group(token)
+    g, words = _presented(token)
     for p in primes:
         mod = _ip(g, p)
         walked, order = cocycle_reference.cocycle_system(g, mod)
-        relators, chain_order = _cocycle_system(g, mod)
+        relators, chain_order = _cocycle_system(g, mod, words)
         assert (relators.rows, relators.pivots) == (walked.rows, walked.pivots), p
         assert chain_order == order
 
 
-def _presentation(g):
-    return g.bsgs().presentation(g.generators)
+def test_dropping_one_relator_of_a4_raises_z1_at_2():
+    # on A4 at p = 2, a^3 and (ab)^3 each carry a constraint that the
+    # other three relators do not
+    g, relators = _presented("A4")
+    mod = _ip(g, 2)
+    assert cocycle_dims(g, mod, relators).dim_Z1 == 3
+    dims = [_cocycle_system(g, mod, relators[:i] + relators[i + 1:])[0].dim
+            for i in range(len(relators))]
+    assert [2 * 3 - d for d in dims] == [4, 3, 4, 3]
 
 
-def test_dropping_one_relator_of_a4_raises_z1_at_2(monkeypatch):
-    # most relators of a chain's presentation are redundant for Z^1; on
-    # A4 at p = 2 one of the six is not
-    g, mod = alt_group(4), _ip(alt_group(4), 2)
-    definitions, relators = _presentation(g)
-    assert len(relators) == 6
-    assert cocycle_dims(g, mod).dim_Z1 == 3
-    present = Bsgs.presentation
-    dims = []
-    for i in range(len(relators)):
-        monkeypatch.setattr(Bsgs, "presentation", lambda chain, gens, i=i: (
-            lambda d, r: (d, r[:i] + r[i + 1:]))(*present(chain, gens)))
-        dims.append(_cocycle_system(g, mod)[0].dim)
-    assert [2 * 3 - d for d in dims] == [3, 3, 3, 3, 3, 4]
+def test_dropping_b_power_from_a5_leaves_the_walks_span():
+    # b^3 is needed at every prime the walk checks: without it the span
+    # of the constraints falls short of the walk's
+    g, relators = _presented("A5")
+    assert relators[1] == [1] * 3
+    for p in (2, 3, 5, 7, 11):
+        mod = _ip(g, p)
+        walked, _ = cocycle_reference.cocycle_system(g, mod)
+        assert _cocycle_system(g, mod, relators)[0].dim == walked.dim
+        assert _cocycle_system(g, mod, relators[:1] + relators[2:])[0].dim == walked.dim - 1, p
 
 
 @pytest.mark.parametrize("token,p,z1", [("A4", 2, 3), ("S3", 2, 2), ("S3", 3, 2),
                                         ("S3", 5, 2)])
 def test_an_edge_back_into_the_schreier_tree_is_a_relator(token, p, z1):
-    # u_pt s = u_q as permutations on an edge that did not define u_q is a
-    # relator of the words, not a tree edge: without those relators Z^1
-    # comes out one larger on these cases
-    g = _group(token)
+    # each Cayley-graph edge outside the walk's spanning tree constrains
+    # the images, and the walk's Z^1 is the presentation's
+    g, _ = _presented(token)
     mod = _ip(g, p)
-    assert cocycle_dims(g, mod).dim_Z1 == z1
+    assert cohomology_of_Ip(parse_group(token), p).dim_Z1 == z1
     walked, _ = cocycle_reference.cocycle_system(g, mod)
     assert len(g.generators) * mod.dim - walked.dim == z1
 
 
 @pytest.mark.parametrize("p,z1,h1", [(2, 18, 9), (3, 9, 0)])
 def test_cocycles_of_a_normal_closure(p, z1, h1):
-    # the closure is generated by the seeds that grew its chain, and its
-    # own chain is built on those generators alone
+    # modfp presents only S_n, A_n and C_n; the walk counts the cocycles
+    # of any group, here the closure generated by the seeds that grew its chain
     g = derived_subgroup(tower_group(parse_tower("C3;C2;C2")))
-    assert len(g.bsgs()._calls) == len(g.generators)
     mod = FpModule.natural(g, p)
-    rep = cocycle_dims(g, mod)
-    assert (rep.group_order, rep.dim, rep.dim_Z1, rep.dim_B1, rep.dim_H1) == (128, 12, z1, 9, h1)
-    walked, _ = cocycle_reference.cocycle_system(g, mod)
-    assert len(g.generators) * mod.dim - walked.dim == z1
+    walked, order = cocycle_reference.cocycle_system(g, mod)
+    dim_z1 = len(g.generators) * mod.dim - walked.dim
+    dim_b1 = mod.dim - fixed_points(mod)
+    assert (order, mod.dim, dim_z1, dim_b1, dim_z1 - dim_b1) == (128, 12, z1, 9, h1)
 
 
 def test_cocycle_budget(monkeypatch):
-    # a direct call is refused on the exact bytes of its presentation, 27
-    # nodes and 24 relators for A7, before any matrix or the commutation
-    # equations are built
-    g = alt_group(7)
-    sub = _ip(g, 2)
-    definitions, relators = _presentation(g)
-    assert (len(definitions), len(relators)) == (25, 24)
-    need = cocycle_bytes(27, 24, 2, 6)
-    assert need == 81216
+    # cohomology_of_Ip refuses on the exact bytes of the presentation, 5
+    # relators on 2 letters for A7, before anything is built
+    need = cocycle_bytes(5, 2, 6)
+    assert need == 27072
     monkeypatch.setattr(modfp, "EQUATION_BUDGET", need - 1)
     with monkeypatch.context() as built:
-        built.setattr(modfp, "_relator_equations", _refuse)
-        built.setattr(modfp, "endomorphism_dim", _refuse)
+        for name in ("presentation", "_relator_equations", "endomorphism_dim"):
+            built.setattr(modfp, name, _refuse)
         with pytest.raises(BudgetExceeded) as exc:
-            cocycle_dims(g, sub)
+            cohomology_of_Ip(parse_group("A7"), 2)
     assert str(exc.value) == (f"cocycle equations need at least {need} bytes, "
                               f"over the budget of {need - 1}")
     monkeypatch.setattr(modfp, "EQUATION_BUDGET", need)
-    assert cocycle_dims(g, sub).group_order == 2520
+    assert cohomology_of_Ip(parse_group("A7"), 2).group_order == 2520
+
+
+class _Checked(Exception):
+    pass
+
+
+def _checked_needs(monkeypatch, token):
+    """The bytes cohomology_of_Ip checks for `token` at p = 2, and the
+    relators it then evaluates."""
+    needs, evaluated = [], []
+
+    def stop(g, mod, relators):
+        evaluated.append(relators)
+        raise _Checked
+
+    monkeypatch.setattr(modfp, "_require_equation_budget", needs.append)
+    monkeypatch.setattr(modfp, "_relator_equations", stop)
+    with pytest.raises(_Checked):
+        cohomology_of_Ip(parse_group(token), 2)
+    return needs, evaluated[0]
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 20, 38])
 def test_the_degree_bound_is_exact_for_cyclic_groups(monkeypatch, n):
-    # cohomology_of_Ip checks n + 1 nodes and one relator before it builds
-    # anything; C_n's presentation has exactly that many
-    class Checked(Exception):
-        pass
+    # cohomology_of_Ip checks one relator on one letter before it builds
+    # anything; C_n's presentation has exactly that
+    needs, relators = _checked_needs(monkeypatch, f"C{n}")
+    assert needs == [cocycle_bytes(1, 1, n - 1)] and relators == [[0] * n]
 
-    def stop(*args):
-        raise Checked
 
-    needs = []
-    monkeypatch.setattr(modfp, "_require_equation_budget", needs.append)
-    monkeypatch.setattr(modfp, "_relator_equations", stop)
-    with pytest.raises(Checked):
-        cohomology_of_Ip(parse_group(f"C{n}"), 2)
-    assert needs == [cocycle_bytes(n + 1, 1, 1, n - 1)] * 2
+@pytest.mark.parametrize("token", [f"{kind}{n}" for kind in "AS" for n in (4, 5, 6, 7, 20, 21)]
+                         + ["S3"])
+def test_the_budget_is_checked_once_on_the_presentations_own_size(monkeypatch, token):
+    needs, relators = _checked_needs(monkeypatch, token)
+    n = parse_group(token).n
+    assert needs == [cocycle_bytes(len(relators), 2, n - 1)]
+    assert len(relators) == n // 2 + (3 if token[0] == "S" else 2)
 
 
 def test_cocycle_refuses_a_p_too_large_for_int64():
     # I_p of A5 has dimension k = 4, and an entry of C_a M_b + C_b reaches
     # 4 (p - 1)^2 + p - 1; 1518500213 and 1518500279 are the primes on
     # either side of the bound
-    g = alt_group(5)
     for p in (1518500279, 2 ** 31 - 1):
-        mod = FpModule.natural(g, p)
         with pytest.raises(BadInput, match="too large"):
-            cocycle_dims(g, mod.restricted(aug_submodule(mod)))
-    mod = FpModule.natural(g, 1518500213)
-    rep = cocycle_dims(g, mod.restricted(aug_submodule(mod)))
+            cohomology_of_Ip(parse_group("A5"), p)
+    rep = cohomology_of_Ip(parse_group("A5"), 1518500213)
     # p does not divide |A5|, so H^1 vanishes and Z^1 = B^1 = I_p
     assert (rep.dim_Z1, rep.dim_B1, rep.dim_H1, rep.group_order) == (4, 4, 0, 60)
 
@@ -550,19 +601,19 @@ def test_cocycle_refuses_a_p_too_large_for_int64():
                                        (2 ** 31 + 11, "p must be below 2^31")])
 def test_a_module_is_refused_a_p_that_is_not_a_prime_below_2_31(p, message):
     # cocycle_dims once met these moduli as numpy's "base is not invertible"
-    g = alt_group(5)
+    g, relators = _presented("A5")
     with pytest.raises(BadInput) as exc:
-        cocycle_dims(g, FpModule.natural(g, p))
+        cocycle_dims(g, FpModule.natural(g, p), relators)
     assert str(exc.value) == message
     with pytest.raises(BadInput):
         FpModule(p, 1, [np.ones((1, 1), dtype=np.int64)])
 
 
 def test_cocycle_requires_matching_generators():
-    g = alt_group(5)
+    g, relators = _presented("A5")
     other = FpModule.natural(alt_group(4), 2)
     with pytest.raises(ValueError):
-        _cocycle_system(g, FpModule(2, 4, other.mats[:1]))
+        _cocycle_system(g, FpModule(2, 4, other.mats[:1]), relators)
 
 
 def _refuse(*args):
@@ -574,16 +625,17 @@ def _over_budget(need):
             f"of {modfp.EQUATION_BUDGET}")
 
 
-# each refusal reads only the degree; for C250 the bound is exact, and
-# endomorphism_dim alone would allocate k^4 * 8 bytes for k = 249, 28.6 GiB
+# each refusal reads only the degree; for C250 endomorphism_dim alone
+# would allocate k^4 * 8 bytes for k = 249, 28.6 GiB
 @pytest.mark.parametrize("token,skipped,message", [
-    ("A260", ("standard_generators", "perm_matrix", "_cocycle_system"),
-     _over_budget(cocycle_bytes(261, 1, 1, 259))),
-    # a chain of degree 10^7 would take minutes to build
-    ("A10000000", ("standard_generators", "perm_matrix", "_cocycle_system"),
-     _over_budget(cocycle_bytes(10 ** 7 + 1, 1, 1, 10 ** 7 - 1))),
+    ("A260", ("presentation", "perm_matrix", "_cocycle_system"),
+     _over_budget(cocycle_bytes(132, 2, 259))),
+    # the words of A_n have about n^2 / 2 letters, and a chain of degree
+    # 10^7 would take minutes to build
+    ("A10000000", ("presentation", "perm_matrix", "_cocycle_system"),
+     _over_budget(cocycle_bytes(5 * 10 ** 6 + 2, 2, 10 ** 7 - 1))),
     ("C250", ("perm_matrix", "_cocycle_system", "endomorphism_dim"),
-     _over_budget(cocycle_bytes(251, 1, 1, 249))),
+     _over_budget(cocycle_bytes(1, 1, 249))),
 ])
 def test_cohomology_of_Ip_refuses_its_budgets_before_building(
         monkeypatch, token, skipped, message):
@@ -593,12 +645,12 @@ def test_cohomology_of_Ip_refuses_its_budgets_before_building(
         cohomology_of_Ip(parse_group(token), 2)
     assert str(exc.value) == message
     if token == "C250":
-        assert cocycle_bytes(251, 1, 1, 249) > 28 * 2 ** 30
+        assert cocycle_bytes(1, 1, 249) > 28 * 2 ** 30
 
 
 @pytest.mark.parametrize("p,message", BAD_PRIMES)
 def test_cohomology_of_Ip_refuses_a_p_that_is_not_a_prime_below_2_31(monkeypatch, p, message):
-    monkeypatch.setattr(modfp, "standard_generators", _refuse)
+    monkeypatch.setattr(modfp, "presentation", _refuse)
     with pytest.raises(ValueError) as exc:
         cohomology_of_Ip(parse_group("A5"), p)
     assert str(exc.value) == message

@@ -158,6 +158,21 @@ def test_standard_generators_of_s_and_a_are_certified_without_schreier_generator
         assert len(standard_generators.__wrapped__(spec)) == 2  # past the cache
 
 
+def test_standard_generators_refuse_an_odd_pair_for_a6(monkeypatch):
+    # (1 2 3) and (1 2 .. 6) generate S6, yet a chain of them built to 360
+    # stops at 360, so only the parity check tells them from A6's pair
+    a, b = parse_cycles("(1 2 3)", 6), parse_cycles("(1 2 3 4 5 6)", 6)
+    assert permcore.bsgs_build(PermGroup(6, (a, b)), 360).order() == 360
+    even = [0, 2, 3, 4, 5, 1]  # (2 3 4 5 6), A6's second generator
+
+    def planted(images):
+        return b if list(images) == even else Permutation(images)
+
+    monkeypatch.setattr(wreath, "Permutation", planted)
+    with pytest.raises(ConsistencyError, match="wrong order"):
+        standard_generators.__wrapped__(GroupSpec("A", 6))
+
+
 def test_a3_and_s2_are_made_as_c3_and_c2():
     for spec, cyclic in ((GroupSpec("A", 3), GroupSpec("C", 3)),
                          (GroupSpec("S", 2), GroupSpec("C", 2))):

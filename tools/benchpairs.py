@@ -3,7 +3,10 @@
     python3 tools/benchpairs.py --parent ../parent --change . \\
         --workload verify-scan --seeds 1-10 --seconds 25 --out BENCH_5.json
 
---parent and --change are two checkouts of the repository.  For each
+--parent and --change are two checkouts of the repository.  Before the
+first pair, `src` and `perfbench` of both are byte-compiled by this
+interpreter, so `setup_s` times imports from bytecode on both sides,
+whatever earlier runs (or PYTHONDONTWRITEBYTECODE) left behind.  For each
 workload and seed, `perfbench/run.py --trace 0` runs once in each checkout,
 one process at a time; the side that runs first alternates from seed to
 seed, so a slow spell of the host does not always fall on the same side.
@@ -39,6 +42,12 @@ def parse_seeds(text: str) -> list[int]:
         lo, _, hi = part.partition("-")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
+
+
+def compile_checkout(checkout: Path) -> None:
+    """Byte-compile the checkout's `src` and `perfbench` with this interpreter."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                   cwd=checkout, check=True, stdout=subprocess.DEVNULL)
 
 
 def run_side(checkout: Path, workload: str, seed: int, seconds: float,
@@ -141,6 +150,8 @@ def main(argv=None) -> int:
                     f"--seconds {args.seconds:g} --trace 0, one pair per seed, the side "
                     f"that runs first alternating"),
            "machine": {}, "src_loc": {}, "workloads": {}}
+    for checkout in sides.values():
+        compile_checkout(checkout)
     for workload in args.workload:
         pairs = []
         for i, seed in enumerate(args.seeds):
