@@ -35,19 +35,14 @@ from .wreath import (
 # the oracle works on explicit leaf permutations; past this many leaves
 # `verify` reports the formula alone rather than grinding
 VERIFY_LEAF_BUDGET = 4096
-# `example --verify` builds the pair's chain to |W|; past this many leaves
-# it answers "generates": null and exits 3.  That chain stores one inverse
-# transversal element per orbit point and two permutations per strong
-# generator.  On a 2-core host it took 0.013 s at n = 21 (252 leaves),
-# 0.044 s at n = 23, 0.10 s at n = 31 and 0.21 s at n = 41, in a process
-# whose peak RSS was 16, 23, 35 and 61 MB (15 MB of it the interpreter and
-# the package)
-EXAMPLE_LEAF_BUDGET = 252
 # `example` holds the pair as permutations of its 12n leaves and prints
 # their cycles, all of it linear in n: measured in one process at n =
 # 20,001, 50,001 and 100,001, the peak rose 187-188 bytes per leaf over
-# the interpreter's 16 MB (100,001: 2.5 s, 231 MB).  Past 200 bytes a
-# leaf times this budget it refuses before it builds anything
+# the interpreter's 16 MB (100,001: 2.5 s, 231 MB).  `--verify` adds the
+# pair's chain, built to |W|: about L^2/20 permutations of the L leaves.
+# On a 2-core host every odd n from 23 to 67 raised the peak by 0.38-0.45
+# L^3 bytes (n = 67, 804 leaves: 0.96 s, 200 MB).  Past 200 bytes a leaf,
+# plus L^3/2 with `--verify`, this budget refuses before anything is built
 EXAMPLE_BYTE_BUDGET = 256 * 2 ** 20
 
 EXIT_OK = 0
@@ -163,9 +158,11 @@ def _cmd_cohom(args) -> tuple[dict, int]:
 
 def _cmd_example(args) -> tuple[dict, int]:
     t = example_tower(args.n)
-    need = 200 * t.leaf_count()
+    leaves = t.leaf_count()
+    need = 200 * leaves + (leaves ** 3 // 2 if args.verify else 0)
     if need > EXAMPLE_BYTE_BUDGET:
-        raise BudgetExceeded(f"the pair of {t.leaf_count()} leaves needs about {need} bytes, "
+        with_chain = ", with its chain," if args.verify else ""
+        raise BudgetExceeded(f"the pair of {leaves} leaves{with_chain} needs about {need} bytes, "
                              f"over the budget of {EXAMPLE_BYTE_BUDGET}")
     x, y = example_generators(args.n)
     doc = {
@@ -176,14 +173,9 @@ def _cmd_example(args) -> tuple[dict, int]:
         "generates": None,
     }
     if args.verify:
-        if t.leaf_count() > EXAMPLE_LEAF_BUDGET:
-            doc["warning"] = "; ".join(filter(None, (doc.get("warning"), (
-                f"{t.leaf_count()} leaves exceed the verification budget of "
-                f"{EXAMPLE_LEAF_BUDGET}; not verified"))))
-            return doc, EXIT_BUDGET
         for w in (x, y):  # refuses one outside W, so reaching |W| proves <x, y> = W
             local_actions(t, w)
-        chain = bsgs_build(PermGroup(t.leaf_count(), (x, y)), t.order())
+        chain = bsgs_build(PermGroup(leaves, (x, y)), t.order())
         doc["generates"] = chain.order() == t.order()
     return doc, EXIT_OK if doc["generates"] in (None, True) else EXIT_MISMATCH
 
@@ -222,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("example", help="the explicit two-generator pair")
     e.add_argument("--n", type=int, required=True, help="odd top degree >= 5")
     e.add_argument("--verify", action="store_true",
-                   help="certify that the pair generates the tower group, "
-                        f"up to {EXAMPLE_LEAF_BUDGET} leaves")
+                   help="certify that the pair generates the tower group "
+                        "(n <= 67 within the byte budget)")
     e.set_defaults(func=_cmd_example)
 
     for p in (f, v, m, c, e):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -405,38 +406,72 @@ def test_example_verify_refuses_a_pair_outside_w_before_any_chain(monkeypatch, b
         cli.main(["example", "--n", "5", "--verify"])
 
 
-@pytest.mark.parametrize("n,order_omitted", [(51, False), (2001, True)])
-def test_example_verify_past_its_budget_returns_at_once(n, order_omitted):
-    # n = 51 (612 leaves) once ran past 50 s, and n = 200001 past 6.8 GB
-    code, doc = run_process("example", "--n", str(n), "--verify", timeout=10)
-    assert code == 3 and doc["generates"] is None
-    budget = (f"{12 * n} leaves exceed the verification budget of "
-              f"{cli.EXAMPLE_LEAF_BUDGET}; not verified")
-    assert doc["warning"].endswith(budget)
-    assert doc["warning"].startswith("order omitted") == order_omitted
-
-
-def test_example_verify_budget_admits_its_own_leaf_count(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "EXAMPLE_LEAF_BUDGET", 60)
-    code, doc = run(capsys, "example", "--n", "5", "--verify")
-    assert code == 0 and doc["generates"] is True and "warning" not in doc
-    code, doc = run(capsys, "example", "--n", "7", "--verify")
-    assert code == 3 and doc["generates"] is None
-    assert doc["warning"] == "84 leaves exceed the verification budget of 60; not verified"
+def _need(capsys, monkeypatch, *argv) -> int:
+    """The bytes `example` asks of its budget for argv, read off the
+    refusal a budget of 0 gives."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "EXAMPLE_BYTE_BUDGET", 0)
+        m.setattr(cli, "example_generators", _refuse_to_build)
+        code, doc = run(capsys, "example", *argv)
+    assert code == 3
+    return int(doc["error"].split(" needs about ")[1].split()[0])
 
 
 def _refuse_to_build(n):
     raise AssertionError("example pair built past its byte budget")
 
 
+@pytest.mark.parametrize("n", [69, 2001])
+def test_example_verify_past_its_budget_returns_at_once(n):
+    # unbudgeted, n = 69 (828 leaves) raised the peak by 218 MB, and the
+    # chain of n = 2001 (24,012 leaves) would need terabytes; both are
+    # refused before the pair is built
+    code, doc = run_process("example", "--n", str(n), "--verify", timeout=10)
+    leaves = 12 * n
+    assert code == 3 and doc == {"error": (
+        f"the pair of {leaves} leaves, with its chain, needs about "
+        f"{200 * leaves + leaves ** 3 // 2} bytes, over the budget of {cli.EXAMPLE_BYTE_BUDGET}")}
+
+
+def test_example_verify_budget_admits_its_own_leaf_count(capsys, monkeypatch):
+    # the budget that --n 5 --verify needs for its 60 leaves admits it,
+    # refuses --n 7 --verify before the pair is built, and admits --n 7
+    monkeypatch.setattr(cli, "EXAMPLE_BYTE_BUDGET", _need(capsys, monkeypatch, "--n", "5", "--verify"))
+    code, doc = run(capsys, "example", "--n", "5", "--verify")
+    assert code == 0 and doc["generates"] is True and "warning" not in doc
+    with monkeypatch.context() as m:
+        m.setattr(cli, "example_generators", _refuse_to_build)
+        code, doc = run(capsys, "example", "--n", "7", "--verify")
+    assert code == 3 and doc["error"].endswith(f"over the budget of {cli.EXAMPLE_BYTE_BUDGET}")
+    code, doc = run(capsys, "example", "--n", "7")
+    assert code == 0 and doc["generates"] is None
+
+
+@pytest.mark.parametrize("n", [21, 23])
+def test_the_pairs_chain_stays_under_its_verify_term(capsys, monkeypatch, n):
+    # 252 leaves store permutations as bytes and 276 as tuples; the term is
+    # what --verify adds to the pair's need
+    term = _need(capsys, monkeypatch, "--n", str(n), "--verify") - _need(capsys, monkeypatch, "--n", str(n))
+    t = cli.example_tower(n)
+    x, y = cli.example_generators(n)
+    tracemalloc.start()
+    try:
+        chain = cli.bsgs_build(cli.PermGroup(t.leaf_count(), (x, y)), t.order())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chain.order() == t.order() and peak < term
+
+
 def test_example_past_its_byte_budget_is_refused_before_it_is_built(capsys, monkeypatch):
     # unbudgeted, n = 200,001 (2.4 million leaves) would peak near 450 MB
     monkeypatch.setattr(cli, "example_generators", _refuse_to_build)
-    for argv in (["--n", "200001"], ["--n", "1000001", "--verify"]):
+    for argv, chain in ((["--n", "200001"], ""), (["--n", "1000001", "--verify"], ", with its chain,")):
         code, doc = run(capsys, "example", *argv)
         leaves = 12 * int(argv[1])
+        need = 200 * leaves + (leaves ** 3 // 2 if chain else 0)
         assert code == 3 and doc == {"error": (
-            f"the pair of {leaves} leaves needs about {200 * leaves} bytes, "
+            f"the pair of {leaves} leaves{chain} needs about {need} bytes, "
             f"over the budget of {cli.EXAMPLE_BYTE_BUDGET}")}
 
 

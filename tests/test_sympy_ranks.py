@@ -76,7 +76,7 @@ def _disagreements(gens, rng: random.Random) -> list:
 
 
 @settings(max_examples=30, deadline=None)
-@given(_wide_groups(), st.randoms(use_true_random=False))
+@given(_wide_groups(), st.integers(0, 2 ** 32 - 1).map(random.Random))
 def test_chain_agrees_with_sympy_past_enumeration(gens, rng):
     assert _disagreements(gens, rng) == []
 
