@@ -107,14 +107,12 @@ def prime_factorization(n: int) -> dict[int, int]:
 # _table makes that table, and _invert returns one; above 255 the tuple is
 # its own table, and a table composed with a table is a table.
 # Permutation.__mul__ pads its right factor, cayley_walk its generators
-# once, and rattle keeps its slots as tables.  Bsgs keeps as tables the
-# strong generators and, per orbit point, the inverse transversal element
-# u^-1 that its sift composes on the right.  A deterministic chain also
-# keeps each transversal element u in stored form, which its Schreier
-# generators read; a chain built to a known order keeps the inverse of
-# each strong generator instead, the left factor of s^-1 u^-1.  _pack,
-# _composer, _table, _invert and _first_moved are the only code that knows
-# these formats.
+# once, and rattle keeps its slots as tables.  Bsgs keeps as tables each
+# strong generator s with its inverse, and per orbit point the inverse
+# transversal element u^-1 that its sift composes on the right, formed as
+# s^-1 u^-1; a deterministic chain also keeps each u in stored form, which
+# its Schreier generators read.  _pack, _composer, _table, _invert and
+# _first_moved are the only code that knows these formats.
 
 _IDENT256 = bytes(range(256))
 
@@ -149,12 +147,14 @@ def _first_moved(a) -> int:
     return list(map(ne, a, range(len(a)))).index(True)
 
 
-def _invert(a):
-    """Inverse of a stored form, as a table."""
+def _invert(a, ident):
+    """Inverse of a stored form, as a table.  Above degree 255 its entries
+    are those of ident, the identity's stored form, so the inverses of a
+    chain share its identity's int objects."""
     if type(a) is bytes:
         return bytes.maketrans(a, _IDENT256[:len(a)])
-    inv = [0] * len(a)
-    for x, y in enumerate(a):
+    inv = list(ident)
+    for x, y in zip(ident, a):
         inv[y] = x
     return tuple(inv)
 
@@ -195,7 +195,7 @@ class Permutation:
                                  _composer(self.degree)(self.raw, _table(other.raw)))
 
     def inverse(self) -> "Permutation":
-        return Permutation._wrap(self.degree, _invert(self.raw)[:self.degree])
+        return Permutation._wrap(self.degree, _invert(self.raw, range(self.degree))[:self.degree])
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -297,14 +297,14 @@ def format_cycles(p: Permutation) -> str:
 
 
 class _Level:
-    """One level of a chain: its base point, the strong generators fixing
-    all base points above, and `inv`, pt -> u^-1 as a table for the
-    transversal element u with u(base point) = pt, whose keys are the
-    orbit.  A sift reads only `inv`.  A deterministic chain's level also
-    keeps `orbit` (pt -> u), which its Schreier generators read, and a
-    work queue of (orbit point, generator index) pairs, and its `gens`
-    are tables.  A known-order chain's level keeps neither (both None),
-    and its `gens` are (table, inverse table) pairs."""
+    """One level of a chain: its base point; `gens`, a (table, inverse
+    table) pair per strong generator fixing all base points above; and
+    `inv`, pt -> u^-1 as a table for the transversal element u with
+    u(base point) = pt, whose keys are the orbit.  A sift reads only
+    `inv`.  A deterministic chain's level also keeps `orbit` (pt -> u),
+    which its Schreier generators read, and a work queue of (orbit point,
+    generator index) pairs; a known-order chain's level keeps neither
+    (both None)."""
 
     __slots__ = ("point", "gens", "orbit", "inv", "pending")
 
@@ -338,9 +338,10 @@ class Bsgs:
     The set of sifted generators lives in the extend() call: a finished
     chain holds none of it.
 
-    A chain built to a known order (_fill) holds one permutation per
-    orbit point, u^-1, and two per strong generator, s and s^-1; a
-    deterministic chain holds u and u^-1 per orbit point.
+    Both builders hold s and s^-1 per strong generator, inverting s once,
+    and store a new orbit point's u^-1 as s^-1 u_pt^-1, inverting nothing
+    more.  A chain built to a known order (_fill) holds u^-1 per orbit
+    point; a deterministic chain holds u and u^-1.
     """
 
     def __init__(self, degree: int):
@@ -404,19 +405,25 @@ class Bsgs:
             g = compose(g, ui)
         return (None if g == self._ident else g), len(levels)
 
-    def _insert(self, g, lo, hi):
-        # g fixes the base points of levels < hi; register it as a strong
-        # generator for every level lo..hi of a deterministic chain,
-        # creating a level when g fixes the whole current base.
-        if hi == len(self._levels):
-            self._levels.append(_Level(_first_moved(g), self._ident, schreier=True))
-        g = _table(g)
-        self._strong.append(g)
-        for m in range(lo, hi + 1):
-            lv = self._levels[m]
-            gi = len(lv.gens)
-            lv.gens.append(g)
-            lv.pending.extend(zip(lv.orbit, repeat(gi)))
+    def _adopt(self, r, lo, hi, schreier):
+        """Make residue r, which fixes the base points of levels < hi, a
+        strong generator of levels lo..hi, and return those levels: a new
+        level when r fixes the whole base, its table in _strong, and one
+        (s, s^-1) pair, inverted once here, shared by the levels."""
+        levels = self._levels
+        if hi == len(levels):
+            levels.append(_Level(_first_moved(r), self._ident, schreier))
+        s = _table(r)
+        self._strong.append(s)
+        pair = (s, _invert(s, self._ident))
+        for lv in levels[lo:hi + 1]:
+            lv.gens.append(pair)
+        return levels[lo:hi + 1]
+
+    def _insert(self, r, lo, hi):
+        # a deterministic level queues its new generator against its orbit
+        for lv in self._adopt(r, lo, hi, schreier=True):
+            lv.pending.extend(zip(lv.orbit, repeat(len(lv.gens) - 1)))
 
     def _run(self):
         sifted = set()  # the Schreier generators this extend() call has sifted
@@ -440,13 +447,13 @@ class Bsgs:
         compose = self._compose
         while pending:
             pt, gi = pending.popleft()
-            s = gens[gi]
+            s, s_inv = gens[gi]
             q = s[pt]
             w = compose(orbit[pt], s)
             uq = orbit.get(q)
             if uq is None:
                 orbit[q] = w
-                inv[q] = _invert(w)
+                inv[q] = compose(s_inv, inv[pt])
                 pending.extend(zip(repeat(q), range(len(gens))))
                 continue
             if w == uq:
@@ -466,10 +473,9 @@ class Bsgs:
         bsgs_build.
 
         Each residue becomes a strong generator of levels 0..lvl, lvl the
-        level its sift stopped at, as in extend(); it is inverted once,
-        the pair is shared by those levels, and _grow closes each of them.
+        level its sift stopped at, as in extend(), and _grow closes each
+        of them.
         """
-        levels = self._levels
         # a fixed seed, so a build is a pure function of gens and order
         draw = rattle(gens, random.Random(0), self.degree)
         size, quiet = 1, 0
@@ -479,26 +485,19 @@ class Bsgs:
                 quiet += 1
                 continue
             quiet = 0
-            if lvl == len(levels):
-                levels.append(_Level(_first_moved(r), self._ident, schreier=False))
-            s = _table(r)
-            self._strong.append(s)
-            pair = (s, _invert(s))
-            for lv in levels[:lvl + 1]:
-                lv.gens.append(pair)
-                self._grow(lv, pair)
+            for lv in self._adopt(r, 0, lvl, schreier=False):
+                self._grow(lv)
             size = self.order()
         if size > order:
             raise ConsistencyError(f"a chain's order {size} passes the claimed {order}")
 
-    def _grow(self, lv, pair):
-        """Close lv's orbit under its strong generators once `pair`, the
-        last of them, has joined: one itemgetter call reads the new
-        generator's images of the whole orbit, and only the points they
-        add are walked, in the order a FIFO queue of (point, generator)
-        pairs reaches them.  Each new inverse is s^-1 u^-1, so nothing is
-        inverted here; no Schreier generator is formed."""
-        s, s_inv = pair
+    def _grow(self, lv):
+        """Close lv's orbit under its strong generators once the last of
+        them has joined: one itemgetter call reads the new generator's
+        images of the whole orbit, and only the points they add are
+        walked, in the order a FIFO queue of (point, generator) pairs
+        reaches them.  No Schreier generator is formed."""
+        s, s_inv = lv.gens[-1]
         inv, compose = lv.inv, self._compose
         images = itemgetter(*inv)(s) if len(inv) > 1 else (s[lv.point],)
         if all(map(inv.__contains__, images)):
@@ -564,7 +563,8 @@ def bsgs_build(g: "PermGroup", order: int | None = None) -> Bsgs:
     draws and, as extend() does, makes a residue a strong generator of
     every level down to the one its sift stopped at; those levels' orbits
     grow by closure alone, so no Schreier generator is formed, and each
-    level stores only the inverse transversal its sift reads.  Each orbit
+    level stores, as in either build, each strong generator with its
+    inverse, and only the inverse transversal its sift reads.  Each orbit
     lies in the basic orbit of the true point stabilizer, so the returned
     chain's order() is a lower bound on |<gens>|.  The build stops when it
     reaches `order`, or after QUIET_DRAWS quiet draws in a row (the comment

@@ -154,8 +154,9 @@ def test_stored_forms_and_tables_agree_with_plain_tuples(pair):
     assert tuple(compose(raw_b, _table(raw_a))) == ba
     # a table composed on the left is the table of the product
     assert compose(_table(raw_a), _table(raw_b)) == _table(Permutation(ab).raw)
-    assert _invert(raw_a) == _table(Permutation(inverse).raw)
-    assert tuple(compose(raw_a, _invert(raw_a))) == tuple(range(n))
+    ident = Permutation.identity(n).raw
+    assert _invert(raw_a, ident) == _table(Permutation(inverse).raw)
+    assert tuple(compose(raw_a, _invert(raw_a, ident))) == tuple(range(n))
     if a != tuple(range(n)):
         assert _first_moved(raw_a) == min(x for x in range(n) if a[x] != x)
         assert _first_moved(_table(raw_a)) == _first_moved(raw_a)
@@ -313,15 +314,27 @@ def test_chain_structure_is_pinned(name):
         assert all(len(v) <= nodes for v in (lv.gens, lv.orbit, lv.inv, lv.pending))
 
 
+def _unpaired(chain: Bsgs) -> list[tuple[int, int]]:
+    """(level, point) of each orbit point of a deterministic chain whose
+    transversal element u composed with its stored u^-1 is not the
+    identity."""
+    compose = _composer(chain.degree)
+    return [(i, pt) for i, lv in enumerate(chain._levels) for pt, u in lv.orbit.items()
+            if compose(u, lv.inv[pt]) != chain._ident]
+
+
 # the library's chain against the plain reference, which sifts every
 # Schreier generator, also one its build has sifted before: the same base,
 # transversals and strong generators
-@pytest.mark.parametrize("name", [*CHAIN_PINS, "C17;C3;C5"])
+@pytest.mark.parametrize("name", [*CHAIN_PINS, "C17;C3;C5", "C3;C10;C10"])
 def test_chain_matches_the_reference(name):
     # C16;C16 (degree 256) and C17;C3;C5 (degree 255) on either side of
-    # the switch between the stored forms
+    # the switch between the stored forms; C3;C10;C10 (degree 300) has
+    # points past 256, which are not cached small ints
     group = CHAIN_PINS[name][0]() if name in CHAIN_PINS else tower_group(parse_tower(name))
-    assert chain_digest(bsgs_build(group)) == chain_digest(reference_build(group))
+    chain = bsgs_build(group)
+    assert chain_digest(chain) == chain_digest(reference_build(group))
+    assert _unpaired(chain) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -329,7 +342,9 @@ def test_chain_matches_the_reference(name):
     lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)))
 def test_chain_matches_the_reference_on_drawn_groups(images):
     group = PermGroup(len(images[0]), [Permutation(g) for g in images])
-    assert chain_digest(bsgs_build(group)) == chain_digest(reference_build(group))
+    chain = bsgs_build(group)
+    assert chain_digest(chain) == chain_digest(reference_build(group))
+    assert _unpaired(chain) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -566,17 +581,46 @@ def test_swapping_two_images_in_a_stored_inverse_is_caught(name):
 
 
 def test_a_known_order_chain_inverts_each_strong_generator_once(monkeypatch):
-    # every other inverse it stores is composed from these
+    # every other inverse it stores is composed from these; the
+    # deterministic chain of C2;C16;C16 (512 points) keeps the same layout
+    # and inverts no transversal element
     calls = []
     invert = permcore._invert
 
-    def counted(a):
+    def counted(a, ident):
         calls.append(a)
-        return invert(a)
+        return invert(a, ident)
 
     monkeypatch.setattr(permcore, "_invert", counted)
     chain = tower_group(parse_tower("C2;C2;C2;C2;C2;C2;C2;C2;C2")).bsgs()
     assert len(calls) == len(chain._strong) == 363
+    calls.clear()
+    chain = bsgs_build(PermGroup(512, tower_generators(parse_tower("C2;C16;C16"))))
+    assert len(calls) == len(chain._strong) == 35
+    assert _unpaired(chain) == []
+
+
+@pytest.mark.parametrize("name", ["C17;C3;C5", "C3;C10;C10"])
+def test_swapping_two_images_in_a_deterministic_inverse_is_caught(name):
+    # bytes (degree 255) and tuples (degree 300)
+    chain = bsgs_build(tower_group(parse_tower(name)))
+    lv = chain._levels[0]
+    q = next(reversed(lv.inv))
+    lv.inv[q] = _swapped(lv.inv[q], 1, chain.degree - 1)
+    assert _unpaired(chain) == [(0, q)]
+
+
+@pytest.mark.parametrize("known_order", [False, True])
+def test_a_chains_inverses_share_its_identitys_points(known_order):
+    # past 256 a point is an int object of its own; every inverse a chain
+    # of 512 points stores takes its entries from the chain's identity
+    group = tower_group(parse_tower("C2;C16;C16"))
+    chain = group.bsgs() if known_order else bsgs_build(PermGroup(512, group.generators))
+    ident = chain._ident
+    inverses = [v for lv in chain._levels for v in lv.inv.values()]
+    inverses += [s_inv for lv in chain._levels for _, s_inv in lv.gens]
+    assert len(inverses) > len(chain._levels)
+    assert all(x is ident[x] for v in inverses for x in v)
 
 
 @pytest.mark.parametrize("name", [*KNOWN_ORDER_TOWERS, "S4;S4;S4;S4"])
