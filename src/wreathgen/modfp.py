@@ -3,11 +3,11 @@
 Row vectors carry a right action: a permutation g acts by the 0/1 matrix
 P_g with P_g[a, g(a)] = 1, so P_{gh} = P_g P_h.  The module of interest
 is the kernel I_p of the coordinate sum inside V = F_p^n; this file
-verifies its structure by exhaustive spinning, computes endomorphism and
-fixed-point dimensions, and counts 1-cocycles from a presentation out of
-the literature (`presentation`): the derivation law carried along each
-relator, one set of equations per relator, so no element other than the
-letters is formed.
+verifies its structure by exhaustive spinning, computes endomorphism
+dimensions from a spinning basis and fixed-point dimensions, and counts
+1-cocycles from a presentation out of the literature (`presentation`):
+the derivation law carried along each relator, one set of equations per
+relator, so no element other than the letters is formed.
 
 The exhaustive check spins every vector of the class it checks, but each
 spin stops at the first vector it reaches that an earlier spin of the
@@ -62,12 +62,16 @@ class RowSpace:
             if not nz.size:
                 continue
             i = r + int(nz[0])
-            m[[r, i]] = m[[i, r]]
-            m[r] = m[r] * pow(int(m[r, c]), -1, p) % p
+            if i != r:
+                m[[r, i]] = m[[i, r]]
+            lead = int(m[r, c])
+            if lead != 1:
+                m[r] = m[r] * pow(lead, -1, p) % p
             col = m[:, c].copy()
             col[r] = 0
             hit = np.flatnonzero(col)
-            m[hit] = (m[hit] - np.outer(col[hit], m[r])) % p
+            if hit.size:
+                m[hit] = (m[hit] - np.outer(col[hit], m[r])) % p
             space.pivots.append(c)
             r += 1
         space.rows = m[:r].tolist()
@@ -105,7 +109,7 @@ class RowSpace:
         return not any(self.reduce(v))
 
     def insert(self, v) -> bool:
-        v = self.reduce(v)
+        v = self.reduce(v) if self.rows else [int(x) % self.p for x in v]
         for piv, lead in enumerate(v):
             if lead:
                 break
@@ -160,19 +164,19 @@ class FpModule:
 
     def restricted(self, sub: RowSpace) -> "FpModule":
         """The action on an invariant subspace, in coordinates of its RREF
-        basis (a vector's coordinates are its entries at the pivots); the
-        outer products of b a are reduced first, so a sum stays below dim * p."""
+        basis (a vector's coordinates are its entries at the pivots)."""
         b, p = sub.matrix(), self.p
-        mats = [sum(np.outer(col, row) % p for col, row in zip(b.T, a[:, sub.pivots] % p)) % p
-                for a in self.mats]
-        return FpModule(self.p, sub.dim, mats)
+        return FpModule(p, sub.dim, [_mul_mod(b, a[:, sub.pivots] % p, p) for a in self.mats])
 
 
 def aug_submodule(m: FpModule) -> RowSpace:
-    """The coordinate-sum kernel, spanned by e_i - e_{i+1}; dimension n-1."""
-    n = m.dim
-    diffs = np.eye(n - 1, n, dtype=np.int64) - np.eye(n - 1, n, k=1, dtype=np.int64)
-    return RowSpace.span(diffs, m.p)
+    """The coordinate-sum kernel, dimension n-1, written down in reduced
+    row echelon form: the rows e_i - e_{n-1}, pivots 0..n-2."""
+    n, p = m.dim, m.p
+    space = RowSpace(p, n)
+    space.rows = [[int(j == i) for j in range(n - 1)] + [p - 1] for i in range(n - 1)]
+    space.pivots = list(range(n - 1))
+    return space
 
 
 def spin(m: FpModule, seeds, known=None) -> RowSpace:
@@ -193,12 +197,12 @@ def spin(m: FpModule, seeds, known=None) -> RowSpace:
     p = m.p
     dim = m.dim
     row_terms = m._row_terms
+    seeds = [[int(x) % p for x in s] for s in seeds]
+    if known is not None and any(map(known, seeds)):
+        return RowSpace.whole(p, dim)
     space = RowSpace(p, dim)
     queue = []
-    for s in seeds:
-        v = [int(x) % p for x in s]
-        if known is not None and known(v):
-            return RowSpace.whole(p, dim)
+    for v in seeds:
         if space.insert(v):
             queue.append(v)
     while queue and space.dim < dim:
@@ -227,13 +231,105 @@ def fixed_points(m: FpModule) -> int:
 
 
 def endomorphism_dim(m: FpModule) -> int:
-    """F_p-dimension of the algebra of matrices commuting with the action."""
-    k = m.dim
-    eye = np.eye(k, dtype=np.int64)
-    # (A F - F A)[i, j] = 0 over unknowns F[a, b] at slot a*k+b: row i*k+j
-    # of kron(A, I) - kron(I, A^T)
-    eqs = np.vstack([np.kron(a, eye) - np.kron(eye, a.T) for a in m.mats])
-    return k * k - RowSpace.span(eqs, m.p).dim
+    """F_p-dimension of the algebra of matrices commuting with the action,
+    from a spinning basis, as the MeatAxe computes it (Holt and Rees,
+    J. Austral. Math. Soc. A 57, 1994).
+
+    The unit vectors e_0, e_1, .. are the seeds; each one outside the span
+    so far joins the basis and is spun.  An image b g outside the span is
+    the next basis vector b' (a tree edge); one inside it is a relation
+    b g + sum_j t_j b_j = 0, whose coefficients the elimination carries
+    along.  An endomorphism phi is fixed by its values x_s on the r seeds,
+    so there are r k unknowns: phi(b) = x Psi_b, with Psi_b' = Psi_b A_g
+    along the tree, and each relation gives the k equations
+    x (Psi_b A_g + sum_j t_j Psi_j) = 0.
+    """
+    k, p = m.dim, m.p
+    basis: list[list[int]] = []
+    tree: list[tuple[int, int]] = []  # (parent, generator), or (-1, seed number)
+    relations: list[tuple[int, int, list[int]]] = []  # (b, generator, t)
+    # the elimination: pivot and row [w | s], where w = sum_j s_j b_j
+    rows: list[tuple[int, list[int]]] = []
+
+    def sift(v: list[int]) -> list[int] | None:
+        """None once v has joined the basis, else the t with
+        v + sum_j t_j b_j = 0."""
+        v = v + [0] * k  # [w | s] with w - sum_j s_j b_j = v
+        for piv, row in rows:
+            c = v[piv]
+            if c:
+                v = [(x - c * y) % p for x, y in zip(v, row)]
+        w = v[:k]
+        if not any(w):
+            return v[k:]
+        # w = b + sum_j s_j b_j for the new basis vector b
+        v[k + len(rows)] = 1
+        piv = w.index(next(filter(None, w)))
+        inv = pow(w[piv], -1, p)
+        rows.append((piv, [x * inv % p for x in v]))
+        return None
+
+    seeds = 0
+    for i in range(k):
+        if len(basis) == k:
+            break
+        e = [0] * k
+        e[i] = 1
+        if sift(e) is not None:
+            continue
+        basis.append(e)
+        tree.append((-1, seeds))
+        seeds += 1
+        # the queue: the basis vectors from this seed on; a basis has at
+        # most k vectors
+        for b in range(len(basis) - 1, k):
+            if b == len(basis):
+                break
+            support = [(a, x) for a, x in enumerate(basis[b]) if x]
+            for g, terms in enumerate(m._row_terms):
+                img = [0] * k
+                for a, x in support:
+                    for j, c in terms[a]:
+                        img[j] += x * c
+                img = [x % p for x in img]
+                t = sift(img)
+                if t is None:
+                    basis.append(img)
+                    tree.append((b, g))
+                else:
+                    relations.append((b, g, t))
+    unknowns = seeds * k
+    if not relations:
+        return unknowns
+    mats = np.array([a % p for a in m.mats])
+    psi = np.zeros((k, unknowns, k), dtype=np.int64)
+    for b, (parent, g) in enumerate(tree):
+        if parent < 0:
+            psi[b, g * k:(g + 1) * k] = np.eye(k, dtype=np.int64)
+        else:
+            psi[b] = _mul_mod(psi[parent], mats[g], p)
+    bs, gs, ts = (np.array(col) for col in zip(*relations))
+    eqs = _mul_mod(psi[bs], mats[gs], p)
+    eqs += _mul_mod(ts, psi.reshape(k, -1), p).reshape(eqs.shape)
+    # equation (relation, column c) has coefficient eqs[., u, c] at unknown u
+    return unknowns - RowSpace.span(eqs.transpose(0, 2, 1).reshape(-1, unknowns), p).dim
+
+
+def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p, exactly, for int64 arrays with entries in [0, p) and
+    p < 2^31.  A plain product sums terms up to (p - 1)^2, near 2^62, and
+    overflows int64 once two such terms meet; unless the k terms of an
+    entry fit, b is split into 16-bit halves and the inner dimension into
+    blocks of 2^15, so no sum reaches 2^62 + 2^47 + 2^31."""
+    k = b.shape[-2]
+    if k * (p - 1) ** 2 < 2 ** 63:
+        return a @ b % p
+    lo, hi = b & 0xFFFF, b >> 16
+    out = 0
+    for s in range(0, k, 2 ** 15):
+        part, block = a[..., s:s + 2 ** 15], (..., slice(s, s + 2 ** 15), slice(None))
+        out = (out + ((part @ hi[block] % p) << 16) + part @ lo[block]) % p
+    return out
 
 
 @dataclass
@@ -257,17 +353,16 @@ class IpReport:
 
 
 # check_Ip_structure spins at most this many vectors, which does not bound
-# its seconds.  The largest inputs it admits took, on a 2-core host, 5.8 s
-# for (7,7), whose 705,894 vectors mostly stop on their seed, and 35 s for
-# (21,2), whose 2^20 - 1 vectors all have leading entry 1 and each spin a
-# few images in dimension 20.
+# its seconds.  The largest inputs it admits took, on a loaded 2-core host,
+# 3.0 s for (7,7), whose 705,894 vectors mostly stop on their seed, and 20 s
+# for (21,2), whose 2^20 - 1 vectors all have leading entry 1 and each spin
+# a few images in dimension 20.
 VECTOR_BUDGET = 2 ** 20
 # bytes of the arrays cocycle_dims may build (see cocycle_bytes), the one
 # budget of the cocycle system, checked from the degree alone.  It admits
-# A4-A32, S3-S32 (S32 needs 15.2 MB, and `cohom --group S32` took 0.2 s
-# and peaked at 71 MB on a 2-core host) and C2-C39, whose 38-dimensional
-# I_p needs 16.7 MB and took 4.5 s at 94 MB, almost all of it eliminating
-# the commutation equations, which cost k^6
+# A4-A32, S3-S32 (S32 is counted at 15.2 MB, and `cohom --group S32` took
+# 0.3 s as a process and peaked at 30 MB on a 2-core host) and C2-C39,
+# whose 38-dimensional I_p is counted at 16.7 MB and took 0.25 s at 29 MB
 EQUATION_BUDGET = 2 ** 24
 
 
@@ -301,18 +396,27 @@ def _scan(m: FpModule, in_class) -> tuple[int, bool]:
     p = m.p
 
     def known(w: list[int]) -> bool:
+        # w scaled to leading entry 1 comes before v exactly when its
+        # leading entry lies past v's, or at v's when that is not 1, or
+        # when the rest of it comes before the rest of v
+        if any(w[:lead]):
+            return False
+        c = w[lead]
+        if not c or v[lead] != 1:
+            return in_class(w)  # both classes exclude 0
         if not in_class(w):
             return False
-        lead = next(filter(None, w))  # both classes exclude 0
-        if lead != 1:
-            inv = pow(lead, -1, p)
-            w = [x * inv % p for x in w]
-        return tuple(w) < v
+        rest = w[lead + 1:]
+        if c != 1:
+            inv = pow(c, -1, p)
+            rest = [x * inv % p for x in rest]
+        return tuple(rest) < v[lead + 1:]
 
     checked = 0
     for v in itertools.product(range(p), repeat=m.dim):
         if in_class(v):
             checked += 1
+            lead = v.index(next(filter(None, v)))
             if spin(m, [v], known).dim != m.dim:
                 return checked, False
     return checked, True
@@ -468,9 +572,13 @@ def cocycle_bytes(relators: int, ngens: int, k: int) -> int:
     """Bytes of the arrays cocycle_dims builds for a k-dimensional module of
     a group presented on ngens letters: the int64 store of the letters,
     each with the action matrix and the ngens coefficient matrices of
-    itself and of its inverse; k int64 equations per relator; and the
-    int64 commutation equations of endomorphism_dim, k^4 entries per
-    generator.  Temporaries take a small multiple of this."""
+    itself and of its inverse; k int64 equations per relator; and k^4
+    int64 entries per generator for endomorphism_dim.  That last term
+    counted the commutation equations End was once solved from.  From a
+    spinning basis with r seeds End builds r k^2 (ngens k + r) entries,
+    about ngens k^3 for the r = 1 of I_p, so the term is now an upper
+    bound, kept so that the groups admitted and the counts pinned do not
+    move.  Temporaries take a small multiple of this."""
     return 16 * ngens * (ngens + 1) * k * k + 8 * relators * k * ngens * k + 8 * ngens * k ** 4
 
 

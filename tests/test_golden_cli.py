@@ -15,7 +15,11 @@ before that check's spins learned to stop early.  `example --n 21
 --verify`, recorded while the pair's chain was still deterministic, pins
 its output now that the chain is built to |W|.  `verify` on A18, whose
 chain once stalled below |A18| when each residue was kept at its own
-level only, pins d = 2 with the oracle's exact bracket [2, 2].
+level only, pins d = 2 with the oracle's exact bracket [2, 2].  `cohom` on C39 and
+S32 at p = 2, the largest groups of their kinds under the equation
+budget, were recorded while End was still solved from the k^2-unknown
+commutation equations (C39 took seconds), and pin its spinning-basis
+form at the budget's edge.
 """
 
 import json

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cocycle_reference
+import endomorphism_reference
 from wreathgen import modfp
 from wreathgen.modfp import (
     FpModule,
@@ -39,7 +40,8 @@ from wreathgen.modfp import (
 )
 from wreathgen.permcore import (BadInput, BudgetExceeded, ConsistencyError, PermGroup,
                                 Permutation, derived_subgroup, parse_cycles)
-from wreathgen.wreath import GroupSpec, parse_group, parse_tower, tower_group
+from wreathgen.wreath import (GroupSpec, parse_group, parse_tower, standard_generators,
+                              tower_group)
 
 
 def test_rowspace_rank_and_reduction():
@@ -210,6 +212,129 @@ def test_endomorphism_dims():
     # r is the module's dimension when End is scalar, and unset otherwise
     assert cocycle_dims(g, ip, relators).r == ip.dim == 3
     assert cocycle_dims(g, mod, relators).r is None
+
+
+def _inverse_mod(t, p):
+    """The inverse of a square matrix over F_p by Gauss-Jordan elimination
+    on Python ints, or None if it is singular."""
+    k = len(t)
+    rows = [[x % p for x in row] + [int(i == j) for j in range(k)] for i, row in enumerate(t)]
+    for c in range(k):
+        i = next((i for i in range(c, k) if rows[i][c]), None)
+        if i is None:
+            return None
+        rows[c], rows[i] = rows[i], rows[c]
+        inv = pow(rows[c][c], -1, p)
+        rows[c] = [x * inv % p for x in rows[c]]
+        for i in range(k):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[c])]
+    return [row[k:] for row in rows]
+
+
+def _conjugated(m, t):
+    """m in the basis t: each action matrix A becomes t A t^-1, so its
+    entries are dense; products are taken on Python ints."""
+    p = m.p
+    t_obj = np.array(t, dtype=object)
+    t_inv = np.array(_inverse_mod(t, p), dtype=object)
+    return FpModule(p, m.dim, [(t_obj @ (a % p).astype(object) @ t_inv % p).astype(np.int64)
+                               for a in m.mats])
+
+
+def _direct_sum(m1, m2):
+    k1, k2 = m1.dim, m2.dim
+    mats = []
+    for a, b in zip(m1.mats, m2.mats):
+        c = np.zeros((k1 + k2, k1 + k2), dtype=np.int64)
+        c[:k1, :k1], c[k1:, k1:] = a, b
+        mats.append(c)
+    return FpModule(m1.p, k1 + k2, mats)
+
+
+END_PRIMES = [2, 3, 5, 7, 1518500213, 2 ** 31 - 1]
+
+
+@st.composite
+def _modules(draw):
+    """Natural and I_p modules of A_n, S_n and C_n (n <= 9), direct sums of
+    two of them (n <= 6), so that two seeds are needed, and trivial
+    actions, which need one seed per dimension; each perhaps conjugated by
+    a random invertible matrix."""
+    p = draw(st.sampled_from(END_PRIMES))
+    kind = draw(st.sampled_from("ASC"))
+    shape = draw(st.sampled_from(["simple", "sum", "trivial"]))
+    n = draw(st.integers(3, 6 if shape == "sum" else 9))
+    g = PermGroup(n, standard_generators(GroupSpec(kind, n)))
+
+    def simple():
+        mod = FpModule.natural(g, p)
+        return mod.restricted(aug_submodule(mod)) if draw(st.booleans()) else mod
+
+    if shape == "simple":
+        mod = simple()
+    elif shape == "sum":
+        mod = _direct_sum(simple(), simple())
+    else:
+        k = draw(st.integers(1, 6))
+        mod = FpModule(p, k, [np.eye(k, dtype=np.int64) for _ in g.generators])
+    if draw(st.booleans()):
+        # L U with L unit lower and U unit upper triangular is invertible
+        k = mod.dim
+        entries = st.lists(st.integers(0, p - 1), min_size=k, max_size=k)
+        x = draw(st.lists(entries, min_size=k, max_size=k))
+        lower = np.array([[x[i][j] if j < i else int(i == j) for j in range(k)]
+                          for i in range(k)], dtype=object)
+        upper = np.array([[x[i][j] if j > i else int(i == j) for j in range(k)]
+                          for i in range(k)], dtype=object)
+        mod = _conjugated(mod, (lower @ upper % p).tolist())
+    return mod
+
+
+@settings(max_examples=150, deadline=None)
+@given(_modules())
+def test_endomorphism_dim_matches_the_commutation_system(mod):
+    assert endomorphism_dim(mod) == endomorphism_reference.endomorphism_dim(mod)
+
+
+@pytest.mark.parametrize("kind", "ASC")
+def test_endomorphism_dim_matches_the_commutation_system_on_every_small_module(kind):
+    # every natural and I_p module for n <= 9 and p <= 7, and the sum of
+    # C3's two over F_2, whose second seed's relation links the summands;
+    # dropping the first relation's equations is wrong on I_2 of S4, the
+    # last one's on the sum
+    for n in range(3, 10):
+        g = PermGroup(n, standard_generators(GroupSpec(kind, n)))
+        for p in (2, 3, 5, 7):
+            nat = FpModule.natural(g, p)
+            ip = nat.restricted(aug_submodule(nat))
+            mods = [nat, ip] + ([_direct_sum(nat, ip)] if (kind, n, p) == ("C", 3, 2) else [])
+            for mod in mods:
+                assert endomorphism_dim(mod) == endomorphism_reference.endomorphism_dim(mod)
+
+
+@pytest.mark.parametrize("kind,n,end", [("S", 6, 1), ("C", 7, 6)])
+def test_endomorphism_dim_is_exact_at_the_largest_prime(kind, n, end):
+    # I_p conjugated by a dense invertible matrix: a product of two entries
+    # is near 2^62, and int64 sums of them overflow
+    p = 2 ** 31 - 1
+    rng = np.random.default_rng(n)
+    mod = FpModule.natural(PermGroup(n, standard_generators(GroupSpec(kind, n))), p)
+    mod = mod.restricted(aug_submodule(mod))
+    t = rng.integers(0, p, size=(n - 1, n - 1)).tolist()
+    assert _inverse_mod(t, p) is not None
+    mod = _conjugated(mod, t)
+    assert endomorphism_dim(mod) == endomorphism_reference.endomorphism_dim(mod) == end
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_aug_submodule_is_the_span_of_the_differences(n, p):
+    ip = aug_submodule(FpModule(p, n, []))
+    diffs = np.eye(n - 1, n, dtype=np.int64) - np.eye(n - 1, n, k=1, dtype=np.int64)
+    span = RowSpace.span(diffs, p)
+    assert (ip.rows, ip.pivots, ip.p, ip.width) == (span.rows, span.pivots, p, n)
 
 
 @pytest.mark.parametrize("n,p,checked", [(4, 2, 8), (5, 5, 2500), (6, 2, 32)])
