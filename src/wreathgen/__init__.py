@@ -3,8 +3,8 @@
 Closed-form evaluation (`d_tower`, `d_corollary`) with independent
 certification: permutation-group algorithms (`permcore`), modular
 representation and cohomology computations (`modfp`), and brute-force
-generation oracles (`oracle`).  `modfp` is the numpy layer: its names are
-reached only as `wreathgen.modfp`, so importing the package loads no numpy.
+generation oracles (`oracle`).  The package does not re-export `modfp`'s
+names: they are reached as `wreathgen.modfp`.
 """
 
 from .permcore import (

@@ -15,6 +15,7 @@ import math
 import sys
 from functools import cache
 
+from . import modfp
 from .formula import counting_profile, d_tower
 from .oracle import min_generators
 from .permcore import (
@@ -127,19 +128,14 @@ def _cmd_verify(args) -> tuple[dict, int]:
     return doc, EXIT_OK if doc["agree"] else EXIT_MISMATCH
 
 
-# `module` and `cohom` import modfp when they run: it loads numpy, which the
-# other commands never use.  modfp refuses n, p and its budgets itself
+# modfp refuses n, p and its budgets itself
 
 def _cmd_module(args) -> tuple[dict, int]:
-    from . import modfp
-
     report = modfp.check_Ip_structure(args.n, args.p)
     return report.to_json(), EXIT_OK if report.status == "verified" else EXIT_BUDGET
 
 
 def _cmd_cohom(args) -> tuple[dict, int]:
-    from . import modfp
-
     spec = parse_group(args.group)
     rep = modfp.cohomology_of_Ip(spec, args.p)
     doc = rep.to_json()

@@ -7,7 +7,9 @@ verifies its structure by exhaustive spinning, computes endomorphism
 dimensions from a spinning basis and fixed-point dimensions, and counts
 1-cocycles from a presentation out of the literature (`presentation`):
 the derivation law carried along each relator, one set of equations per
-relator, so no element other than the letters is formed.
+relator, so no element other than the letters is formed.  Vectors and
+matrices are lists of Python ints, exact at every p, and every product
+runs through one sparse row product (`_times`).
 
 The exhaustive check spins every vector of the class it checks, but each
 spin stops at the first vector it reaches that an earlier spin of the
@@ -25,8 +27,6 @@ from bisect import bisect
 from dataclasses import asdict, dataclass
 from functools import cache, cached_property
 
-import numpy as np
-
 from .permcore import (BadInput, BudgetExceeded, ConsistencyError, PermGroup,
                        Permutation, prime_factorization)
 from .wreath import GroupSpec, standard_generators
@@ -35,11 +35,10 @@ from .wreath import GroupSpec, standard_generators
 class RowSpace:
     """A subspace of F_p^width kept in reduced row echelon form.
 
-    Rows are lists of Python ints: at the widths spinning works in, a list
-    comprehension per row costs less than numpy's overhead per call.
-    insert() reduces the new vector, renormalizes, and eliminates the new
-    pivot column from the old rows, so `rows` stays a canonical basis;
-    span() reaches the same basis from a whole matrix at once.
+    Rows are lists of Python ints, exact at every p.  insert() reduces the
+    new vector, renormalizes, and eliminates the new pivot column from the
+    old rows, so `rows` stays a canonical basis; span() reaches the same
+    basis from a whole matrix at once.
     """
 
     def __init__(self, p: int, width: int):
@@ -50,31 +49,36 @@ class RowSpace:
 
     @classmethod
     def span(cls, matrix, p: int) -> "RowSpace":
-        """The row space of a 2-d matrix, by column-wise elimination that
-        works on every row of the stack at once."""
-        m = np.asarray(matrix, dtype=np.int64) % p
-        space = cls(p, m.shape[1])
-        r = 0
-        for c in range(space.width):
-            if r == len(m):
-                break
-            nz = np.flatnonzero(m[r:, c])
-            if not nz.size:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                m[[r, i]] = m[[i, r]]
-            lead = int(m[r, c])
-            if lead != 1:
-                m[r] = m[r] * pow(lead, -1, p) % p
-            col = m[:, c].copy()
-            col[r] = 0
-            hit = np.flatnonzero(col)
-            if hit.size:
-                m[hit] = (m[hit] - np.outer(col[hit], m[r])) % p
-            space.pivots.append(c)
-            r += 1
-        space.rows = m[:r].tolist()
+        """The row space of a sequence of rows, by the elimination insert()
+        does.  The systems solved here are sparse and so is their reduced
+        form, so each row is held as a dict of its nonzero entries."""
+        rows: dict[int, dict[int, int]] = {}  # pivot -> row, 1 there, 0 at the other pivots
+
+        def subtract(v: dict[int, int], c: int, row: dict[int, int]) -> None:
+            for j, y in row.items():
+                x = (v.get(j, 0) - c * y) % p
+                if x:
+                    v[j] = x
+                else:
+                    del v[j]
+
+        width = 0
+        for v in matrix:
+            width = len(v)
+            v = {j: r for j, x in enumerate(v) if x and (r := int(x) % p)}
+            for piv in [j for j in v if j in rows]:
+                subtract(v, v[piv], rows[piv])
+            if v:
+                lead = min(v)
+                inv = pow(v[lead], -1, p)
+                v = {j: x * inv % p for j, x in v.items()}
+                for row in rows.values():
+                    if lead in row:
+                        subtract(row, row[lead], v)
+                rows[lead] = v
+        space = cls(p, width)
+        space.pivots = sorted(rows)
+        space.rows = [_dense(rows[piv].items(), width) for piv in space.pivots]
         return space
 
     @classmethod
@@ -128,25 +132,49 @@ class RowSpace:
         self.pivots.insert(pos, piv)
         return True
 
-    def matrix(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.int64).reshape(self.dim, self.width)
+
+def _terms(rows) -> list[list[tuple[int, int]]]:
+    """Each row's nonzero entries (j, x), the form _times takes vectors and
+    matrices in."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in rows]
 
 
-def perm_matrix(g: Permutation) -> np.ndarray:
-    m = np.zeros((g.degree, g.degree), dtype=np.int64)
-    for a in range(g.degree):
-        m[a, g(a)] = 1
-    return m
+def _times(v, terms, p: int) -> list[tuple[int, int]]:
+    """The terms of v M mod p, for v and M given as terms: the sum of x *
+    (row i of M) over the (i, x) of v.  Every product of matrices in this
+    file is taken here, a row at a time."""
+    if len(v) == 1 and v[0][1] == 1:
+        return terms[v[0][0]]  # a row of a permutation matrix picks a row
+    out: dict[int, int] = {}
+    for i, x in v:
+        for j, c in terms[i]:
+            out[j] = out.get(j, 0) + x * c
+    return [(j, r) for j, c in out.items() if (r := c % p)]
+
+
+def _dense(terms, width: int) -> list[int]:
+    """The row of that width whose nonzero entries are `terms`."""
+    row = [0] * width
+    for j, x in terms:
+        row[j] = x
+    return row
+
+
+def perm_matrix(g: Permutation) -> list[list[int]]:
+    rows = [[0] * g.degree for _ in range(g.degree)]
+    for a, row in enumerate(rows):
+        row[g(a)] = 1
+    return rows
 
 
 @dataclass
 class FpModule:
-    """An F_p[G]-module: action matrices parallel to the group's generators.
-    Raises BadInput unless p is a prime below 2^31."""
+    """An F_p[G]-module: action matrices, as lists of rows, parallel to the
+    group's generators.  Raises BadInput unless p is a prime below 2^31."""
 
     p: int
     dim: int
-    mats: list[np.ndarray]
+    mats: list[list[list[int]]]
 
     def __post_init__(self):
         _require_prime(self.p)
@@ -157,16 +185,20 @@ class FpModule:
 
     @cached_property
     def _row_terms(self) -> list[list[list[tuple[int, int]]]]:
-        """Per generator and row i, the nonzero entries (j, a[i, j]) of its
-        matrix, so v a is a sum over the support of v."""
-        return [[[(j, c) for j, c in enumerate(row) if c] for row in (a % self.p).tolist()]
-                for a in self.mats]
+        """Per generator, the terms of its matrix mod p (see _times)."""
+        return [_terms([[int(x) % self.p for x in row] for row in a]) for a in self.mats]
 
     def restricted(self, sub: RowSpace) -> "FpModule":
         """The action on an invariant subspace, in coordinates of its RREF
         basis (a vector's coordinates are its entries at the pivots)."""
-        b, p = sub.matrix(), self.p
-        return FpModule(p, sub.dim, [_mul_mod(b, a[:, sub.pivots] % p, p) for a in self.mats])
+        basis = _terms(sub.rows)
+
+        def coords(b, terms):
+            image = _dense(_times(b, terms, self.p), self.dim)
+            return [image[c] for c in sub.pivots]
+
+        return FpModule(self.p, sub.dim,
+                        [[coords(b, terms) for b in basis] for terms in self._row_terms])
 
 
 def aug_submodule(m: FpModule) -> RowSpace:
@@ -208,14 +240,9 @@ def spin(m: FpModule, seeds, known=None) -> RowSpace:
     while queue and space.dim < dim:
         support = [(i, x) for i, x in enumerate(queue.pop()) if x]
         for terms in row_terms:
-            img = [0] * dim
-            for i, x in support:
-                for j, c in terms[i]:
-                    img[j] += x * c
-            if known is not None:
-                img = [x % p for x in img]
-                if known(img):
-                    return RowSpace.whole(p, dim)
+            img = _dense(_times(support, terms, p), dim)
+            if known is not None and known(img):
+                return RowSpace.whole(p, dim)
             if space.insert(img):
                 queue.append(img)
                 if known is not None and known(space.rows[-1]):
@@ -224,10 +251,10 @@ def spin(m: FpModule, seeds, known=None) -> RowSpace:
 
 
 def fixed_points(m: FpModule) -> int:
-    """Dimension of the joint fixed space."""
-    eye = np.eye(m.dim, dtype=np.int64)
-    stacked = np.hstack([a - eye for a in m.mats])
-    return m.dim - RowSpace.span(stacked, m.p).dim
+    """Dimension of the joint fixed space: the kernel of v -> (v (a - 1))
+    over the action matrices a."""
+    rows = [[x - (i == j) for a in m.mats for j, x in enumerate(a[i])] for i in range(m.dim)]
+    return m.dim - RowSpace.span(rows, m.p).dim
 
 
 def endomorphism_dim(m: FpModule) -> int:
@@ -287,11 +314,7 @@ def endomorphism_dim(m: FpModule) -> int:
                 break
             support = [(a, x) for a, x in enumerate(basis[b]) if x]
             for g, terms in enumerate(m._row_terms):
-                img = [0] * k
-                for a, x in support:
-                    for j, c in terms[a]:
-                        img[j] += x * c
-                img = [x % p for x in img]
+                img = _dense(_times(support, terms, p), k)
                 t = sift(img)
                 if t is None:
                     basis.append(img)
@@ -301,35 +324,24 @@ def endomorphism_dim(m: FpModule) -> int:
     unknowns = seeds * k
     if not relations:
         return unknowns
-    mats = np.array([a % p for a in m.mats])
-    psi = np.zeros((k, unknowns, k), dtype=np.int64)
-    for b, (parent, g) in enumerate(tree):
+    terms = m._row_terms
+    # psi[b] is Psi_b, one row of terms per unknown
+    psi: list[list[list[tuple[int, int]]]] = []
+    for parent, g in tree:
         if parent < 0:
-            psi[b, g * k:(g + 1) * k] = np.eye(k, dtype=np.int64)
+            psi.append([[(u - g * k, 1)] if 0 <= u - g * k < k else [] for u in range(unknowns)])
         else:
-            psi[b] = _mul_mod(psi[parent], mats[g], p)
-    bs, gs, ts = (np.array(col) for col in zip(*relations))
-    eqs = _mul_mod(psi[bs], mats[gs], p)
-    eqs += _mul_mod(ts, psi.reshape(k, -1), p).reshape(eqs.shape)
-    # equation (relation, column c) has coefficient eqs[., u, c] at unknown u
-    return unknowns - RowSpace.span(eqs.transpose(0, 2, 1).reshape(-1, unknowns), p).dim
-
-
-def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p, exactly, for int64 arrays with entries in [0, p) and
-    p < 2^31.  A plain product sums terms up to (p - 1)^2, near 2^62, and
-    overflows int64 once two such terms meet; unless the k terms of an
-    entry fit, b is split into 16-bit halves and the inner dimension into
-    blocks of 2^15, so no sum reaches 2^62 + 2^47 + 2^31."""
-    k = b.shape[-2]
-    if k * (p - 1) ** 2 < 2 ** 63:
-        return a @ b % p
-    lo, hi = b & 0xFFFF, b >> 16
-    out = 0
-    for s in range(0, k, 2 ** 15):
-        part, block = a[..., s:s + 2 ** 15], (..., slice(s, s + 2 ** 15), slice(None))
-        out = (out + ((part @ hi[block] % p) << 16) + part @ lo[block]) % p
-    return out
+            psi.append([_times(row, terms[g], p) for row in psi[parent]])
+    eqs = []
+    for b, g, t in relations:
+        t = [(j, x) for j, x in enumerate(t) if x]
+        # eq[c][u]: entry (u, c) of Psi_b A_g + sum_j t_j Psi_j
+        eq = [[0] * unknowns for _ in range(k)]
+        for u in range(unknowns):
+            for c, x in _times(psi[b][u], terms[g], p) + _times(t, [ps[u] for ps in psi], p):
+                eq[c][u] += x
+        eqs += eq
+    return unknowns - RowSpace.span(eqs, p).dim
 
 
 @dataclass
@@ -358,11 +370,12 @@ class IpReport:
 # for (21,2), whose 2^20 - 1 vectors all have leading entry 1 and each spin
 # a few images in dimension 20.
 VECTOR_BUDGET = 2 ** 20
-# bytes of the arrays cocycle_dims may build (see cocycle_bytes), the one
-# budget of the cocycle system, checked from the degree alone.  It admits
-# A4-A32, S3-S32 (S32 is counted at 15.2 MB, and `cohom --group S32` took
-# 0.3 s as a process and peaked at 30 MB on a 2-core host) and C2-C39,
-# whose 38-dimensional I_p is counted at 16.7 MB and took 0.25 s at 29 MB
+# bytes cocycle_dims is counted at (see cocycle_bytes), the one budget of
+# the cocycle system, checked from the degree alone.  It admits A4-A32,
+# S3-S32 and C2-C39.  S32 is counted at 15.2 MB; tracemalloc's peak for
+# cohomology_of_Ip there is 0.85 MB, and `cohom --group S32` ran in 0.1 s
+# at 15 MB max RSS on a 2-core host.  C39 is counted at 16.7 MB and peaks
+# at 0.35 MB
 EQUATION_BUDGET = 2 ** 24
 
 
@@ -371,8 +384,8 @@ def alt_group(n: int) -> PermGroup:
 
 
 def _require_prime(p: int) -> None:
-    """Raise BadInput unless p is a prime below 2^31: F_p arithmetic in
-    numpy int64 needs p < 2^31, which also keeps the trial division short."""
+    """Raise BadInput unless p is a prime below 2^31, a bound that keeps the
+    trial division short."""
     if p >= 2 ** 31:
         raise BadInput("p must be below 2^31")
     if prime_factorization(p) != {p: 1}:
@@ -540,7 +553,7 @@ def cohomology_of_Ip(spec: GroupSpec, p: int) -> CohomReport:
     """cocycle_dims for I_p under the group `spec` in its natural action.
 
     Raises BadInput unless p is a prime below 2^31, and BudgetExceeded,
-    before anything is built, when the arrays of the presentation's
+    before anything is built, when the bytes counted for the presentation's
     system would pass EQUATION_BUDGET.
 
     Each relator is checked to be the identity on the letters, so
@@ -569,85 +582,69 @@ def cohomology_of_Ip(spec: GroupSpec, p: int) -> CohomReport:
 
 
 def cocycle_bytes(relators: int, ngens: int, k: int) -> int:
-    """Bytes of the arrays cocycle_dims builds for a k-dimensional module of
-    a group presented on ngens letters: the int64 store of the letters,
-    each with the action matrix and the ngens coefficient matrices of
-    itself and of its inverse; k int64 equations per relator; and k^4
-    int64 entries per generator for endomorphism_dim.  That last term
-    counted the commutation equations End was once solved from.  From a
-    spinning basis with r seeds End builds r k^2 (ngens k + r) entries,
-    about ngens k^3 for the r = 1 of I_p, so the term is now an upper
-    bound, kept so that the groups admitted and the counts pinned do not
-    move.  Temporaries take a small multiple of this."""
+    """An upper bound, in bytes at 8 per entry, on what cocycle_dims builds
+    for a k-dimensional module of a group presented on ngens letters: per
+    letter, the action matrix and the ngens coefficient matrices of itself
+    and of its inverse; k equations per relator; and k^4 entries per
+    generator for endomorphism_dim.  The count dates from dense matrices
+    and the commutation equations End was once solved from.  The sparse
+    suffix products and Psi rows hold far less (the tests pin peaks under
+    it at S32, A32 and C39); the count is kept so that the groups admitted
+    and the counts pinned do not move."""
     return 16 * ngens * (ngens + 1) * k * k + 8 * relators * k * ngens * k + 8 * ngens * k ** 4
 
 
 def _require_equation_budget(need: int) -> None:
-    """Raise BudgetExceeded if cocycle arrays of `need` bytes pass EQUATION_BUDGET."""
+    """Raise BudgetExceeded if a cocycle system counted at `need` bytes passes
+    EQUATION_BUDGET."""
     if need > EQUATION_BUDGET:
         raise BudgetExceeded(f"cocycle equations need at least {need} bytes, over the "
                              f"budget of {EQUATION_BUDGET}")
 
 
 def _cocycle_system(g: PermGroup, mod: FpModule, relators) -> tuple[RowSpace, int]:
-    """The constraints on the generator images, and the group order.
-
-    Each letter carries its action matrix M and the coefficients C_j of
-    its cocycle value, delta(x) = sum_j delta(gens[j]) C_j, for itself and
-    for its inverse: a product has M = M_a M_b and C = C_a M_b + C_b, a
-    letter's inverse acts by M^(ord - 1), so no matrix is inverted, and
-    the cocycle value of each relator must vanish.
-    """
+    """The constraints on the generator images, and the group order: the
+    cocycle value of each relator must vanish (see _relator_equations)."""
     if len(mod.mats) != len(g.generators):
         raise ValueError("module action does not match the group's generators")
-    k = mod.dim
-    p = mod.p
-    # entries are kept below p, so an entry of a product sums k products
-    # below p^2, and one of C_a M_b + C_b adds one entry below p; that sum
-    # must fit in int64
-    if k * (p - 1) ** 2 + p - 1 >= 2 ** 63:
-        raise BadInput(f"p = {p} is too large for a {k}-dimensional cocycle system")
-    eqs = _relator_equations(g, mod, relators)
-    return RowSpace.span(eqs, p), g.order()
+    return RowSpace.span(_relator_equations(g, mod, relators), mod.p), g.order()
 
 
-def _relator_equations(g: PermGroup, mod: FpModule, relators) -> np.ndarray:
+def _relator_equations(g: PermGroup, mod: FpModule, relators) -> list[list[int]]:
     """k equations per relator, in the ngens * k unknowns delta(gens[j])[a]
-    at column j * k + a, reduced mod p."""
-    k = mod.dim
-    p = mod.p
+    at column j * k + a.
+
+    A relator w_1 .. w_m is evaluated from the right: with the suffix
+    products S_t = M_{w_(t+1)} .. M_{w_m}, delta(w) = sum_t delta(w_t) S_t.
+    Since delta(x^-1) = -delta(x) M_{x^-1}, the coefficient matrix of
+    letter x gains S_t at each x and loses M_{x^-1} S_t = S_(t-1) at each
+    x^-1.  Matrices are held as their rows' terms; for the permutation
+    modules `cohomology_of_Ip` builds, S_t keeps at most two terms a row.
+    """
+    k, p = mod.dim, mod.p
     ngens = len(g.generators)
-    # store[x, 0] is letter x as [M, C_0, .., C_{ngens-1}], store[x, 1] its inverse
-    store = np.zeros((ngens, 2, ngens + 1, k, k), dtype=np.int64)
-    eye = np.eye(k, dtype=np.int64)
-    for j, (x, a) in enumerate(zip(g.generators, mod.mats)):
-        a = a % p
-        inv = _matrix_power(a, x.order() - 1, p)
-        store[j, 0, 0] = a
-        store[j, 0, j + 1] = eye
-        store[j, 1, 0] = inv
-        store[j, 1, j + 1] = -inv % p  # delta(x^-1) = -delta(x) M_{x^-1}
-    eqs = np.empty((len(relators), k, ngens * k), dtype=np.int64)
-    for r, word in enumerate(relators):
-        acc = store[word[0], 0] if word[0] >= 0 else store[~word[0], 1]
-        for x in word[1:]:
-            f = store[x, 0] if x >= 0 else store[~x, 1]
-            acc = acc @ f[0]
-            acc[1:] += f[1:]
-            acc %= p
-        # equation c: the sum over j and a of delta(gens[j])[a] C_j[a, c]
-        eqs[r] = acc[1:].transpose(2, 0, 1).reshape(k, ngens * k)
-    return eqs.reshape(-1, ngens * k)
-
-
-def _matrix_power(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    out = np.eye(len(a), dtype=np.int64)
-    while e:
-        if e & 1:
-            out = out @ a % p
-        a = a @ a % p
-        e >>= 1
-    return out
+    # a letter's inverse acts by M^(ord - 1), so no matrix is inverted;
+    # acts[x] is letter x's matrix and acts[~x] its inverse's
+    inverses = []
+    for x, terms in zip(g.generators, mod._row_terms):
+        inv = terms
+        for _ in range(x.order() - 2):
+            inv = [_times(row, terms, p) for row in inv]
+        inverses.append(inv)
+    acts = mod._row_terms + inverses[::-1]
+    eqs = []
+    for word in relators:
+        # coeffs[j][c][a]: the coefficient of delta(gens[j])[a] in equation c
+        coeffs = [[[0] * k for _ in range(k)] for _ in range(ngens)]
+        s = [[(i, 1)] for i in range(k)]
+        for x in reversed(word):
+            later, s = s, [_times(row, s, p) for row in acts[x]]
+            j, sign, added = (x, 1, later) if x >= 0 else (~x, -1, s)
+            for a, row in enumerate(added):
+                for c, y in row:
+                    coeffs[j][c][a] += sign * y
+        eqs += [sum((cj[c] for cj in coeffs), []) for c in range(k)]
+    return eqs
 
 
 def h_param(s: int, r: int) -> int:

@@ -18,6 +18,7 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from .modfp import RowSpace
 from .permcore import (
     BudgetExceeded,
     PermGroup,
@@ -203,20 +204,6 @@ def _characters(spec: GroupSpec) -> list[tuple[int, Callable[[Permutation], int]
     return [(3, _pair_partition)] if spec.n == 4 else []
 
 
-def _rank_mod(rows: list[list[int]], p: int) -> int:
-    """F_p-rank of integer rows, by plain elimination."""
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((r for r in rows if r[c] % p), None)
-        if pivot is None:
-            continue
-        scale = pow(pivot[c], -1, p)
-        rows = [[(x - r[c] * scale * y) % p for x, y in zip(r, pivot)]
-                for r in rows if r is not pivot]
-        rank += 1
-    return rank
-
-
 def level_sum_ranks(g: PermGroup, tower: TowerSpec) -> dict[int, int]:
     """{p: d_p of g's image under the level sums}, for a g inside the
     tower's group W.
@@ -236,7 +223,7 @@ def level_sum_ranks(g: PermGroup, tower: TowerSpec) -> dict[int, int]:
     for i, spec in enumerate(tower.levels):
         for p, f in _characters(spec):
             sums.setdefault(p, []).append([sum(map(f, acts[i])) for acts in actions])
-    return {p: _rank_mod(vectors, p) for p, vectors in sums.items()}
+    return {p: RowSpace.span(vectors, p).dim for p, vectors in sums.items()}
 
 
 def d_lower_bound(g: PermGroup, tower: TowerSpec) -> tuple[int, str]:

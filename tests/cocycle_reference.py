@@ -4,7 +4,9 @@ the walk reaches carries the affine form of its cocycle value, pushed along
 the tree edge that discovered it, and every other edge constrains the
 unknowns.  With all edges of the Cayley graph either defining or
 constraining, the derivation law holds identically on the solution space.
-The library's relator system must span the same constraints."""
+The library's relator system must span the same constraints.  The arrays
+hold int64 while a sum of k products below p^2 fits, and Python ints
+(dtype=object) beyond, so the reference is exact at every p."""
 
 import numpy as np
 
@@ -24,14 +26,15 @@ def cocycle_system(g: PermGroup, mod: FpModule) -> tuple[RowSpace, int]:
     _, edges, tree = cayley_walk(g.degree, g.generators)
     ngens = len(g.generators)
     count = len(edges)
-    mats = np.array(mod.mats, dtype=np.int64).reshape(ngens, k, k)
-    eye = np.eye(k, dtype=np.int64)
+    dtype = np.int64 if (k + 1) * p * p < 2 ** 63 else object
+    mats = np.array(mod.mats, dtype=dtype).reshape(ngens, k, k) % p
+    eye = np.eye(k, dtype=np.int64).astype(dtype)
     # edge e = i * ngens + j leads from element i to target[e] = i * gens[j]
     target = np.array(edges, dtype=np.intp).reshape(-1)
     # the tree edge into element t defines its coefficients (the identity's
     # are zero); it leaves source[t] < t, and the sources do not decrease
     source, slot = np.divmod(np.array([0] + tree, dtype=np.intp), ngens)
-    coeffs = np.zeros((count, ngens, k, k), dtype=np.int64)
+    coeffs = np.zeros((count, ngens, k, k), dtype=dtype)
 
     def pushed(src, j):
         """Coefficients of delta(x * gens[j]) = delta(x) a_j + u_j, x at src."""
@@ -55,5 +58,5 @@ def cocycle_system(g: PermGroup, mod: FpModule) -> tuple[RowSpace, int]:
         diff = (pushed(*np.divmod(block, ngens)) - coeffs[target[block]]) % p
         # one scalar equation per edge and module coordinate
         eqs = diff.transpose(0, 3, 1, 2).reshape(len(block) * k, ngens * k)
-        constraints = RowSpace.span(np.vstack([constraints.matrix(), eqs]), p)
+        constraints = RowSpace.span(constraints.rows + list(eqs), p)
     return constraints, count

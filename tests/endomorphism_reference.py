@@ -14,5 +14,6 @@ def endomorphism_dim(m: FpModule) -> int:
     eye = np.eye(k, dtype=np.int64)
     # (A F - F A)[i, j] = 0 over unknowns F[a, b] at slot a*k+b: row i*k+j
     # of kron(A, I) - kron(I, A^T); entries lie in (-p, p)
-    eqs = np.vstack([np.kron(a % m.p, eye) - np.kron(eye, a.T % m.p) for a in m.mats])
+    mats = [np.array(a, dtype=np.int64) % m.p for a in m.mats]
+    eqs = np.vstack([np.kron(a, eye) - np.kron(eye, a.T) for a in mats])
     return k * k - RowSpace.span(eqs, m.p).dim

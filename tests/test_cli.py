@@ -187,8 +187,7 @@ REFUSALS = [
     (["module", "--n", "5", "--p", "4"], "_require_prime", "p must be prime"),
     (["cohom", "--group", "A5", "--p", "4"], "_require_prime", "p must be prime"),
     (["module", "--n", "5", "--p", "2147483659"], "_require_prime", "p must be below 2^31"),
-    (["cohom", "--group", "A7", "--p", "2147483647"], "_cocycle_system",
-     "p = 2147483647 is too large for a 6-dimensional cocycle system"),
+    (["cohom", "--group", "A7", "--p", "2147483659"], "_require_prime", "p must be below 2^31"),
     (["module", "--n", "3", "--p", "3"], "check_Ip_structure", "n must be at least 4"),
     (["example", "--n", "6"], "example_tower", "the example pair needs odd n >= 5"),
     (["cohom", "--group", "B5", "--p", "2"], "parse_group",
@@ -346,12 +345,22 @@ def test_cocycle_bytes_bounds_every_equation_stack(capsys, monkeypatch, group, p
 
 @pytest.mark.parametrize("group,p", [
     ("A5", "2147483659"),  # a prime above 2^31, refused with every module over it
-    ("A7", "2147483647"),  # 6 (p - 1)^2 + p - 1 overflows the int64 sums
-    ("A5", "2147483647"),  # so does 4 (p - 1)^2 + p - 1
 ])
 def test_cohom_rejects_a_p_too_large_for_its_arithmetic(capsys, group, p):
     code, doc = run(capsys, "cohom", "--group", group, "--p", p)
     assert code == 2 and set(doc) == {"error"}
+
+
+@pytest.mark.parametrize("group,p", [("A5", "1518500213"), ("A5", "1518500279"),
+                                     ("A5", "2147483647"), ("A7", "2147483647")])
+def test_cohom_takes_every_prime_below_2_31(capsys, group, p):
+    # past 1518500213 for A5, and at 2^31 - 1 for A7, k (p - 1)^2 + p - 1
+    # passes 2^63, so int64 sums of the k-dimensional system would overflow;
+    # p does not divide |G|, so H^1 vanishes and Z^1 = B^1 = I_p
+    code, doc = run(capsys, "cohom", "--group", group, "--p", p)
+    k = int(group[1:]) - 1
+    assert code == 0
+    assert (doc["dim_Z1"], doc["dim_B1"], doc["dim_H1"], doc["end_dim"]) == (k, k, 0, 1)
 
 
 def test_module_rejects_a_p_too_large_before_factoring_it(capsys, monkeypatch):

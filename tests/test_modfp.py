@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib.util
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +52,8 @@ def test_rowspace_rank_and_reduction():
     assert not s.insert([1, 3, 4])  # sum of the first two
     assert s.dim == 2
     assert s.contains([2, 4, 6]) and not s.contains([0, 0, 1])
-    m = s.matrix()
-    assert m.shape == (2, 3) and list(s.pivots) == [0, 1]
+    m = s.rows
+    assert [len(r) for r in m] == [3, 3] and list(s.pivots) == [0, 1]
     # rows stay fully reduced
     assert m[0][1] == 0
 
@@ -79,7 +80,10 @@ def _rref_reference(rows, p):
     return m[:len(pivots)], pivots
 
 
-_matrices = st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(1, 9)).flatmap(
+# 1518500213 is the last prime p with 4 (p - 1)^2 + p - 1 below 2^63, and
+# 2^31 - 1 the largest p a module admits
+_matrices = st.tuples(st.sampled_from([2, 3, 5, 7, 1518500213, 2 ** 31 - 1]),
+                      st.integers(1, 9)).flatmap(
     lambda pw: st.tuples(st.just(pw[0]), st.just(pw[1]), st.lists(
         st.lists(st.integers(-2 * pw[0], 2 * pw[0]), min_size=pw[1], max_size=pw[1]),
         max_size=14)))
@@ -98,8 +102,7 @@ def test_span_and_inserts_give_the_reference_rref(case):
         assert one_by_one.insert(row) == (rank > before)
         assert one_by_one.dim == rank
     assert (one_by_one.rows, one_by_one.pivots) == (want_rows, want_pivots)
-    assert one_by_one.matrix().tolist() == want_rows
-    assert one_by_one.matrix().shape == (len(want_rows), width)
+    assert all(len(r) == width for r in batched.rows + one_by_one.rows)
 
 
 def _spin_reference(mod, seeds):
@@ -152,7 +155,7 @@ def test_perm_matrix_right_action():
     # v e_1 moved to coordinate g(1) = 2
     assert list(v @ a) == [0, 5, 0]
     h = parse_cycles("(2 3)", 3)
-    assert (perm_matrix(g) @ perm_matrix(h) == perm_matrix(g * h)).all()
+    assert (np.array(perm_matrix(g)) @ perm_matrix(h) == perm_matrix(g * h)).all()
 
 
 def test_aug_submodule():
@@ -163,8 +166,8 @@ def test_aug_submodule():
     assert not ip.contains([1, 1, 1, 0, 0])
     # stable under the action
     for a in mod.mats:
-        for row in ip.matrix():
-            assert ip.contains((row @ a) % 2)
+        for row in ip.rows:
+            assert ip.contains(np.array(row) @ a % 2)
 
 
 def test_spin_of_first_basis_vector_is_everything():
@@ -188,10 +191,10 @@ def test_restricted_is_exact_at_the_largest_prime():
     # overflow int64 when they are added before they are reduced
     p = 2 ** 31 - 1
     v = [1, -1, -1, -1]
-    m = FpModule(p, 4, [np.outer([p - 1] * 4, v) % p])
+    m = FpModule(p, 4, [(np.outer([p - 1] * 4, v) % p).tolist()])
     line = spin(m, [v])
     assert line.dim == 1
-    assert m.restricted(line).mats[0].tolist() == [[2]]
+    assert m.restricted(line).mats[0] == [[2]]
 
 
 def test_fixed_points_are_the_constants():
@@ -239,7 +242,7 @@ def _conjugated(m, t):
     p = m.p
     t_obj = np.array(t, dtype=object)
     t_inv = np.array(_inverse_mod(t, p), dtype=object)
-    return FpModule(p, m.dim, [(t_obj @ (a % p).astype(object) @ t_inv % p).astype(np.int64)
+    return FpModule(p, m.dim, [(t_obj @ np.array(a, dtype=object) @ t_inv % p).tolist()
                                for a in m.mats])
 
 
@@ -249,7 +252,7 @@ def _direct_sum(m1, m2):
     for a, b in zip(m1.mats, m2.mats):
         c = np.zeros((k1 + k2, k1 + k2), dtype=np.int64)
         c[:k1, :k1], c[k1:, k1:] = a, b
-        mats.append(c)
+        mats.append(c.tolist())
     return FpModule(m1.p, k1 + k2, mats)
 
 
@@ -278,7 +281,7 @@ def _modules(draw):
         mod = _direct_sum(simple(), simple())
     else:
         k = draw(st.integers(1, 6))
-        mod = FpModule(p, k, [np.eye(k, dtype=np.int64) for _ in g.generators])
+        mod = FpModule(p, k, [np.eye(k, dtype=int).tolist() for _ in g.generators])
     if draw(st.booleans()):
         # L U with L unit lower and U unit upper triangular is invertible
         k = mod.dim
@@ -482,7 +485,7 @@ def _ip(g, p):
 
 
 def test_cocycles_cyclic_trivial_module():
-    ones = np.ones((1, 1), dtype=np.int64)
+    ones = [[1]]
     c3, relators = _presented("C3")
     rep = cocycle_dims(c3, FpModule(3, 1, [ones]), relators)
     assert (rep.dim_Z1, rep.dim_B1, rep.dim_H1) == (1, 0, 1)
@@ -527,7 +530,7 @@ def test_inner_derivations_satisfy_the_constraints():
     for _ in range(10):
         a = rng.integers(0, p, restricted.dim)
         u = np.concatenate([(a @ (eye - m)) % p for m in restricted.mats])
-        assert (constraints.matrix() @ u % p == 0).all()
+        assert (np.array(constraints.rows) @ u % p == 0).all()
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -609,6 +612,28 @@ def test_relators_give_the_walks_constraints(token, primes):
         assert chain_order == order
 
 
+@pytest.mark.parametrize("token,p", [("A5", 7), ("A6", 3), ("S4", 5), ("C6", 5)])
+def test_each_relators_equations_give_its_cocycle_value(token, p):
+    # for letter images u that need not extend to a derivation, the k
+    # equations of a relator w give delta(w), carried left to right by
+    # delta(xy) = delta(x) M_y + delta(y) and delta(x^-1) = -delta(x) M_{x^-1};
+    # equations that only span the same constraints would not
+    spec = parse_group(token)
+    letters, relators = presentation(spec)
+    g = PermGroup(spec.n, letters, spec.order())
+    ngens, k = len(letters), spec.n - 1
+    both = _ip(PermGroup(spec.n, list(letters) + [x.inverse() for x in letters]), p)
+    mats = [np.array(a) for a in both.mats]  # M_x, then M_{x^-1}
+    u = np.random.default_rng(5).integers(0, p, size=(ngens, k))
+    eqs = np.array(modfp._relator_equations(g, _ip(g, p), relators))
+    for word, block in zip(relators, eqs.reshape(len(relators), k, ngens * k)):
+        value = np.zeros(k, dtype=np.int64)
+        for x in word:
+            m = mats[x] if x >= 0 else mats[ngens + ~x]
+            value = (value @ m + (u[x] if x >= 0 else -u[~x] @ m)) % p
+        assert (block @ u.reshape(-1) % p == value).all(), word
+
+
 def test_dropping_one_relator_of_a4_raises_z1_at_2():
     # on A4 at p = 2, a^3 and (ab)^3 each carry a constraint that the
     # other three relators do not
@@ -673,6 +698,21 @@ def test_cocycle_budget(monkeypatch):
     assert cohomology_of_Ip(parse_group("A7"), 2).group_order == 2520
 
 
+@pytest.mark.parametrize("token,p", [(t, p) for t in ("S32", "A32", "C39") for p in (2, 1000003)])
+def test_the_counted_bytes_bound_what_cohom_allocates(token, p):
+    # the groups at the equation budget's edge, at a small p and one whose
+    # residues are not small ints that Python shares
+    spec = parse_group(token)
+    ngens, nrels = modfp._presentation_size(spec)
+    tracemalloc.start()
+    try:
+        cohomology_of_Ip(spec, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cocycle_bytes(nrels, ngens, spec.n - 1)
+
+
 class _Checked(Exception):
     pass
 
@@ -710,16 +750,24 @@ def test_the_budget_is_checked_once_on_the_presentations_own_size(monkeypatch, t
     assert len(relators) == n // 2 + (3 if token[0] == "S" else 2)
 
 
-def test_cocycle_refuses_a_p_too_large_for_int64():
-    # I_p of A5 has dimension k = 4, and an entry of C_a M_b + C_b reaches
-    # 4 (p - 1)^2 + p - 1; 1518500213 and 1518500279 are the primes on
-    # either side of the bound
-    for p in (1518500279, 2 ** 31 - 1):
-        with pytest.raises(BadInput, match="too large"):
-            cohomology_of_Ip(parse_group("A5"), p)
-    rep = cohomology_of_Ip(parse_group("A5"), 1518500213)
-    # p does not divide |A5|, so H^1 vanishes and Z^1 = B^1 = I_p
-    assert (rep.dim_Z1, rep.dim_B1, rep.dim_H1, rep.group_order) == (4, 4, 0, 60)
+@pytest.mark.parametrize("token,conjugate", [("A5", False), ("A7", False), ("S4", True),
+                                             ("C5", True)])
+def test_cocycle_system_is_exact_at_the_largest_prime(token, conjugate):
+    # a product of two entries near 2^31 is near 2^62, and sums of k of them
+    # overflow int64, where the reference walks on Python ints; conjugated
+    # by a dense matrix, every entry of every product is large
+    p = 2 ** 31 - 1
+    g, words = _presented(token)
+    mod = _ip(g, p)
+    if conjugate:
+        rng = np.random.default_rng(7)
+        t = rng.integers(0, p, size=(mod.dim, mod.dim)).tolist()
+        assert _inverse_mod(t, p) is not None
+        mod = _conjugated(mod, t)
+    walked, order = cocycle_reference.cocycle_system(g, mod)
+    relators, chain_order = _cocycle_system(g, mod, words)
+    assert (relators.rows, relators.pivots) == (walked.rows, walked.pivots)
+    assert chain_order == order == g.order()
 
 
 @pytest.mark.parametrize("p,message", [(4, "p must be prime"), (9, "p must be prime"),
@@ -731,7 +779,7 @@ def test_a_module_is_refused_a_p_that_is_not_a_prime_below_2_31(p, message):
         cocycle_dims(g, FpModule.natural(g, p), relators)
     assert str(exc.value) == message
     with pytest.raises(BadInput):
-        FpModule(p, 1, [np.ones((1, 1), dtype=np.int64)])
+        FpModule(p, 1, [[[1]]])
 
 
 def test_cocycle_requires_matching_generators():

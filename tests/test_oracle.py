@@ -231,7 +231,7 @@ def test_a_non_member_of_the_tower_group_is_refused_before_any_rank(monkeypatch,
     def no_rank(*args):
         raise AssertionError("a rank was read")
 
-    monkeypatch.setattr(oracle, "_rank_mod", no_rank)
+    monkeypatch.setattr(oracle.RowSpace, "span", classmethod(no_rank))
     # the planted generator comes last, after members that pass the check
     g = PermGroup(tower.leaf_count(), tower_generators(tower) + [bad])
     with pytest.raises(ConsistencyError, match=names):
