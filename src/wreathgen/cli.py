@@ -227,7 +227,7 @@ def main(argv=None) -> int:
         doc, code = args.func(args)
     except BadInput as e:  # refused by the module that owns the rule
         doc, code = {"error": str(e)}, EXIT_USAGE
-    except BudgetExceeded as e:  # a degree too large to factor, or an example or modfp budget
+    except BudgetExceeded as e:  # an unfactored degree, or a chain, example or modfp budget
         doc, code = {"error": str(e)}, EXIT_BUDGET
     _emit(doc, args.out)
     return code

@@ -8,8 +8,9 @@ dimensions from a spinning basis and fixed-point dimensions, and counts
 1-cocycles from a presentation out of the literature (`presentation`):
 the derivation law carried along each relator, one set of equations per
 relator, so no element other than the letters is formed.  Vectors and
-matrices are lists of Python ints, exact at every p, and every product
-runs through one sparse row product (`_times`).
+matrices are lists of Python ints, exact at every p; every product runs
+through one sparse row product (`_times`), and every elimination through
+one reduction step (`RowSpace._reduce`).
 
 The exhaustive check spins every vector of the class it checks, but each
 spin stops at the first vector it reaches that an earlier spin of the
@@ -23,7 +24,7 @@ first vector of the class spins to the end.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect
+from bisect import insort
 from dataclasses import asdict, dataclass
 from functools import cache, cached_property
 
@@ -33,52 +34,30 @@ from .wreath import GroupSpec, standard_generators
 
 
 class RowSpace:
-    """A subspace of F_p^width kept in reduced row echelon form.
+    """A subspace of F_p^width kept in reduced row echelon form, the one
+    F_p elimination here (endomorphism_dim sifts through it too).
 
-    Rows are lists of Python ints, exact at every p.  insert() reduces the
-    new vector, renormalizes, and eliminates the new pivot column from the
-    old rows, so `rows` stays a canonical basis; span() reaches the same
-    basis from a whole matrix at once.
+    The basis is held sparse, pivot -> {column: value}: 1 at the pivot,
+    no entry at the other pivots and none that is 0 mod p.  One reduction
+    step (_reduce) serves contains() and insert(); insert() then scales
+    the residue to 1 at its pivot and clears that column from the other
+    rows (_add), so the basis stays canonical, and span() inserts a whole
+    matrix row by row.  `pivots`, ascending, and `rows`, the same basis as
+    lists of Python ints, are the canonical view.
     """
 
     def __init__(self, p: int, width: int):
         self.p = p
         self.width = width
-        self.rows: list[list[int]] = []
         self.pivots: list[int] = []
+        self._rows: dict[int, dict[int, int]] = {}
 
     @classmethod
     def span(cls, matrix, p: int) -> "RowSpace":
-        """The row space of a sequence of rows, by the elimination insert()
-        does.  The systems solved here are sparse and so is their reduced
-        form, so each row is held as a dict of its nonzero entries."""
-        rows: dict[int, dict[int, int]] = {}  # pivot -> row, 1 there, 0 at the other pivots
-
-        def subtract(v: dict[int, int], c: int, row: dict[int, int]) -> None:
-            for j, y in row.items():
-                x = (v.get(j, 0) - c * y) % p
-                if x:
-                    v[j] = x
-                else:
-                    del v[j]
-
-        width = 0
+        """The row space of a sequence of rows."""
+        space = cls(p, len(matrix[0]) if len(matrix) else 0)
         for v in matrix:
-            width = len(v)
-            v = {j: r for j, x in enumerate(v) if x and (r := int(x) % p)}
-            for piv in [j for j in v if j in rows]:
-                subtract(v, v[piv], rows[piv])
-            if v:
-                lead = min(v)
-                inv = pow(v[lead], -1, p)
-                v = {j: x * inv % p for j, x in v.items()}
-                for row in rows.values():
-                    if lead in row:
-                        subtract(row, row[lead], v)
-                rows[lead] = v
-        space = cls(p, width)
-        space.pivots = sorted(rows)
-        space.rows = [_dense(rows[piv].items(), width) for piv in space.pivots]
+            space.insert(v)
         return space
 
     @classmethod
@@ -89,54 +68,58 @@ class RowSpace:
         is shared: insert() reduces every vector to 0 and changes nothing,
         and no caller changes its rows."""
         space = cls(p, width)
-        zero = [0] * width
-        space.rows = [zero.copy() for _ in range(width)]
-        for i, row in enumerate(space.rows):
-            row[i] = 1
         space.pivots = list(range(width))
+        space._rows = {i: {i: 1} for i in space.pivots}
         return space
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    def reduce(self, v) -> list[int]:
-        p = self.p
-        v = [int(x) % p for x in v]
-        for piv, row in zip(self.pivots, self.rows):
-            c = v[piv]
-            if c:
-                v = [(x - c * y) % p for x, y in zip(v, row)]
+    @property
+    def rows(self) -> list[list[int]]:
+        return [_dense(self._rows[piv].items(), self.width) for piv in self.pivots]
+
+    def _reduce(self, v) -> dict[int, int]:
+        """v mod p, cleared at every pivot by subtracting multiples of the
+        rows there, as its nonzero entries."""
+        p, rows = self.p, self._rows
+        v = {j: r for j, x in enumerate(v) if x and (r := int(x) % p)}
+        for piv in rows.keys() & v.keys():
+            _subtract(v, v[piv], rows[piv], p)
         return v
 
+    def _add(self, v: dict[int, int]) -> None:
+        """Join v, reduced and nonzero, to the basis at its leading column."""
+        p = self.p
+        lead = min(v)
+        if v[lead] != 1:
+            inv = pow(v[lead], -1, p)
+            v = {j: x * inv % p for j, x in v.items()}
+        for row in self._rows.values():
+            if lead in row:
+                _subtract(row, row[lead], v, p)
+        self._rows[lead] = v
+        insort(self.pivots, lead)
+
     def contains(self, v) -> bool:
-        return not any(self.reduce(v))
+        return not self._reduce(v)
 
     def insert(self, v) -> bool:
-        v = self.reduce(v) if self.rows else [int(x) % self.p for x in v]
-        for piv, lead in enumerate(v):
-            if lead:
-                break
+        v = self._reduce(v)
+        if v:
+            self._add(v)
+        return bool(v)
+
+
+def _subtract(v: dict[int, int], c: int, row: dict[int, int], p: int) -> None:
+    """v -= c * row mod p, in place, dropping the entries that vanish."""
+    for j, y in row.items():
+        x = (v.get(j, 0) - c * y) % p
+        if x:
+            v[j] = x
         else:
-            return False
-        p = self.p
-        if lead != 1:
-            inv = pow(lead, -1, p)
-            v = [x * inv % p for x in v]
-        for i, row in enumerate(self.rows):
-            c = row[piv]
-            if c:
-                self.rows[i] = [(x - c * y) % p for x, y in zip(row, v)]
-        pos = bisect(self.pivots, piv)
-        self.rows.insert(pos, v)
-        self.pivots.insert(pos, piv)
-        return True
-
-
-def _terms(rows) -> list[list[tuple[int, int]]]:
-    """Each row's nonzero entries (j, x), the form _times takes vectors and
-    matrices in."""
-    return [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+            del v[j]
 
 
 def _times(v, terms, p: int) -> list[tuple[int, int]]:
@@ -185,13 +168,16 @@ class FpModule:
 
     @cached_property
     def _row_terms(self) -> list[list[list[tuple[int, int]]]]:
-        """Per generator, the terms of its matrix mod p (see _times)."""
-        return [_terms([[int(x) % self.p for x in row] for row in a]) for a in self.mats]
+        """Per generator, the terms of its matrix mod p: each row's nonzero
+        entries (j, x), the form _times takes vectors and matrices in."""
+        p = self.p
+        return [[[(j, r) for j, x in enumerate(row) if (r := int(x) % p)] for row in a]
+                for a in self.mats]
 
     def restricted(self, sub: RowSpace) -> "FpModule":
         """The action on an invariant subspace, in coordinates of its RREF
         basis (a vector's coordinates are its entries at the pivots)."""
-        basis = _terms(sub.rows)
+        basis = [[(j, x) for j, x in enumerate(row) if x] for row in sub.rows]
 
         def coords(b, terms):
             image = _dense(_times(b, terms, self.p), self.dim)
@@ -206,18 +192,19 @@ def aug_submodule(m: FpModule) -> RowSpace:
     row echelon form: the rows e_i - e_{n-1}, pivots 0..n-2."""
     n, p = m.dim, m.p
     space = RowSpace(p, n)
-    space.rows = [[int(j == i) for j in range(n - 1)] + [p - 1] for i in range(n - 1)]
     space.pivots = list(range(n - 1))
+    space._rows = {i: {i: 1, n - 1: p - 1} for i in space.pivots}
     return space
 
 
 def spin(m: FpModule, seeds, known=None) -> RowSpace:
     """Smallest submodule containing the seed vectors.
 
-    Worklist spinning, as in the MeatAxe: every vector that enters the
-    space is queued, and each generator is applied to it once.  The queued
-    vectors span the space, so once the queue is empty the space is closed
-    under the action; a space that is already everything is closed at once.
+    Worklist spinning, as in the MeatAxe: the rows the seeds span and
+    every image that enters the space are queued, and each generator is
+    applied to each of them once.  The queued vectors span the space, so
+    once the queue is empty the space is closed under the action; a space
+    that is already everything is closed at once.
 
     `known`, when given, is a stop rule: a predicate on vectors reduced
     mod p that may hold only for vectors whose spin is all of m.  Once a
@@ -233,19 +220,20 @@ def spin(m: FpModule, seeds, known=None) -> RowSpace:
     if known is not None and any(map(known, seeds)):
         return RowSpace.whole(p, dim)
     space = RowSpace(p, dim)
-    queue = []
     for v in seeds:
-        if space.insert(v):
-            queue.append(v)
+        space.insert(v)
+    queue = [list(row.items()) for row in space._rows.values()]
     while queue and space.dim < dim:
-        support = [(i, x) for i, x in enumerate(queue.pop()) if x]
+        v = queue.pop()
         for terms in row_terms:
-            img = _dense(_times(support, terms, p), dim)
-            if known is not None and known(img):
+            img = _times(v, terms, p)
+            w = _dense(img, dim)
+            if known is not None and known(w):
                 return RowSpace.whole(p, dim)
-            if space.insert(img):
+            if space.insert(w):
                 queue.append(img)
-                if known is not None and known(space.rows[-1]):
+                last = space._rows[space.pivots[-1]].items()
+                if known is not None and known(_dense(last, dim)):
                     return RowSpace.whole(p, dim)
     return space
 
@@ -265,46 +253,38 @@ def endomorphism_dim(m: FpModule) -> int:
     The unit vectors e_0, e_1, .. are the seeds; each one outside the span
     so far joins the basis and is spun.  An image b g outside the span is
     the next basis vector b' (a tree edge); one inside it is a relation
-    b g + sum_j t_j b_j = 0, whose coefficients the elimination carries
-    along.  An endomorphism phi is fixed by its values x_s on the r seeds,
-    so there are r k unknowns: phi(b) = x Psi_b, with Psi_b' = Psi_b A_g
-    along the tree, and each relation gives the k equations
-    x (Psi_b A_g + sum_j t_j Psi_j) = 0.
+    b g + sum_j t_j b_j = 0.  The basis is kept as the rows [b_j | e_j]
+    of one RowSpace of width 2k, whose pivots all lie left of column k,
+    so [v | 0] reduces to [0 | t] exactly when v + sum_j t_j b_j = 0.  An
+    endomorphism phi is fixed by its values x_s on the r seeds, so there
+    are r k unknowns: phi(b) = x Psi_b, with Psi_b' = Psi_b A_g along the
+    tree, and each relation gives the k equations
+    x (Psi_b A_g + sum_j t_j Psi_j) = 0, of which those that vanish mod p
+    are dropped.
     """
     k, p = m.dim, m.p
-    basis: list[list[int]] = []
+    space = RowSpace(p, 2 * k)
+    basis: list[list[tuple[int, int]]] = []  # as terms (see _times)
     tree: list[tuple[int, int]] = []  # (parent, generator), or (-1, seed number)
-    relations: list[tuple[int, int, list[int]]] = []  # (b, generator, t)
-    # the elimination: pivot and row [w | s], where w = sum_j s_j b_j
-    rows: list[tuple[int, list[int]]] = []
+    relations: list[tuple[int, int, list[tuple[int, int]]]] = []  # (b, generator, t)
 
-    def sift(v: list[int]) -> list[int] | None:
+    def sift(v: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
         """None once v has joined the basis, else the t with
         v + sum_j t_j b_j = 0."""
-        v = v + [0] * k  # [w | s] with w - sum_j s_j b_j = v
-        for piv, row in rows:
-            c = v[piv]
-            if c:
-                v = [(x - c * y) % p for x, y in zip(v, row)]
-        w = v[:k]
-        if not any(w):
-            return v[k:]
-        # w = b + sum_j s_j b_j for the new basis vector b
-        v[k + len(rows)] = 1
-        piv = w.index(next(filter(None, w)))
-        inv = pow(w[piv], -1, p)
-        rows.append((piv, [x * inv % p for x in v]))
+        r = space._reduce(_dense(v, 2 * k))
+        if min(r, default=k) >= k:
+            return [(j - k, x) for j, x in r.items()]
+        r[k + len(basis)] = 1  # [v | e_new] less a combination of the rows
+        space._add(r)
+        basis.append(v)
         return None
 
     seeds = 0
     for i in range(k):
         if len(basis) == k:
             break
-        e = [0] * k
-        e[i] = 1
-        if sift(e) is not None:
+        if sift([(i, 1)]) is not None:
             continue
-        basis.append(e)
         tree.append((-1, seeds))
         seeds += 1
         # the queue: the basis vectors from this seed on; a basis has at
@@ -312,18 +292,13 @@ def endomorphism_dim(m: FpModule) -> int:
         for b in range(len(basis) - 1, k):
             if b == len(basis):
                 break
-            support = [(a, x) for a, x in enumerate(basis[b]) if x]
             for g, terms in enumerate(m._row_terms):
-                img = _dense(_times(support, terms, p), k)
-                t = sift(img)
+                t = sift(_times(basis[b], terms, p))
                 if t is None:
-                    basis.append(img)
                     tree.append((b, g))
                 else:
                     relations.append((b, g, t))
     unknowns = seeds * k
-    if not relations:
-        return unknowns
     terms = m._row_terms
     # psi[b] is Psi_b, one row of terms per unknown
     psi: list[list[list[tuple[int, int]]]] = []
@@ -334,13 +309,12 @@ def endomorphism_dim(m: FpModule) -> int:
             psi.append([_times(row, terms[g], p) for row in psi[parent]])
     eqs = []
     for b, g, t in relations:
-        t = [(j, x) for j, x in enumerate(t) if x]
         # eq[c][u]: entry (u, c) of Psi_b A_g + sum_j t_j Psi_j
         eq = [[0] * unknowns for _ in range(k)]
         for u in range(unknowns):
             for c, x in _times(psi[b][u], terms[g], p) + _times(t, [ps[u] for ps in psi], p):
-                eq[c][u] += x
-        eqs += eq
+                eq[c][u] = (eq[c][u] + x) % p
+        eqs += filter(any, eq)
     return unknowns - RowSpace.span(eqs, p).dim
 
 
@@ -607,12 +581,13 @@ def _cocycle_system(g: PermGroup, mod: FpModule, relators) -> tuple[RowSpace, in
     cocycle value of each relator must vanish (see _relator_equations)."""
     if len(mod.mats) != len(g.generators):
         raise ValueError("module action does not match the group's generators")
-    return RowSpace.span(_relator_equations(g, mod, relators), mod.p), g.order()
+    eqs = [row for row in _relator_equations(g, mod, relators) if any(row)]
+    return RowSpace.span(eqs, mod.p), g.order()
 
 
 def _relator_equations(g: PermGroup, mod: FpModule, relators) -> list[list[int]]:
-    """k equations per relator, in the ngens * k unknowns delta(gens[j])[a]
-    at column j * k + a.
+    """k equations per relator, entries reduced mod p, in the ngens * k
+    unknowns delta(gens[j])[a] at column j * k + a.
 
     A relator w_1 .. w_m is evaluated from the right: with the suffix
     products S_t = M_{w_(t+1)} .. M_{w_m}, delta(w) = sum_t delta(w_t) S_t.
@@ -643,7 +618,7 @@ def _relator_equations(g: PermGroup, mod: FpModule, relators) -> list[list[int]]
             for a, row in enumerate(added):
                 for c, y in row:
                     coeffs[j][c][a] += sign * y
-        eqs += [sum((cj[c] for cj in coeffs), []) for c in range(k)]
+        eqs += [[x % p for cj in coeffs for x in cj[c]] for c in range(k)]
     return eqs
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from collections import deque
 from itertools import combinations, repeat
 from operator import itemgetter, ne
@@ -295,6 +296,13 @@ def format_cycles(p: Permutation) -> str:
 # ---------------------------------------------------------------------------
 # base and strong generating sets
 
+# bytes of tables one stabilizer chain may store, counted as Bsgs says.
+# S_n's chain to its known order stores about n^2 / 2 inverses of n points,
+# about 4 n^3 bytes as tuples.  On a 2-core host S300 was counted at 112 MB
+# and the pair of `example --n 67 --verify` (804 points) at 187 MB; S500
+# and S800 are refused, S800 after 1.5 s at 271 MB max RSS
+CHAIN_BYTE_BUDGET = 2 ** 28
+
 
 class _Level:
     """One level of a chain: its base point; `gens`, a (table, inverse
@@ -342,6 +350,13 @@ class Bsgs:
     and store a new orbit point's u^-1 as s^-1 u_pt^-1, inverting nothing
     more.  A chain built to a known order (_fill) holds u^-1 per orbit
     point; a deterministic chain holds u and u^-1.
+
+    The chain counts what it stores, at the size of one table each: two
+    per strong generator, when it is adopted, and one or two per orbit
+    point besides the base points, after each closure of a level.  Before
+    a level's orbit grows, the count with every point the orbit could
+    still take in is checked against CHAIN_BYTE_BUDGET, so an oversized
+    chain raises BudgetExceeded before it stores past the budget.
     """
 
     def __init__(self, degree: int):
@@ -350,6 +365,8 @@ class Bsgs:
         self._compose = _composer(degree)
         self._levels: list[_Level] = []
         self._strong: list = []  # tables, insertion order
+        self._tables = 0  # stored tables, counted as above
+        self._table_bytes = sys.getsizeof(_table(self._ident))
 
     # -- public api ---------------------------------------------------------
 
@@ -413,12 +430,22 @@ class Bsgs:
         levels = self._levels
         if hi == len(levels):
             levels.append(_Level(_first_moved(r), self._ident, schreier))
+        self._reserve(2)
+        self._tables += 2
         s = _table(r)
         self._strong.append(s)
         pair = (s, _invert(s, self._ident))
         for lv in levels[lo:hi + 1]:
             lv.gens.append(pair)
         return levels[lo:hi + 1]
+
+    def _reserve(self, tables: int) -> None:
+        """Raise BudgetExceeded if `tables` more than the chain has counted
+        would pass CHAIN_BYTE_BUDGET."""
+        need = (self._tables + tables) * self._table_bytes
+        if need > CHAIN_BYTE_BUDGET:
+            raise BudgetExceeded(f"a stabilizer chain of degree {self.degree} may need {need} "
+                                 f"bytes, over the budget of {CHAIN_BYTE_BUDGET}")
 
     def _insert(self, r, lo, hi):
         # a deterministic level queues its new generator against its orbit
@@ -445,6 +472,8 @@ class Bsgs:
         lv = self._levels[i]
         gens, orbit, inv, pending = lv.gens, lv.orbit, lv.inv, lv.pending
         compose = self._compose
+        size = len(inv)
+        self._reserve(2 * (self.degree - size + 1))  # u and u^-1 per point, and a new s
         while pending:
             pt, gi = pending.popleft()
             s, s_inv = gens[gi]
@@ -465,8 +494,11 @@ class Bsgs:
             r, m = self._sift(g, i + 1)
             if r is not None:
                 self._insert(r, i + 1, m)
-                return m
-        return None
+                break
+        else:
+            m = None
+        self._tables += 2 * (len(inv) - size)
+        return m
 
     def _fill(self, gens, order):
         """Sift product-replacement draws of <gens> into the chain; see
@@ -502,6 +534,8 @@ class Bsgs:
         images = itemgetter(*inv)(s) if len(inv) > 1 else (s[lv.point],)
         if all(map(inv.__contains__, images)):
             return
+        size = len(inv)
+        self._reserve(self.degree - size)
         new = []
         for pt, q in zip(list(inv), images):
             if q not in inv:
@@ -513,6 +547,7 @@ class Bsgs:
                 if q not in inv:
                     inv[q] = compose(t_inv, inv[pt])
                     new.append(q)
+        self._tables += len(inv) - size
 
 
 def rattle(gens, rng: random.Random, degree: int):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -318,6 +319,18 @@ def test_equation_budget_admits_a32_s32_and_c39_and_refuses_c40():
     assert modfp.cocycle_bytes(19, 2, 31) == 15160736 <= modfp.EQUATION_BUDGET
     assert modfp.cocycle_bytes(1, 1, 38) == 16738848 <= modfp.EQUATION_BUDGET
     assert modfp.cocycle_bytes(1, 1, 39) == 18568368 > modfp.EQUATION_BUDGET
+
+
+def test_a_single_level_over_the_chain_byte_budget_exits_3_within_a_second(capsys, monkeypatch):
+    # `verify --tower S800` passes the budget itself (CI runs it); below
+    # the 1.5 MB that S100's chain is counted at, S100 does so at once
+    monkeypatch.setattr(permcore, "CHAIN_BYTE_BUDGET", 10 ** 6)
+    start = time.perf_counter()
+    code, doc = run(capsys, "verify", "--tower", "S100", "--seed", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and set(doc) == {"error"}
+    assert doc["error"].startswith("a stabilizer chain of degree 100 may need ")
+    assert doc["error"].endswith(" bytes, over the budget of 1000000")
 
 
 @pytest.mark.parametrize("group,p", [("A5", "3"), ("S4", "2"), ("C20", "3"), ("C21", "5")])

@@ -105,6 +105,35 @@ def test_span_and_inserts_give_the_reference_rref(case):
     assert all(len(r) == width for r in batched.rows + one_by_one.rows)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_matrices, st.data())
+def test_contains_and_the_shared_reduction_match_the_reference(case, data):
+    p, width, rows = case
+    space = RowSpace.span(rows, p)
+    basis, pivots = _rref_reference(rows, p)
+    # the sparse rows are the reference rows' nonzero entries, none 0 mod p
+    assert space._rows == {piv: {j: x for j, x in enumerate(row) if x}
+                           for piv, row in zip(pivots, basis)}
+
+    def in_space(v):
+        return len(_rref_reference(basis + [v], p)[1]) == len(pivots)
+
+    entries = st.integers(-2 * p, 2 * p)
+    vectors = data.draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=3))
+    # members too, which a draw at a large p almost never is
+    combinations = st.lists(st.lists(entries, min_size=len(rows), max_size=len(rows)), max_size=3)
+    vectors += [[sum(c * row[j] for c, row in zip(cs, rows)) for j in range(width)]
+                for cs in data.draw(combinations)]
+    for v in vectors:
+        assert space.contains(v) == in_space(v)
+        # v mod p less the multiples of the rows that clear it at every
+        # pivot: what is left lies off the pivots, and v less it in the space
+        residue = space._reduce(v)
+        assert all(0 < x < p and j not in pivots for j, x in residue.items())
+        assert in_space([x - residue.get(j, 0) for j, x in enumerate(v)])
+        assert (not residue) == in_space(v)
+
+
 def _spin_reference(mod, seeds):
     """Round-robin spinning on the reference RREF: multiply the whole basis
     by every generator until a round adds nothing."""
@@ -768,6 +797,31 @@ def test_cocycle_system_is_exact_at_the_largest_prime(token, conjugate):
     relators, chain_order = _cocycle_system(g, mod, words)
     assert (relators.rows, relators.pivots) == (walked.rows, walked.pivots)
     assert chain_order == order == g.order()
+
+
+@pytest.mark.parametrize("run,handed", [
+    # of 589 cocycle and 992 End rows for S32 at p = 2, 558 and 992 for
+    # A32, 38 and 38 for C39 at p = 3, and 56 End rows for (8, 3)
+    (lambda: cohomology_of_Ip(parse_group("S32"), 2), [124, 31, 120]),
+    (lambda: cohomology_of_Ip(parse_group("A32"), 2), [153, 31, 499]),
+    (lambda: cohomology_of_Ip(parse_group("C39"), 3), [0, 38, 0]),
+    (lambda: check_Ip_structure(8, 3), [32]),
+], ids=["S32", "A32", "C39", "module 8 3"])
+def test_span_is_handed_only_equations_that_do_not_vanish(monkeypatch, run, handed):
+    # cocycle_dims spans the relator equations, the fixed-point rows and
+    # End's equations, in that order; check_Ip_structure End's alone
+    matrices, span = [], RowSpace.span.__func__
+
+    def recorded(cls, matrix, p):
+        matrices.append((matrix, p))
+        return span(cls, matrix, p)
+
+    monkeypatch.setattr(RowSpace, "span", classmethod(recorded))
+    run()
+    assert [len(m) for m, _ in matrices] == handed
+    equations = [m for m, _ in matrices[::2]]  # not the fixed-point rows
+    p = matrices[0][1]
+    assert all(any(row) and all(0 <= x < p for x in row) for m in equations for row in m)
 
 
 @pytest.mark.parametrize("p,message", [(4, "p must be prime"), (9, "p must be prime"),

@@ -390,6 +390,67 @@ def test_a_known_order_chains_levels_are_nested(images):
         assert set(lower.gens) <= set(upper.gens)
 
 
+def _held_tables(chain: Bsgs) -> int:
+    """The tables a chain holds: two per strong generator and, per orbit
+    point besides the base points, u^-1 and, in a deterministic chain, u."""
+    per_point = 1 if chain._levels[0].orbit is None else 2
+    return 2 * len(chain._strong) + per_point * sum(len(lv.inv) - 1 for lv in chain._levels)
+
+
+# S7 at degree 7, C3;C10;C10 at degree 300, past the switch to tuples
+_BUDGETED = [lambda: PermGroup(7, standard_generators(GroupSpec("S", 7))),
+             CHAIN_PINS["C3;C2;C2"][0], lambda: tower_group(parse_tower("C3;C10;C10"))]
+
+
+@pytest.mark.parametrize("known", [False, True], ids=["deterministic", "known order"])
+@pytest.mark.parametrize("build", _BUDGETED, ids=["S7", "C3;C2;C2", "C3;C10;C10"])
+def test_a_chain_counts_the_tables_it_holds(build, known):
+    group = build()
+    chain = bsgs_build(group, bsgs_build(group).order() if known else None)
+    assert chain._tables == _held_tables(chain)
+    assert chain._table_bytes == sys.getsizeof(_table(chain._ident))
+
+
+@pytest.mark.parametrize("known", [False, True], ids=["deterministic", "known order"])
+@pytest.mark.parametrize("build", _BUDGETED, ids=["S7", "C3;C2;C2", "C3;C10;C10"])
+def test_a_chain_over_its_byte_budget_stops_before_it_stores_past_it(monkeypatch, build, known):
+    group = build()
+    order = bsgs_build(group).order() if known else None
+    full = bsgs_build(group, order)
+    budget = full._tables * full._table_bytes // 2
+    monkeypatch.setattr(permcore, "CHAIN_BYTE_BUDGET", budget)
+    stored = []
+
+    def recorded(name):
+        method = getattr(Bsgs, name)
+
+        def call(chain, *args, **kwargs):
+            out = method(chain, *args, **kwargs)
+            stored.append(_held_tables(chain) * chain._table_bytes)
+            return out
+        return call
+
+    for name in ("_adopt", "_process", "_grow"):
+        monkeypatch.setattr(Bsgs, name, recorded(name))
+    with pytest.raises(BudgetExceeded, match=f"over the budget of {budget}$"):
+        bsgs_build(group, order)
+    assert stored and max(stored) <= budget
+
+
+@pytest.mark.parametrize("spec,a", [
+    (GroupSpec("S", 300), [1, 0] + list(range(2, 300))),  # (1 2), (1 2 .. 300)
+    (GroupSpec("A", 250), [1, 2, 0] + list(range(3, 250))),  # (1 2 3), (1 2)(3 4 .. 250)
+])
+def test_the_chain_budget_admits_the_largest_single_levels_quoted(spec, a):
+    # the chains `verify --tower S300` and `--tower A250` build, counted at
+    # 112 MB and 9 MB
+    n = spec.n
+    b = list(range(1, n)) + [0] if spec.kind == "S" else [1, 0] + list(range(3, n)) + [2]
+    chain = bsgs_build(PermGroup(n, [Permutation(a), Permutation(b)]), spec.order())
+    assert chain.order() == spec.order()
+    assert chain._tables * chain._table_bytes <= permcore.CHAIN_BYTE_BUDGET
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([1, 2, 254, 255, 256]).flatmap(
     lambda n: st.lists(_windowed(n, 5), min_size=1, max_size=3)))
