@@ -39,11 +39,11 @@ VERIFY_LEAF_BUDGET = 4096
 # `example` holds the pair as permutations of its 12n leaves and prints
 # their cycles, all of it linear in n: measured in one process at n =
 # 20,001, 50,001 and 100,001, the peak rose 187-188 bytes per leaf over
-# the interpreter's 16 MB (100,001: 2.5 s, 231 MB).  `--verify` adds the
-# pair's chain, built to |W|: about L^2/20 permutations of the L leaves.
-# On a 2-core host every odd n from 23 to 67 raised the peak by 0.38-0.45
-# L^3 bytes (n = 67, 804 leaves: 0.96 s, 200 MB).  Past 200 bytes a leaf,
-# plus L^3/2 with `--verify`, this budget refuses before anything is built
+# the interpreter's 16 MB (100,001: 2.5 s, 231 MB).  Past 200 bytes a
+# leaf this budget refuses before anything is built.  `--verify` adds the
+# pair's chain, built to |W|, which permcore.CHAIN_BYTE_BUDGET counts as
+# it is stored: n = 75 (900 leaves) is counted at 261 MB and runs, n = 77
+# is refused
 EXAMPLE_BYTE_BUDGET = 256 * 2 ** 20
 
 EXIT_OK = 0
@@ -155,10 +155,9 @@ def _cmd_cohom(args) -> tuple[dict, int]:
 def _cmd_example(args) -> tuple[dict, int]:
     t = example_tower(args.n)
     leaves = t.leaf_count()
-    need = 200 * leaves + (leaves ** 3 // 2 if args.verify else 0)
+    need = 200 * leaves
     if need > EXAMPLE_BYTE_BUDGET:
-        with_chain = ", with its chain," if args.verify else ""
-        raise BudgetExceeded(f"the pair of {leaves} leaves{with_chain} needs about {need} bytes, "
+        raise BudgetExceeded(f"the pair of {leaves} leaves needs about {need} bytes, "
                              f"over the budget of {EXAMPLE_BYTE_BUDGET}")
     x, y = example_generators(args.n)
     doc = {
@@ -211,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--n", type=int, required=True, help="odd top degree >= 5")
     e.add_argument("--verify", action="store_true",
                    help="certify that the pair generates the tower group "
-                        "(n <= 67 within the byte budget)")
+                        "(n <= 75 within the chain byte budget)")
     e.set_defaults(func=_cmd_example)
 
     for p in (f, v, m, c, e):

@@ -84,7 +84,7 @@ class RowSpace:
         """v mod p, cleared at every pivot by subtracting multiples of the
         rows there, as its nonzero entries."""
         p, rows = self.p, self._rows
-        v = {j: r for j, x in enumerate(v) if x and (r := int(x) % p)}
+        v = {j: r for j, x in enumerate(v) if x and (r := x % p)}
         for piv in rows.keys() & v.keys():
             _subtract(v, v[piv], rows[piv], p)
         return v
@@ -171,7 +171,7 @@ class FpModule:
         """Per generator, the terms of its matrix mod p: each row's nonzero
         entries (j, x), the form _times takes vectors and matrices in."""
         p = self.p
-        return [[[(j, r) for j, x in enumerate(row) if (r := int(x) % p)] for row in a]
+        return [[[(j, r) for j, x in enumerate(row) if (r := x % p)] for row in a]
                 for a in self.mats]
 
     def restricted(self, sub: RowSpace) -> "FpModule":
@@ -216,7 +216,7 @@ def spin(m: FpModule, seeds, known=None) -> RowSpace:
     p = m.p
     dim = m.dim
     row_terms = m._row_terms
-    seeds = [[int(x) % p for x in s] for s in seeds]
+    seeds = [[x % p for x in s] for s in seeds]
     if known is not None and any(map(known, seeds)):
         return RowSpace.whole(p, dim)
     space = RowSpace(p, dim)

@@ -299,8 +299,10 @@ def format_cycles(p: Permutation) -> str:
 # bytes of tables one stabilizer chain may store, counted as Bsgs says.
 # S_n's chain to its known order stores about n^2 / 2 inverses of n points,
 # about 4 n^3 bytes as tuples.  On a 2-core host S300 was counted at 112 MB
-# and the pair of `example --n 67 --verify` (804 points) at 187 MB; S500
-# and S800 are refused, S800 after 1.5 s at 271 MB max RSS
+# and the pair of `example --n 75 --verify` (900 points) at 261 MB; S500,
+# S800 and the pair of n = 77 are refused, S800 after 1.6 s at 274 MB max
+# RSS.  The budget is per chain, so a process holding two chains at once
+# may store more
 CHAIN_BYTE_BUDGET = 2 ** 28
 
 
@@ -351,12 +353,10 @@ class Bsgs:
     more.  A chain built to a known order (_fill) holds u^-1 per orbit
     point; a deterministic chain holds u and u^-1.
 
-    The chain counts what it stores, at the size of one table each: two
-    per strong generator, when it is adopted, and one or two per orbit
-    point besides the base points, after each closure of a level.  Before
-    a level's orbit grows, the count with every point the orbit could
-    still take in is checked against CHAIN_BYTE_BUDGET, so an oversized
-    chain raises BudgetExceeded before it stores past the budget.
+    The chain counts each table as it stores it, at the size of one
+    table: two per strong generator and one or two per orbit point
+    besides the base points.  The first table that would take the count
+    past CHAIN_BYTE_BUDGET raises BudgetExceeded before it is stored.
     """
 
     def __init__(self, degree: int):
@@ -430,8 +430,7 @@ class Bsgs:
         levels = self._levels
         if hi == len(levels):
             levels.append(_Level(_first_moved(r), self._ident, schreier))
-        self._reserve(2)
-        self._tables += 2
+        self._store(2)
         s = _table(r)
         self._strong.append(s)
         pair = (s, _invert(s, self._ident))
@@ -439,13 +438,14 @@ class Bsgs:
             lv.gens.append(pair)
         return levels[lo:hi + 1]
 
-    def _reserve(self, tables: int) -> None:
-        """Raise BudgetExceeded if `tables` more than the chain has counted
-        would pass CHAIN_BYTE_BUDGET."""
+    def _store(self, tables: int) -> None:
+        """Count `tables` more tables, about to be stored; raise
+        BudgetExceeded instead if they would pass CHAIN_BYTE_BUDGET."""
         need = (self._tables + tables) * self._table_bytes
         if need > CHAIN_BYTE_BUDGET:
             raise BudgetExceeded(f"a stabilizer chain of degree {self.degree} may need {need} "
                                  f"bytes, over the budget of {CHAIN_BYTE_BUDGET}")
+        self._tables += tables
 
     def _insert(self, r, lo, hi):
         # a deterministic level queues its new generator against its orbit
@@ -472,8 +472,6 @@ class Bsgs:
         lv = self._levels[i]
         gens, orbit, inv, pending = lv.gens, lv.orbit, lv.inv, lv.pending
         compose = self._compose
-        size = len(inv)
-        self._reserve(2 * (self.degree - size + 1))  # u and u^-1 per point, and a new s
         while pending:
             pt, gi = pending.popleft()
             s, s_inv = gens[gi]
@@ -481,6 +479,7 @@ class Bsgs:
             w = compose(orbit[pt], s)
             uq = orbit.get(q)
             if uq is None:
+                self._store(2)
                 orbit[q] = w
                 inv[q] = compose(s_inv, inv[pt])
                 pending.extend(zip(repeat(q), range(len(gens))))
@@ -494,11 +493,8 @@ class Bsgs:
             r, m = self._sift(g, i + 1)
             if r is not None:
                 self._insert(r, i + 1, m)
-                break
-        else:
-            m = None
-        self._tables += 2 * (len(inv) - size)
-        return m
+                return m
+        return None
 
     def _fill(self, gens, order):
         """Sift product-replacement draws of <gens> into the chain; see
@@ -534,20 +530,19 @@ class Bsgs:
         images = itemgetter(*inv)(s) if len(inv) > 1 else (s[lv.point],)
         if all(map(inv.__contains__, images)):
             return
-        size = len(inv)
-        self._reserve(self.degree - size)
         new = []
         for pt, q in zip(list(inv), images):
             if q not in inv:
+                self._store(1)
                 inv[q] = compose(s_inv, inv[pt])
                 new.append(q)
         for pt in new:  # grows while it is walked
             for t, t_inv in lv.gens:
                 q = t[pt]
                 if q not in inv:
+                    self._store(1)
                     inv[q] = compose(t_inv, inv[pt])
                     new.append(q)
-        self._tables += len(inv) - size
 
 
 def rattle(gens, rng: random.Random, degree: int):

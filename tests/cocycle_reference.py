@@ -58,5 +58,5 @@ def cocycle_system(g: PermGroup, mod: FpModule) -> tuple[RowSpace, int]:
         diff = (pushed(*np.divmod(block, ngens)) - coeffs[target[block]]) % p
         # one scalar equation per edge and module coordinate
         eqs = diff.transpose(0, 3, 1, 2).reshape(len(block) * k, ngens * k)
-        constraints = RowSpace.span(constraints.rows + list(eqs), p)
+        constraints = RowSpace.span(constraints.rows + eqs.tolist(), p)
     return constraints, count

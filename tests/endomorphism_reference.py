@@ -16,4 +16,4 @@ def endomorphism_dim(m: FpModule) -> int:
     # of kron(A, I) - kron(I, A^T); entries lie in (-p, p)
     mats = [np.array(a, dtype=np.int64) % m.p for a in m.mats]
     eqs = np.vstack([np.kron(a, eye) - np.kron(eye, a.T) for a in mats])
-    return k * k - RowSpace.span(eqs, m.p).dim
+    return k * k - RowSpace.span(eqs.tolist(), m.p).dim

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from tree_blocks import EXAMPLE_PLANTED_IDS, planted_example_non_members
 from wreathgen import cli, modfp, permcore
 from wreathgen.formula import FormulaResult
 from wreathgen.permcore import BadInput, ConsistencyError
+from wreathgen.wreath import parse_tower, tower_group
 
 
 def run(capsys, *argv):
@@ -333,6 +335,20 @@ def test_a_single_level_over_the_chain_byte_budget_exits_3_within_a_second(capsy
     assert doc["error"].endswith(" bytes, over the budget of 1000000")
 
 
+def test_verify_is_exact_at_a_chain_budget_of_the_towers_own_count(capsys, monkeypatch):
+    # C2;C16 needs no witness search, so the tower's chain, built to its
+    # known order, is the one chain `verify` builds; one byte less exits 3
+    chain = tower_group(parse_tower("C2;C16")).bsgs()
+    need = chain._tables * chain._table_bytes
+    monkeypatch.setattr(permcore, "CHAIN_BYTE_BUDGET", need)
+    code, doc = run(capsys, "verify", "--tower", "C2;C16", "--seed", "1")
+    assert code == 0 and doc["oracle"]["status"] == "exact"
+    monkeypatch.setattr(permcore, "CHAIN_BYTE_BUDGET", need - 1)
+    code, doc = run(capsys, "verify", "--tower", "C2;C16", "--seed", "1")
+    assert code == 3 and doc == {"error": (
+        f"a stabilizer chain of degree 32 may need {need} bytes, over the budget of {need - 1}")}
+
+
 @pytest.mark.parametrize("group,p", [("A5", "3"), ("S4", "2"), ("C20", "3"), ("C21", "5")])
 def test_cocycle_bytes_bounds_every_equation_stack(capsys, monkeypatch, group, p):
     spans, needs = [], []
@@ -443,57 +459,60 @@ def _refuse_to_build(n):
     raise AssertionError("example pair built past its byte budget")
 
 
-@pytest.mark.parametrize("n", [69, 2001])
+@pytest.mark.parametrize("n", [2001])
 def test_example_verify_past_its_budget_returns_at_once(n):
-    # unbudgeted, n = 69 (828 leaves) raised the peak by 218 MB, and the
-    # chain of n = 2001 (24,012 leaves) would need terabytes; both are
-    # refused before the pair is built
+    # the chain of n = 2001 (24,012 leaves) would need terabytes; it is
+    # refused at the first table past the chain byte budget, one table of
+    # 24,012 points at most after the count reaches it
     code, doc = run_process("example", "--n", str(n), "--verify", timeout=10)
     leaves = 12 * n
-    assert code == 3 and doc == {"error": (
-        f"the pair of {leaves} leaves, with its chain, needs about "
-        f"{200 * leaves + leaves ** 3 // 2} bytes, over the budget of {cli.EXAMPLE_BYTE_BUDGET}")}
+    need = re.fullmatch(rf"a stabilizer chain of degree {leaves} may need (\d+) bytes, "
+                        rf"over the budget of {permcore.CHAIN_BYTE_BUDGET}", doc.get("error", ""))
+    assert code == 3 and set(doc) == {"error"} and need
+    table = sys.getsizeof(tuple(range(leaves)))  # a permutation of the leaves, as a tuple
+    assert permcore.CHAIN_BYTE_BUDGET < int(need[1]) <= permcore.CHAIN_BYTE_BUDGET + 2 * table
 
 
 def test_example_verify_budget_admits_its_own_leaf_count(capsys, monkeypatch):
-    # the budget that --n 5 --verify needs for its 60 leaves admits it,
-    # refuses --n 7 --verify before the pair is built, and admits --n 7
-    monkeypatch.setattr(cli, "EXAMPLE_BYTE_BUDGET", _need(capsys, monkeypatch, "--n", "5", "--verify"))
+    # --verify asks the pair's own need, 200 bytes for each of --n 5's 60
+    # leaves, of this budget (its chain is counted by the chain byte
+    # budget); that budget admits --n 5 --verify and refuses --n 7, with
+    # --verify or without, before the pair is built
+    need = _need(capsys, monkeypatch, "--n", "5", "--verify")
+    assert need == _need(capsys, monkeypatch, "--n", "5") == 200 * 60
+    monkeypatch.setattr(cli, "EXAMPLE_BYTE_BUDGET", need)
     code, doc = run(capsys, "example", "--n", "5", "--verify")
     assert code == 0 and doc["generates"] is True and "warning" not in doc
-    with monkeypatch.context() as m:
-        m.setattr(cli, "example_generators", _refuse_to_build)
-        code, doc = run(capsys, "example", "--n", "7", "--verify")
-    assert code == 3 and doc["error"].endswith(f"over the budget of {cli.EXAMPLE_BYTE_BUDGET}")
-    code, doc = run(capsys, "example", "--n", "7")
-    assert code == 0 and doc["generates"] is None
+    monkeypatch.setattr(cli, "example_generators", _refuse_to_build)
+    for argv in (["--n", "7", "--verify"], ["--n", "7"]):
+        code, doc = run(capsys, "example", *argv)
+        assert code == 3 and doc["error"].endswith(f"over the budget of {cli.EXAMPLE_BYTE_BUDGET}")
 
 
-@pytest.mark.parametrize("n", [21, 23])
-def test_the_pairs_chain_stays_under_its_verify_term(capsys, monkeypatch, n):
-    # 252 leaves store permutations as bytes and 276 as tuples; the term is
-    # what --verify adds to the pair's need
-    term = _need(capsys, monkeypatch, "--n", str(n), "--verify") - _need(capsys, monkeypatch, "--n", str(n))
-    t = cli.example_tower(n)
-    x, y = cli.example_generators(n)
+def test_the_pairs_chain_peaks_within_a_tenth_of_its_counted_bytes():
+    # the chain byte budget counts only the tables a chain stores; for the
+    # pair of n = 23 (276 leaves, permutations as tuples) the peak was 1.036
+    # times the count, 1.026 at n = 31 and 1.022 for S300
+    t = cli.example_tower(23)
+    x, y = cli.example_generators(23)
     tracemalloc.start()
     try:
         chain = cli.bsgs_build(cli.PermGroup(t.leaf_count(), (x, y)), t.order())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert chain.order() == t.order() and peak < term
+    counted = chain._tables * chain._table_bytes
+    assert chain.order() == t.order() and counted <= peak <= 1.1 * counted
 
 
 def test_example_past_its_byte_budget_is_refused_before_it_is_built(capsys, monkeypatch):
     # unbudgeted, n = 200,001 (2.4 million leaves) would peak near 450 MB
     monkeypatch.setattr(cli, "example_generators", _refuse_to_build)
-    for argv, chain in ((["--n", "200001"], ""), (["--n", "1000001", "--verify"], ", with its chain,")):
+    for argv in (["--n", "200001"], ["--n", "1000001", "--verify"]):
         code, doc = run(capsys, "example", *argv)
         leaves = 12 * int(argv[1])
-        need = 200 * leaves + (leaves ** 3 // 2 if chain else 0)
         assert code == 3 and doc == {"error": (
-            f"the pair of {leaves} leaves{chain} needs about {need} bytes, "
+            f"the pair of {leaves} leaves needs about {200 * leaves} bytes, "
             f"over the budget of {cli.EXAMPLE_BYTE_BUDGET}")}
 
 

@@ -94,7 +94,7 @@ _matrices = st.tuples(st.sampled_from([2, 3, 5, 7, 1518500213, 2 ** 31 - 1]),
 def test_span_and_inserts_give_the_reference_rref(case):
     p, width, rows = case
     want_rows, want_pivots = _rref_reference(rows, p)
-    batched = RowSpace.span(np.array(rows, dtype=np.int64).reshape(-1, width), p)
+    batched = RowSpace.span(np.array(rows, dtype=np.int64).reshape(-1, width).tolist(), p)
     assert (batched.rows, batched.pivots) == (want_rows, want_pivots)
     one_by_one = RowSpace(p, width)
     for i, row in enumerate(rows):
@@ -165,7 +165,7 @@ def test_worklist_spin_matches_round_robin_spin(case, restrict, data):
         mod = mod.restricted(aug_submodule(mod))
     vectors = st.lists(st.integers(0, p - 1), min_size=mod.dim, max_size=mod.dim)
     seeds = data.draw(st.lists(vectors, min_size=1, max_size=2))
-    sub = spin(mod, [np.array(s) for s in seeds])
+    sub = spin(mod, seeds)
     rows, pivots = _spin_reference(mod, seeds)
     assert (sub.rows, sub.pivots) == (rows, pivots)
     assert (sub.p, sub.width) == (mod.p, mod.dim)
@@ -196,21 +196,19 @@ def test_aug_submodule():
     # stable under the action
     for a in mod.mats:
         for row in ip.rows:
-            assert ip.contains(np.array(row) @ a % 2)
+            assert ip.contains((np.array(row) @ a % 2).tolist())
 
 
 def test_spin_of_first_basis_vector_is_everything():
     for n, p in [(4, 2), (5, 3), (6, 2)]:
         mod = FpModule.natural(alt_group(n), p)
-        e1 = np.zeros(n, dtype=np.int64)
-        e1[0] = 1
+        e1 = [1] + [0] * (n - 1)
         assert spin(mod, [e1]).dim == n
 
 
 def test_spin_inside_aug_submodule():
     mod = FpModule.natural(alt_group(5), 3)
-    v = np.array([1, -1, 0, 0, 0])
-    sub = spin(mod, [v])
+    sub = spin(mod, [[1, -1, 0, 0, 0]])
     assert sub.dim == 4
     assert sub.contains([0, 1, -1, 0, 0])
 
@@ -365,7 +363,7 @@ def test_endomorphism_dim_is_exact_at_the_largest_prime(kind, n, end):
 def test_aug_submodule_is_the_span_of_the_differences(n, p):
     ip = aug_submodule(FpModule(p, n, []))
     diffs = np.eye(n - 1, n, dtype=np.int64) - np.eye(n - 1, n, k=1, dtype=np.int64)
-    span = RowSpace.span(diffs, p)
+    span = RowSpace.span(diffs.tolist(), p)
     assert (ip.rows, ip.pivots, ip.p, ip.width) == (span.rows, span.pivots, p, n)
 
 
@@ -460,7 +458,7 @@ def test_a_stopped_spin_returns_one_whole_space_that_an_insert_leaves_alone():
     assert spin(mod, [[0, 2, 0, 1, 0]], known=lambda w: True) is whole
     assert not whole.insert([1, 2, 0, 1, 1])
     fresh = RowSpace(3, 5)
-    for row in np.eye(5, dtype=np.int64):
+    for row in np.eye(5, dtype=np.int64).tolist():
         fresh.insert(row)
     assert (whole.rows, whole.pivots) == (fresh.rows, fresh.pivots)
 

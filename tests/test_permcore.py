@@ -437,6 +437,23 @@ def test_a_chain_over_its_byte_budget_stops_before_it_stores_past_it(monkeypatch
     assert stored and max(stored) <= budget
 
 
+@pytest.mark.parametrize("known", [False, True], ids=["deterministic", "known order"])
+@pytest.mark.parametrize("build", _BUDGETED, ids=["S7", "C3;C2;C2", "C3;C10;C10"])
+def test_a_chain_builds_at_a_budget_of_its_own_count_and_not_a_byte_below(monkeypatch, build,
+                                                                         known):
+    # the budget refuses the first table past it, and nothing before it
+    group = build()
+    order = bsgs_build(group).order() if known else None
+    full = bsgs_build(group, order)
+    need = full._tables * full._table_bytes
+    monkeypatch.setattr(permcore, "CHAIN_BYTE_BUDGET", need)
+    chain = bsgs_build(group, order)
+    assert (chain.base, chain.order(), chain._tables) == (full.base, full.order(), full._tables)
+    monkeypatch.setattr(permcore, "CHAIN_BYTE_BUDGET", need - 1)
+    with pytest.raises(BudgetExceeded, match=f" may need {need} bytes, over the budget of {need - 1}$"):
+        bsgs_build(group, order)
+
+
 @pytest.mark.parametrize("spec,a", [
     (GroupSpec("S", 300), [1, 0] + list(range(2, 300))),  # (1 2), (1 2 .. 300)
     (GroupSpec("A", 250), [1, 2, 0] + list(range(3, 250))),  # (1 2 3), (1 2)(3 4 .. 250)
