@@ -344,12 +344,11 @@ class IpReport:
 # for (21,2), whose 2^20 - 1 vectors all have leading entry 1 and each spin
 # a few images in dimension 20.
 VECTOR_BUDGET = 2 ** 20
-# bytes cocycle_dims is counted at (see cocycle_bytes), the one budget of
-# the cocycle system, checked from the degree alone.  It admits A4-A32,
-# S3-S32 and C2-C39.  S32 is counted at 15.2 MB; tracemalloc's peak for
-# cohomology_of_Ip there is 0.85 MB, and `cohom --group S32` ran in 0.1 s
-# at 15 MB max RSS on a 2-core host.  C39 is counted at 16.7 MB and peaks
-# at 0.35 MB
+# bytes cohomology_of_Ip may build, counted by cocycle_bytes from the
+# degree alone, before anything is built.  It admits A4-A78, S3-S78 and
+# C2-C78, each counted at 16.5 MB.  Their tracemalloc peaks are at most
+# 5.2 MB at p = 2 and 2^31 - 1, and `cohom` on each took under 0.7 s at
+# 22 MB max RSS as a process on a 2-core host
 EQUATION_BUDGET = 2 ** 24
 
 
@@ -472,8 +471,10 @@ def cocycle_dims(g: PermGroup, m: FpModule, relators) -> CohomReport:
     `presentation`).  Images of the generators extend to a derivation
     exactly when its value vanishes on every relator.
     """
+    if len(m.mats) != len(g.generators):
+        raise ValueError("module action does not match the group's generators")
     k = m.dim
-    constraints, order = _cocycle_system(g, m, relators)
+    constraints = RowSpace.span(_relator_equations(g, m, relators), m.p)
     dim_z1 = len(g.generators) * k - constraints.dim
     fixed = fixed_points(m)
     dim_b1 = k - fixed
@@ -481,7 +482,7 @@ def cocycle_dims(g: PermGroup, m: FpModule, relators) -> CohomReport:
     if dim_h1 < 0:
         raise ConsistencyError("negative H^1 dimension; constraint system is wrong")
     end = endomorphism_dim(m)
-    return CohomReport(m.p, k, order, dim_z1, dim_b1, dim_h1,
+    return CohomReport(m.p, k, g.order(), dim_z1, dim_b1, dim_h1,
                        fixed, end, k if end == 1 else None)
 
 
@@ -496,8 +497,8 @@ def presentation(spec: GroupSpec) -> tuple[tuple[Permutation, ...], list[list[in
     even n: a^3, b^(n-2), (ab)^n for odd n or (ab)^(n-1) for even n, and
     (a^e b^-k a b^k)^2 for 1 <= k < n//2, e = -1 for odd k and even n,
     else 1 (Coxeter and Moser, Generators and Relations for Discrete
-    Groups, 1957, ch. 6).  C_n is <t | t^n>.  _presentation_size counts
-    them from n alone.
+    Groups, 1957, ch. 6).  C_n is <t | t^n>.  In each, letters times
+    relators is at most n + 6, which cocycle_bytes counts on.
     """
     n = spec.n
     t = Permutation(list(range(1, n)) + [0])
@@ -516,19 +517,12 @@ def presentation(spec: GroupSpec) -> tuple[tuple[Permutation, ...], list[list[in
     return (a, b), relators
 
 
-def _presentation_size(spec: GroupSpec) -> tuple[int, int]:
-    """(letters, relators) counts of presentation(spec), from n alone."""
-    if spec.kind == "C":
-        return 1, 1
-    return 2, spec.n // 2 + (3 if spec.kind == "S" else 2)
-
-
 def cohomology_of_Ip(spec: GroupSpec, p: int) -> CohomReport:
     """cocycle_dims for I_p under the group `spec` in its natural action.
 
     Raises BadInput unless p is a prime below 2^31, and BudgetExceeded,
-    before anything is built, when the bytes counted for the presentation's
-    system would pass EQUATION_BUDGET.
+    before anything is built, when cocycle_bytes(n - 1) passes
+    EQUATION_BUDGET.
 
     Each relator is checked to be the identity on the letters, so
     <letters> is a quotient of the presented group, and the chain of
@@ -540,8 +534,10 @@ def cohomology_of_Ip(spec: GroupSpec, p: int) -> CohomReport:
     """
     _require_prime(p)
     n = spec.n
-    ngens, nrels = _presentation_size(spec)
-    _require_equation_budget(cocycle_bytes(nrels, ngens, n - 1))
+    need = cocycle_bytes(n - 1)
+    if need > EQUATION_BUDGET:
+        raise BudgetExceeded(f"cocycle equations may need {need} bytes, over the "
+                             f"budget of {EQUATION_BUDGET}")
     letters, relators = presentation(spec)
     inverses = [x.inverse() for x in letters]
     for word in relators:
@@ -555,39 +551,22 @@ def cohomology_of_Ip(spec: GroupSpec, p: int) -> CohomReport:
     return cocycle_dims(g, mod.restricted(aug_submodule(mod)), relators)
 
 
-def cocycle_bytes(relators: int, ngens: int, k: int) -> int:
-    """An upper bound, in bytes at 8 per entry, on what cocycle_dims builds
-    for a k-dimensional module of a group presented on ngens letters: per
-    letter, the action matrix and the ngens coefficient matrices of itself
-    and of its inverse; k equations per relator; and k^4 entries per
-    generator for endomorphism_dim.  The count dates from dense matrices
-    and the commutation equations End was once solved from.  The sparse
-    suffix products and Psi rows hold far less (the tests pin peaks under
-    it at S32, A32 and C39); the count is kept so that the groups admitted
-    and the counts pinned do not move."""
-    return 16 * ngens * (ngens + 1) * k * k + 8 * relators * k * ngens * k + 8 * ngens * k ** 4
-
-
-def _require_equation_budget(need: int) -> None:
-    """Raise BudgetExceeded if a cocycle system counted at `need` bytes passes
-    EQUATION_BUDGET."""
-    if need > EQUATION_BUDGET:
-        raise BudgetExceeded(f"cocycle equations need at least {need} bytes, over the "
-                             f"budget of {EQUATION_BUDGET}")
-
-
-def _cocycle_system(g: PermGroup, mod: FpModule, relators) -> tuple[RowSpace, int]:
-    """The constraints on the generator images, and the group order: the
-    cocycle value of each relator must vanish (see _relator_equations)."""
-    if len(mod.mats) != len(g.generators):
-        raise ValueError("module action does not match the group's generators")
-    eqs = [row for row in _relator_equations(g, mod, relators) if any(row)]
-    return RowSpace.span(eqs, mod.p), g.order()
+def cocycle_bytes(k: int) -> int:
+    """An upper bound, in bytes at 16 an entry (a pointer, plus a share of
+    the residue's int object at a large p), on what cohomology_of_Ip
+    builds for I_p of dimension k = n - 1.  It covers the dense action
+    matrices; the relator equations, k rows of letters * k entries per
+    relator, with letters times relators at most k + 7 (`presentation`);
+    and End's rows and Psi blocks: e_0 - e_(n-1) spins to all of I_p under
+    S_n, A_n and C_n, so End has one seed, at most k + 1 relations of k
+    rows of k entries, and Psi rows of at most two terms."""
+    return 32 * (k + 1) ** 2 * (k + 8)
 
 
 def _relator_equations(g: PermGroup, mod: FpModule, relators) -> list[list[int]]:
     """k equations per relator, entries reduced mod p, in the ngens * k
-    unknowns delta(gens[j])[a] at column j * k + a.
+    unknowns delta(gens[j])[a] at column j * k + a; those that vanish mod
+    p are dropped.
 
     A relator w_1 .. w_m is evaluated from the right: with the suffix
     products S_t = M_{w_(t+1)} .. M_{w_m}, delta(w) = sum_t delta(w_t) S_t.
@@ -618,7 +597,7 @@ def _relator_equations(g: PermGroup, mod: FpModule, relators) -> list[list[int]]
             for a, row in enumerate(added):
                 for c, y in row:
                     coeffs[j][c][a] += sign * y
-        eqs += [[x % p for cj in coeffs for x in cj[c]] for c in range(k)]
+        eqs += filter(any, ([x % p for cj in coeffs for x in cj[c]] for c in range(k)))
     return eqs
 
 

@@ -256,14 +256,14 @@ def _scan_for_generating_tuple(ct: CayleyTable, k: int):
 
 def find_generating_tuple(g: PermGroup, k: int, seed: int, attempts: int):
     """Random witness search: `attempts` candidates drawn from `seed`, each
-    certified by chain order equality; None when none generates."""
+    certified by chain order equality; None when none generates.  No name
+    holds a candidate's chain, so it is freed before the next is built."""
     order = g.order()
     rng = random.Random(seed)
     draw = rattle(g.generators, rng, g.degree)
     for _ in range(attempts):
         cand = tuple(draw() for _ in range(k))
-        chain = bsgs_build(PermGroup(g.degree, cand))
-        if chain.order() == order:
+        if bsgs_build(PermGroup(g.degree, cand)).order() == order:
             return cand
     return None
 

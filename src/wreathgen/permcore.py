@@ -301,8 +301,11 @@ def format_cycles(p: Permutation) -> str:
 # about 4 n^3 bytes as tuples.  On a 2-core host S300 was counted at 112 MB
 # and the pair of `example --n 75 --verify` (900 points) at 261 MB; S500,
 # S800 and the pair of n = 77 are refused, S800 after 1.6 s at 274 MB max
-# RSS.  The budget is per chain, so a process holding two chains at once
-# may store more
+# RSS.  In bytes form (degree <= 255) the count omits the per-point dict
+# entries, which beside a table of that degree are not small: the pair of
+# `example --n 21` (252 leaves) peaked at about 1.26 times its count.  The
+# budget is per chain; `verify` holds at most the tower's chain and one
+# witness chain at once
 CHAIN_BYTE_BUDGET = 2 ** 28
 
 

@@ -268,25 +268,22 @@ def test_cohom_nonscalar_end_has_no_h(capsys):
 
 
 def over_budget(need):
-    return {"error": f"cocycle equations need at least {need} bytes, over the budget "
+    return {"error": f"cocycle equations may need {need} bytes, over the budget "
                      f"of {modfp.EQUATION_BUDGET}"}
 
 
 def test_cohom_over_budget_exits_3(capsys, monkeypatch):
-    # A33 (18 relators), S33 (19) and C40 (1) are refused on the size of
-    # their presentations before anything is built
+    # A79, S79 and C79 are refused on their degree before anything is built
     def refuse(*args):
         raise AssertionError("built something for a group over the budget")
 
     for name in ("presentation", "_relator_equations", "endomorphism_dim"):
         monkeypatch.setattr(modfp, name, refuse)
-    for group, need in [("A33", 17170432), ("S33", 17186816), ("C40", 18568368)]:
+    for group in ("A79", "S79", "C79"):
         code, doc = run(capsys, "cohom", "--group", group, "--p", "2")
         assert code == 3
-        assert doc == over_budget(need)
-    assert modfp.cocycle_bytes(18, 2, 32) == 17170432
-    assert modfp.cocycle_bytes(19, 2, 32) == 17186816
-    assert modfp.cocycle_bytes(1, 1, 39) == 18568368
+        assert doc == over_budget(17175232)
+    assert modfp.cocycle_bytes(78) == 17175232
 
 
 @pytest.mark.parametrize("group,order", [("A9", 181440), ("S9", 362880)])
@@ -310,17 +307,14 @@ def test_cohom_over_budget_at_a_huge_degree_returns_at_once():
     # a chain of degree 10^7 would take minutes to build
     code, doc = run_process("cohom", "--group", "A10000000", "--p", "2", timeout=10)
     assert code == 3
-    assert doc == over_budget(modfp.cocycle_bytes(5 * 10 ** 6 + 2, 2, 10 ** 7 - 1))
+    assert doc == over_budget(modfp.cocycle_bytes(10 ** 7 - 1))
 
 
-def test_equation_budget_admits_a32_s32_and_c39_and_refuses_c40():
-    # A_n has n // 2 + 2 relators and S_n n // 2 + 3, on two letters; C_n
-    # has one on one letter.  The next degree of each is refused in
-    # test_cohom_over_budget_exits_3
-    assert modfp.cocycle_bytes(18, 2, 31) == 15145360 <= modfp.EQUATION_BUDGET
-    assert modfp.cocycle_bytes(19, 2, 31) == 15160736 <= modfp.EQUATION_BUDGET
-    assert modfp.cocycle_bytes(1, 1, 38) == 16738848 <= modfp.EQUATION_BUDGET
-    assert modfp.cocycle_bytes(1, 1, 39) == 18568368 > modfp.EQUATION_BUDGET
+def test_equation_budget_admits_degree_78_and_refuses_79():
+    # the count reads the degree alone, so A78, S78 and C78 are admitted
+    # and the next degree of each is refused (test_cohom_over_budget_exits_3)
+    assert modfp.cocycle_bytes(77) == 16548480 <= modfp.EQUATION_BUDGET
+    assert modfp.cocycle_bytes(78) == 17175232 > modfp.EQUATION_BUDGET
 
 
 def test_a_single_level_over_the_chain_byte_budget_exits_3_within_a_second(capsys, monkeypatch):
@@ -353,21 +347,21 @@ def test_verify_is_exact_at_a_chain_budget_of_the_towers_own_count(capsys, monke
 def test_cocycle_bytes_bounds_every_equation_stack(capsys, monkeypatch, group, p):
     spans, needs = [], []
     span = modfp.RowSpace.span.__func__
-    require = modfp._require_equation_budget
+    count = modfp.cocycle_bytes
 
     def recorded(cls, matrix, q):
         spans.append(np.asarray(matrix).nbytes)
         return span(cls, matrix, q)
 
-    def checked(need):
-        needs.append(need)
-        require(need)
+    def counted(k):
+        needs.append(count(k))
+        return needs[-1]
 
     monkeypatch.setattr(modfp.RowSpace, "span", classmethod(recorded))
-    monkeypatch.setattr(modfp, "_require_equation_budget", checked)
+    monkeypatch.setattr(modfp, "cocycle_bytes", counted)
     code, doc = run(capsys, "cohom", "--group", group, "--p", p)
     assert code == 0
-    # one check, on the presentation's size, before anything is built
+    # one count, of the degree, before anything is built
     assert len(needs) == 1
     assert max(spans) <= needs[0]
 

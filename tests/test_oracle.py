@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import weakref
 
 import branch_pool
 import numpy as np
@@ -366,6 +367,23 @@ def test_random_witness_is_certified():
 
 def test_random_witness_none_when_impossible():
     assert find_generating_tuple(_s4(), 1, seed=3, attempts=200) is None
+
+
+def test_each_witness_chain_is_freed_before_the_next_is_built(monkeypatch):
+    # S4 is not cyclic, so every one of the 20 candidates builds a chain
+    # and fails; were a chain still referenced, two would be held at once
+    chains, alive = [], []
+    build = oracle.bsgs_build
+
+    def tracked(g, order=None):
+        alive.append(sum(ref() is not None for ref in chains))
+        chain = build(g, order)
+        chains.append(weakref.ref(chain))
+        return chain
+
+    monkeypatch.setattr(oracle, "bsgs_build", tracked)
+    assert find_generating_tuple(_s4(), 1, seed=3, attempts=20) is None
+    assert alive == [0] * 20
 
 
 # ----------------------------------------------------------- min_generators
