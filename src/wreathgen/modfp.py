@@ -8,9 +8,10 @@ dimensions from a spinning basis and fixed-point dimensions, and counts
 1-cocycles from a presentation out of the literature (`presentation`):
 the derivation law carried along each relator, one set of equations per
 relator, so no element other than the letters is formed.  Vectors and
-matrices are lists of Python ints, exact at every p; every product runs
-through one sparse row product (`_times`), and every elimination through
-one reduction step (`RowSpace._reduce`).
+matrix rows are held in one form, as terms (see `_times`) on Python ints,
+exact at every p; only the spin's stop rule reads a dense row.  Every
+product runs through one sparse row product (`_times`), and every
+elimination through one reduction step (`RowSpace._reduce`).
 
 The exhaustive check spins every vector of the class it checks, but each
 spin stops at the first vector it reaches that an earlier spin of the
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from dataclasses import asdict, dataclass
-from functools import cache, cached_property
+from functools import cache
 
 from .permcore import (BadInput, BudgetExceeded, ConsistencyError, PermGroup,
                        Permutation, prime_factorization)
@@ -37,13 +38,13 @@ class RowSpace:
     """A subspace of F_p^width kept in reduced row echelon form, the one
     F_p elimination here (endomorphism_dim sifts through it too).
 
-    The basis is held sparse, pivot -> {column: value}: 1 at the pivot,
-    no entry at the other pivots and none that is 0 mod p.  One reduction
-    step (_reduce) serves contains() and insert(); insert() then scales
-    the residue to 1 at its pivot and clears that column from the other
-    rows (_add), so the basis stays canonical, and span() inserts a whole
-    matrix row by row.  `pivots`, ascending, and `rows`, the same basis as
-    lists of Python ints, are the canonical view.
+    Vectors come in as terms (see _times).  The basis is held as dicts,
+    pivot -> {column: value}: 1 at the pivot, no entry at the other pivots
+    and none that is 0 mod p.  One reduction step (_reduce) serves
+    contains() and insert(); insert() then scales the residue to 1 at its
+    pivot and clears that column from the other rows (_add), so the basis
+    stays canonical, and span() inserts a sequence of rows.  `pivots`,
+    ascending, and the rows at them are the canonical view.
     """
 
     def __init__(self, p: int, width: int):
@@ -53,10 +54,10 @@ class RowSpace:
         self._rows: dict[int, dict[int, int]] = {}
 
     @classmethod
-    def span(cls, matrix, p: int) -> "RowSpace":
-        """The row space of a sequence of rows."""
-        space = cls(p, len(matrix[0]) if len(matrix) else 0)
-        for v in matrix:
+    def span(cls, rows, p: int, width: int) -> "RowSpace":
+        """The row space inside F_p^width of a sequence of rows, as terms."""
+        space = cls(p, width)
+        for v in rows:
             space.insert(v)
         return space
 
@@ -76,15 +77,13 @@ class RowSpace:
     def dim(self) -> int:
         return len(self.pivots)
 
-    @property
-    def rows(self) -> list[list[int]]:
-        return [_dense(self._rows[piv].items(), self.width) for piv in self.pivots]
-
     def _reduce(self, v) -> dict[int, int]:
-        """v mod p, cleared at every pivot by subtracting multiples of the
-        rows there, as its nonzero entries."""
+        """v, given as terms, cleared at every pivot by subtracting
+        multiples of the rows there, as its nonzero entries.  Its columns
+        must be distinct and its values in 1..p-1, as every producer's are:
+        _times sums into a dict and keeps the nonzero residues."""
         p, rows = self.p, self._rows
-        v = {j: r for j, x in enumerate(v) if x and (r := x % p)}
+        v = dict(v)
         for piv in rows.keys() & v.keys():
             _subtract(v, v[piv], rows[piv], p)
         return v
@@ -124,8 +123,10 @@ def _subtract(v: dict[int, int], c: int, row: dict[int, int], p: int) -> None:
 
 def _times(v, terms, p: int) -> list[tuple[int, int]]:
     """The terms of v M mod p, for v and M given as terms: the sum of x *
-    (row i of M) over the (i, x) of v.  Every product of matrices in this
-    file is taken here, a row at a time."""
+    (row i of M) over the (i, x) of v.  A row's terms are the (column,
+    value) pairs of its nonzero entries, distinct columns, values in
+    1..p-1, and a matrix's are its rows'.  Every product of matrices in
+    this file is taken here, a row at a time."""
     if len(v) == 1 and v[0][1] == 1:
         return terms[v[0][0]]  # a row of a permutation matrix picks a row
     out: dict[int, int] = {}
@@ -143,48 +144,39 @@ def _dense(terms, width: int) -> list[int]:
     return row
 
 
-def perm_matrix(g: Permutation) -> list[list[int]]:
-    rows = [[0] * g.degree for _ in range(g.degree)]
-    for a, row in enumerate(rows):
-        row[g(a)] = 1
-    return rows
+def _equations(rows: list[dict[int, int]], p: int) -> list[list[tuple[int, int]]]:
+    """The terms of each row, column -> coefficient, mod p, less the rows that vanish."""
+    reduced = ([(j, r) for j, x in row.items() if (r := x % p)] for row in rows)
+    return [terms for terms in reduced if terms]
 
 
 @dataclass
 class FpModule:
-    """An F_p[G]-module: action matrices, as lists of rows, parallel to the
-    group's generators.  Raises BadInput unless p is a prime below 2^31."""
+    """An F_p[G]-module: per generator of the group, in order, its action
+    matrix as the terms of each row (see _times).  Raises BadInput unless p
+    is a prime below 2^31."""
 
     p: int
     dim: int
-    mats: list[list[list[int]]]
+    terms: list[list[list[tuple[int, int]]]]
 
     def __post_init__(self):
         _require_prime(self.p)
 
     @classmethod
     def natural(cls, group: PermGroup, p: int) -> "FpModule":
-        return cls(p, group.degree, [perm_matrix(g) for g in group.generators])
-
-    @cached_property
-    def _row_terms(self) -> list[list[list[tuple[int, int]]]]:
-        """Per generator, the terms of its matrix mod p: each row's nonzero
-        entries (j, x), the form _times takes vectors and matrices in."""
-        p = self.p
-        return [[[(j, r) for j, x in enumerate(row) if (r := x % p)] for row in a]
-                for a in self.mats]
+        """The permutation module: row a of P_g is the single term (g(a), 1)."""
+        n = group.degree
+        return cls(p, n, [[[(g(a), 1)] for a in range(n)] for g in group.generators])
 
     def restricted(self, sub: RowSpace) -> "FpModule":
         """The action on an invariant subspace, in coordinates of its RREF
-        basis (a vector's coordinates are its entries at the pivots)."""
-        basis = [[(j, x) for j, x in enumerate(row) if x] for row in sub.rows]
-
-        def coords(b, terms):
-            image = _dense(_times(b, terms, self.p), self.dim)
-            return [image[c] for c in sub.pivots]
-
-        return FpModule(self.p, sub.dim,
-                        [[coords(b, terms) for b in basis] for terms in self._row_terms])
+        basis: a vector's coordinates are its entries at the pivots, so the
+        image of each basis row keeps those entries, renumbered."""
+        p, coord = self.p, {c: i for i, c in enumerate(sub.pivots)}
+        basis = [list(sub._rows[c].items()) for c in sub.pivots]
+        return FpModule(p, sub.dim, [[[(coord[j], x) for j, x in _times(b, terms, p) if j in coord]
+                                      for b in basis] for terms in self.terms])
 
 
 def aug_submodule(m: FpModule) -> RowSpace:
@@ -211,26 +203,25 @@ def spin(m: FpModule, seeds, known=None) -> RowSpace:
     seed, a generator image or the last basis row (the one with the last
     pivot) satisfies it, the spin returns the whole space, whose rows and
     pivots are those a full spin reaches.  This is sound because spin(v)
-    contains spin(w) for every w in the space it has built.
+    contains spin(w) for every w in the space it has built.  Seeds and
+    the stop rule's argument are dense rows; everything else is terms.
     """
     p = m.p
     dim = m.dim
-    row_terms = m._row_terms
     seeds = [[x % p for x in s] for s in seeds]
     if known is not None and any(map(known, seeds)):
         return RowSpace.whole(p, dim)
     space = RowSpace(p, dim)
     for v in seeds:
-        space.insert(v)
+        space.insert([(j, x) for j, x in enumerate(v) if x])
     queue = [list(row.items()) for row in space._rows.values()]
     while queue and space.dim < dim:
         v = queue.pop()
-        for terms in row_terms:
+        for terms in m.terms:
             img = _times(v, terms, p)
-            w = _dense(img, dim)
-            if known is not None and known(w):
+            if known is not None and known(_dense(img, dim)):
                 return RowSpace.whole(p, dim)
-            if space.insert(w):
+            if space.insert(img):
                 queue.append(img)
                 last = space._rows[space.pivots[-1]].items()
                 if known is not None and known(_dense(last, dim)):
@@ -240,9 +231,14 @@ def spin(m: FpModule, seeds, known=None) -> RowSpace:
 
 def fixed_points(m: FpModule) -> int:
     """Dimension of the joint fixed space: the kernel of v -> (v (a - 1))
-    over the action matrices a."""
-    rows = [[x - (i == j) for a in m.mats for j, x in enumerate(a[i])] for i in range(m.dim)]
-    return m.dim - RowSpace.span(rows, m.p).dim
+    over the action matrices a, generator g's at columns g k .. g k + k - 1."""
+    k, width = m.dim, len(m.terms) * m.dim
+    rows = [{g * k + j: x for g, terms in enumerate(m.terms) for j, x in terms[i]}
+            for i in range(k)]
+    for i, row in enumerate(rows):
+        for c in range(i, width, k):
+            row[c] = row.get(c, 0) - 1
+    return k - RowSpace.span(_equations(rows, m.p), m.p, width).dim
 
 
 def endomorphism_dim(m: FpModule) -> int:
@@ -271,7 +267,7 @@ def endomorphism_dim(m: FpModule) -> int:
     def sift(v: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
         """None once v has joined the basis, else the t with
         v + sum_j t_j b_j = 0."""
-        r = space._reduce(_dense(v, 2 * k))
+        r = space._reduce(v)
         if min(r, default=k) >= k:
             return [(j - k, x) for j, x in r.items()]
         r[k + len(basis)] = 1  # [v | e_new] less a combination of the rows
@@ -292,14 +288,14 @@ def endomorphism_dim(m: FpModule) -> int:
         for b in range(len(basis) - 1, k):
             if b == len(basis):
                 break
-            for g, terms in enumerate(m._row_terms):
+            for g, terms in enumerate(m.terms):
                 t = sift(_times(basis[b], terms, p))
                 if t is None:
                     tree.append((b, g))
                 else:
                     relations.append((b, g, t))
     unknowns = seeds * k
-    terms = m._row_terms
+    terms = m.terms
     # psi[b] is Psi_b, one row of terms per unknown
     psi: list[list[list[tuple[int, int]]]] = []
     for parent, g in tree:
@@ -310,12 +306,12 @@ def endomorphism_dim(m: FpModule) -> int:
     eqs = []
     for b, g, t in relations:
         # eq[c][u]: entry (u, c) of Psi_b A_g + sum_j t_j Psi_j
-        eq = [[0] * unknowns for _ in range(k)]
+        eq: list[dict[int, int]] = [{} for _ in range(k)]
         for u in range(unknowns):
             for c, x in _times(psi[b][u], terms[g], p) + _times(t, [ps[u] for ps in psi], p):
-                eq[c][u] = (eq[c][u] + x) % p
-        eqs += filter(any, eq)
-    return unknowns - RowSpace.span(eqs, p).dim
+                eq[c][u] = eq[c].get(u, 0) + x
+        eqs += _equations(eq, p)
+    return unknowns - RowSpace.span(eqs, p, unknowns).dim
 
 
 @dataclass
@@ -347,8 +343,8 @@ VECTOR_BUDGET = 2 ** 20
 # bytes cohomology_of_Ip may build, counted by cocycle_bytes from the
 # degree alone, before anything is built.  It admits A4-A78, S3-S78 and
 # C2-C78, each counted at 16.5 MB.  Their tracemalloc peaks are at most
-# 5.2 MB at p = 2 and 2^31 - 1, and `cohom` on each took under 0.7 s at
-# 22 MB max RSS as a process on a 2-core host
+# 2.5 MB at p = 2 and 2^31 - 1, and `cohom` on each took under 0.8 s at
+# 17 MB max RSS as a process on a 2-core host
 EQUATION_BUDGET = 2 ** 24
 
 
@@ -442,7 +438,7 @@ def check_Ip_structure(n: int, p: int) -> IpReport:
     checked, irr = _scan(sub, any)
     end = endomorphism_dim(sub)
     return IpReport(n, p, ip.dim, False, "verified", checked,
-                    direct_sum=not ip.contains([1] * n) and ip.dim + 1 == n,
+                    direct_sum=not ip.contains([(j, 1) for j in range(n)]) and ip.dim + 1 == n,
                     irreducible=irr, end_dim=end, r=(n - 1) if end == 1 else None)
 
 
@@ -471,11 +467,12 @@ def cocycle_dims(g: PermGroup, m: FpModule, relators) -> CohomReport:
     `presentation`).  Images of the generators extend to a derivation
     exactly when its value vanishes on every relator.
     """
-    if len(m.mats) != len(g.generators):
+    if len(m.terms) != len(g.generators):
         raise ValueError("module action does not match the group's generators")
     k = m.dim
-    constraints = RowSpace.span(_relator_equations(g, m, relators), m.p)
-    dim_z1 = len(g.generators) * k - constraints.dim
+    unknowns = len(g.generators) * k
+    constraints = RowSpace.span(_relator_equations(g, m, relators), m.p, unknowns)
+    dim_z1 = unknowns - constraints.dim
     fixed = fixed_points(m)
     dim_b1 = k - fixed
     dim_h1 = dim_z1 - dim_b1
@@ -552,52 +549,53 @@ def cohomology_of_Ip(spec: GroupSpec, p: int) -> CohomReport:
 
 
 def cocycle_bytes(k: int) -> int:
-    """An upper bound, in bytes at 16 an entry (a pointer, plus a share of
-    the residue's int object at a large p), on what cohomology_of_Ip
-    builds for I_p of dimension k = n - 1.  It covers the dense action
-    matrices; the relator equations, k rows of letters * k entries per
-    relator, with letters times relators at most k + 7 (`presentation`);
-    and End's rows and Psi blocks: e_0 - e_(n-1) spins to all of I_p under
-    S_n, A_n and C_n, so End has one seed, at most k + 1 relations of k
-    rows of k entries, and Psi rows of at most two terms."""
+    """An upper bound, in bytes, on what cohomology_of_Ip builds for I_p of
+    dimension k = n - 1, at 16 bytes (a pointer, and a share of a large
+    residue) an entry of each row counted as if it were dense: the relator
+    equations, k rows of letters * k entries per relator, with letters
+    times relators at most k + 7 (`presentation`); and End's: e_0 - e_(n-1)
+    spins to all of I_p under S_n, A_n and C_n, so End has one seed, at
+    most k + 1 relations of k rows of k entries, and Psi rows of at most
+    two terms.  Rows are held as terms, about 64 bytes a nonzero entry, and
+    few are nonzero (1,287 of 58,674 in A78's relator rows)."""
     return 32 * (k + 1) ** 2 * (k + 8)
 
 
-def _relator_equations(g: PermGroup, mod: FpModule, relators) -> list[list[int]]:
-    """k equations per relator, entries reduced mod p, in the ngens * k
-    unknowns delta(gens[j])[a] at column j * k + a; those that vanish mod
-    p are dropped.
+def _relator_equations(g: PermGroup, mod: FpModule, relators) -> list[list[tuple[int, int]]]:
+    """k equations per relator, as terms, in the ngens * k unknowns
+    delta(gens[j])[a] at column j * k + a; those that vanish mod p are
+    dropped.
 
     A relator w_1 .. w_m is evaluated from the right: with the suffix
     products S_t = M_{w_(t+1)} .. M_{w_m}, delta(w) = sum_t delta(w_t) S_t.
     Since delta(x^-1) = -delta(x) M_{x^-1}, the coefficient matrix of
     letter x gains S_t at each x and loses M_{x^-1} S_t = S_(t-1) at each
-    x^-1.  Matrices are held as their rows' terms; for the permutation
-    modules `cohomology_of_Ip` builds, S_t keeps at most two terms a row.
+    x^-1.  For the permutation modules `cohomology_of_Ip` builds, S_t
+    keeps at most two terms a row.
     """
     k, p = mod.dim, mod.p
-    ngens = len(g.generators)
     # a letter's inverse acts by M^(ord - 1), so no matrix is inverted;
     # acts[x] is letter x's matrix and acts[~x] its inverse's
     inverses = []
-    for x, terms in zip(g.generators, mod._row_terms):
+    for x, terms in zip(g.generators, mod.terms):
         inv = terms
         for _ in range(x.order() - 2):
             inv = [_times(row, terms, p) for row in inv]
         inverses.append(inv)
-    acts = mod._row_terms + inverses[::-1]
+    acts = mod.terms + inverses[::-1]
     eqs = []
     for word in relators:
-        # coeffs[j][c][a]: the coefficient of delta(gens[j])[a] in equation c
-        coeffs = [[[0] * k for _ in range(k)] for _ in range(ngens)]
+        # eq[c][j * k + a]: the coefficient of delta(gens[j])[a] in equation c
+        eq: list[dict[int, int]] = [{} for _ in range(k)]
         s = [[(i, 1)] for i in range(k)]
         for x in reversed(word):
             later, s = s, [_times(row, s, p) for row in acts[x]]
             j, sign, added = (x, 1, later) if x >= 0 else (~x, -1, s)
             for a, row in enumerate(added):
+                col = j * k + a
                 for c, y in row:
-                    coeffs[j][c][a] += sign * y
-        eqs += filter(any, ([x % p for cj in coeffs for x in cj[c]] for c in range(k)))
+                    eq[c][col] = eq[c].get(col, 0) + sign * y
+        eqs += _equations(eq, p)
     return eqs
 
 

@@ -219,11 +219,12 @@ def level_sum_ranks(g: PermGroup, tower: TowerSpec) -> dict[int, int]:
     actions = [local_actions(tower, w) for w in g.generators]
     # per prime, one vector per character: its level sum at each generator
     # (the transpose of the generators' images, which has the same rank)
-    sums: dict[int, list[list[int]]] = {}
+    sums: dict[int, list[list[tuple[int, int]]]] = {}
     for i, spec in enumerate(tower.levels):
         for p, f in _characters(spec):
-            sums.setdefault(p, []).append([sum(map(f, acts[i])) for acts in actions])
-    return {p: RowSpace.span(vectors, p).dim for p, vectors in sums.items()}
+            sums.setdefault(p, []).append(
+                [(j, r) for j, acts in enumerate(actions) if (r := sum(map(f, acts[i])) % p)])
+    return {p: RowSpace.span(vectors, p, len(actions)).dim for p, vectors in sums.items()}
 
 
 def d_lower_bound(g: PermGroup, tower: TowerSpec) -> tuple[int, str]:

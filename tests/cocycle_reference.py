@@ -10,6 +10,7 @@ hold int64 while a sum of k products below p^2 fits, and Python ints
 
 import numpy as np
 
+import dense
 from wreathgen.modfp import FpModule, RowSpace
 from wreathgen.permcore import PermGroup, cayley_walk
 
@@ -27,7 +28,7 @@ def cocycle_system(g: PermGroup, mod: FpModule) -> tuple[RowSpace, int]:
     ngens = len(g.generators)
     count = len(edges)
     dtype = np.int64 if (k + 1) * p * p < 2 ** 63 else object
-    mats = np.array(mod.mats, dtype=dtype).reshape(ngens, k, k) % p
+    mats = np.array(dense.matrices(mod), dtype=dtype).reshape(ngens, k, k) % p
     eye = np.eye(k, dtype=np.int64).astype(dtype)
     # edge e = i * ngens + j leads from element i to target[e] = i * gens[j]
     target = np.array(edges, dtype=np.intp).reshape(-1)
@@ -58,5 +59,6 @@ def cocycle_system(g: PermGroup, mod: FpModule) -> tuple[RowSpace, int]:
         diff = (pushed(*np.divmod(block, ngens)) - coeffs[target[block]]) % p
         # one scalar equation per edge and module coordinate
         eqs = diff.transpose(0, 3, 1, 2).reshape(len(block) * k, ngens * k)
-        constraints = RowSpace.span(constraints.rows + eqs.tolist(), p)
+        for eq in eqs.tolist():
+            constraints.insert(dense.to_terms(eq, p))
     return constraints, count

@@ -5,7 +5,8 @@ unknowns."""
 
 import numpy as np
 
-from wreathgen.modfp import FpModule, RowSpace
+import dense
+from wreathgen.modfp import FpModule
 
 
 def endomorphism_dim(m: FpModule) -> int:
@@ -14,6 +15,6 @@ def endomorphism_dim(m: FpModule) -> int:
     eye = np.eye(k, dtype=np.int64)
     # (A F - F A)[i, j] = 0 over unknowns F[a, b] at slot a*k+b: row i*k+j
     # of kron(A, I) - kron(I, A^T); entries lie in (-p, p)
-    mats = [np.array(a, dtype=np.int64) % m.p for a in m.mats]
+    mats = [np.array(a, dtype=np.int64) % m.p for a in dense.matrices(m)]
     eqs = np.vstack([np.kron(a, eye) - np.kron(eye, a.T) for a in mats])
-    return k * k - RowSpace.span(eqs.tolist(), m.p).dim
+    return k * k - dense.span(eqs.tolist(), m.p, k * k).dim

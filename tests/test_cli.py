@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dense
 from tree_blocks import EXAMPLE_PLANTED_IDS, planted_example_non_members
 from wreathgen import cli, modfp, permcore
 from wreathgen.formula import FormulaResult
@@ -349,9 +350,10 @@ def test_cocycle_bytes_bounds_every_equation_stack(capsys, monkeypatch, group, p
     span = modfp.RowSpace.span.__func__
     count = modfp.cocycle_bytes
 
-    def recorded(cls, matrix, q):
-        spans.append(np.asarray(matrix).nbytes)
-        return span(cls, matrix, q)
+    def recorded(cls, rows, q, width):
+        # the bytes of the rows as one dense int64 array
+        spans.append(np.asarray([dense.to_dense(r, width) for r in rows], dtype=np.int64).nbytes)
+        return span(cls, rows, q, width)
 
     def counted(k):
         needs.append(count(k))

@@ -303,6 +303,67 @@ def test_the_oracle_takes_no_chain_route_to_its_ranks():
     assert mentions(oracle.read_text(), CHAIN_ROUTE) == set()
 
 
+def sites(source: str, hit) -> set[str]:
+    """The innermost function or class of a module around each node that
+    `hit` accepts, as a dotted name (a method is "Class.method"), or ""
+    at the module's top level."""
+    found = set()
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if hit(child):
+                found.add(".".join(path))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, path + [child.name] if named else path)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def dense_calls(node) -> bool:
+    """A call of `_dense`, modfp's one conversion of terms to a dense row."""
+    return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_dense"
+
+
+def zero_rows(node) -> bool:
+    """[0] * n or n * [0], the start of a dense row or of a dense matrix."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and any(
+        isinstance(side, ast.List) and len(side.elts) == 1
+        and isinstance(side.elts[0], ast.Constant) and side.elts[0].value == 0
+        for side in (node.left, node.right))
+
+
+MODFP = next(p for p in SOURCES if p.name == "modfp.py")
+
+
+def test_dense_sites_are_found():
+    src = ("def spin(m):\n    return known(_dense(img, dim))\n"
+           "class RowSpace:\n    def rows(self):\n        return [m._dense(r, 3) for r in x]\n"
+           "def words(n):\n    return [[0] * n, [1] * n, n * [0], [0, 0] * n]\n"
+           "TABLE = [0] * 4\n")
+    assert sites(src, dense_calls) == {"spin", "RowSpace.rows"}
+    assert sites(src, zero_rows) == {"words", ""}
+    modfp = MODFP.read_text()
+    planted = ("\ndef restricted(m, sub):\n    return [_dense(r, m.dim) for r in sub]\n"
+               "def perm_matrix(g):\n    return [[0] * g.degree for _ in range(g.degree)]\n")
+    assert sites(modfp + planted, dense_calls) == sites(modfp, dense_calls) | {"restricted"}
+    assert sites(modfp + planted, zero_rows) == sites(modfp, zero_rows) | {"perm_matrix"}
+
+
+def test_modfp_reads_a_dense_row_only_in_the_spins_stop_rule():
+    # every vector and matrix row passes between modfp's functions as
+    # terms; spin's stop rule alone reads positions
+    assert sites(MODFP.read_text(), dense_calls) == {"spin"}
+
+
+def test_modfp_builds_no_permutation_or_dense_matrix():
+    # only _dense starts a dense row (presentation's words repeat the
+    # letter 0), and the action's second, dense form is gone
+    modfp = MODFP.read_text()
+    assert sites(modfp, zero_rows) == {"_dense", "presentation"}
+    assert mentions(modfp, {"perm_matrix", "mats", "_row_terms"}) == set()
+
+
 PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 
 # read only by tests, which build most of their groups from cycle text;

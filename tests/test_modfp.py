@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cocycle_reference
+import dense
 import endomorphism_reference
 from wreathgen import modfp
 from wreathgen.modfp import (
@@ -34,7 +35,6 @@ from wreathgen.modfp import (
     endomorphism_dim,
     fixed_points,
     h_param,
-    perm_matrix,
     presentation,
     spin,
 )
@@ -46,12 +46,12 @@ from wreathgen.wreath import (GroupSpec, parse_group, parse_tower, standard_gene
 
 def test_rowspace_rank_and_reduction():
     s = RowSpace(5, 3)
-    assert s.insert([1, 2, 3])
-    assert s.insert([0, 1, 1])
-    assert not s.insert([1, 3, 4])  # sum of the first two
+    assert s.insert([(0, 1), (1, 2), (2, 3)])
+    assert s.insert([(1, 1), (2, 1)])
+    assert not s.insert([(0, 1), (1, 3), (2, 4)])  # sum of the first two
     assert s.dim == 2
-    assert s.contains([2, 4, 6]) and not s.contains([0, 0, 1])
-    m = s.rows
+    assert s.contains([(0, 2), (1, 4), (2, 1)]) and not s.contains([(2, 1)])
+    m = dense.rows(s)
     assert [len(r) for r in m] == [3, 3] and list(s.pivots) == [0, 1]
     # rows stay fully reduced
     assert m[0][1] == 0
@@ -80,11 +80,13 @@ def _rref_reference(rows, p):
 
 
 # 1518500213 is the last prime p with 4 (p - 1)^2 + p - 1 below 2^63, and
-# 2^31 - 1 the largest p a module admits
+# 2^31 - 1 the largest p a module admits.  The rows use their first `used`
+# columns of `width`: a space's width is given, since terms do not carry it
 _matrices = st.tuples(st.sampled_from([2, 3, 5, 7, 1518500213, 2 ** 31 - 1]),
-                      st.integers(1, 9)).flatmap(
-    lambda pw: st.tuples(st.just(pw[0]), st.just(pw[1]), st.lists(
-        st.lists(st.integers(-2 * pw[0], 2 * pw[0]), min_size=pw[1], max_size=pw[1]),
+                      st.integers(1, 9), st.integers(0, 3)).flatmap(
+    lambda pwz: st.tuples(st.just(pwz[0]), st.just(pwz[1] + pwz[2]), st.lists(
+        st.lists(st.integers(-2 * pwz[0], 2 * pwz[0]), min_size=pwz[1], max_size=pwz[1])
+        .map(lambda row, zeros=pwz[2]: row + [0] * zeros),
         max_size=14)))
 
 
@@ -93,22 +95,22 @@ _matrices = st.tuples(st.sampled_from([2, 3, 5, 7, 1518500213, 2 ** 31 - 1]),
 def test_span_and_inserts_give_the_reference_rref(case):
     p, width, rows = case
     want_rows, want_pivots = _rref_reference(rows, p)
-    batched = RowSpace.span(np.array(rows, dtype=np.int64).reshape(-1, width).tolist(), p)
-    assert (batched.rows, batched.pivots) == (want_rows, want_pivots)
+    batched = dense.span(rows, p, width)
+    assert (dense.rows(batched), batched.pivots) == (want_rows, want_pivots)
     one_by_one = RowSpace(p, width)
     for i, row in enumerate(rows):
         rank, before = len(_rref_reference(rows[:i + 1], p)[1]), one_by_one.dim
-        assert one_by_one.insert(row) == (rank > before)
+        assert one_by_one.insert(dense.to_terms(row, p)) == (rank > before)
         assert one_by_one.dim == rank
-    assert (one_by_one.rows, one_by_one.pivots) == (want_rows, want_pivots)
-    assert all(len(r) == width for r in batched.rows + one_by_one.rows)
+    assert (dense.rows(one_by_one), one_by_one.pivots) == (want_rows, want_pivots)
+    assert all(len(r) == width for r in dense.rows(batched) + dense.rows(one_by_one))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_matrices, st.data())
 def test_contains_and_the_shared_reduction_match_the_reference(case, data):
     p, width, rows = case
-    space = RowSpace.span(rows, p)
+    space = dense.span(rows, p, width)
     basis, pivots = _rref_reference(rows, p)
     # the sparse rows are the reference rows' nonzero entries, none 0 mod p
     assert space._rows == {piv: {j: x for j, x in enumerate(row) if x}
@@ -124,10 +126,10 @@ def test_contains_and_the_shared_reduction_match_the_reference(case, data):
     vectors += [[sum(c * row[j] for c, row in zip(cs, rows)) for j in range(width)]
                 for cs in data.draw(combinations)]
     for v in vectors:
-        assert space.contains(v) == in_space(v)
+        assert space.contains(dense.to_terms(v, p)) == in_space(v)
         # v mod p less the multiples of the rows that clear it at every
         # pivot: what is left lies off the pivots, and v less it in the space
-        residue = space._reduce(v)
+        residue = space._reduce(dense.to_terms(v, p))
         assert all(0 < x < p and j not in pivots for j, x in residue.items())
         assert in_space([x - residue.get(j, 0) for j, x in enumerate(v)])
         assert (not residue) == in_space(v)
@@ -138,7 +140,7 @@ def _spin_reference(mod, seeds):
     by every generator until a round adds nothing."""
     rows, pivots = _rref_reference(seeds, mod.p)
     while True:
-        images = [(np.array(r) @ a).tolist() for a in mod.mats for r in rows]
+        images = [(np.array(r) @ a).tolist() for a in dense.matrices(mod) for r in rows]
         grown, grown_pivots = _rref_reference(rows + images, mod.p)
         if len(grown) == len(rows):
             return rows, pivots
@@ -166,36 +168,40 @@ def test_worklist_spin_matches_round_robin_spin(case, restrict, data):
     seeds = data.draw(st.lists(vectors, min_size=1, max_size=2))
     sub = spin(mod, seeds)
     rows, pivots = _spin_reference(mod, seeds)
-    assert (sub.rows, sub.pivots) == (rows, pivots)
+    assert (dense.rows(sub), sub.pivots) == (rows, pivots)
     assert (sub.p, sub.width) == (mod.p, mod.dim)
     # a stop rule built from spins that were computed changes nothing;
     # the seeds' images are candidates, so the rule often fires
-    images = [(np.array(s) @ a % p).tolist() for s in seeds for a in mod.mats]
+    images = [(np.array(s) @ a % p).tolist() for s in seeds for a in dense.matrices(mod)]
     candidates = images + data.draw(st.lists(vectors, max_size=3))
     stopped = spin(mod, seeds, _honest_rule(mod, candidates))
-    assert (stopped.rows, stopped.pivots) == (rows, pivots)
+    assert (dense.rows(stopped), stopped.pivots) == (rows, pivots)
 
 
-def test_perm_matrix_right_action():
-    g = parse_cycles("(1 2 3)", 3)
-    a = perm_matrix(g)
-    v = np.array([5, 0, 0])
+def test_natural_rows_are_single_terms_that_compose_as_the_right_action():
+    # row a of P_g is the one term (g(a), 1), and _times composes the rows
+    # as P_gh = P_g P_h
+    g, h = parse_cycles("(1 2 3)", 4), parse_cycles("(2 3 4)", 4)
+    p = 5
+    pg, ph, pgh = FpModule.natural(PermGroup(4, [g, h, g * h]), p).terms
+    assert all(pg[a] == [(g(a), 1)] and ph[a] == [(h(a), 1)] for a in range(4))
     # v e_1 moved to coordinate g(1) = 2
-    assert list(v @ a) == [0, 5, 0]
-    h = parse_cycles("(2 3)", 3)
-    assert (np.array(perm_matrix(g)) @ perm_matrix(h) == perm_matrix(g * h)).all()
+    assert modfp._times([(0, 3)], pg, p) == [(1, 3)]
+    assert [modfp._times(row, ph, p) for row in pg] == pgh
+    v = [(0, 3), (1, 1), (3, 4)]
+    assert dict(modfp._times(modfp._times(v, pg, p), ph, p)) == dict(modfp._times(v, pgh, p))
 
 
 def test_aug_submodule():
     mod = FpModule.natural(alt_group(5), 2)
     ip = aug_submodule(mod)
     assert ip.dim == 4
-    assert ip.contains([1, 1, 0, 0, 0])
-    assert not ip.contains([1, 1, 1, 0, 0])
+    assert ip.contains([(0, 1), (1, 1)])
+    assert not ip.contains([(0, 1), (1, 1), (2, 1)])
     # stable under the action
-    for a in mod.mats:
-        for row in ip.rows:
-            assert ip.contains((np.array(row) @ a % 2).tolist())
+    for a in dense.matrices(mod):
+        for row in dense.rows(ip):
+            assert ip.contains(dense.to_terms(np.array(row) @ a, 2))
 
 
 def test_spin_of_first_basis_vector_is_everything():
@@ -209,7 +215,7 @@ def test_spin_inside_aug_submodule():
     mod = FpModule.natural(alt_group(5), 3)
     sub = spin(mod, [[1, -1, 0, 0, 0]])
     assert sub.dim == 4
-    assert sub.contains([0, 1, -1, 0, 0])
+    assert sub.contains(dense.to_terms([0, 1, -1, 0, 0], 3))
 
 
 def test_restricted_is_exact_at_the_largest_prime():
@@ -217,10 +223,10 @@ def test_restricted_is_exact_at_the_largest_prime():
     # overflow int64 when they are added before they are reduced
     p = 2 ** 31 - 1
     v = [1, -1, -1, -1]
-    m = FpModule(p, 4, [(np.outer([p - 1] * 4, v) % p).tolist()])
+    m = dense.module(p, 4, [(np.outer([p - 1] * 4, v) % p).tolist()])
     line = spin(m, [v])
     assert line.dim == 1
-    assert m.restricted(line).mats[0] == [[2]]
+    assert m.restricted(line).terms[0] == [[(0, 2)]]
 
 
 def test_fixed_points_are_the_constants():
@@ -268,18 +274,18 @@ def _conjugated(m, t):
     p = m.p
     t_obj = np.array(t, dtype=object)
     t_inv = np.array(_inverse_mod(t, p), dtype=object)
-    return FpModule(p, m.dim, [(t_obj @ np.array(a, dtype=object) @ t_inv % p).tolist()
-                               for a in m.mats])
+    return dense.module(p, m.dim, [(t_obj @ np.array(a, dtype=object) @ t_inv % p).tolist()
+                                   for a in dense.matrices(m)])
 
 
 def _direct_sum(m1, m2):
     k1, k2 = m1.dim, m2.dim
     mats = []
-    for a, b in zip(m1.mats, m2.mats):
+    for a, b in zip(dense.matrices(m1), dense.matrices(m2)):
         c = np.zeros((k1 + k2, k1 + k2), dtype=np.int64)
         c[:k1, :k1], c[k1:, k1:] = a, b
         mats.append(c.tolist())
-    return FpModule(m1.p, k1 + k2, mats)
+    return dense.module(m1.p, k1 + k2, mats)
 
 
 END_PRIMES = [2, 3, 5, 7, 1518500213, 2 ** 31 - 1]
@@ -307,7 +313,7 @@ def _modules(draw):
         mod = _direct_sum(simple(), simple())
     else:
         k = draw(st.integers(1, 6))
-        mod = FpModule(p, k, [np.eye(k, dtype=int).tolist() for _ in g.generators])
+        mod = dense.module(p, k, [np.eye(k, dtype=int).tolist() for _ in g.generators])
     if draw(st.booleans()):
         # L U with L unit lower and U unit upper triangular is invertible
         k = mod.dim
@@ -362,8 +368,8 @@ def test_endomorphism_dim_is_exact_at_the_largest_prime(kind, n, end):
 def test_aug_submodule_is_the_span_of_the_differences(n, p):
     ip = aug_submodule(FpModule(p, n, []))
     diffs = np.eye(n - 1, n, dtype=np.int64) - np.eye(n - 1, n, k=1, dtype=np.int64)
-    span = RowSpace.span(diffs.tolist(), p)
-    assert (ip.rows, ip.pivots, ip.p, ip.width) == (span.rows, span.pivots, p, n)
+    span = dense.span(diffs.tolist(), p, n)
+    assert (dense.rows(ip), ip.pivots, ip.p, ip.width) == (dense.rows(span), span.pivots, p, n)
 
 
 @pytest.mark.parametrize("n,p,checked", [(4, 2, 8), (5, 5, 2500), (6, 2, 32)])
@@ -429,7 +435,7 @@ def _check_Ip_reference(n, p):
                 break
     end = endomorphism_dim(sub)
     return IpReport(n, p, ip.dim, False, "verified", checked,
-                    direct_sum=not ip.contains([1] * n) and ip.dim + 1 == n,
+                    direct_sum=not ip.contains(dense.to_terms([1] * n, p)) and ip.dim + 1 == n,
                     irreducible=ok, end_dim=end, r=(n - 1) if end == 1 else None)
 
 
@@ -455,11 +461,11 @@ def test_a_stopped_spin_returns_one_whole_space_that_an_insert_leaves_alone():
     mod = FpModule.natural(alt_group(5), 3)
     whole = spin(mod, [[1, 0, 0, 0, 0]], known=lambda w: True)
     assert spin(mod, [[0, 2, 0, 1, 0]], known=lambda w: True) is whole
-    assert not whole.insert([1, 2, 0, 1, 1])
+    assert not whole.insert(dense.to_terms([1, 2, 0, 1, 1], 3))
     fresh = RowSpace(3, 5)
     for row in np.eye(5, dtype=np.int64).tolist():
-        fresh.insert(row)
-    assert (whole.rows, whole.pivots) == (fresh.rows, fresh.pivots)
+        fresh.insert(dense.to_terms(row, 3))
+    assert (dense.rows(whole), whole.pivots) == (dense.rows(fresh), fresh.pivots)
 
 
 @pytest.mark.parametrize("n,p,cycles,checked", [
@@ -512,15 +518,16 @@ def _ip(g, p):
 
 def _constraints(g, mod, relators):
     """The span of the relator equations, from which cocycle_dims counts Z^1."""
-    return RowSpace.span(modfp._relator_equations(g, mod, relators), mod.p)
+    return RowSpace.span(modfp._relator_equations(g, mod, relators), mod.p,
+                         len(g.generators) * mod.dim)
 
 
 def test_cocycles_cyclic_trivial_module():
     ones = [[1]]
     c3, relators = _presented("C3")
-    rep = cocycle_dims(c3, FpModule(3, 1, [ones]), relators)
+    rep = cocycle_dims(c3, dense.module(3, 1, [ones]), relators)
     assert (rep.dim_Z1, rep.dim_B1, rep.dim_H1) == (1, 0, 1)
-    rep = cocycle_dims(c3, FpModule(2, 1, [ones]), relators)
+    rep = cocycle_dims(c3, dense.module(2, 1, [ones]), relators)
     assert (rep.dim_Z1, rep.dim_B1, rep.dim_H1) == (0, 0, 0)
 
 
@@ -560,8 +567,8 @@ def test_inner_derivations_satisfy_the_constraints():
     eye = np.eye(restricted.dim, dtype=np.int64)
     for _ in range(10):
         a = rng.integers(0, p, restricted.dim)
-        u = np.concatenate([(a @ (eye - m)) % p for m in restricted.mats])
-        assert (np.array(constraints.rows) @ u % p == 0).all()
+        u = np.concatenate([(a @ (eye - m)) % p for m in dense.matrices(restricted)])
+        assert (np.array(dense.rows(constraints)) @ u % p == 0).all()
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -577,7 +584,7 @@ def test_cocycle_system_does_not_depend_on_the_edge_block(monkeypatch, n, p):
     single, _ = cocycle_reference.cocycle_system(g, restricted)
     relators = _constraints(g, restricted, words)
     assert single.pivots == whole.pivots == relators.pivots
-    assert single.rows == whole.rows == relators.rows
+    assert dense.rows(single) == dense.rows(whole) == dense.rows(relators)
     assert order == g.order()
 
 
@@ -655,7 +662,7 @@ def test_relators_give_the_walks_constraints(token, primes):
         mod = _ip(g, p)
         walked, order = cocycle_reference.cocycle_system(g, mod)
         relators = _constraints(g, mod, words)
-        assert (relators.rows, relators.pivots) == (walked.rows, walked.pivots), p
+        assert (dense.rows(relators), relators.pivots) == (dense.rows(walked), walked.pivots), p
         assert order == g.order()
 
 
@@ -672,7 +679,7 @@ def test_each_relators_equations_give_its_cocycle_value(token, p):
     g = PermGroup(spec.n, letters, spec.order())
     ngens, k = len(letters), spec.n - 1
     both = _ip(PermGroup(spec.n, list(letters) + [x.inverse() for x in letters]), p)
-    mats = [np.array(a) for a in both.mats]  # M_x, then M_{x^-1}
+    mats = [np.array(a) for a in dense.matrices(both)]  # M_x, then M_{x^-1}
     mod = _ip(g, p)
     for word in relators:
         columns = []
@@ -683,7 +690,8 @@ def test_each_relators_equations_give_its_cocycle_value(token, p):
                 value = (value @ m + (u[x] if x >= 0 else -u[~x] @ m)) % p
             columns.append(value)
         expected = [row for row in np.array(columns).T.tolist() if any(row)]
-        assert modfp._relator_equations(g, mod, [word]) == expected, word
+        equations = modfp._relator_equations(g, mod, [word])
+        assert [dense.to_dense(r, ngens * k) for r in equations] == expected, word
 
 
 def test_dropping_one_relator_of_a4_raises_z1_at_2():
@@ -826,7 +834,7 @@ def test_cocycle_system_is_exact_at_the_largest_prime(token, conjugate):
         mod = _conjugated(mod, t)
     walked, order = cocycle_reference.cocycle_system(g, mod)
     relators = _constraints(g, mod, words)
-    assert (relators.rows, relators.pivots) == (walked.rows, walked.pivots)
+    assert (dense.rows(relators), relators.pivots) == (dense.rows(walked), walked.pivots)
     assert order == g.order()
 
 
@@ -843,16 +851,20 @@ def test_span_is_handed_only_equations_that_do_not_vanish(monkeypatch, run, hand
     # End's equations, in that order; check_Ip_structure End's alone
     matrices, span = [], RowSpace.span.__func__
 
-    def recorded(cls, matrix, p):
-        matrices.append((matrix, p))
-        return span(cls, matrix, p)
+    def recorded(cls, rows, p, width):
+        matrices.append((rows, p, width))
+        return span(cls, rows, p, width)
 
     monkeypatch.setattr(RowSpace, "span", classmethod(recorded))
     run()
-    assert [len(m) for m, _ in matrices] == handed
-    equations = [m for m, _ in matrices[::2]]  # not the fixed-point rows
-    p = matrices[0][1]
-    assert all(any(row) and all(0 <= x < p for x in row) for m in equations for row in m)
+    assert [len(m) for m, _, _ in matrices] == handed
+    # each row, fixed-point rows too, is terms: distinct columns inside the
+    # width, values in 1..p-1; an equation also has at least one term
+    for i, (rows, p, width) in enumerate(matrices):
+        for row in rows:
+            assert len({j for j, _ in row}) == len(row)
+            assert all(0 <= j < width and 0 < x < p for j, x in row)
+            assert row or i % 2
 
 
 @pytest.mark.parametrize("p,message", [(4, "p must be prime"), (9, "p must be prime"),
@@ -864,14 +876,14 @@ def test_a_module_is_refused_a_p_that_is_not_a_prime_below_2_31(p, message):
         cocycle_dims(g, FpModule.natural(g, p), relators)
     assert str(exc.value) == message
     with pytest.raises(BadInput):
-        FpModule(p, 1, [[[1]]])
+        FpModule(p, 1, [[[(0, 1)]]])
 
 
 def test_cocycle_requires_matching_generators():
     g, relators = _presented("A5")
     other = FpModule.natural(alt_group(4), 2)
     with pytest.raises(ValueError):
-        cocycle_dims(g, FpModule(2, 4, other.mats[:1]), relators)
+        cocycle_dims(g, FpModule(2, 4, other.terms[:1]), relators)
 
 
 def _refuse(*args):
@@ -883,21 +895,23 @@ def _over_budget(need):
             f"of {modfp.EQUATION_BUDGET}")
 
 
-# each refusal reads only the degree
+# each refusal reads only the degree; FpModule.natural builds the first
+# action, the letters' rows
 @pytest.mark.parametrize("token,skipped,message", [
-    ("A260", ("presentation", "perm_matrix", "_relator_equations"),
+    ("A260", ("presentation", "FpModule.natural", "_relator_equations"),
      _over_budget(cocycle_bytes(259))),
     # the words of A_n have about n^2 / 2 letters, and a chain of degree
     # 10^7 would take minutes to build
-    ("A10000000", ("presentation", "perm_matrix", "_relator_equations"),
+    ("A10000000", ("presentation", "FpModule.natural", "_relator_equations"),
      _over_budget(cocycle_bytes(10 ** 7 - 1))),
-    ("C250", ("perm_matrix", "_relator_equations", "endomorphism_dim"),
+    ("C250", ("FpModule.natural", "_relator_equations", "endomorphism_dim"),
      _over_budget(cocycle_bytes(249))),
 ])
 def test_cohomology_of_Ip_refuses_its_budgets_before_building(
         monkeypatch, token, skipped, message):
     for name in skipped:
-        monkeypatch.setattr(modfp, name, _refuse)
+        owner, _, attr = name.rpartition(".")
+        monkeypatch.setattr(getattr(modfp, owner) if owner else modfp, attr, _refuse)
     with pytest.raises(BudgetExceeded) as exc:
         cohomology_of_Ip(parse_group(token), 2)
     assert str(exc.value) == message
