@@ -5,13 +5,13 @@ P_g with P_g[a, g(a)] = 1, so P_{gh} = P_g P_h.  The module of interest
 is the kernel I_p of the coordinate sum inside V = F_p^n; this file
 verifies its structure by exhaustive spinning, computes endomorphism
 dimensions from a spinning basis and fixed-point dimensions, and counts
-1-cocycles from a presentation out of the literature (`presentation`):
-the derivation law carried along each relator, one set of equations per
-relator, so no element other than the letters is formed.  Vectors and
-matrix rows are held in one form, as terms (see `_times`) on Python ints,
-exact at every p; only the spin's stop rule reads a dense row.  Every
-product runs through one sparse row product (`_times`), and every
-elimination through one reduction step (`RowSpace._reduce`).
+1-cocycles on I_p from a presentation out of the literature
+(`presentation`): each relator's equations are written straight from the
+permutations its suffixes multiply to.  Vectors and matrix rows are held
+in one form, as terms (see `_times`) on Python ints, exact at every p;
+only the spin's stop rule reads a dense row.  Every matrix product runs
+through one sparse row product (`_times`), and every elimination through
+one reduction step (`RowSpace._reduce`).
 
 The exhaustive check spins every vector of the class it checks, but each
 spin stops at the first vector it reaches that an earlier spin of the
@@ -340,12 +340,12 @@ class IpReport:
 # for (21,2), whose 2^20 - 1 vectors all have leading entry 1 and each spin
 # a few images in dimension 20.
 VECTOR_BUDGET = 2 ** 20
-# bytes cohomology_of_Ip may build, counted by cocycle_bytes from the
-# degree alone, before anything is built.  It admits A4-A78, S3-S78 and
-# C2-C78, each counted at 16.5 MB.  Their tracemalloc peaks are at most
-# 2.5 MB at p = 2 and 2^31 - 1, and `cohom` on each took under 0.8 s at
-# 17 MB max RSS as a process on a 2-core host
-EQUATION_BUDGET = 2 ** 24
+# entries cohomology_of_Ip may write, counted by cocycle_entries from the
+# group's kind and degree alone, before anything is built.  It admits
+# S3-S299, A4-A299 and C2-C378.  As a process on a 2-core host, `cohom`
+# took 8-11 s on S299 and A299 at p = 2 and 2^31 - 1, at 131 MB max RSS,
+# and under a second on C378
+EQUATION_BUDGET = 55 * 10 ** 6
 
 
 def alt_group(n: int) -> PermGroup:
@@ -460,26 +460,27 @@ class CohomReport:
         return asdict(self)
 
 
-def cocycle_dims(g: PermGroup, m: FpModule, relators) -> CohomReport:
-    """Dimensions of Z^1, B^1 and H^1 = Z^1/B^1 for the module m.
+def cocycle_dims(g: PermGroup, relators, p: int) -> CohomReport:
+    """Dimensions of Z^1, B^1 and H^1 = Z^1/B^1 for I_p under g.
 
     `relators` are words in g.generators that present g (see
     `presentation`).  Images of the generators extend to a derivation
-    exactly when its value vanishes on every relator.
+    exactly when its value vanishes on every relator.  A relator that is
+    not the identity raises ConsistencyError before g's chain is built.
     """
-    if len(m.terms) != len(g.generators):
-        raise ValueError("module action does not match the group's generators")
-    k = m.dim
+    mod = FpModule.natural(g, p)
+    k = g.degree - 1
     unknowns = len(g.generators) * k
-    constraints = RowSpace.span(_relator_equations(g, m, relators), m.p, unknowns)
+    constraints = RowSpace.span(_relator_equations(g.generators, relators, p), p, unknowns)
     dim_z1 = unknowns - constraints.dim
-    fixed = fixed_points(m)
+    ip = mod.restricted(aug_submodule(mod))
+    fixed = fixed_points(ip)
     dim_b1 = k - fixed
     dim_h1 = dim_z1 - dim_b1
     if dim_h1 < 0:
         raise ConsistencyError("negative H^1 dimension; constraint system is wrong")
-    end = endomorphism_dim(m)
-    return CohomReport(m.p, k, g.order(), dim_z1, dim_b1, dim_h1,
+    end = endomorphism_dim(ip)
+    return CohomReport(p, k, g.order(), dim_z1, dim_b1, dim_h1,
                        fixed, end, k if end == 1 else None)
 
 
@@ -494,8 +495,7 @@ def presentation(spec: GroupSpec) -> tuple[tuple[Permutation, ...], list[list[in
     even n: a^3, b^(n-2), (ab)^n for odd n or (ab)^(n-1) for even n, and
     (a^e b^-k a b^k)^2 for 1 <= k < n//2, e = -1 for odd k and even n,
     else 1 (Coxeter and Moser, Generators and Relations for Discrete
-    Groups, 1957, ch. 6).  C_n is <t | t^n>.  In each, letters times
-    relators is at most n + 6, which cocycle_bytes counts on.
+    Groups, 1957, ch. 6).  C_n is <t | t^n>.
     """
     n = spec.n
     t = Permutation(list(range(1, n)) + [0])
@@ -518,83 +518,79 @@ def cohomology_of_Ip(spec: GroupSpec, p: int) -> CohomReport:
     """cocycle_dims for I_p under the group `spec` in its natural action.
 
     Raises BadInput unless p is a prime below 2^31, and BudgetExceeded,
-    before anything is built, when cocycle_bytes(n - 1) passes
+    before anything is built, when cocycle_entries(spec) passes
     EQUATION_BUDGET.
 
     Each relator is checked to be the identity on the letters, so
     <letters> is a quotient of the presented group, and the chain of
     <letters> built to |G| then shows it is all of G.  That the presented
     group has order |G| rests on the theorems `presentation` cites; the
-    tests check it by coset enumeration for small n.  Were one of them
-    wrong, some relator would be missing, and H^1 could come out too
-    large, never too small.
+    tests check it by coset enumeration for small n, and H^1 against its
+    closed form beyond.  Were one wrong, a relator would be missing, and
+    H^1 could come out too large, never too small.
     """
     _require_prime(p)
-    n = spec.n
-    need = cocycle_bytes(n - 1)
+    need = cocycle_entries(spec)
     if need > EQUATION_BUDGET:
-        raise BudgetExceeded(f"cocycle equations may need {need} bytes, over the "
-                             f"budget of {EQUATION_BUDGET}")
+        raise BudgetExceeded(f"cocycle equations may write {need} entries, over the "
+                             f"budget of {EQUATION_BUDGET} entries")
     letters, relators = presentation(spec)
-    inverses = [x.inverse() for x in letters]
-    for word in relators:
-        value = Permutation.identity(n)
-        for x in word:
-            value = value * (letters[x] if x >= 0 else inverses[~x])
-        if not value.is_identity():
-            raise ConsistencyError(f"a relator of {spec.token()} is not the identity")
-    g = PermGroup(n, letters, spec.order())
-    mod = FpModule.natural(g, p)
-    return cocycle_dims(g, mod.restricted(aug_submodule(mod)), relators)
+    return cocycle_dims(PermGroup(spec.n, letters, spec.order()), relators, p)
 
 
-def cocycle_bytes(k: int) -> int:
-    """An upper bound, in bytes, on what cohomology_of_Ip builds for I_p of
-    dimension k = n - 1, at 16 bytes (a pointer, and a share of a large
-    residue) an entry of each row counted as if it were dense: the relator
-    equations, k rows of letters * k entries per relator, with letters
-    times relators at most k + 7 (`presentation`); and End's: e_0 - e_(n-1)
-    spins to all of I_p under S_n, A_n and C_n, so End has one seed, at
-    most k + 1 relations of k rows of k entries, and Psi rows of at most
-    two terms.  Rows are held as terms, about 64 bytes a nonzero entry, and
-    few are nonzero (1,287 of 58,674 in A78's relator rows)."""
-    return 32 * (k + 1) ** 2 * (k + 8)
+def cocycle_entries(spec: GroupSpec) -> int:
+    """An upper bound on the entries cohomology_of_Ip writes for I_p of
+    dimension k = n - 1, from the group's kind and degree alone: 2k a
+    relator letter (_relator_equations), of n for C_n and at most
+    n^2/2 + 6n + 4 for S_n and A_n (`presentation`), and the terms of
+    End's products.  e_0 - e_(n-1) spins to all of I_p, so End has one
+    seed, at most 2 terms for each of 2k images and k^2 Psi rows, and at
+    most k + 1 relations of k rows of at most k + 2 terms: k (k+2) (k+3).
+    C_n has one relation, but End's terms cost several relator entries
+    each, and one would admit C_n past n = 3,000."""
+    n = spec.n
+    k = n - 1
+    letters = n if spec.kind == "C" else n * n // 2 + 6 * n + 4
+    return 2 * k * letters + k * (k + 2) * (k + 3)
 
 
-def _relator_equations(g: PermGroup, mod: FpModule, relators) -> list[list[tuple[int, int]]]:
-    """k equations per relator, as terms, in the ngens * k unknowns
-    delta(gens[j])[a] at column j * k + a; those that vanish mod p are
-    dropped.
+def _relator_equations(letters, relators, p: int) -> list[list[tuple[int, int]]]:
+    """k = n - 1 equations per relator, as terms, in the ngens * k unknowns
+    delta(letters[j])[a] of a cocycle on I_p, at column j * k + a; those
+    that vanish mod p are dropped.  Raises ConsistencyError when a relator
+    is not the identity on the letters.
 
-    A relator w_1 .. w_m is evaluated from the right: with the suffix
-    products S_t = M_{w_(t+1)} .. M_{w_m}, delta(w) = sum_t delta(w_t) S_t.
-    Since delta(x^-1) = -delta(x) M_{x^-1}, the coefficient matrix of
-    letter x gains S_t at each x and loses M_{x^-1} S_t = S_(t-1) at each
-    x^-1.  For the permutation modules `cohomology_of_Ip` builds, S_t
-    keeps at most two terms a row.
+    The coefficients are the relator's Fox derivatives (R. H. Fox, Ann. of
+    Math. 57, 1953).  With u_t = w_(t+1) .. w_m for a relator w_1 .. w_m,
+    and S_t its matrix on I_p, delta(w) = sum_t delta(w_t) S_t; since
+    delta(x^-1) = -delta(x) M_{x^-1}, letter x's coefficient matrix gains
+    S_t at each x and loses M_{x^-1} S_t = S_(t-1) at each x^-1.  On the
+    basis e_a - e_(n-1), row a of S_t is +1 at column u_t(a) and -1 at
+    column u_t(n-1), each written where it is below n - 1: at most 2k
+    entries a letter.  u_0 is the relator's value.
     """
-    k, p = mod.dim, mod.p
-    # a letter's inverse acts by M^(ord - 1), so no matrix is inverted;
-    # acts[x] is letter x's matrix and acts[~x] its inverse's
-    inverses = []
-    for x, terms in zip(g.generators, mod.terms):
-        inv = terms
-        for _ in range(x.order() - 2):
-            inv = [_times(row, terms, p) for row in inv]
-        inverses.append(inv)
-    acts = mod.terms + inverses[::-1]
+    n = letters[0].degree
+    k = n - 1
+    # steps[x] is letter x, steps[~x] its inverse
+    steps = list(letters) + [x.inverse() for x in reversed(letters)]
     eqs = []
     for word in relators:
-        # eq[c][j * k + a]: the coefficient of delta(gens[j])[a] in equation c
+        # eq[c][j * k + a]: the coefficient of delta(letters[j])[a] in equation c
         eq: list[dict[int, int]] = [{} for _ in range(k)]
-        s = [[(i, 1)] for i in range(k)]
+        u = Permutation.identity(n)
         for x in reversed(word):
-            later, s = s, [_times(row, s, p) for row in acts[x]]
-            j, sign, added = (x, 1, later) if x >= 0 else (~x, -1, s)
-            for a, row in enumerate(added):
-                col = j * k + a
-                for c, y in row:
-                    eq[c][col] = eq[c].get(col, 0) + sign * y
+            later, u = u, steps[x] * u
+            j, sign, s = (x, 1, later) if x >= 0 else (~x, -1, u)
+            col, images = j * k, s.images()
+            for a in range(k):
+                if (c := images[a]) < k:
+                    eq[c][col + a] = eq[c].get(col + a, 0) + sign
+            if (last := images[k]) < k:
+                row = eq[last]
+                for a in range(col, col + k):
+                    row[a] = row.get(a, 0) - sign
+        if not u.is_identity():
+            raise ConsistencyError("a relator is not the identity on its letters")
         eqs += _equations(eq, p)
     return eqs
 

@@ -189,6 +189,10 @@ class Permutation:
             raise IndexError(f"point {point} outside 0..{self.degree - 1}")
         return self.raw[point]
 
+    def images(self) -> tuple[int, ...]:
+        """The images of 0..degree-1, in order."""
+        return tuple(self.raw)
+
     def __mul__(self, other: "Permutation") -> "Permutation":
         if other.degree != self.degree:
             raise DegreeMismatch("cannot compose permutations of different degree")

@@ -9,15 +9,13 @@ import time
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-import dense
 from tree_blocks import EXAMPLE_PLANTED_IDS, planted_example_non_members
 from wreathgen import cli, modfp, permcore
 from wreathgen.formula import FormulaResult
 from wreathgen.permcore import BadInput, ConsistencyError
-from wreathgen.wreath import parse_tower, tower_group
+from wreathgen.wreath import parse_group, parse_tower, tower_group
 
 
 def run(capsys, *argv):
@@ -268,23 +266,24 @@ def test_cohom_nonscalar_end_has_no_h(capsys):
     assert "endomorphism" in doc["warning"]
 
 
-def over_budget(need):
-    return {"error": f"cocycle equations may need {need} bytes, over the budget "
-                     f"of {modfp.EQUATION_BUDGET}"}
+def over_budget(group):
+    need = modfp.cocycle_entries(parse_group(group))
+    return {"error": f"cocycle equations may write {need} entries, over the budget "
+                     f"of {modfp.EQUATION_BUDGET} entries"}
 
 
 def test_cohom_over_budget_exits_3(capsys, monkeypatch):
-    # A79, S79 and C79 are refused on their degree before anything is built
+    # A300, S300 and C379, one degree past each kind's edge, are refused on
+    # their kind and degree before anything is built
     def refuse(*args):
         raise AssertionError("built something for a group over the budget")
 
     for name in ("presentation", "_relator_equations", "endomorphism_dim"):
         monkeypatch.setattr(modfp, name, refuse)
-    for group in ("A79", "S79", "C79"):
+    for group in ("A300", "S300", "C379"):
         code, doc = run(capsys, "cohom", "--group", group, "--p", "2")
         assert code == 3
-        assert doc == over_budget(17175232)
-    assert modfp.cocycle_bytes(78) == 17175232
+        assert doc == over_budget(group)
 
 
 @pytest.mark.parametrize("group,order", [("A9", 181440), ("S9", 362880)])
@@ -308,14 +307,7 @@ def test_cohom_over_budget_at_a_huge_degree_returns_at_once():
     # a chain of degree 10^7 would take minutes to build
     code, doc = run_process("cohom", "--group", "A10000000", "--p", "2", timeout=10)
     assert code == 3
-    assert doc == over_budget(modfp.cocycle_bytes(10 ** 7 - 1))
-
-
-def test_equation_budget_admits_degree_78_and_refuses_79():
-    # the count reads the degree alone, so A78, S78 and C78 are admitted
-    # and the next degree of each is refused (test_cohom_over_budget_exits_3)
-    assert modfp.cocycle_bytes(77) == 16548480 <= modfp.EQUATION_BUDGET
-    assert modfp.cocycle_bytes(78) == 17175232 > modfp.EQUATION_BUDGET
+    assert doc == over_budget("A10000000")
 
 
 def test_a_single_level_over_the_chain_byte_budget_exits_3_within_a_second(capsys, monkeypatch):
@@ -342,30 +334,6 @@ def test_verify_is_exact_at_a_chain_budget_of_the_towers_own_count(capsys, monke
     code, doc = run(capsys, "verify", "--tower", "C2;C16", "--seed", "1")
     assert code == 3 and doc == {"error": (
         f"a stabilizer chain of degree 32 may need {need} bytes, over the budget of {need - 1}")}
-
-
-@pytest.mark.parametrize("group,p", [("A5", "3"), ("S4", "2"), ("C20", "3"), ("C21", "5")])
-def test_cocycle_bytes_bounds_every_equation_stack(capsys, monkeypatch, group, p):
-    spans, needs = [], []
-    span = modfp.RowSpace.span.__func__
-    count = modfp.cocycle_bytes
-
-    def recorded(cls, rows, q, width):
-        # the bytes of the rows as one dense int64 array
-        spans.append(np.asarray([dense.to_dense(r, width) for r in rows], dtype=np.int64).nbytes)
-        return span(cls, rows, q, width)
-
-    def counted(k):
-        needs.append(count(k))
-        return needs[-1]
-
-    monkeypatch.setattr(modfp.RowSpace, "span", classmethod(recorded))
-    monkeypatch.setattr(modfp, "cocycle_bytes", counted)
-    code, doc = run(capsys, "cohom", "--group", group, "--p", p)
-    assert code == 0
-    # one count, of the degree, before anything is built
-    assert len(needs) == 1
-    assert max(spans) <= needs[0]
 
 
 @pytest.mark.parametrize("group,p", [

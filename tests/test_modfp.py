@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import importlib.util
 import itertools
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +28,8 @@ from wreathgen.modfp import (
     alt_group,
     aug_submodule,
     check_Ip_structure,
-    cocycle_bytes,
     cocycle_dims,
+    cocycle_entries,
     cohomology_of_Ip,
     endomorphism_dim,
     fixed_points,
@@ -245,8 +244,8 @@ def test_endomorphism_dims():
     ip = mod.restricted(aug_submodule(mod))
     assert endomorphism_dim(ip) == 1
     # r is the module's dimension when End is scalar, and unset otherwise
-    assert cocycle_dims(g, ip, relators).r == ip.dim == 3
-    assert cocycle_dims(g, mod, relators).r is None
+    assert cocycle_dims(g, relators, 3).r == ip.dim == 3
+    assert cocycle_reference.cocycle_dims(g, mod, relators).r is None
 
 
 def _inverse_mod(t, p):
@@ -516,18 +515,25 @@ def _ip(g, p):
     return mod.restricted(aug_submodule(mod))
 
 
-def _constraints(g, mod, relators):
-    """The span of the relator equations, from which cocycle_dims counts Z^1."""
-    return RowSpace.span(modfp._relator_equations(g, mod, relators), mod.p,
+def _constraints(g, p, relators):
+    """The span of the relator equations on I_p, from which cocycle_dims
+    counts Z^1."""
+    return RowSpace.span(modfp._relator_equations(g.generators, relators, p), p,
+                         len(g.generators) * (g.degree - 1))
+
+
+def _reference_constraints(g, mod, relators):
+    """The same span for any module of g, by matrix products."""
+    return RowSpace.span(cocycle_reference.relator_equations(g, mod, relators), mod.p,
                          len(g.generators) * mod.dim)
 
 
 def test_cocycles_cyclic_trivial_module():
     ones = [[1]]
     c3, relators = _presented("C3")
-    rep = cocycle_dims(c3, dense.module(3, 1, [ones]), relators)
+    rep = cocycle_reference.cocycle_dims(c3, dense.module(3, 1, [ones]), relators)
     assert (rep.dim_Z1, rep.dim_B1, rep.dim_H1) == (1, 0, 1)
-    rep = cocycle_dims(c3, dense.module(2, 1, [ones]), relators)
+    rep = cocycle_reference.cocycle_dims(c3, dense.module(2, 1, [ones]), relators)
     assert (rep.dim_Z1, rep.dim_B1, rep.dim_H1) == (0, 0, 0)
 
 
@@ -562,7 +568,7 @@ def test_inner_derivations_satisfy_the_constraints():
     g, relators = _presented("A5")
     p = 3
     restricted = _ip(g, p)
-    constraints = _constraints(g, restricted, relators)
+    constraints = _constraints(g, p, relators)
     rng = np.random.default_rng(17)
     eye = np.eye(restricted.dim, dtype=np.int64)
     for _ in range(10):
@@ -582,7 +588,7 @@ def test_cocycle_system_does_not_depend_on_the_edge_block(monkeypatch, n, p):
     whole, order = cocycle_reference.cocycle_system(g, restricted)
     monkeypatch.setattr(cocycle_reference, "EDGE_BLOCK", 1)
     single, _ = cocycle_reference.cocycle_system(g, restricted)
-    relators = _constraints(g, restricted, words)
+    relators = _constraints(g, p, words)
     assert single.pivots == whole.pivots == relators.pivots
     assert dense.rows(single) == dense.rows(whole) == dense.rows(relators)
     assert order == g.order()
@@ -603,17 +609,31 @@ def test_coset_enumeration_gives_the_order_of_each_presentation(spec):
     assert coset_orders.presented_order(spec) == spec.order()
 
 
+def _end_entries(n):
+    """The part of cocycle_entries that does not count relator letters:
+    C_n's presentation is the one word t^n."""
+    assert presentation(GroupSpec("C", n))[1] == [[0] * n]
+    return cocycle_entries(GroupSpec("C", n)) - 2 * (n - 1) * n
+
+
 def test_every_admitted_presentation_holds_and_has_its_counted_size():
-    # cocycle_bytes counts on letters times relators being at most n + 6,
-    # which holds to n = 200; the relators of every group the equation
-    # budget admits are the identity on their letters
+    # cocycle_entries counts 2k entries for each letter of a closed-form
+    # bound on the words' total length, n for C_n and n^2/2 + 6n + 4 for
+    # S_n and A_n, which Moore's words meet at every even n; checked to
+    # n = 200 against the words presentation() builds.  The relators are
+    # the identity on their letters to n = 78 here, and cohomology_of_Ip
+    # checks it on every group it evaluates
     for kind, lo in (("A", 4), ("S", 3), ("C", 2)):
         for n in range(lo, 201):
-            letters, relators = presentation(GroupSpec(kind, n))
-            assert len(letters) * len(relators) <= n + 6, (kind, n)
+            spec = GroupSpec(kind, n)
+            letters, relators = presentation(spec)
+            length = sum(map(len, relators))
+            counted, k = cocycle_entries(spec) - _end_entries(n), n - 1
+            assert counted >= 2 * k * length, spec.token()
+            if kind == "S" and n % 2 == 0:
+                assert counted == 2 * k * length, spec.token()
         for n in range(lo, 79):
             spec = GroupSpec(kind, n)
-            assert cocycle_bytes(n - 1) <= modfp.EQUATION_BUDGET
             letters, relators = presentation(spec)
             for word in relators:
                 value = Permutation.identity(n)
@@ -624,8 +644,8 @@ def test_every_admitted_presentation_holds_and_has_its_counted_size():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_e0_spins_to_all_of_ip_under_each_presented_group(p):
-    # cocycle_bytes counts End's rows for one seed: the first unit vector
-    # of I_p's basis, e_0 - e_(n-1), spins to all of I_p
+    # cocycle_entries counts End's rows for one seed: the first unit
+    # vector of I_p's basis, e_0 - e_(n-1), spins to all of I_p
     for kind, lo in (("S", 4), ("A", 4), ("C", 2)):
         for n in range(lo, 41):
             sub = _ip(PermGroup(n, presentation(GroupSpec(kind, n))[0]), p)
@@ -643,8 +663,8 @@ def test_a_relator_that_does_not_hold_is_refused_before_the_chain(monkeypatch, t
     planted = [w[:-1] if w == power else w for w in relators]
     assert planted != relators
     monkeypatch.setattr(modfp, "presentation", lambda s: (letters, planted))
-    monkeypatch.setattr(modfp, "PermGroup", _refuse)
-    with pytest.raises(ConsistencyError, match=f"a relator of {token} is not the identity"):
+    monkeypatch.setattr(PermGroup, "bsgs", _refuse)
+    with pytest.raises(ConsistencyError, match="a relator is not the identity on its letters"):
         cohomology_of_Ip(spec, 2)
 
 
@@ -659,11 +679,57 @@ REFERENCE_CASES = ([(f"{kind}{n}", (2, 3, 5, 7, 11)) for kind, ns in
 def test_relators_give_the_walks_constraints(token, primes):
     g, words = _presented(token)
     for p in primes:
-        mod = _ip(g, p)
-        walked, order = cocycle_reference.cocycle_system(g, mod)
-        relators = _constraints(g, mod, words)
+        walked, order = cocycle_reference.cocycle_system(g, _ip(g, p))
+        relators = _constraints(g, p, words)
         assert (dense.rows(relators), relators.pivots) == (dense.rows(walked), walked.pivots), p
         assert order == g.order()
+
+
+# every admitted group to degree 12, and three larger degrees of each kind
+LIBRARY_CASES = [f"{kind}{n}" for kind, lo in (("A", 4), ("S", 3), ("C", 2))
+                 for n in [*range(lo, 13), 20, 32, 40]]
+
+
+@pytest.mark.parametrize("token", LIBRARY_CASES)
+def test_relator_rows_from_permutations_equal_the_references(token):
+    # the rows written from permutations, on I_p alone, are the rows the
+    # reference forms by matrix products over the module, row for row, so
+    # their spans are equal too
+    g, words = _presented(token)
+    for p in (2, 3, 5, 2 ** 31 - 1):
+        library = modfp._relator_equations(g.generators, words, p)
+        reference = cocycle_reference.relator_equations(g, _ip(g, p), words)
+        assert [dict(r) for r in library] == [dict(r) for r in reference], p
+
+
+def _h1_closed_form(spec, p):
+    """dim H^1(G, I_p) for G = S_n, A_n or C_n in its natural action, from
+    the long exact sequence of 0 -> I_p -> F_p^n -> F_p -> 0 and Shapiro's
+    lemma (Brown, Cohomology of Groups, III.6 and III.9):
+    [p | n] + [G = S_n, p = 2, n even] + [G = A_5, p = 3]."""
+    n, kind = spec.n, spec.kind
+    return (n % p == 0) + (kind == "S" and p == 2 and n % 2 == 0) + (kind == "A" and n == 5
+                                                                     and p == 3)
+
+
+H1_CASES = [GroupSpec(kind, n) for kind, lo in (("A", 4), ("S", 3), ("C", 2))
+            for n in range(lo, 21)]
+
+
+@pytest.mark.parametrize("spec", H1_CASES, ids=GroupSpec.token)
+def test_h1_of_ip_meets_its_closed_form(spec):
+    # past n = 7 coset enumeration stops, and this is the guard on
+    # presentation(): a missing relator makes H^1 too large
+    for p in (2, 3, 5, 7):
+        assert cohomology_of_Ip(spec, p).dim_H1 == _h1_closed_form(spec, p), p
+
+
+def test_a5_without_b_cubed_misses_the_closed_form_at_2(monkeypatch):
+    spec = parse_group("A5")
+    letters, relators = presentation(spec)
+    assert relators[1] == [1] * 3 and cohomology_of_Ip(spec, 2).dim_H1 == 0
+    monkeypatch.setattr(modfp, "presentation", lambda s: (letters, relators[:1] + relators[2:]))
+    assert cohomology_of_Ip(spec, 2).dim_H1 > _h1_closed_form(spec, 2)
 
 
 @pytest.mark.parametrize("token,p", [("A5", 7), ("A6", 3), ("S4", 5), ("C6", 5)])
@@ -690,17 +756,17 @@ def test_each_relators_equations_give_its_cocycle_value(token, p):
                 value = (value @ m + (u[x] if x >= 0 else -u[~x] @ m)) % p
             columns.append(value)
         expected = [row for row in np.array(columns).T.tolist() if any(row)]
-        equations = modfp._relator_equations(g, mod, [word])
-        assert [dense.to_dense(r, ngens * k) for r in equations] == expected, word
+        for equations in (cocycle_reference.relator_equations(g, mod, [word]),
+                          modfp._relator_equations(letters, [word], p)):
+            assert [dense.to_dense(r, ngens * k) for r in equations] == expected, word
 
 
 def test_dropping_one_relator_of_a4_raises_z1_at_2():
     # on A4 at p = 2, a^3 and (ab)^3 each carry a constraint that the
     # other three relators do not
     g, relators = _presented("A4")
-    mod = _ip(g, 2)
-    assert cocycle_dims(g, mod, relators).dim_Z1 == 3
-    dims = [_constraints(g, mod, relators[:i] + relators[i + 1:]).dim
+    assert cocycle_dims(g, relators, 2).dim_Z1 == 3
+    dims = [_constraints(g, 2, relators[:i] + relators[i + 1:]).dim
             for i in range(len(relators))]
     assert [2 * 3 - d for d in dims] == [4, 3, 4, 3]
 
@@ -711,10 +777,9 @@ def test_dropping_b_power_from_a5_leaves_the_walks_span():
     g, relators = _presented("A5")
     assert relators[1] == [1] * 3
     for p in (2, 3, 5, 7, 11):
-        mod = _ip(g, p)
-        walked, _ = cocycle_reference.cocycle_system(g, mod)
-        assert _constraints(g, mod, relators).dim == walked.dim
-        assert _constraints(g, mod, relators[:1] + relators[2:]).dim == walked.dim - 1, p
+        walked, _ = cocycle_reference.cocycle_system(g, _ip(g, p))
+        assert _constraints(g, p, relators).dim == walked.dim
+        assert _constraints(g, p, relators[:1] + relators[2:]).dim == walked.dim - 1, p
 
 
 @pytest.mark.parametrize("token,p,z1", [("A4", 2, 3), ("S3", 2, 2), ("S3", 3, 2),
@@ -742,36 +807,81 @@ def test_cocycles_of_a_normal_closure(p, z1, h1):
 
 
 def test_cocycle_budget(monkeypatch):
-    # cohomology_of_Ip refuses on the bytes counted for A7's degree,
-    # before anything is built
-    need = cocycle_bytes(6)
-    assert need == 21952
+    # cohomology_of_Ip refuses on the entries counted for A7, before
+    # anything is built, and admits A7 at a budget of that count
+    need = cocycle_entries(parse_group("A7"))
     monkeypatch.setattr(modfp, "EQUATION_BUDGET", need - 1)
     with monkeypatch.context() as built:
         for name in ("presentation", "_relator_equations", "endomorphism_dim"):
             built.setattr(modfp, name, _refuse)
         with pytest.raises(BudgetExceeded) as exc:
             cohomology_of_Ip(parse_group("A7"), 2)
-    assert str(exc.value) == (f"cocycle equations may need {need} bytes, "
-                              f"over the budget of {need - 1}")
+    assert str(exc.value) == (f"cocycle equations may write {need} entries, "
+                              f"over the budget of {need - 1} entries")
     monkeypatch.setattr(modfp, "EQUATION_BUDGET", need)
     assert cohomology_of_Ip(parse_group("A7"), 2).group_order == 2520
 
 
-@pytest.mark.parametrize("token,p", [(t, p) for t in ("S32", "A32", "C39")
-                                     for p in (2, 1000003, 2 ** 31 - 1)])
-def test_the_counted_bytes_bound_what_cohom_allocates(token, p):
-    # at a small p and at primes whose residues are not small ints that
-    # Python shares; at the budget's edge, S78, A78 and C78, tracemalloc
-    # takes seconds a group, so CI runs them untraced
+# the largest degree of each kind that EQUATION_BUDGET admits; `cohom` on
+# each takes about 10 s for S and A, and CI runs them
+EDGES = {"S": 299, "A": 299, "C": 378}
+
+
+def test_the_equation_budget_admits_each_kinds_edge_and_refuses_the_next_degree():
+    # the count grows with n, so the edge + 1 and every larger degree are
+    # refused (test_cohomology_of_Ip_refuses_its_budgets_before_building)
+    for kind, n in EDGES.items():
+        assert (cocycle_entries(GroupSpec(kind, n)) <= modfp.EQUATION_BUDGET
+                < cocycle_entries(GroupSpec(kind, n + 1))), kind
+        counts = [cocycle_entries(GroupSpec(kind, m)) for m in range(n - 40, n + 2)]
+        assert counts == sorted(set(counts)), kind
+
+
+@pytest.mark.parametrize("token,p", [(t, p) for t in ("S32", "S33", "A32", "A33", "C39")
+                                     for p in (2, 2 ** 31 - 1)])
+def test_the_entry_count_bounds_what_cohom_writes(monkeypatch, token, p):
+    # a wrapper counts what cohomology_of_Ip writes: in the relator
+    # evaluation, one permutation product a letter and the positions its
+    # equation rows hold, at most 2k a letter; in End, the terms of every
+    # product it takes.  Their sum stays within the count made before
     spec = parse_group(token)
-    tracemalloc.start()
-    try:
-        cohomology_of_Ip(spec, p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= cocycle_bytes(spec.n - 1)
+    k = spec.n - 1
+    written = dict.fromkeys(("products", "letters", "positions", "end"), 0)
+    evaluate, end = modfp._relator_equations, modfp.endomorphism_dim
+    mul, equations, times = Permutation.__mul__, modfp._equations, modfp._times
+
+    def composed(self, other):
+        written["products"] += 1
+        return mul(self, other)
+
+    def held(rows, q):
+        written["positions"] += sum(map(len, rows))
+        return equations(rows, q)
+
+    def product(v, terms, q):
+        out = times(v, terms, q)
+        written["end"] += len(out)
+        return out
+
+    def evaluated(letters, relators, q):
+        written["letters"] += sum(map(len, relators))
+        with monkeypatch.context() as inside:
+            inside.setattr(Permutation, "__mul__", composed)
+            inside.setattr(modfp, "_equations", held)
+            return evaluate(letters, relators, q)
+
+    def spun(m):
+        with monkeypatch.context() as inside:
+            inside.setattr(modfp, "_times", product)
+            return end(m)
+
+    monkeypatch.setattr(modfp, "_relator_equations", evaluated)
+    monkeypatch.setattr(modfp, "endomorphism_dim", spun)
+    cohomology_of_Ip(spec, p)
+    assert written["products"] == written["letters"] > 0
+    assert 0 < written["positions"] <= 2 * k * written["letters"]
+    assert 0 < written["end"]
+    assert 2 * k * written["letters"] + written["end"] <= cocycle_entries(spec)
 
 
 class _Checked(Exception):
@@ -779,19 +889,19 @@ class _Checked(Exception):
 
 
 def _checked_needs(monkeypatch, token):
-    """The bytes cohomology_of_Ip checks for `token` at p = 2, and the
+    """The entries cohomology_of_Ip checks for `token` at p = 2, and the
     relators it then evaluates."""
     needs, evaluated = [], []
 
-    def counted(k):
-        needs.append(cocycle_bytes(k))
+    def counted(spec):
+        needs.append(cocycle_entries(spec))
         return needs[-1]
 
-    def stop(g, mod, relators):
+    def stop(letters, relators, p):
         evaluated.append(relators)
         raise _Checked
 
-    monkeypatch.setattr(modfp, "cocycle_bytes", counted)
+    monkeypatch.setattr(modfp, "cocycle_entries", counted)
     monkeypatch.setattr(modfp, "_relator_equations", stop)
     with pytest.raises(_Checked):
         cohomology_of_Ip(parse_group(token), 2)
@@ -803,19 +913,21 @@ def test_the_degree_bound_is_exact_for_cyclic_groups(monkeypatch, n):
     # cohomology_of_Ip checks the count of the degree before it builds
     # anything; C_n's presentation is one relator on one letter
     needs, relators = _checked_needs(monkeypatch, f"C{n}")
-    assert needs == [cocycle_bytes(n - 1)] and relators == [[0] * n]
+    assert needs == [cocycle_entries(GroupSpec("C", n))] and relators == [[0] * n]
 
 
 @pytest.mark.parametrize("token", [f"{kind}{n}" for kind in "AS" for n in (4, 5, 6, 7, 20, 21)]
                          + ["S3"])
 def test_the_budget_is_checked_once_on_the_presentations_own_size(monkeypatch, token):
-    # the count is of the degree alone, and bounds the presentation's own
-    # size: two letters times its relators is at most n + 6
+    # the count is of the kind and degree alone, and bounds the
+    # presentation's own size: 2k entries for each letter of its words
     needs, relators = _checked_needs(monkeypatch, token)
-    n = parse_group(token).n
-    assert needs == [cocycle_bytes(n - 1)]
+    spec = parse_group(token)
+    n = spec.n
+    assert needs == [cocycle_entries(spec)]
     assert len(relators) == n // 2 + (3 if token[0] == "S" else 2)
     assert 2 * len(relators) <= n + 6
+    assert 2 * (n - 1) * sum(map(len, relators)) <= needs[0] - _end_entries(n)
 
 
 @pytest.mark.parametrize("token,conjugate", [("A5", False), ("A7", False), ("S4", True),
@@ -833,8 +945,11 @@ def test_cocycle_system_is_exact_at_the_largest_prime(token, conjugate):
         assert _inverse_mod(t, p) is not None
         mod = _conjugated(mod, t)
     walked, order = cocycle_reference.cocycle_system(g, mod)
-    relators = _constraints(g, mod, words)
-    assert (dense.rows(relators), relators.pivots) == (dense.rows(walked), walked.pivots)
+    spans = [_reference_constraints(g, mod, words)]
+    if not conjugate:
+        spans.append(_constraints(g, p, words))
+    for relators in spans:
+        assert (dense.rows(relators), relators.pivots) == (dense.rows(walked), walked.pivots)
     assert order == g.order()
 
 
@@ -873,7 +988,7 @@ def test_a_module_is_refused_a_p_that_is_not_a_prime_below_2_31(p, message):
     # cocycle_dims once met these moduli as numpy's "base is not invertible"
     g, relators = _presented("A5")
     with pytest.raises(BadInput) as exc:
-        cocycle_dims(g, FpModule.natural(g, p), relators)
+        cocycle_dims(g, relators, p)
     assert str(exc.value) == message
     with pytest.raises(BadInput):
         FpModule(p, 1, [[[(0, 1)]]])
@@ -883,29 +998,31 @@ def test_cocycle_requires_matching_generators():
     g, relators = _presented("A5")
     other = FpModule.natural(alt_group(4), 2)
     with pytest.raises(ValueError):
-        cocycle_dims(g, FpModule(2, 4, other.terms[:1]), relators)
+        cocycle_reference.cocycle_dims(g, FpModule(2, 4, other.terms[:1]), relators)
 
 
 def _refuse(*args):
     raise AssertionError("built for an input that is refused anyway")
 
 
-def _over_budget(need):
-    return (f"cocycle equations may need {need} bytes, over the budget "
-            f"of {modfp.EQUATION_BUDGET}")
+def _over_budget(token):
+    return (f"cocycle equations may write {cocycle_entries(parse_group(token))} entries, "
+            f"over the budget of {modfp.EQUATION_BUDGET} entries")
 
 
-# each refusal reads only the degree; FpModule.natural builds the first
-# action, the letters' rows
+# each refusal reads only the kind and degree, before a permutation is
+# composed; FpModule.natural builds the first action, the letters' rows
 @pytest.mark.parametrize("token,skipped,message", [
-    ("A260", ("presentation", "FpModule.natural", "_relator_equations"),
-     _over_budget(cocycle_bytes(259))),
+    ("A300", ("presentation", "FpModule.natural", "_relator_equations",
+              "Permutation.__mul__"), _over_budget("A300")),
     # the words of A_n have about n^2 / 2 letters, and a chain of degree
     # 10^7 would take minutes to build
-    ("A10000000", ("presentation", "FpModule.natural", "_relator_equations"),
-     _over_budget(cocycle_bytes(10 ** 7 - 1))),
-    ("C250", ("FpModule.natural", "_relator_equations", "endomorphism_dim"),
-     _over_budget(cocycle_bytes(249))),
+    ("A10000000", ("presentation", "FpModule.natural", "_relator_equations",
+                   "Permutation.__mul__"), _over_budget("A10000000")),
+    ("C379", ("FpModule.natural", "_relator_equations", "endomorphism_dim",
+              "Permutation.__mul__"), _over_budget("C379")),
+    ("S300", ("presentation", "FpModule.natural", "_relator_equations",
+              "Permutation.__mul__"), _over_budget("S300")),
 ])
 def test_cohomology_of_Ip_refuses_its_budgets_before_building(
         monkeypatch, token, skipped, message):
